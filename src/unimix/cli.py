@@ -26,7 +26,6 @@ from .core import (
     HorizonPolicy,
     MovingHorizon,
     ProportionalHorizon,
-    horizon_end,
 )
 from .domains import (
     FunctionClassSpec,
@@ -48,12 +47,10 @@ from .models import (
     posterior,
 )
 from .planner import (
-    ValueQuery,
     planning_policy,
     program_policy,
     run_interaction,
     sample_percept,
-    value_opt,
 )
 from .vm import DecodeError, Program, RunBudget, enumerate_programs, kraft_sum
 
@@ -288,13 +285,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     for k in range(1, len(h) + 1):
         y, x = h.cycles[k - 1]
         prefix = History(h.cycles[: k - 1])
-        if model is not None:
-            hor = cfg.horizon if cfg.agent != "greedy" else MovingHorizon(1)
-            m_k = horizon_end(hor, k, cfg.lifetime)
-            v = value_opt(ValueQuery(model, prefix, k, m_k, hor))
-            value_s = str(v)
-        else:
-            value_s = ""
+        # A planning agent decided cycle k on exactly this prefix.
+        value_s = str(policy.values[k]) if model is not None else ""
         if mixture is not None and mixture.joint(prefix) > 0:
             top = posterior(mixture, prefix).top()
         else:

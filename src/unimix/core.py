@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 Action = int
@@ -65,6 +66,11 @@ class Alphabet:
 
     def percepts(self) -> tuple:
         """All percepts in symbol order (reward-major)."""
+        return self._percept_table
+
+    @cached_property
+    def _percept_table(self) -> tuple:
+        # Built on first use; not a field, so eq and hash never see it.
         return tuple(
             Percept(r, o) for r in self.rewards for o in range(self.num_observations)
         )
@@ -76,9 +82,9 @@ class Alphabet:
         return self.rewards.index(x.reward) * self.num_observations + x.observation
 
     def percept_of(self, symbol: int) -> Percept:
-        symbol %= self.num_percepts
-        r_idx, o = divmod(symbol, self.num_observations)
-        return Percept(self.rewards[r_idx], o)
+        """The percept with this symbol; out-of-range symbols wrap around."""
+        table = self._percept_table
+        return table[symbol % len(table)]
 
     def reward_index(self, x: Percept) -> int:
         return self.rewards.index(x.reward)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     Action,
@@ -32,7 +32,11 @@ class UndefinedConditionalError(ValueError):
 
 
 class ChronologicalModel:
-    """Base class: subclasses supply ``alphabet`` and ``cond_map``."""
+    """Base class: subclasses supply ``alphabet`` and ``cond_map``.
+
+    A model that can extend a history more cheaply when it remembers how it
+    got there overrides ``state`` and ``step`` together.
+    """
 
     alphabet: Alphabet
 
@@ -42,6 +46,15 @@ class ChronologicalModel:
         May be sub-normalized (semimeasure); missing percepts carry mass 0.
         """
         raise NotImplementedError
+
+    def state(self, h: History) -> Any:
+        """What ``step`` needs besides h to extend the complete history h."""
+        return None
+
+    def step(self, state: Any, h: History, y: Action) -> Dict[Percept, Tuple[Fraction, Any]]:
+        """``cond_map(h, y)`` with each percept's probability paired with the
+        state of the extended history; ``state`` is ``self.state(h)``."""
+        return {x: (p, None) for x, p in self.cond_map(h, y).items()}
 
     def base_mass(self) -> Fraction:
         """Mass of the empty history (1 for proper measures)."""
@@ -238,7 +251,9 @@ class ProgramEnv(ChronologicalModel):
     """A bytecode program replayed as a deterministic measure.
 
     A cycle that exhausts the step budget gets an all-zero conditional (the
-    program drops out of every mixture it sits in from that point on).
+    program drops out of every mixture it sits in from that point on).  Its
+    state is the machine after the history's actions, or None once a cycle
+    has timed out; ``step`` runs a copy of it for one more cycle.
     """
 
     def __init__(self, program: Program, budget: RunBudget, alphabet: Alphabet):
@@ -246,14 +261,21 @@ class ProgramEnv(ChronologicalModel):
         self.budget = budget
         self.alphabet = alphabet
 
+    def state(self, h: History) -> Optional[MachineState]:
+        _, ok, s = replay_env(self.program, h.actions(), self.budget, self.alphabet)
+        return s if ok else None
+
+    def step(
+        self, state: Optional[MachineState], h: History, y: Action
+    ) -> Dict[Percept, Tuple[Fraction, MachineState]]:
+        if state is None:
+            return {}
+        s = state.copy()
+        x, _, _, timed_out = env_cycle(self.program, s, y, self.budget, self.alphabet)
+        return {} if timed_out else {x: (Fraction(1), s)}
+
     def cond_map(self, h: History, y: Action) -> Dict[Percept, Fraction]:
-        _, ok, state = replay_env(self.program, h.actions(), self.budget, self.alphabet)
-        if not ok:
-            return {}
-        x, _, _, timed_out = env_cycle(self.program, state, y, self.budget, self.alphabet)
-        if timed_out:
-            return {}
-        return {x: Fraction(1)}
+        return {x: p for x, (p, _) in self.step(self.state(h), h, y).items()}
 
     def joint(self, h: History) -> Fraction:
         percepts, ok, _ = replay_env(self.program, h.actions(), self.budget, self.alphabet)
@@ -286,6 +308,11 @@ class MixtureModel(ChronologicalModel):
 
     ``mode`` is "program-class" (weights 2^-length over enumerated programs)
     or "semimeasure-class" (arbitrary weights summing to <= 1).
+
+    The state after a history h is the tuple of surviving components
+    ``(index, weight * component joint of h, component state)``; its masses
+    sum to the mixture joint of h.  ``step`` steps each survivor one cycle,
+    so a planner that carries the state never replays a history.
     """
 
     def __init__(
@@ -308,34 +335,59 @@ class MixtureModel(ChronologicalModel):
         )
         self.alphabet = alphabet
         self.mode = mode
-        self._joint_cache: Dict[History, Fraction] = {}
+        # A component's mass starts at its weight times its own base mass,
+        # which is not 1 when the component is itself a mixture.
+        self._root = tuple(
+            (i, w * m.base_mass(), m.state(EMPTY_HISTORY))
+            for i, (_, w, m) in enumerate(self.components)
+        )
 
     def base_mass(self) -> Fraction:
         return sum((w for _, w, _ in self.components), Fraction(0))
 
-    def joint(self, h: History) -> Fraction:
+    def state(self, h: History) -> tuple:
         if h.pending_action is not None:
-            raise ValueError("joint of a history with a pending action")
-        cached = self._joint_cache.get(h)
-        if cached is None:
-            cached = sum(
-                (w * m.joint(h) for _, w, m in self.components), Fraction(0)
-            )
-            self._joint_cache[h] = cached
-        return cached
+            raise ValueError("mixture state of a history with a pending action")
+        state = self._root
+        ctx = EMPTY_HISTORY
+        for y, x in h.cycles:
+            if not state:
+                break
+            state = self._children(state, ctx, y).get(x, ())
+            ctx = append_cycle(ctx, y, x)
+        return state
 
-    def cond_map(self, h: History, y: Action) -> Dict[Percept, Fraction]:
-        jh = self.joint(h)
-        if jh == 0:
+    def _children(self, state: tuple, h: History, y: Action) -> Dict[Percept, tuple]:
+        """Survivors after each next percept, with their masses updated."""
+        out: Dict[Percept, list] = {}
+        for i, mass, s in state:
+            for x, (p, child) in self.components[i][2].step(s, h, y).items():
+                if p:
+                    out.setdefault(x, []).append((i, mass * p, child))
+        return {x: tuple(survivors) for x, survivors in out.items()}
+
+    def step(self, state: tuple, h: History, y: Action) -> Dict[Percept, Tuple[Fraction, tuple]]:
+        total = _mass(state)
+        if total == 0:
             raise UndefinedConditionalError(
                 "mixture conditional on a zero-mass history"
             )
-        out: Dict[Percept, Fraction] = {}
-        for x in self.alphabet.percepts():
-            jx = self.joint(append_cycle(h, y, x))
-            if jx > 0:
-                out[x] = jx / jh
-        return out
+        children = self._children(state, h, y)
+        return {
+            x: (_mass(children[x]) / total, children[x])
+            for x in self.alphabet.percepts()
+            if x in children
+        }
+
+    def joint(self, h: History) -> Fraction:
+        return _mass(self.state(h))
+
+    def cond_map(self, h: History, y: Action) -> Dict[Percept, Fraction]:
+        return {x: p for x, (p, _) in self.step(self.state(h), h, y).items()}
+
+
+def _mass(state: tuple) -> Fraction:
+    return sum((mass for _, mass, _ in state), Fraction(0))
 
 
 def build_mixture(
@@ -352,14 +404,17 @@ def build_mixture(
 
 def posterior(m: MixtureModel, h: History) -> PosteriorState:
     """Unnormalized component masses weight * component-joint on h."""
-    if m.joint(h) == 0:
+    state = m.state(h)
+    if _mass(state) == 0:
         raise UndefinedConditionalError("posterior on a zero-mass history")
-    labels, weights, masses = [], [], []
-    for label, w, comp in m.components:
-        labels.append(label)
-        weights.append(w)
-        masses.append(w * comp.joint(h))
-    return PosteriorState(tuple(labels), tuple(weights), tuple(masses))
+    masses = [Fraction(0)] * len(m.components)
+    for i, mass, _ in state:
+        masses[i] = mass
+    return PosteriorState(
+        tuple(label for label, _, _ in m.components),
+        tuple(w for _, w, _ in m.components),
+        tuple(masses),
+    )
 
 
 def weights_csv(m: MixtureModel, h: Optional[History] = None) -> str:

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     Action,
@@ -60,54 +60,50 @@ def _reward(q: ValueQuery, t: int, r: Fraction) -> Fraction:
     return discounted_reward(q.horizon, t, r)
 
 
-def _value_opt(q: ValueQuery, h: History, t: int, cache: Dict) -> Fraction:
+def _value_opt(q: ValueQuery, h: History, t: int, state: Any) -> Fraction:
     if t > q.m_k:
         return Fraction(0)
-    key = (h, t, q.m_k)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    best = None
-    for y in q.model.alphabet.actions():
-        v = _value_given_action(q, h, t, y, cache)
-        if best is None or v > best:
-            best = v
-    cache[key] = best
-    return best
+    return max(
+        _value_given_action(q, h, t, y, state) for y in q.model.alphabet.actions()
+    )
 
 
 def _value_given_action(
-    q: ValueQuery, h: History, t: int, y: Action, cache: Dict
+    q: ValueQuery, h: History, t: int, y: Action, state: Any
 ) -> Fraction:
-    row = q.model.cond_map(h, y)
     total = Fraction(0)
-    for x, p in row.items():
+    for x, (p, child) in q.model.step(state, h, y).items():
         if p == 0:
             continue
-        cont = _value_opt(q, append_cycle(h, y, x), t + 1, cache)
+        cont = _value_opt(q, append_cycle(h, y, x), t + 1, child)
         total += (_reward(q, t, x.reward) + cont) * p
     return total
 
 
+def _decide(q: ValueQuery) -> Tuple[Action, Fraction]:
+    """The lexicographically smallest optimal action and the optimal value."""
+    state = q.model.state(q.history)
+    best_y, best_v = None, None
+    for y in q.model.alphabet.actions():
+        v = _value_given_action(q, q.history, q.k, y, state)
+        if best_v is None or v > best_v:
+            best_y, best_v = y, v
+    return best_y, best_v
+
+
 def value_given_action(q: ValueQuery, y: Action) -> Fraction:
     """Expected reward sum over cycles k..m_k after committing to action y now."""
-    return _value_given_action(q, q.history, q.k, y, {})
+    return _value_given_action(q, q.history, q.k, y, q.model.state(q.history))
 
 
 def value_opt(q: ValueQuery) -> Fraction:
     """The optimal (expectimax) value from cycle k through m_k."""
-    return _value_opt(q, q.history, q.k, {})
+    return _decide(q)[1]
 
 
 def best_action(q: ValueQuery) -> Action:
     """Lexicographically smallest maximizer of value_given_action."""
-    cache: Dict = {}
-    best_y, best_v = None, None
-    for y in q.model.alphabet.actions():
-        v = _value_given_action(q, q.history, q.k, y, cache)
-        if best_v is None or v > best_v:
-            best_y, best_v = y, v
-    return best_y
+    return _decide(q)[0]
 
 
 def planning_policy(
@@ -115,13 +111,20 @@ def planning_policy(
     horizon: HorizonPolicy,
     lifetime: int,
 ) -> PolicyOracle:
-    """The expectimax agent for a model as a reusable policy oracle."""
+    """The expectimax agent for a model as a reusable policy oracle.
+
+    ``policy.values[k]`` holds the optimal value found by the latest decision
+    at cycle k, so a caller can report it without solving again.
+    """
+    values: Dict[int, Fraction] = {}
 
     def policy(h: History) -> Action:
         k = len(h) + 1
         m_k = horizon_end(horizon, k, lifetime)
-        return best_action(ValueQuery(model, h, k, m_k, horizon))
+        y, values[k] = _decide(ValueQuery(model, h, k, m_k, horizon))
+        return y
 
+    policy.values = values
     return policy
 
 

@@ -17,9 +17,20 @@ from unimix.cli import (
     parse_horizon,
     run_scenario,
 )
-from unimix.core import FixedHorizon, GeometricDiscount, MovingHorizon, ProportionalHorizon
+from unimix.core import (
+    EMPTY_HISTORY,
+    FixedHorizon,
+    GeometricDiscount,
+    MovingHorizon,
+    Percept,
+    ProportionalHorizon,
+    append_cycle,
+    horizon_end,
+)
 from unimix.evaluate import BoundReport, CapacityError
-from unimix.vm import decode
+from unimix.models import build_mixture
+from unimix.planner import ValueQuery, value_opt
+from unimix.vm import RunBudget, decode, enumerate_programs
 
 HEAVEN = "scenario=heavenhell\nagent=informed\nlifetime=5\ni=1\n"
 
@@ -127,6 +138,30 @@ class TestRunScenario:
         )
         rows = trace_rows(run_scenario(cfg).trace_csv)
         assert all(r[5] != "" for r in rows)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "scenario=fm\nagent=greedy\nlifetime=4\nclass=uniform16\nseed=1\n",
+            "scenario=fm\nagent=informed\nlifetime=3\nclass=uniform16\nseed=2\nhorizon=moving:2\n",
+            "scenario=heavenhell\nagent=mixture\nlifetime=3\ni=1\nl=8\n",
+        ],
+    )
+    def test_planner_values_equal_a_fresh_solve_at_each_prefix(self, text):
+        cfg = parse_config(text)
+        rows = trace_rows(run_scenario(cfg).trace_csv)
+        env = cli._build_env(cfg)
+        if cfg.agent == "mixture":
+            pool = enumerate_programs(cfg.l_max)
+            model = build_mixture(pool, RunBudget(cfg.steps), env.alphabet)
+        else:
+            model = env
+        hor = MovingHorizon(1) if cfg.agent == "greedy" else cfg.horizon
+        prefix = EMPTY_HISTORY
+        for k, (_, y, o, r, value, _) in enumerate(rows, start=1):
+            m_k = horizon_end(hor, k, cfg.lifetime)
+            assert value == str(value_opt(ValueQuery(model, prefix, k, m_k, hor)))
+            prefix = append_cycle(prefix, int(y), Percept(Fraction(r), int(o)))
 
     def test_best_vote_agent_emits_a_selection_log(self):
         cfg = parse_config(

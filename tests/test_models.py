@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unimix.core import (
     Alphabet,
@@ -29,7 +31,7 @@ from unimix.models import (
     sq_distance_sum,
     weights_csv,
 )
-from unimix.vm import replay_env
+from unimix.vm import RunBudget, enumerate_programs, replay_env
 
 R0 = Fraction(0)
 R1 = Fraction(1)
@@ -297,3 +299,79 @@ def test_weights_csv_lists_every_component(binary_alphabet, budget, pool6):
     lines = weights_csv(m).strip().splitlines()
     assert lines[0] == "component,weight,mass"
     assert len(lines) == len(pool6) + 1
+
+
+# --- The stepped mixture state against from-scratch sums ---------------------
+
+ALPHABETS = (
+    Alphabet(num_actions=2, num_observations=1, rewards=(R0, R1)),
+    Alphabet(num_actions=3, num_observations=2, rewards=(R0, Fraction(1, 2), R1)),
+)
+
+
+def scratch_joint(m, h):
+    """Sum of w * component joint over a mixture's components, recursively;
+    a program's joint replays it from the empty history."""
+    if isinstance(m, MixtureModel):
+        return sum((w * scratch_joint(c, h) for _, w, c in m.components), Fraction(0))
+    return m.joint(h)
+
+
+@st.composite
+def mixtures_and_histories(draw):
+    """A flat program mixture, a mixture nesting a sub-mixture whose weights
+    sum to < 1, and a history that mostly follows one of the programs."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    pool = enumerate_programs(draw(st.integers(6, 9)))
+    budget = RunBudget(draw(st.integers(1, 5)))  # small enough to time out
+    flat = build_mixture(pool, budget, alphabet)
+    inner = MixtureModel(
+        [(q.to_hex(), q.weight / 2, ProgramEnv(q, budget, alphabet)) for q in pool[::2]],
+        alphabet,
+    )
+    nested = MixtureModel(
+        [("inner", Fraction(1, 2), inner)]
+        + [(q.to_hex(), q.weight / 2, ProgramEnv(q, budget, alphabet)) for q in pool[1::2]],
+        alphabet,
+    )
+    truth = draw(st.sampled_from(pool))
+    actions = draw(st.lists(st.integers(0, alphabet.num_actions - 1), max_size=4))
+    followed, _, _ = replay_env(truth, actions, budget, alphabet)
+    h = EMPTY_HISTORY
+    for t, y in enumerate(actions):
+        x = draw(st.none() | st.sampled_from(alphabet.percepts()))
+        if x is None:  # follow the truth until it times out
+            x = followed[t] if t < len(followed) else alphabet.percepts()[0]
+        h = append_cycle(h, y, x)
+    return (flat, nested), h
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixtures_and_histories())
+def test_stepped_state_equals_from_scratch_sums(case):
+    models, h = case
+    for m in models:
+        a = m.alphabet
+        jh = scratch_joint(m, h)
+        assert m.joint(h) == jh
+        if jh == 0:
+            with pytest.raises(UndefinedConditionalError):
+                m.cond_map(h, 0)
+            with pytest.raises(UndefinedConditionalError):
+                posterior(m, h)
+            continue
+        assert posterior(m, h).masses == tuple(
+            w * scratch_joint(c, h) for _, w, c in m.components
+        )
+        state = m.state(h)
+        for y in a.actions():
+            expected = {}
+            for x in a.percepts():
+                jx = scratch_joint(m, append_cycle(h, y, x))
+                if jx:
+                    expected[x] = jx / jh
+            assert m.cond_map(h, y) == expected
+            stepped = m.step(state, h, y)
+            assert {x: p for x, (p, _) in stepped.items()} == expected
+            for x, (_, child) in stepped.items():
+                assert child == m.state(append_cycle(h, y, x))

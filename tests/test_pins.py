@@ -1,0 +1,50 @@
+"""`unimix run` reproduces the pinned artifacts of the benchmark workloads.
+
+perfbench/pins.json holds the sha256 of each workload config's artifacts;
+the configs here are written the way perfbench/run.py writes them.  The
+test only reads the pins.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from unimix.cli import EXIT_OK, main
+
+PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+LIFETIME = 2
+ARTIFACTS = ("trace.csv", "results.txt", "selection.csv")
+
+# workload -> (config without lifetime and seed, heavenhell world from the seed)
+WORKLOADS = {
+    "mixture-heavenhell": ("scenario=heavenhell\nagent=mixture\nl=12\n", True),
+    "informed-fm": ("scenario=fm\nagent=informed\nclass=uniform16\n", False),
+    "bestvote-heavenhell": ("scenario=heavenhell\nagent=best-vote\nl=11\n", True),
+    "informed-heavenhell": ("scenario=heavenhell\nagent=informed\n", True),
+}
+
+
+def config_text(workload: str, config_seed: int) -> str:
+    base, worlds = WORKLOADS[workload]
+    text = f"{base}lifetime={LIFETIME}\nseed={config_seed}\n"
+    if worlds:
+        text += f"i={config_seed % 2}\n"
+    return text
+
+
+@pytest.mark.parametrize("config_seed", [0, 1])
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_artifacts_match_the_pinned_digests(workload, config_seed, tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    config.write_text(config_text(workload, config_seed))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    got = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ARTIFACTS
+        if (out / name).exists()
+    }
+    pins = json.loads(PINS.read_text())
+    assert got == pins[f"{workload}/lifetime={LIFETIME}"][str(config_seed)]
