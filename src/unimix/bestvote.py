@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .core import (
     Action,
@@ -19,20 +19,16 @@ from .core import (
     FixedHorizon,
     History,
     HorizonPolicy,
-    Percept,
     append_cycle,
-    discounted_reward,
     horizon_end,
 )
 from .models import ChronologicalModel, UndefinedConditionalError
-from .planner import sample_percept
+from .planner import dominance_walk, functional_value, sample_percept
 from .vm import (
     MachineState,
     Program,
     RunBudget,
-    consistent_envs,
     enumerate_programs,
-    env_cycle,
     run_cycle,
 )
 
@@ -140,36 +136,6 @@ def replay_candidate(
     return claim
 
 
-def _ext_rollout_value(
-    c: ExtendedCandidate,
-    q: Program,
-    k: int,
-    m: int,
-    h: History,
-    budget: RunBudget,
-    alphabet,
-    horizon: Optional[HorizonPolicy],
-) -> Fraction:
-    """Reward sum of (candidate, environment-program) from cycle k, with the
-    history's actions forced over the past."""
-    cc = c.fresh()
-    qs = MachineState()
-    for i, (y, _) in enumerate(h.cycles):
-        run_candidate_cycle(cc, History(h.cycles[:i]), budget, alphabet)
-        env_cycle(q, qs, y, budget, alphabet)
-    hist = h
-    total = Fraction(0)
-    for t in range(k, m + 1):
-        claim = run_candidate_cycle(cc, hist, budget, alphabet)
-        x, _, _, env_timeout = env_cycle(q, qs, claim.y, budget, alphabet)
-        if env_timeout:
-            break
-        r = x.reward if horizon is None else discounted_reward(horizon, t, x.reward)
-        total += r
-        hist = append_cycle(hist, claim.y, x)
-    return total
-
-
 def candidate_value(
     c: ExtendedCandidate,
     env_pool: Sequence[Program],
@@ -180,16 +146,14 @@ def candidate_value(
     alphabet,
     horizon: Optional[HorizonPolicy] = None,
 ) -> Fraction:
-    """The candidate's exact mixture value over the consistent environments."""
-    hat_q = consistent_envs(env_pool, h, budget, alphabet)
-    if not hat_q:
-        raise UndefinedConditionalError("no environment program matches the history")
-    num = Fraction(0)
-    den = Fraction(0)
-    for q in hat_q:
-        den += q.weight
-        num += q.weight * _ext_rollout_value(c, q, k, m, h, budget, alphabet, horizon)
-    return num / den
+    """The candidate's exact mixture value over the consistent environments:
+    a fresh copy of it is rolled out against each, with h's actions forced."""
+
+    def new_stepper() -> Callable[[History], Action]:
+        cc = c.fresh()
+        return lambda hist: run_candidate_cycle(cc, hist, budget, alphabet).y
+
+    return functional_value(new_stepper, env_pool, k, m, h, budget, alphabet, horizon)
 
 
 def validate_claim(
@@ -348,20 +312,9 @@ def eff_intel_geq(
 ) -> bool:
     """Effective intelligence order: c1's validated claim dominates c2's on
     every history of up to `depth`-1 completed cycles, exhaustively."""
-    life = lifetime if lifetime is not None else depth
 
-    def walk(h: History) -> bool:
-        k = len(h) + 1
-        m_k = min(life, max(k, life))
+    def geq(h: History, m_k: int) -> bool:
         w1 = validated_claim_weight(c1, h, env_pool, budget, alphabet, m_k)
-        w2 = validated_claim_weight(c2, h, env_pool, budget, alphabet, m_k)
-        if w1 < w2:
-            return False
-        if len(h) < depth - 1:
-            for y in alphabet.actions():
-                for x in alphabet.percepts():
-                    if not walk(append_cycle(h, y, x)):
-                        return False
-        return True
+        return w1 >= validated_claim_weight(c2, h, env_pool, budget, alphabet, m_k)
 
-    return walk(EMPTY_HISTORY)
+    return dominance_walk(geq, alphabet, depth, lifetime)

@@ -14,12 +14,11 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from . import __version__
 from .bestvote import run_best_vote, selection_log_csv
 from .core import (
-    EMPTY_HISTORY,
     FixedHorizon,
     GeometricDiscount,
     History,
@@ -40,7 +39,6 @@ from .domains import (
 )
 from .evaluate import BoundReport, CapacityError, summary_block
 from .models import (
-    MixtureModel,
     TabularModel,
     build_mixture,
     check_chronological,
@@ -50,7 +48,6 @@ from .planner import (
     planning_policy,
     program_policy,
     run_interaction,
-    sample_percept,
 )
 from .vm import DecodeError, Program, RunBudget, enumerate_programs, kraft_sum
 
@@ -265,7 +262,14 @@ class RunArtifacts:
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
-    env = _build_env(cfg)
+    try:
+        env = _build_env(cfg)
+    except ValidationError:
+        raise
+    except KeyError as e:
+        raise ValidationError([f"scenario={cfg.scenario}: missing key {e}"]) from None
+    except (ValueError, ArithmeticError, OSError) as e:
+        raise ValidationError([f"scenario={cfg.scenario}: {e}"]) from None
     budget = RunBudget(cfg.steps)
     reports: List[BoundReport] = []
     selection_csv = None
@@ -376,7 +380,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
     p_run.add_argument("--strict", action="store_true")
-    p_run.add_argument("--threads", type=int, default=1, help="advisory only")
 
     p_verify = sub.add_parser("verify", help="re-check invariant suites")
     p_verify.add_argument("--l", type=int, default=10, dest="l_max")

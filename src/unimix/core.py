@@ -6,7 +6,7 @@ rationals, so downstream expectimax values compare bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
@@ -153,6 +153,8 @@ def decode_history(text: str) -> History:
         y = int(val)
         if i + 1 == len(tokens):
             return h.with_pending(y)
+        if i + 3 > len(tokens):
+            raise ValueError(f"truncated cycle {' '.join(tokens[i:])!r}")
         rtag, rval = tokens[i + 1].split(":", 1)
         otag, oval = tokens[i + 2].split(":", 1)
         if rtag != "r" or otag != "o":
@@ -239,8 +241,11 @@ def horizon_end(policy: HorizonPolicy, k: int, lifetime: int) -> int:
     return max(k, min(m, lifetime))
 
 
-def discounted_reward(policy: HorizonPolicy, k: int, r: Fraction) -> Fraction:
-    """Reward as it enters the value sum: gamma^k damping, identity otherwise."""
+def discounted_reward(policy: Optional[HorizonPolicy], k: int, r: Fraction) -> Fraction:
+    """Reward as it enters the value sum: gamma^k damping, identity otherwise.
+
+    A ``None`` policy means no discounting: the result is ``Fraction(r)``.
+    """
     if isinstance(policy, GeometricDiscount):
         return Fraction(r) * policy.gamma ** k
     return Fraction(r)

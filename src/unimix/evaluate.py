@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -24,18 +23,18 @@ from .core import (
     HorizonPolicy,
     Percept,
     append_cycle,
-    horizon_end,
+    discounted_reward,
 )
 from .models import (
     ChronologicalModel,
-    MixtureModel,
     UndefinedConditionalError,
     build_mixture,
+    expected_sum,
 )
 from .planner import (
     PolicyOracle,
     ValueQuery,
-    best_action,
+    dominance_walk,
     planning_policy,
     policy_value_functional,
     policy_value_iterative,
@@ -151,22 +150,12 @@ def expected_loss(
     labels are scored but never fed back.
     """
     feed = pi if pi is not None else (lambda h: 0)
-    total = Fraction(0)
 
-    def walk(h: History, mass: Fraction, t: int) -> None:
-        nonlocal total
-        if t > n or mass == 0:
-            return
-        y = feed(h)
+    def score(h: History, t: int, y: Action, row: Dict[Percept, Fraction]) -> Fraction:
         label = scheme(h)
-        for x, p in mu.cond_map(h, y).items():
-            if p == 0:
-                continue
-            total += mass * p * loss.loss(x, label)
-            walk(append_cycle(h, y, x), mass * p, t + 1)
+        return sum((p * loss.loss(x, label) for x, p in row.items()), Fraction(0))
 
-    walk(EMPTY_HISTORY, Fraction(1), 1)
-    return total
+    return expected_sum(mu, feed, score, n)
 
 
 def proper_members(
@@ -297,8 +286,6 @@ def all_policy_values(
     Enumerates the full policy tree over reachable contexts; contains no
     max-step, so it is an independent oracle for the expectimax value.
     """
-    from .core import discounted_reward
-
     count = _policy_count(env, EMPTY_HISTORY, 1, lifetime)
     if count > _POLICY_ENUM_CAP:
         raise CapacityError(f"{count} policies exceed the enumeration cap")
@@ -315,12 +302,7 @@ def all_policy_values(
                 if p == 0:
                     continue
                 probs.append(p)
-                r = (
-                    x.reward
-                    if horizon is None
-                    else discounted_reward(horizon, t, x.reward)
-                )
-                rewards.append(r)
+                rewards.append(discounted_reward(horizon, t, x.reward))
                 branches.append(values(append_cycle(h, y, x), t + 1))
             for combo in itertools.product(*branches):
                 v = sum(
@@ -420,26 +402,17 @@ def intel_geq(
 ) -> bool:
     """Intelligence order: p's mixture value dominates p_prime's on every
     history of fewer than `depth` cycles, exhaustively."""
-    life = lifetime if lifetime is not None else depth
 
-    def walk(h: History) -> bool:
+    def geq(h: History, m_k: int) -> bool:
         k = len(h) + 1
-        m_k = max(k, life)
         try:
             v1 = policy_value_functional(p, pool, k, m_k, h, budget, alphabet)
             v2 = policy_value_functional(p_prime, pool, k, m_k, h, budget, alphabet)
-            if v1 < v2:
-                return False
         except UndefinedConditionalError:
-            pass  # no environment explains h: values undefined for both
-        if len(h) < depth - 1:
-            for y in alphabet.actions():
-                for x in alphabet.percepts():
-                    if not walk(append_cycle(h, y, x)):
-                        return False
-        return True
+            return True  # no environment explains h: values undefined for both
+        return v1 >= v2
 
-    return walk(EMPTY_HISTORY)
+    return dominance_walk(geq, alphabet, depth, lifetime)
 
 
 # --- Disagreement diagnostics ----------------------------------------------

@@ -430,6 +430,31 @@ def weights_csv(m: MixtureModel, h: Optional[History] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def expected_sum(
+    mu: ChronologicalModel,
+    feed: Callable[[History], Action],
+    score: Callable[[History, int, Action, Dict[Percept, Fraction]], Fraction],
+    n: int,
+    h: History = EMPTY_HISTORY,
+) -> Fraction:
+    """Sum of mu(h_t | h) * score(h_t, t, y_t, row_t) over cycles t = len(h)+1..n.
+
+    h_t runs over the mu-possible extensions of h by t-1-len(h) cycles, with
+    actions y_t = feed(h_t) and percept row row_t = mu.cond_map(h_t, y_t);
+    zero-probability percepts are not followed.
+    """
+    t = len(h) + 1
+    if t > n:
+        return Fraction(0)
+    y = feed(h)
+    row = mu.cond_map(h, y)
+    total = score(h, t, y, row)
+    for x, p in row.items():
+        if p:
+            total += p * expected_sum(mu, feed, score, n, append_cycle(h, y, x))
+    return total
+
+
 def sq_distance_sum(
     m: MixtureModel,
     mu: ChronologicalModel,
@@ -441,24 +466,16 @@ def sq_distance_sum(
     Sum over t <= n and mu-possible histories of
     mu(h) * sum_x (m(x|h,y_t) - mu(x|h,y_t))^2 with actions supplied by pi.
     """
-    a = mu.alphabet
-    total = Fraction(0)
 
-    def walk(h: History, mu_joint: Fraction, t: int) -> None:
-        nonlocal total
-        if t > n:
-            return
-        y = pi(h)
-        mu_row = mu.cond_map(h, y)
+    def score(h: History, t: int, y: Action, mu_row: Dict[Percept, Fraction]) -> Fraction:
         try:
             m_row = m.cond_map(h, y)
         except UndefinedConditionalError:
             m_row = {}
-        for x in a.percepts():
+        total = Fraction(0)
+        for x in mu.alphabet.percepts():
             gap = m_row.get(x, Fraction(0)) - mu_row.get(x, Fraction(0))
-            total += mu_joint * gap * gap
-        for x, p in mu_row.items():
-            walk(append_cycle(h, y, x), mu_joint * p, t + 1)
+            total += gap * gap
+        return total
 
-    walk(EMPTY_HISTORY, Fraction(1), 1)
-    return total
+    return expected_sum(mu, pi, score, n)

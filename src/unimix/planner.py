@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from .core import (
     Action,
@@ -25,7 +25,7 @@ from .core import (
     discounted_reward,
     horizon_end,
 )
-from .models import ChronologicalModel, UndefinedConditionalError
+from .models import ChronologicalModel, UndefinedConditionalError, expected_sum
 from .vm import MachineState, Program, RunBudget, consistent_envs, env_cycle, policy_cycle
 
 # A policy oracle is any pure function from a complete history to an action.
@@ -54,12 +54,6 @@ class ValueQuery:
             raise ValueError(f"need k <= m_k, got k={self.k}, m_k={self.m_k}")
 
 
-def _reward(q: ValueQuery, t: int, r: Fraction) -> Fraction:
-    if q.horizon is None:
-        return r
-    return discounted_reward(q.horizon, t, r)
-
-
 def _value_opt(q: ValueQuery, h: History, t: int, state: Any) -> Fraction:
     if t > q.m_k:
         return Fraction(0)
@@ -76,7 +70,7 @@ def _value_given_action(
         if p == 0:
             continue
         cont = _value_opt(q, append_cycle(h, y, x), t + 1, child)
-        total += (_reward(q, t, x.reward) + cont) * p
+        total += (discounted_reward(q.horizon, t, x.reward) + cont) * p
     return total
 
 
@@ -232,20 +226,87 @@ def policy_value_iterative(
         raise ValueError("history length must be k-1 cycles")
     _check_consistent(p, h)
 
-    def rec(hist: History, t: int) -> Fraction:
-        if t > m:
-            return Fraction(0)
-        y = p(hist)
-        row = rho.cond_map(hist, y)
-        total = Fraction(0)
-        for x, pr in row.items():
-            if pr == 0:
-                continue
-            r = x.reward if horizon is None else discounted_reward(horizon, t, x.reward)
-            total += pr * (r + rec(append_cycle(hist, y, x), t + 1))
-        return total
+    def score(hist: History, t: int, y: Action, row: Dict[Percept, Fraction]) -> Fraction:
+        return sum(
+            (pr * discounted_reward(horizon, t, x.reward) for x, pr in row.items()),
+            Fraction(0),
+        )
 
-    return rec(h, k)
+    return expected_sum(rho, p, score, m, h)
+
+
+# A policy stepper is a stateful policy: it must be called once per cycle, in
+# order, on each complete history from the empty one on.
+PolicyStepper = Callable[[History], Action]
+
+
+def program_stepper(p: Program, budget: RunBudget, alphabet) -> PolicyStepper:
+    """A bytecode program run incrementally on one machine state."""
+    s = MachineState()
+
+    def act(h: History) -> Action:
+        x_prev = h.cycles[-1][1] if h.cycles else None
+        return policy_cycle(p, s, x_prev, budget, alphabet)[0]
+
+    return act
+
+
+def rollout_value(
+    act: PolicyStepper,
+    q: Program,
+    k: int,
+    m: int,
+    h: History,
+    budget: RunBudget,
+    alphabet,
+    horizon: Optional[HorizonPolicy] = None,
+) -> Fraction:
+    """Reward sum of the deterministic (policy, q) interaction over cycles k..m.
+
+    The stepper is called on each prefix of h, where h's actions are forced
+    (its own outputs are discarded), then runs freely from cycle k.  An
+    environment program that exhausts its budget mid-future contributes no
+    further rewards from that cycle on.
+    """
+    qs = MachineState()
+    for i, (y, _) in enumerate(h.cycles):
+        act(History(h.cycles[:i]))
+        env_cycle(q, qs, y, budget, alphabet)
+    total = Fraction(0)
+    for t in range(k, m + 1):
+        y = act(h)
+        x, _, _, env_timeout = env_cycle(q, qs, y, budget, alphabet)
+        if env_timeout:
+            break
+        total += discounted_reward(horizon, t, x.reward)
+        h = append_cycle(h, y, x)
+    return total
+
+
+def functional_value(
+    new_stepper: Callable[[], PolicyStepper],
+    pool: Sequence[Program],
+    k: int,
+    m: int,
+    h: History,
+    budget: RunBudget,
+    alphabet,
+    horizon: Optional[HorizonPolicy] = None,
+) -> Fraction:
+    """Weighted average of rollouts of a fresh stepper over the consistent q."""
+    if len(h) != k - 1:
+        raise ValueError("history length must be k-1 cycles")
+    hat_q = consistent_envs(pool, h, budget, alphabet)
+    if not hat_q:
+        raise UndefinedConditionalError("no pool program is consistent with the history")
+
+    num = Fraction(0)
+    den = Fraction(0)
+    for q in hat_q:
+        den += q.weight
+        v = rollout_value(new_stepper(), q, k, m, h, budget, alphabet, horizon)
+        num += q.weight * v
+    return num / den
 
 
 def policy_value_functional(
@@ -262,48 +323,29 @@ def policy_value_functional(
 
     The policy program is replayed over the history with the history's actions
     forced (its own past outputs are discarded), then runs freely from cycle k.
-    An environment program that exhausts its budget mid-future contributes no
-    further rewards from that cycle on.
     """
-    if len(h) != k - 1:
-        raise ValueError("history length must be k-1 cycles")
-    hat_q = consistent_envs(pool, h, budget, alphabet)
-    if not hat_q:
-        raise UndefinedConditionalError("no pool program is consistent with the history")
-
-    num = Fraction(0)
-    den = Fraction(0)
-    for q in hat_q:
-        den += q.weight
-        num += q.weight * _rollout_value(p, q, k, m, h, budget, alphabet, horizon)
-    return num / den
+    new_stepper = lambda: program_stepper(p, budget, alphabet)
+    return functional_value(new_stepper, pool, k, m, h, budget, alphabet, horizon)
 
 
-def _rollout_value(
-    p: Program,
-    q: Program,
-    k: int,
-    m: int,
-    h: History,
-    budget: RunBudget,
-    alphabet,
-    horizon: Optional[HorizonPolicy],
-) -> Fraction:
-    ps = MachineState()
-    qs = MachineState()
-    percepts = list(h.percepts())
-    for t, (y, x) in enumerate(h.cycles, start=1):
-        x_prev = percepts[t - 2] if t >= 2 else None
-        policy_cycle(p, ps, x_prev, budget, alphabet)  # output forced to y
-        env_cycle(q, qs, y, budget, alphabet)
-    total = Fraction(0)
-    x_prev = percepts[-1] if percepts else None
-    for t in range(k, m + 1):
-        y, _, _, _ = policy_cycle(p, ps, x_prev, budget, alphabet)
-        x, _, _, env_timeout = env_cycle(q, qs, y, budget, alphabet)
-        if env_timeout:
-            break
-        r = x.reward if horizon is None else discounted_reward(horizon, t, x.reward)
-        total += r
-        x_prev = x
-    return total
+def dominance_walk(
+    geq: Callable[[History, int], bool], alphabet, depth: int, lifetime: Optional[int] = None
+) -> bool:
+    """True iff geq(h, lifetime) holds on every history of fewer than `depth`
+    cycles; depth-first, stopping at the first failure.  The lifetime
+    defaults to `depth` and may not be shorter."""
+    life = lifetime if lifetime is not None else depth
+    if life < depth:
+        raise ValueError(f"lifetime {life} is shorter than the depth {depth}")
+
+    def walk(h: History) -> bool:
+        return geq(h, life) and (
+            len(h) >= depth - 1
+            or all(
+                walk(append_cycle(h, y, x))
+                for y in alphabet.actions()
+                for x in alphabet.percepts()
+            )
+        )
+
+    return walk(EMPTY_HISTORY)

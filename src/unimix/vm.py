@@ -10,7 +10,7 @@ is incremental; the program counter restarts each cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 

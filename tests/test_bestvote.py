@@ -181,6 +181,18 @@ class TestEffectiveIntelligence:
         assert eff_intel_geq(honest, silent, 1, pool12, budget, binary_alphabet)
         assert not eff_intel_geq(silent, honest, 1, pool12, budget, binary_alphabet)
 
+    def test_the_lifetime_must_cover_the_depth(self, binary_alphabet, budget, pool6):
+        c = ExtendedCandidate.from_program(SILENT)
+        with pytest.raises(ValueError, match="lifetime"):
+            eff_intel_geq(c, c.fresh(), 3, pool6, budget, binary_alphabet, lifetime=2)
+
+
+def test_candidate_value_needs_k_minus_1_history_cycles(binary_alphabet, budget, pool6):
+    c = ExtendedCandidate.from_program(SILENT)
+    h = append_cycle(EMPTY_HISTORY, 0, Percept(F(0)))
+    with pytest.raises(ValueError, match="k-1"):
+        candidate_value(c, pool6, 1, 2, h, budget, binary_alphabet)
+
 
 def test_composite_claim_dominates_every_member(binary_alphabet, budget, pool6):
     members = [ExtendedCandidate.from_program(p) for p in pool6]

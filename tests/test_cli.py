@@ -241,6 +241,41 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("validation error:") == 3
 
+    @pytest.mark.parametrize(
+        "extras",
+        [
+            "scenario=onlyone\nn=x\n",
+            "scenario=sg\n",
+            "scenario=tabular\nenv_file=no-such-file.txt\n",
+            "scenario=sp\nsequences=0:1/2;1:1/4\n",
+            "scenario=heavenhell\ni=5\n",
+            "scenario=tabular\nenv_file=truncated.txt\n",
+        ],
+        ids=[
+            "n-not-int", "sg-no-env-file", "missing-env-file",
+            "sp-mass", "i-5", "truncated-key",
+        ],
+    )
+    def test_bad_scenario_extras_exit_1_without_a_traceback(
+        self, extras, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "truncated.txt").write_text(
+            "actions=2\nobservations=1\nrewards=0,1\ndepth=1\ny:0 r:1/1 | 1/2 1/2\n"
+        )
+        (tmp_path / "cfg.txt").write_text(extras + "lifetime=2\n")
+        assert main(["run", "--config", "cfg.txt"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
+        assert "Traceback" not in err
+
+    def test_the_threads_flag_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(HEAVEN)
+        with pytest.raises(SystemExit):
+            main(["run", "--config", str(cfg), "--threads", "2"])
+        assert "--threads" in capsys.readouterr().err
+
     def test_verify_passes_and_prints_verdicts(self, tmp_path, capsys):
         report = tmp_path / "verify.txt"
         assert main(["verify", "--l", "8", "--strict", "--out", str(report)]) == EXIT_OK

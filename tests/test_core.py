@@ -117,3 +117,9 @@ def test_history_serialization_round_trips_bit_exactly(h):
 def test_decode_history_rejects_malformed_text():
     with pytest.raises(ValueError):
         decode_history("r:1/2 o:0")
+
+
+@pytest.mark.parametrize("text", ["y:0 r:1/1", "y:1 r:0/1 o:0 y:0 r:1/1"])
+def test_decode_history_rejects_a_truncated_cycle(text):
+    with pytest.raises(ValueError, match="truncated cycle"):
+        decode_history(text)

@@ -28,6 +28,7 @@ from unimix.evaluate import (
 )
 from unimix.models import ProgramEnv, TabularModel, random_tabular
 from unimix.planner import planning_policy
+from unimix.vm import decode, enumerate_programs
 
 F = Fraction
 
@@ -163,6 +164,27 @@ class TestPareto:
 def test_intelligence_order_is_reflexive(binary_alphabet, budget, pool6):
     for p in pool6[:3]:
         assert intel_geq(p, p, pool6, 2, budget, binary_alphabet)
+
+
+def test_intelligence_order_is_strict_between_action_1_and_action_0(
+    binary_alphabet, budget, pool6
+):
+    # Every program of at most 6 bits plays action 0 forever, so the pair
+    # needs a 9-bit policy; the 9-bit pool holds IN OUT END, which pays
+    # reward 1 for action 1.
+    silent = pool6[0]
+    always_1 = decode((1, 1, 0, 0, 0, 1, 0, 0, 0))  # INC OUT END
+    pool9 = enumerate_programs(9)
+    assert intel_geq(always_1, silent, pool9, 2, budget, binary_alphabet)
+    assert not intel_geq(silent, always_1, pool9, 2, budget, binary_alphabet)
+
+
+def test_intelligence_order_needs_the_lifetime_to_cover_the_depth(
+    binary_alphabet, budget, pool6
+):
+    p = pool6[0]
+    with pytest.raises(ValueError, match="lifetime"):
+        intel_geq(p, p, pool6, 3, budget, binary_alphabet, lifetime=2)
 
 
 class TestDisagreement:

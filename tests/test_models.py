@@ -25,6 +25,7 @@ from unimix.models import (
     check_chronological,
     cond_prob,
     evidence_gap,
+    expected_sum,
     joint_prob,
     posterior,
     random_tabular,
@@ -262,6 +263,33 @@ class TestSqDistance:
         mu = ProgramEnv(pool8[2], budget, binary_alphabet)
         vals = [sq_distance_sum(m, mu, lambda h: 0, n) for n in range(1, 6)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+
+class TestExpectedSum:
+    def test_a_unit_score_counts_the_cycles_of_a_proper_measure(self, binary_alphabet):
+        mu = random_tabular(binary_alphabet, 3, random.Random(5))
+        one = lambda h, t, y, row: Fraction(1)
+        assert expected_sum(mu, lambda h: len(h) % 2, one, 4) == 4
+        h = append_cycle(EMPTY_HISTORY, 1, Percept(R1))
+        assert expected_sum(mu, lambda h: 0, one, 4, h) == 3
+
+    def test_scores_see_the_absolute_cycle_and_skip_zero_mass(self, binary_alphabet):
+        class ZeroRowEntry(ChronologicalModel):
+            alphabet = binary_alphabet
+
+            def cond_map(self, h, y):
+                return {Percept(R0): R0, Percept(R1): R1}
+
+        mu = ZeroRowEntry()
+        seen = []
+
+        def score(h, t, y, row):
+            seen.append((len(h), t, y, dict(row)))
+            return t
+
+        assert expected_sum(mu, lambda h: 1, score, 3) == 1 + 2 + 3
+        row = {Percept(R0): R0, Percept(R1): R1}
+        assert seen == [(t - 1, t, 1, row) for t in (1, 2, 3)]
 
 
 def test_evidence_gap_is_zero_for_proper_models(binary_alphabet):
