@@ -23,14 +23,15 @@ from .core import (
     horizon_end,
 )
 from .models import ChronologicalModel, UndefinedConditionalError
-from .planner import dominance_walk, functional_value, sample_percept
-from .vm import (
-    MachineState,
-    Program,
-    RunBudget,
-    enumerate_programs,
-    run_cycle,
+from .planner import (
+    EnvNode,
+    Envs,
+    dominance_walk,
+    env_node,
+    functional_value,
+    sample_percept,
 )
+from .vm import MachineState, Program, RunBudget, run_cycle
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,15 @@ class ExtendedCandidate:
             self.label, self.sort_key, program=self.program, oracle=self.oracle
         )
 
+    def copy(self) -> "ExtendedCandidate":
+        """An independent candidate in the same runtime state."""
+        c = self.fresh()
+        c.state = self.state.copy()
+        c.cycles_run = self.cycles_run
+        c.last_claim = self.last_claim
+        c.alive = self.alive
+        return c
+
 
 def run_candidate_cycle(
     c: ExtendedCandidate, h: History, budget: RunBudget, alphabet
@@ -125,20 +135,48 @@ def run_candidate_cycle(
     return claim
 
 
+def claimed(
+    c: ExtendedCandidate, h: History, budget: RunBudget, alphabet
+) -> ExtendedCandidate:
+    """A copy of c that has emitted its claim at cycle len(h)+1.
+
+    c must have run on a prefix of h (a fresh candidate has run on the empty
+    one); the copy is stepped on the prefixes it has not seen, so a live
+    candidate that has just claimed on h is only copied.
+    """
+    if c.cycles_run > len(h) + 1:
+        raise ValueError(
+            f"candidate has run {c.cycles_run} cycles, past cycle {len(h) + 1}"
+        )
+    cc = c.copy()
+    while cc.cycles_run <= len(h):
+        run_candidate_cycle(cc, History(h.cycles[: cc.cycles_run]), budget, alphabet)
+    return cc
+
+
 def replay_candidate(
     c: ExtendedCandidate, h: History, budget: RunBudget, alphabet
 ) -> Claim:
     """From-scratch claim at cycle len(h)+1 after the given history."""
-    cc = c.fresh()
-    claim = run_candidate_cycle(cc, EMPTY_HISTORY, budget, alphabet)
-    for i in range(1, len(h) + 1):
-        claim = run_candidate_cycle(cc, History(h.cycles[:i]), budget, alphabet)
-    return claim
+    return claimed(c.fresh(), h, budget, alphabet).last_claim
+
+
+class CandidateStepper:
+    """A candidate as a policy stepper: its actions, with the claims dropped."""
+
+    def __init__(self, c: ExtendedCandidate, budget: RunBudget, alphabet):
+        self.c, self.budget, self.alphabet = c, budget, alphabet
+
+    def __call__(self, h: History) -> Action:
+        return run_candidate_cycle(self.c, h, self.budget, self.alphabet).y
+
+    def fork(self) -> "CandidateStepper":
+        return CandidateStepper(self.c.copy(), self.budget, self.alphabet)
 
 
 def candidate_value(
     c: ExtendedCandidate,
-    env_pool: Sequence[Program],
+    envs: Envs,
     k: int,
     m: int,
     h: History,
@@ -146,21 +184,24 @@ def candidate_value(
     alphabet,
     horizon: Optional[HorizonPolicy] = None,
 ) -> Fraction:
-    """The candidate's exact mixture value over the consistent environments:
-    a fresh copy of it is rolled out against each, with h's actions forced."""
+    """The candidate's exact mixture value over the environments consistent
+    with h, with h's actions forced: its own action at cycle k, then its
+    policy, walked over the shared consistent-environment tree.
 
-    def new_stepper() -> Callable[[History], Action]:
-        cc = c.fresh()
-        return lambda hist: run_candidate_cycle(cc, hist, budget, alphabet).y
-
-    return functional_value(new_stepper, env_pool, k, m, h, budget, alphabet, horizon)
+    c may be fresh, or live on h's prefixes (see ``claimed``); it is not
+    stepped itself.
+    """
+    cc = claimed(c, h, budget, alphabet)
+    node = env_node(envs, h, budget, alphabet)
+    stepper = CandidateStepper(cc, budget, alphabet)
+    return functional_value(node, cc.last_claim.y, stepper, k, m, h, horizon)
 
 
 def validate_claim(
     c: ExtendedCandidate,
     claim: Claim,
     h: History,
-    env_pool: Sequence[Program],
+    envs: Envs,
     budget: RunBudget,
     alphabet,
     m_k: int,
@@ -169,7 +210,7 @@ def validate_claim(
     """True iff the claim never overrates the candidate: w <= its exact value."""
     k = len(h) + 1
     try:
-        v = candidate_value(c, env_pool, k, m_k, h, budget, alphabet, horizon)
+        v = candidate_value(c, envs, k, m_k, h, budget, alphabet, horizon)
     except UndefinedConditionalError:
         return False
     return claim.w <= v
@@ -189,20 +230,24 @@ class SelectionRow:
 def best_vote_cycle(
     candidates: Sequence[ExtendedCandidate],
     h: History,
-    env_pool: Sequence[Program],
+    envs: Envs,
     budget: RunBudget,
     alphabet,
     m_k: int,
     horizon: Optional[HorizonPolicy] = None,
 ) -> Tuple[Action, List[SelectionRow]]:
-    """One round of claims, validation, clamping, and selection."""
+    """One round of claims, validation, clamping, and selection.
+
+    Every candidate is valued on one shared consistent-environment tree.
+    """
     if not candidates:
         raise ValueError("no candidates")
     k = len(h) + 1
+    node = env_node(envs, h, budget, alphabet)
     entries = []
     for c in candidates:
         claim = run_candidate_cycle(c, h, budget, alphabet)
-        valid = validate_claim(c, claim, h, env_pool, budget, alphabet, m_k, horizon)
+        valid = validate_claim(c, claim, h, node, budget, alphabet, m_k, horizon)
         w_eff = claim.w if valid else Fraction(0)
         entries.append((c, claim, valid, w_eff))
     best = None
@@ -227,7 +272,7 @@ def selection_log_csv(rows: Sequence[SelectionRow]) -> str:
 
 
 def run_best_vote(
-    l_max: int,
+    pool: Sequence[Program],
     budget: RunBudget,
     env: ChronologicalModel,
     lifetime: int,
@@ -235,9 +280,9 @@ def run_best_vote(
     seed: int = 0,
     extra_candidates: Sequence[ExtendedCandidate] = (),
 ) -> Tuple[History, List[SelectionRow]]:
-    """Full best-vote run: enumerate candidates and environment pool at the
-    given bounds, then interact with env for `lifetime` cycles."""
-    pool = enumerate_programs(l_max)
+    """Full best-vote run with the pool's programs as both the candidates and
+    the environment pool: interact with env for `lifetime` cycles.  The
+    consistent-environment tree is carried from cycle to cycle."""
     candidates = [ExtendedCandidate.from_program(p) for p in pool] + [
         c.fresh() for c in extra_candidates
     ]
@@ -246,18 +291,20 @@ def run_best_vote(
     rng = random.Random(seed)
     h = EMPTY_HISTORY
     log: List[SelectionRow] = []
+    node = EnvNode.root(pool, budget, alphabet)
     for k in range(1, lifetime + 1):
         m_k = horizon_end(hpol, k, lifetime)
-        y, rows = best_vote_cycle(candidates, h, pool, budget, alphabet, m_k, horizon)
+        y, rows = best_vote_cycle(candidates, h, node, budget, alphabet, m_k, horizon)
         log.extend(rows)
         x = sample_percept(rng, env.cond_map(h, y), alphabet)
+        node = node.child(y, x)
         h = append_cycle(h, y, x)
     return h, log
 
 
 def make_composite(
     members: Sequence[ExtendedCandidate],
-    env_pool: Sequence[Program],
+    envs: Envs,
     budget: RunBudget,
     alphabet,
     lifetime: int,
@@ -273,10 +320,12 @@ def make_composite(
     def oracle(h: History) -> Claim:
         k = len(h) + 1
         m_k = horizon_end(hpol, k, lifetime)
+        node = env_node(envs, h, budget, alphabet)
         best = None
         for c in sorted(members, key=lambda c: c.sort_key):
-            claim = replay_candidate(c, h, budget, alphabet)
-            valid = validate_claim(c, claim, h, env_pool, budget, alphabet, m_k, horizon)
+            cc = claimed(c.fresh(), h, budget, alphabet)
+            claim = cc.last_claim
+            valid = validate_claim(cc, claim, h, node, budget, alphabet, m_k, horizon)
             w_eff = claim.w if valid else Fraction(0)
             if best is None or w_eff > best[0]:
                 best = (w_eff, claim.y)
@@ -288,16 +337,16 @@ def make_composite(
 def validated_claim_weight(
     c: ExtendedCandidate,
     h: History,
-    env_pool: Sequence[Program],
+    envs: Envs,
     budget: RunBudget,
     alphabet,
     m_k: int,
     horizon: Optional[HorizonPolicy] = None,
 ) -> Fraction:
     """The candidate's claim after clamping invalid claims to zero."""
-    claim = replay_candidate(c, h, budget, alphabet)
-    if validate_claim(c, claim, h, env_pool, budget, alphabet, m_k, horizon):
-        return claim.w
+    cc = claimed(c.fresh(), h, budget, alphabet)
+    if validate_claim(cc, cc.last_claim, h, envs, budget, alphabet, m_k, horizon):
+        return cc.last_claim.w
     return Fraction(0)
 
 
@@ -305,7 +354,7 @@ def eff_intel_geq(
     c1: ExtendedCandidate,
     c2: ExtendedCandidate,
     depth: int,
-    env_pool: Sequence[Program],
+    envs: Envs,
     budget: RunBudget,
     alphabet,
     lifetime: Optional[int] = None,
@@ -314,7 +363,8 @@ def eff_intel_geq(
     every history of up to `depth`-1 completed cycles, exhaustively."""
 
     def geq(h: History, m_k: int) -> bool:
-        w1 = validated_claim_weight(c1, h, env_pool, budget, alphabet, m_k)
-        return w1 >= validated_claim_weight(c2, h, env_pool, budget, alphabet, m_k)
+        node = env_node(envs, h, budget, alphabet)
+        w1 = validated_claim_weight(c1, h, node, budget, alphabet, m_k)
+        return w1 >= validated_claim_weight(c2, h, node, budget, alphabet, m_k)
 
     return dominance_walk(geq, alphabet, depth, lifetime)

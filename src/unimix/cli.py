@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -56,7 +57,18 @@ EXIT_VALIDATION = 1
 EXIT_CAPACITY = 2
 EXIT_BOUND = 3
 
-_SCENARIOS = ("heavenhell", "onlyone", "lazy", "sp", "sg", "fm", "tabular")
+# The extra config keys each scenario and agent reads; any other key is an error.
+_SCENARIO_KEYS = {
+    "heavenhell": ("i",),
+    "onlyone": ("n", "y_star"),
+    "lazy": (),
+    "sp": ("sequences",),
+    "sg": ("env_file", "episodes"),
+    "fm": ("class", "env_file"),
+    "tabular": ("env_file",),
+}
+_AGENT_KEYS = {"program": ("program",)}
+_SCENARIOS = tuple(_SCENARIO_KEYS)
 _AGENTS = ("informed", "mixture", "greedy", "best-vote", "program")
 
 
@@ -154,6 +166,13 @@ def parse_config(text: str) -> ScenarioConfig:
         violations.append(f"unknown scenario {scenario!r} (choose from {_SCENARIOS})")
     if agent not in _AGENTS:
         violations.append(f"unknown agent kind {agent!r} (choose from {_AGENTS})")
+    if scenario in _SCENARIO_KEYS:
+        known = _SCENARIO_KEYS[scenario] + _AGENT_KEYS.get(agent, ())
+        for key in pairs:
+            if key not in known:
+                violations.append(
+                    f"unknown key {key!r} for scenario={scenario} agent={agent}"
+                )
 
     def to_int(name: str, s: str, lo: int, hi: int) -> int:
         try:
@@ -261,28 +280,36 @@ class RunArtifacts:
     selection_csv: Optional[str] = None
 
 
-def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
+@contextmanager
+def _input_errors(label: str):
+    """Turn an error from building a run's environment or agent out of its
+    config into one violation, so the run exits 1 without a traceback."""
     try:
-        env = _build_env(cfg)
+        yield
     except ValidationError:
         raise
     except KeyError as e:
-        raise ValidationError([f"scenario={cfg.scenario}: missing key {e}"]) from None
+        raise ValidationError([f"{label}: missing key {e}"]) from None
     except (ValueError, ArithmeticError, OSError) as e:
-        raise ValidationError([f"scenario={cfg.scenario}: {e}"]) from None
+        raise ValidationError([f"{label}: {e}"]) from None
+
+
+def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
+    with _input_errors(f"scenario={cfg.scenario}"):
+        env = _build_env(cfg)
     budget = RunBudget(cfg.steps)
     reports: List[BoundReport] = []
     selection_csv = None
 
     if cfg.agent == "best-vote":
-        h, log = run_best_vote(
-            cfg.l_max, budget, env, cfg.lifetime, cfg.horizon, cfg.seed
-        )
+        pool = enumerate_programs(cfg.l_max)
+        h, log = run_best_vote(pool, budget, env, cfg.lifetime, cfg.horizon, cfg.seed)
         selection_csv = selection_log_csv(log)
         model = None
-        mixture = build_mixture(enumerate_programs(cfg.l_max), budget, env.alphabet)
+        mixture = build_mixture(pool, budget, env.alphabet)
     else:
-        policy, model, mixture = _build_agent(cfg, env)
+        with _input_errors(f"agent={cfg.agent}"):
+            policy, model, mixture = _build_agent(cfg, env)
         h = run_interaction(policy, env, cfg.lifetime, cfg.seed)
 
     rows = ["cycle,action,observation,reward,planner_value,posterior_top"]

@@ -35,6 +35,7 @@ from .planner import (
     PolicyOracle,
     ValueQuery,
     dominance_walk,
+    env_node,
     planning_policy,
     policy_value_functional,
     policy_value_iterative,
@@ -405,9 +406,10 @@ def intel_geq(
 
     def geq(h: History, m_k: int) -> bool:
         k = len(h) + 1
+        node = env_node(pool, h, budget, alphabet)
         try:
-            v1 = policy_value_functional(p, pool, k, m_k, h, budget, alphabet)
-            v2 = policy_value_functional(p_prime, pool, k, m_k, h, budget, alphabet)
+            v1 = policy_value_functional(p, node, k, m_k, h, budget, alphabet)
+            v2 = policy_value_functional(p_prime, node, k, m_k, h, budget, alphabet)
         except UndefinedConditionalError:
             return True  # no environment explains h: values undefined for both
         return v1 >= v2

@@ -4,7 +4,9 @@ The optimal value is the alternating max-over-actions / expectation-over-
 percepts recursion with induction start V = 0 beyond the horizon.  Values of
 fixed policies come in two equivalent forms: the iterative expectation under a
 model's conditionals, and the functional weighted average of deterministic
-rollouts over an environment-program pool.
+rollouts over the environment programs consistent with the history, walked
+on one consistent-environment tree (``EnvNode``) that any number of policies
+can share.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Protocol, Sequence, Tuple, Union
 
 from .core import (
     Action,
@@ -26,7 +28,7 @@ from .core import (
     horizon_end,
 )
 from .models import ChronologicalModel, UndefinedConditionalError, expected_sum
-from .vm import MachineState, Program, RunBudget, consistent_envs, env_cycle, policy_cycle
+from .vm import MachineState, Program, RunBudget, env_cycle, policy_cycle
 
 # A policy oracle is any pure function from a complete history to an action.
 PolicyOracle = Callable[[History], Action]
@@ -235,83 +237,144 @@ def policy_value_iterative(
     return expected_sum(rho, p, score, m, h)
 
 
-# A policy stepper is a stateful policy: it must be called once per cycle, in
-# order, on each complete history from the empty one on.
-PolicyStepper = Callable[[History], Action]
+class EnvNode:
+    """A node of the consistent-environment tree.
 
-
-def program_stepper(p: Program, budget: RunBudget, alphabet) -> PolicyStepper:
-    """A bytecode program run incrementally on one machine state."""
-    s = MachineState()
-
-    def act(h: History) -> Action:
-        x_prev = h.cycles[-1][1] if h.cycles else None
-        return policy_cycle(p, s, x_prev, budget, alphabet)[0]
-
-    return act
-
-
-def rollout_value(
-    act: PolicyStepper,
-    q: Program,
-    k: int,
-    m: int,
-    h: History,
-    budget: RunBudget,
-    alphabet,
-    horizon: Optional[HorizonPolicy] = None,
-) -> Fraction:
-    """Reward sum of the deterministic (policy, q) interaction over cycles k..m.
-
-    The stepper is called on each prefix of h, where h's actions are forced
-    (its own outputs are discarded), then runs freely from cycle k.  An
-    environment program that exhausts its budget mid-future contributes no
-    further rewards from that cycle on.
+    It holds the environment programs that reproduce the history leading to
+    it, each with its weight and its machine state after that history, and
+    their total weight (``mass``).  ``step(y)`` runs every survivor one cycle
+    on action y, on a copy of its state, once per action: the survivors split
+    into children by the percept they emit, and a program that times out
+    drops out.  Any number of walks can share the tree.
     """
-    qs = MachineState()
-    for i, (y, _) in enumerate(h.cycles):
-        act(History(h.cycles[:i]))
-        env_cycle(q, qs, y, budget, alphabet)
-    total = Fraction(0)
-    for t in range(k, m + 1):
-        y = act(h)
-        x, _, _, env_timeout = env_cycle(q, qs, y, budget, alphabet)
-        if env_timeout:
-            break
-        total += discounted_reward(horizon, t, x.reward)
-        h = append_cycle(h, y, x)
-    return total
+
+    __slots__ = ("survivors", "mass", "budget", "alphabet", "_children")
+
+    def __init__(
+        self,
+        survivors: Sequence[Tuple[Program, Fraction, MachineState]],
+        budget: RunBudget,
+        alphabet,
+    ):
+        self.survivors = tuple(survivors)
+        self.mass = sum((w for _, w, _ in self.survivors), Fraction(0))
+        self.budget = budget
+        self.alphabet = alphabet
+        self._children: Dict[Action, Dict[Percept, "EnvNode"]] = {}
+
+    @classmethod
+    def root(cls, pool: Sequence[Program], budget: RunBudget, alphabet) -> "EnvNode":
+        """The node of the empty history: the whole pool, weighted 2^-length."""
+        return cls([(q, q.weight, MachineState()) for q in pool], budget, alphabet)
+
+    def step(self, y: Action) -> Dict[Percept, "EnvNode"]:
+        children = self._children.get(y)
+        if children is None:
+            split: Dict[Percept, list] = {}
+            for q, w, s in self.survivors:
+                s = s.copy()
+                x, _, _, timed_out = env_cycle(q, s, y, self.budget, self.alphabet)
+                if not timed_out:
+                    split.setdefault(x, []).append((q, w, s))
+            children = {x: EnvNode(v, self.budget, self.alphabet) for x, v in split.items()}
+            self._children[y] = children
+        return children
+
+    def child(self, y: Action, x: Percept) -> "EnvNode":
+        """The node one cycle (y, x) on; empty if no survivor emits x."""
+        return self.step(y).get(x) or EnvNode((), self.budget, self.alphabet)
+
+    def after(self, h: History) -> "EnvNode":
+        """The node reached by h's cycles; empty if no survivor reproduces h."""
+        node = self
+        for y, x in h.cycles:
+            node = node.child(y, x)
+        return node
+
+
+# A program pool, or the consistent-environment tree's node after the history.
+Envs = Union[Sequence[Program], EnvNode]
+
+
+def env_node(envs: Envs, h: History, budget: RunBudget, alphabet) -> EnvNode:
+    """The consistent-environment tree's node after h: a node is taken as it
+    is (it must be the node after h), a pool is rooted and walked down h."""
+    if isinstance(envs, EnvNode):
+        return envs
+    return EnvNode.root(envs, budget, alphabet).after(h)
+
+
+class PolicyStepper(Protocol):
+    """A stateful policy: called once per cycle, in order, on each complete
+    history from the empty one on.  ``fork()`` returns an independent copy."""
+
+    def __call__(self, h: History) -> Action: ...
+
+    def fork(self) -> "PolicyStepper": ...
+
+
+class ProgramStepper:
+    """A bytecode program run incrementally on one machine state."""
+
+    def __init__(
+        self, p: Program, budget: RunBudget, alphabet, state: Optional[MachineState] = None
+    ):
+        self.p, self.budget, self.alphabet = p, budget, alphabet
+        self.state = state if state is not None else MachineState()
+
+    def __call__(self, h: History) -> Action:
+        x_prev = h.cycles[-1][1] if h.cycles else None
+        return policy_cycle(self.p, self.state, x_prev, self.budget, self.alphabet)[0]
+
+    def fork(self) -> "ProgramStepper":
+        return ProgramStepper(self.p, self.budget, self.alphabet, self.state.copy())
 
 
 def functional_value(
-    new_stepper: Callable[[], PolicyStepper],
-    pool: Sequence[Program],
+    node: EnvNode,
+    y: Action,
+    act: PolicyStepper,
     k: int,
     m: int,
     h: History,
-    budget: RunBudget,
-    alphabet,
     horizon: Optional[HorizonPolicy] = None,
 ) -> Fraction:
-    """Weighted average of rollouts of a fresh stepper over the consistent q."""
+    """Weighted average, over the environments of ``node`` (the tree's node
+    after h), of the reward sum over cycles k..m of playing y at cycle k and
+    then following ``act``, a stepper that has been called on h and its
+    prefixes.
+
+    The walk adds up child mass times discounted reward over the nodes the
+    policy reaches, so each environment is stepped once per distinct action
+    prefix; the stepper is forked at each percept branch.  An environment
+    that exhausts its budget contributes no further rewards from that cycle
+    on.
+    """
     if len(h) != k - 1:
         raise ValueError("history length must be k-1 cycles")
-    hat_q = consistent_envs(pool, h, budget, alphabet)
-    if not hat_q:
+    if not node.survivors:
         raise UndefinedConditionalError("no pool program is consistent with the history")
 
-    num = Fraction(0)
-    den = Fraction(0)
-    for q in hat_q:
-        den += q.weight
-        v = rollout_value(new_stepper(), q, k, m, h, budget, alphabet, horizon)
-        num += q.weight * v
-    return num / den
+    def walk(node: EnvNode, y: Action, act: PolicyStepper, t: int, h: History) -> Fraction:
+        total = Fraction(0)
+        children = node.step(y)
+        last = len(children) - 1
+        for i, (x, child) in enumerate(children.items()):
+            total += child.mass * discounted_reward(horizon, t, x.reward)
+            if t < m:
+                a = act if i == last else act.fork()
+                hx = append_cycle(h, y, x)
+                total += walk(child, a(hx), a, t + 1, hx)
+        return total
+
+    if m < k:
+        return Fraction(0)
+    return walk(node, y, act, k, h) / node.mass
 
 
 def policy_value_functional(
     p: Program,
-    pool: Sequence[Program],
+    envs: Envs,
     k: int,
     m: int,
     h: History,
@@ -323,9 +386,13 @@ def policy_value_functional(
 
     The policy program is replayed over the history with the history's actions
     forced (its own past outputs are discarded), then runs freely from cycle k.
+    ``envs`` is a program pool or the consistent-environment tree's node after h.
     """
-    new_stepper = lambda: program_stepper(p, budget, alphabet)
-    return functional_value(new_stepper, pool, k, m, h, budget, alphabet, horizon)
+    act = ProgramStepper(p, budget, alphabet)
+    for i in range(len(h)):
+        act(History(h.cycles[:i]))
+    node = env_node(envs, h, budget, alphabet)
+    return functional_value(node, act(h), act, k, m, h, horizon)
 
 
 def dominance_walk(

@@ -83,9 +83,14 @@ class Program:
 
     @classmethod
     def from_hex(cls, text: str) -> "Program":
-        n_str, hex_str = text.split(":")
-        n = int(n_str)
-        value = int(hex_str, 16)
+        """Inverse of ``to_hex``; raises ``DecodeError`` on malformed text."""
+        n_str, _, hex_str = text.partition(":")
+        try:
+            n, value = int(n_str), int(hex_str, 16)
+        except ValueError:
+            raise DecodeError(f"bad program {text!r}: expected <bits>:<hex>") from None
+        if n < 0 or 4 * len(hex_str) < n or value < 0 or value >> n:
+            raise DecodeError(f"bad program {text!r}: {hex_str} is not {n} bits of hex")
         bits = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
         return decode(bits)
 

@@ -403,7 +403,7 @@ def test_criterion_14_best_vote_composite_and_validity_invariant():
     # and the clamped claim never exceeds the exact value
     env = make_heavenhell(1)
     lifetime = 3
-    h, log = run_best_vote(6, budget, env, lifetime, seed=0)
+    h, log = run_best_vote(pool, budget, env, lifetime, seed=0)
     by_hex = {p.to_hex(): p for p in pool}
     for row in log:
         prefix = History(h.cycles[: row.cycle - 1])

@@ -1,6 +1,9 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unimix.bestvote import (
     Claim,
@@ -16,14 +19,37 @@ from unimix.bestvote import (
     validate_claim,
     validated_claim_weight,
 )
-from unimix.core import EMPTY_HISTORY, History, Percept, append_cycle
+from unimix.core import (
+    EMPTY_HISTORY,
+    Alphabet,
+    FixedHorizon,
+    GeometricDiscount,
+    History,
+    MovingHorizon,
+    Percept,
+    append_cycle,
+    discounted_reward,
+    horizon_end,
+)
 from unimix.domains import make_heavenhell
-from unimix.vm import decode
+from unimix.models import UndefinedConditionalError
+from unimix.planner import EnvNode, policy_value_functional
+from unimix.vm import (
+    MachineState,
+    RunBudget,
+    consistent_envs,
+    decode,
+    enumerate_programs,
+    env_cycle,
+    policy_cycle,
+    replay_env,
+)
 
 F = Fraction
 
 END = (0, 0, 0)
 OUT = (0, 0, 1)
+IN = (0, 1, 0)
 LDC = lambda c: (1, 0, 0) + tuple((c >> i) & 1 for i in (1, 0))
 JZ = lambda d: (1, 0, 1) + tuple((d >> i) & 1 for i in (1, 0))
 
@@ -152,15 +178,15 @@ class TestBestVoteCycle:
 
 
 class TestRunBestVote:
-    def test_run_is_deterministic(self, budget):
+    def test_run_is_deterministic(self, budget, pool6):
         env = make_heavenhell(1)
-        a = run_best_vote(6, budget, env, 2, seed=3)
-        b = run_best_vote(6, budget, env, 2, seed=3)
+        a = run_best_vote(pool6, budget, env, 2, seed=3)
+        b = run_best_vote(pool6, budget, env, 2, seed=3)
         assert a == b
 
     def test_logs_one_row_per_candidate_per_cycle(self, budget, pool6):
         env = make_heavenhell(1)
-        h, log = run_best_vote(6, budget, env, 2, seed=0)
+        h, log = run_best_vote(pool6, budget, env, 2, seed=0)
         assert len(h) == 2
         assert len(log) == 2 * len(pool6)
         assert sum(r.selected for r in log) == 2
@@ -203,3 +229,141 @@ def test_composite_claim_dominates_every_member(binary_alphabet, budget, pool6):
     for m in members:
         w_m = validated_claim_weight(m, EMPTY_HISTORY, pool6, budget, binary_alphabet, 2)
         assert w_comp >= w_m
+
+
+# --- The shared environment tree against per-environment rollouts -----------
+
+ALPHABETS = (
+    Alphabet(num_actions=2, num_observations=1, rewards=(F(0), F(1))),
+    Alphabet(num_actions=3, num_observations=2, rewards=(F(0), F(1, 2), F(1))),
+)
+POLICIES = enumerate_programs(12)  # includes IN OUT OUT END, which echoes percepts
+
+
+def reference_value(new_act, pool, k, m, h, budget, alphabet, horizon):
+    """Sum of w_q * (rollout of a fresh policy against q) over the consistent
+    q, over the sum of their w_q; every q is replayed from the empty history
+    and the policy is called on h's prefixes first.  None if no q is
+    consistent with h."""
+    hat_q = consistent_envs(pool, h, budget, alphabet)
+    if not hat_q:
+        return None
+    num = F(0)
+    for q in hat_q:
+        act, s = new_act(), MachineState()
+        for i, (y, _) in enumerate(h.cycles):
+            act(History(h.cycles[:i]))
+            env_cycle(q, s, y, budget, alphabet)
+        hist = h
+        for t in range(k, m + 1):
+            y = act(hist)
+            x, _, _, timed_out = env_cycle(q, s, y, budget, alphabet)
+            if timed_out:
+                break
+            num += q.weight * discounted_reward(horizon, t, x.reward)
+            hist = append_cycle(hist, y, x)
+    return num / sum((q.weight for q in hat_q), F(0))
+
+
+@st.composite
+def walk_cases(draw):
+    """A pool, a budget small enough that programs time out, a horizon, and
+    a history of 0-2 cycles that mostly follows one of the pool's programs."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    pool = enumerate_programs(draw(st.integers(6, 9)))
+    budget = RunBudget(draw(st.integers(1, 5)))
+    k = draw(st.integers(1, 3))
+    lifetime = k + draw(st.integers(0, 2))
+    horizon = draw(
+        st.sampled_from(
+            (FixedHorizon(lifetime), MovingHorizon(2), GeometricDiscount(F(1, 2), lifetime))
+        )
+    )
+    truth = draw(st.sampled_from(pool))
+    actions = draw(
+        st.lists(st.integers(0, alphabet.num_actions - 1), min_size=k - 1, max_size=k - 1)
+    )
+    followed, _, _ = replay_env(truth, actions, budget, alphabet)
+    h = EMPTY_HISTORY
+    for t, y in enumerate(actions):
+        x = draw(st.none() | st.sampled_from(alphabet.percepts()))
+        if x is None:  # follow the truth until it times out
+            x = followed[t] if t < len(followed) else alphabet.percepts()[0]
+        h = append_cycle(h, y, x)
+    m = horizon_end(horizon, k, lifetime)
+    return alphabet, pool, budget, k, m, horizon, h, lifetime
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_cases(), st.sampled_from(POLICIES))
+def test_tree_walk_equals_per_environment_rollouts_for_programs(case, p):
+    a, pool, budget, k, m, horizon, h, _ = case
+    c = ExtendedCandidate.from_program(p)
+
+    def new_candidate():
+        cc = c.fresh()
+        return lambda hist: run_candidate_cycle(cc, hist, budget, a).y
+
+    def new_policy():
+        s = MachineState()
+        return lambda hist: policy_cycle(
+            p, s, hist.cycles[-1][1] if hist.cycles else None, budget, a
+        )[0]
+
+    # a live candidate that has claimed on h, valued on the shared node
+    live = c.fresh()
+    for i in range(k):
+        run_candidate_cycle(live, History(h.cycles[:i]), budget, a)
+    node = EnvNode.root(pool, budget, a).after(h)
+    values = (
+        (new_candidate, lambda: candidate_value(c, pool, k, m, h, budget, a, horizon)),
+        (new_candidate, lambda: candidate_value(live, node, k, m, h, budget, a, horizon)),
+        (new_policy, lambda: policy_value_functional(p, pool, k, m, h, budget, a, horizon)),
+    )
+    for new_act, value in values:
+        expected = reference_value(new_act, pool, k, m, h, budget, a, horizon)
+        if expected is None:
+            with pytest.raises(UndefinedConditionalError):
+                value()
+        else:
+            assert value() == expected
+    assert live.cycles_run == k  # valuing a live candidate does not step it
+
+
+@settings(max_examples=20, deadline=None)
+@given(walk_cases(), st.lists(st.sampled_from(POLICIES), min_size=1, max_size=2))
+def test_tree_walk_equals_per_environment_rollouts_for_a_composite(case, members):
+    a, pool, budget, k, m, horizon, h, lifetime = case
+    composite = make_composite(
+        [ExtendedCandidate.from_program(p) for p in members], pool, budget, a, lifetime, horizon
+    )
+    oracle = functools.lru_cache(maxsize=None)(composite.oracle)  # a pure function of h
+    expected = reference_value(
+        lambda: lambda hist: oracle(hist).y, pool, k, m, h, budget, a, horizon
+    )
+    if expected is None:
+        with pytest.raises(UndefinedConditionalError):
+            candidate_value(composite, pool, k, m, h, budget, a, horizon)
+    else:
+        assert candidate_value(composite, pool, k, m, h, budget, a, horizon) == expected
+
+
+def test_a_carried_tree_equals_one_rebuilt_after_the_history(budget, pool8):
+    a = ALPHABETS[1]
+    c = ExtendedCandidate.from_program(decode(bits(IN, OUT, OUT, END)))  # plays its observation
+    root = EnvNode.root(pool8, budget, a)
+    carried = root
+    h = EMPTY_HISTORY
+    for y in (1, 2):
+        # expand the node the way a best-vote cycle does, then move down
+        candidate_value(c, carried, len(h) + 1, 3, h, budget, a)
+        x = next(iter(carried.step(y)))
+        carried = carried.child(y, x)
+        h = append_cycle(h, y, x)
+    rebuilt = EnvNode.root(pool8, budget, a).after(h)
+    assert carried.survivors == rebuilt.survivors
+    assert [q for q, _, _ in rebuilt.survivors] == consistent_envs(pool8, h, budget, a)
+    assert carried.mass == rebuilt.mass > 0
+    assert candidate_value(c, carried, 3, 3, h, budget, a) == candidate_value(
+        c, rebuilt, 3, 3, h, budget, a
+    )

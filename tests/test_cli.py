@@ -269,6 +269,24 @@ class TestMain:
         assert err.startswith("validation error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("program", ["zz", "5", "x:1f", "5:zz"])
+    def test_a_malformed_program_exits_1_without_a_traceback(self, program, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"scenario=heavenhell\nagent=program\nprogram={program}\nlifetime=2\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: agent=program: ")
+        assert err.count("\n") == 1
+
+    def test_unknown_keys_exit_1_and_are_each_listed(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("scenario=heavenhell\nlifetime=2\nbogus=1\nn=4\nprogram=9:088\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        for key in ("bogus", "n", "program"):
+            assert f"validation error: unknown key {key!r}" in err
+        assert err.count("validation error:") == 3
+
     def test_the_threads_flag_is_gone(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(HEAVEN)

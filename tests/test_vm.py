@@ -205,6 +205,14 @@ def test_hex_round_trip_on_arbitrary_decodable_strings(value, n):
     assert Program.from_hex(p.to_hex()) == p
 
 
+
+@pytest.mark.parametrize("text", ["zz", "5", "x:1f", "5:zz", "5:-1", "-3:0", "5:3f", "9:88"])
+def test_malformed_hex_is_a_decode_error(text):
+    # no colon, not numbers, a negative count or value, more bits than n,
+    # fewer hex digits than n bits need
+    with pytest.raises(DecodeError, match="bad program"):
+        Program.from_hex(text)
+
 def test_disassembler_mentions_every_instruction():
     text = decode(bits(LDC(3), JZ(2), OUT, END)).disassemble()
     for mnemonic in ("LDC 3", "JZ 2", "OUT", "END"):
