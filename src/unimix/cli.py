@@ -436,6 +436,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.command in ("verify", "enumerate") and args.l_max < 1:
+        raise ValidationError([f"--l must be at least 1, got {args.l_max}"])
     if args.command == "run":
         cfg = load_config(args.config)
         if args.seed is not None:

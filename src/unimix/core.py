@@ -31,6 +31,11 @@ class Percept:
             raise ValueError(f"negative reward {self.reward}")
         if self.observation < 0:
             raise ValueError(f"negative observation {self.observation}")
+        # Percepts key the planner's dicts; hashing a Fraction is costly.
+        object.__setattr__(self, "_hash", hash((self.reward, self.observation)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -244,8 +249,9 @@ def horizon_end(policy: HorizonPolicy, k: int, lifetime: int) -> int:
 def discounted_reward(policy: Optional[HorizonPolicy], k: int, r: Fraction) -> Fraction:
     """Reward as it enters the value sum: gamma^k damping, identity otherwise.
 
-    A ``None`` policy means no discounting: the result is ``Fraction(r)``.
+    A ``None`` policy means no discounting: a ``Fraction`` reward is returned
+    as it is (not copied), any other rational as ``Fraction(r)``.
     """
     if isinstance(policy, GeometricDiscount):
-        return Fraction(r) * policy.gamma ** k
-    return Fraction(r)
+        return r * policy.gamma ** k
+    return r if isinstance(r, Fraction) else Fraction(r)

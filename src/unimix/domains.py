@@ -428,9 +428,11 @@ def make_heavenhell(i: int) -> FunctionalEnv:
     if i not in (0, 1):
         raise ValueError("i must be 0 or 1")
 
+    hell, heaven = _BINARY.percepts()
+
     def rule(h: History, y: Action) -> Percept:
         first = h.cycles[0][0] if h.cycles else y
-        return Percept(Fraction(1) if first == i else Fraction(0), 0)
+        return heaven if first == i else hell
 
     return FunctionalEnv(_BINARY, rule)
 

@@ -26,6 +26,9 @@ from .core import (
 )
 from .vm import MachineState, Program, RunBudget, env_cycle, replay_env
 
+# The certain probability of a deterministic environment's percept, shared.
+_ONE = Fraction(1)
+
 
 class UndefinedConditionalError(ValueError):
     """Conditioning on a history the model assigns zero (or no) mass to."""
@@ -229,7 +232,7 @@ class FunctionalEnv(ChronologicalModel):
         self.rule = rule
 
     def cond_map(self, h: History, y: Action) -> Dict[Percept, Fraction]:
-        return {self.rule(h, y): Fraction(1)}
+        return {self.rule(h, y): _ONE}
 
 
 class KernelEnv(ChronologicalModel):

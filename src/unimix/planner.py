@@ -56,40 +56,54 @@ class ValueQuery:
             raise ValueError(f"need k <= m_k, got k={self.k}, m_k={self.m_k}")
 
 
-def _value_opt(q: ValueQuery, h: History, t: int, state: Any) -> Fraction:
-    if t > q.m_k:
-        return Fraction(0)
-    return max(
-        _value_given_action(q, h, t, y, state) for y in q.model.alphabet.actions()
-    )
+# One expectimax decision: the smallest optimal action y*, the optimal value,
+# and the plan of each child reached by a percept under y* (none at m_k).  The
+# nested plans are the agent's own policy subtree down to m_k.
+Plan = Tuple[Action, Fraction, Dict[Percept, "Plan"]]
+
+_ZERO = Fraction(0)
 
 
-def _value_given_action(
-    q: ValueQuery, h: History, t: int, y: Action, state: Any
-) -> Fraction:
-    total = Fraction(0)
-    for x, (p, child) in q.model.step(state, h, y).items():
-        if p == 0:
-            continue
-        cont = _value_opt(q, append_cycle(h, y, x), t + 1, child)
-        total += (discounted_reward(q.horizon, t, x.reward) + cont) * p
-    return total
+def _plan(
+    q: ValueQuery,
+    h: History,
+    t: int,
+    state: Any,
+    actions: Optional[Sequence[Action]] = None,
+) -> Plan:
+    """Expectimax from cycle t (history h, model state ``state``) to m_k over
+    ``actions`` (all of them by default).  A later action replaces the best
+    only when its value is strictly greater, so ties go to the smaller one;
+    the plans under every other action are dropped as soon as it loses."""
+    model, horizon = q.model, q.horizon
+    last = t == q.m_k
+    best: Optional[Plan] = None
+    for y in model.alphabet.actions() if actions is None else actions:
+        v, plans = _ZERO, {}
+        for x, (p, child) in model.step(state, h, y).items():
+            if p == 0:
+                continue
+            r = discounted_reward(horizon, t, x.reward)
+            if not last:
+                plans[x] = sub = _plan(q, append_cycle(h, y, x), t + 1, child)
+                r += sub[1]
+            if p != 1:
+                r *= p
+            v = r if v is _ZERO else v + r  # no 0 + r on the first term
+        if best is None or v > best[1]:
+            best = (y, v, plans)
+    return best
 
 
 def _decide(q: ValueQuery) -> Tuple[Action, Fraction]:
     """The lexicographically smallest optimal action and the optimal value."""
-    state = q.model.state(q.history)
-    best_y, best_v = None, None
-    for y in q.model.alphabet.actions():
-        v = _value_given_action(q, q.history, q.k, y, state)
-        if best_v is None or v > best_v:
-            best_y, best_v = y, v
-    return best_y, best_v
+    y, v, _ = _plan(q, q.history, q.k, q.model.state(q.history))
+    return y, v
 
 
 def value_given_action(q: ValueQuery, y: Action) -> Fraction:
     """Expected reward sum over cycles k..m_k after committing to action y now."""
-    return _value_given_action(q, q.history, q.k, y, q.model.state(q.history))
+    return _plan(q, q.history, q.k, q.model.state(q.history), (y,))[1]
 
 
 def value_opt(q: ValueQuery) -> Fraction:
@@ -111,13 +125,26 @@ def planning_policy(
 
     ``policy.values[k]`` holds the optimal value found by the latest decision
     at cycle k, so a caller can report it without solving again.
+
+    The latest decision's child plans are kept, keyed by the history after
+    (y*, x) and by m_k.  While m_k stays the same, the search at the next
+    cycle is exactly one of them, so a call on that history and horizon end
+    takes its decision from it; any other call solves afresh.  At most |X|
+    plans are kept, with |X|^(m_k - k) leaves at most.
     """
     values: Dict[int, Fraction] = {}
+    carried: Dict[Tuple[History, int], Plan] = {}
 
     def policy(h: History) -> Action:
         k = len(h) + 1
         m_k = horizon_end(horizon, k, lifetime)
-        y, values[k] = _decide(ValueQuery(model, h, k, m_k, horizon))
+        plan = carried.get((h, m_k))
+        if plan is None:
+            plan = _plan(ValueQuery(model, h, k, m_k, horizon), h, k, model.state(h))
+        y, values[k], plans = plan
+        carried.clear()
+        for x, sub in plans.items():
+            carried[append_cycle(h, y, x), m_k] = sub
         return y
 
     policy.values = values

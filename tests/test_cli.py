@@ -145,6 +145,9 @@ class TestRunScenario:
             "scenario=fm\nagent=greedy\nlifetime=4\nclass=uniform16\nseed=1\n",
             "scenario=fm\nagent=informed\nlifetime=3\nclass=uniform16\nseed=2\nhorizon=moving:2\n",
             "scenario=heavenhell\nagent=mixture\nlifetime=3\ni=1\nl=8\n",
+            "scenario=heavenhell\nagent=informed\nlifetime=6\ni=0\n",
+            "scenario=fm\nagent=informed\nlifetime=4\nclass=uniform16\nseed=5\n"
+            "horizon=geometric:1/2:3\n",
         ],
     )
     def test_planner_values_equal_a_fresh_solve_at_each_prefix(self, text):
@@ -300,6 +303,12 @@ class TestMain:
         text = report.read_text()
         assert "[holds] kraft sum at l=8" in text
         assert "FAILS" not in text
+
+    @pytest.mark.parametrize("command", ["enumerate", "verify"])
+    def test_a_pool_bound_below_1_exits_1_without_a_traceback(self, command, capsys):
+        assert main([command, "--l", "0"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "validation error: --l must be at least 1, got 0\n"
 
     def test_enumerate_lists_the_pool(self, capsys):
         assert main(["enumerate", "--l", "4"]) == EXIT_OK

@@ -14,7 +14,7 @@ import pytest
 from unimix.cli import EXIT_OK, main
 
 PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
-LIFETIME = 2
+LIFETIME = 2  # the self-test's lifetime
 ARTIFACTS = ("trace.csv", "results.txt", "selection.csv")
 
 # workload -> (config without lifetime and seed, heavenhell world from the seed)
@@ -26,24 +26,36 @@ WORKLOADS = {
 }
 
 
-def config_text(workload: str, config_seed: int) -> str:
+# The planner workloads' lifetimes in the benchmark, where a decision's
+# plan is carried over many cycles.
+BENCHMARK_LIFETIMES = {
+    "mixture-heavenhell": 3,
+    "informed-fm": 3,
+    "informed-heavenhell": 12,
+}
+
+
+def config_text(workload: str, lifetime: int, config_seed: int) -> str:
     base, worlds = WORKLOADS[workload]
-    text = f"{base}lifetime={LIFETIME}\nseed={config_seed}\n"
+    text = f"{base}lifetime={lifetime}\nseed={config_seed}\n"
     if worlds:
         text += f"i={config_seed % 2}\n"
     return text
 
 
 # Best vote is cheap enough to check every pinned config seed; the others
-# check the self-test's round.
+# check the self-test's round, and config seeds 0-7 at their benchmark lifetime.
 SEEDS = {w: range(64) if w == "bestvote-heavenhell" else (0, 1) for w in WORKLOADS}
-CASES = [(w, s) for w in sorted(WORKLOADS) for s in SEEDS[w]]
+CASES = [(w, LIFETIME, s) for w in sorted(WORKLOADS) for s in SEEDS[w]] + [
+    (w, life, s) for w, life in sorted(BENCHMARK_LIFETIMES.items()) for s in range(8)
+]
+IDS = [f"{w}-{s}" if life == LIFETIME else f"{w}-lifetime{life}-{s}" for w, life, s in CASES]
 
 
-@pytest.mark.parametrize("workload,config_seed", CASES, ids=[f"{w}-{s}" for w, s in CASES])
-def test_artifacts_match_the_pinned_digests(workload, config_seed, tmp_path, capsys):
+@pytest.mark.parametrize("workload,lifetime,config_seed", CASES, ids=IDS)
+def test_artifacts_match_the_pinned_digests(workload, lifetime, config_seed, tmp_path, capsys):
     config = tmp_path / "config.txt"
-    config.write_text(config_text(workload, config_seed))
+    config.write_text(config_text(workload, lifetime, config_seed))
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
     got = {
@@ -52,4 +64,4 @@ def test_artifacts_match_the_pinned_digests(workload, config_seed, tmp_path, cap
         if (out / name).exists()
     }
     pins = json.loads(PINS.read_text())
-    assert got == pins[f"{workload}/lifetime={LIFETIME}"][str(config_seed)]
+    assert got == pins[f"{workload}/lifetime={lifetime}"][str(config_seed)]

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unimix.core import (
     Alphabet,
@@ -10,8 +12,11 @@ from unimix.core import (
     FixedHorizon,
     GeometricDiscount,
     History,
+    MovingHorizon,
     Percept,
+    ProportionalHorizon,
     append_cycle,
+    horizon_end,
 )
 from unimix.domains import ProductEpisodeModel, make_heavenhell
 from unimix.evaluate import all_policy_values
@@ -24,6 +29,7 @@ from unimix.models import (
 )
 from unimix.planner import (
     ValueQuery,
+    _decide,
     best_action,
     episode_cutoff,
     forced_policy,
@@ -34,6 +40,7 @@ from unimix.planner import (
     value_given_action,
     value_opt,
 )
+from unimix.vm import RunBudget, enumerate_programs
 
 R0, R1 = Fraction(0), Fraction(1)
 
@@ -113,6 +120,77 @@ def test_geometric_damping_shrinks_later_starts(binary_alphabet):
         values.append(value_opt(ValueQuery(env, h, k, 6, g)))
         h = append_cycle(h, 0, Percept(R1, 0))
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+BINARY = Alphabet(num_actions=2, num_observations=1, rewards=(R0, R1))
+ALPHABETS = (
+    BINARY,
+    Alphabet(num_actions=3, num_observations=2, rewards=(R0, Fraction(1, 2), R1)),
+)
+HORIZONS = st.one_of(
+    st.builds(FixedHorizon, st.integers(1, 6)),
+    st.builds(MovingHorizon, st.integers(1, 3)),
+    st.builds(ProportionalHorizon, st.sampled_from((Fraction(1, 2), R1, Fraction(3, 2)))),
+    st.builds(
+        GeometricDiscount, st.sampled_from((Fraction(1, 2), Fraction(2, 3))), st.integers(1, 5)
+    ),
+)
+
+
+@st.composite
+def planning_runs(draw):
+    """A model, a horizon policy and a lifetime for one planning agent."""
+    kind = draw(st.sampled_from(("tabular", "heavenhell", "programs")))
+    if kind == "tabular":
+        seed = draw(st.integers(0, 2**16))
+        model = random_tabular(BINARY, draw(st.integers(2, 3)), random.Random(seed))
+    elif kind == "heavenhell":
+        model = make_heavenhell(draw(st.integers(0, 1)))
+    else:
+        alphabet = draw(st.sampled_from(ALPHABETS))
+        pool = enumerate_programs(draw(st.integers(6, 8)))
+        budget = RunBudget(draw(st.integers(1, 5)))  # small enough to time out
+        model = build_mixture(pool, budget, alphabet)
+    return model, draw(HORIZONS), draw(st.integers(1, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(planning_runs(), st.data())
+def test_a_carried_plan_equals_a_fresh_solve(case, data):
+    """One agent through a run whose history follows its action (the carried
+    plan applies) or takes another one (it does not), with any percept of
+    positive mass: each decision and value equals a fresh solve."""
+    model, horizon, lifetime = case
+    policy = planning_policy(model, horizon, lifetime)
+    actions = list(model.alphabet.actions())
+    h = EMPTY_HISTORY
+    for k in range(1, lifetime + 1):
+        y = policy(h)
+        m_k = horizon_end(horizon, k, lifetime)
+        assert (y, policy.values[k]) == _decide(ValueQuery(model, h, k, m_k, horizon))
+        if data.draw(st.booleans(), label="deviate"):
+            y = data.draw(st.sampled_from([a for a in actions if a != y]), label="action")
+        reachable = [x for x, p in model.cond_map(h, y).items() if p > 0]
+        if not reachable:  # every program timed out
+            break
+        h = append_cycle(h, y, data.draw(st.sampled_from(reachable), label="percept"))
+
+
+def test_a_fixed_horizon_run_solves_only_at_the_first_cycle():
+    calls = []
+    env = make_heavenhell(1)
+    rule = env.rule
+    env.rule = lambda h, y: calls.append(len(h)) or rule(h, y)
+    policy = planning_policy(env, FixedHorizon(6), 6)
+    h = EMPTY_HISTORY
+    for k in range(1, 7):
+        y = policy(h)
+        if k == 1:
+            solved = len(calls)
+            assert solved == 2 ** 7 - 2  # both actions at every node to depth 6
+        h = append_cycle(h, y, rule(h, y))
+    assert len(calls) == solved
+    assert h.rewards() == (R1,) * 6
 
 
 class TestRunInteraction:
