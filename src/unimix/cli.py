@@ -41,6 +41,7 @@ from .domains import (
 from .evaluate import BoundReport, CapacityError, summary_block
 from .models import (
     TabularModel,
+    UndefinedConditionalError,
     build_mixture,
     check_chronological,
     posterior,
@@ -56,6 +57,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CAPACITY = 2
 EXIT_BOUND = 3
+
+# The largest --l of verify and enumerate.  The pool of 18 bits (8,721
+# programs) is listed in under a second; it roughly triples every two bits.
+L_CAP = 18
 
 # The extra config keys each scenario and agent reads; any other key is an error.
 _SCENARIO_KEYS = {
@@ -310,7 +315,16 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     else:
         with _input_errors(f"agent={cfg.agent}"):
             policy, model, mixture = _build_agent(cfg, env)
-        h = run_interaction(policy, env, cfg.lifetime, cfg.seed)
+        try:
+            h = run_interaction(policy, env, cfg.lifetime, cfg.seed)
+        except UndefinedConditionalError:
+            if mixture is None:
+                raise
+            # Decisions 1..k found survivors, so no program reproduces cycle k.
+            raise CapacityError(
+                f"no program of at most {cfg.l_max} bits reproduces the history "
+                f"at cycle {len(policy.values)}"
+            ) from None
 
     rows = ["cycle,action,observation,reward,planner_value,posterior_top"]
     for k in range(1, len(h) + 1):
@@ -436,8 +450,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command in ("verify", "enumerate") and args.l_max < 1:
-        raise ValidationError([f"--l must be at least 1, got {args.l_max}"])
+    if args.command in ("verify", "enumerate"):
+        if args.l_max < 1:
+            raise ValidationError([f"--l must be at least 1, got {args.l_max}"])
+        if args.l_max > L_CAP:
+            raise CapacityError(f"--l {args.l_max} exceeds the pool cap of {L_CAP} bits")
     if args.command == "run":
         cfg = load_config(args.config)
         if args.seed is not None:

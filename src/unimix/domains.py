@@ -20,6 +20,12 @@ from .models import (
     MixtureModel,
 )
 
+
+def _no_memory(h: History) -> Tuple:
+    """The memory of a rule that reads nothing of the history but its length."""
+    return ()
+
+
 # --- Sequence prediction ----------------------------------------------------
 
 
@@ -45,7 +51,7 @@ def make_sp_env(mu_sp: Dict[Tuple[int, ...], Fraction]) -> MixtureModel:
             bit = z[k] if k < len(z) else 0
             return Percept(Fraction(1) if y == bit else Fraction(0), 0)
 
-        return FunctionalEnv(alphabet, rule)
+        return FunctionalEnv(alphabet, rule, _no_memory)
 
     components = [
         (f"seq:{''.join(map(str, z))}", p, seq_env(z))
@@ -179,7 +185,11 @@ def make_sg_env(g: GameSpec, episodes: int = 1) -> FunctionalEnv:
             return Percept(g.leaf_values[tuple(prefix)], o)
         return Percept(Fraction(0), o)
 
-    env = FunctionalEnv(alphabet, rule)
+    def memory(h: History) -> Tuple:
+        k = len(h)
+        return h.cycles[k - k % g.rounds :]
+
+    env = FunctionalEnv(alphabet, rule, memory)
     env.episode_boundaries = tuple(g.rounds * i for i in range(episodes + 1))
     return env
 
@@ -289,7 +299,7 @@ def make_fm_env(c: FunctionClassSpec) -> MixtureModel:
             zi = f[y]
             return Percept(c.reward_of(zi), zi)
 
-        return FunctionalEnv(alphabet, rule)
+        return FunctionalEnv(alphabet, rule, _no_memory)
 
     components = [
         (f"f:{''.join(map(str, f))}", p, f_env(f)) for f, p in c.prior if p > 0
@@ -434,7 +444,10 @@ def make_heavenhell(i: int) -> FunctionalEnv:
         first = h.cycles[0][0] if h.cycles else y
         return heaven if first == i else hell
 
-    return FunctionalEnv(_BINARY, rule)
+    def memory(h: History) -> Optional[Action]:
+        return h.cycles[0][0] if h.cycles else None
+
+    return FunctionalEnv(_BINARY, rule, memory)
 
 
 def make_onlyone(n: int, y_star: Action) -> FunctionalEnv:
@@ -446,7 +459,7 @@ def make_onlyone(n: int, y_star: Action) -> FunctionalEnv:
     def rule(h: History, y: Action) -> Percept:
         return Percept(Fraction(1) if y == y_star else Fraction(0), 0)
 
-    return FunctionalEnv(alphabet, rule)
+    return FunctionalEnv(alphabet, rule, _no_memory)
 
 
 def _ceil_sqrt(l: int) -> int:

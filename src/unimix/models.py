@@ -9,10 +9,11 @@ these.  All probability mass is exact rational.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .core import (
     Action,
@@ -38,7 +39,8 @@ class ChronologicalModel:
     """Base class: subclasses supply ``alphabet`` and ``cond_map``.
 
     A model that can extend a history more cheaply when it remembers how it
-    got there overrides ``state`` and ``step`` together.
+    got there overrides ``state`` and ``step`` together.  A model whose
+    future depends on less than the whole history overrides ``key``.
     """
 
     alphabet: Alphabet
@@ -58,6 +60,13 @@ class ChronologicalModel:
         """``cond_map(h, y)`` with each percept's probability paired with the
         state of the extended history; ``state`` is ``self.state(h)``."""
         return {x: (p, None) for x, p in self.cond_map(h, y).items()}
+
+    def key(self, state: Any, h: History) -> Hashable:
+        """What fixes every future conditional after h: two histories of the
+        same length whose keys are equal get equal ``step`` rows for every
+        continuation, so a planner may solve them once.  ``state`` is
+        ``self.state(h)``.  The default, h itself, merges nothing."""
+        return h
 
     def base_mass(self) -> Fraction:
         """Mass of the empty history (1 for proper measures)."""
@@ -225,14 +234,28 @@ def random_tabular(alphabet: Alphabet, depth: int, rng: random.Random) -> Tabula
 
 
 class FunctionalEnv(ChronologicalModel):
-    """Deterministic environment defined by a rule (history, action) -> percept."""
+    """Deterministic environment defined by a rule (history, action) -> percept.
 
-    def __init__(self, alphabet: Alphabet, rule: Callable[[History, Action], Percept]):
+    ``memory(h)``, when given, is the part of h the rule reads besides
+    len(h): the rule must give equal percepts on histories of one length with
+    equal memories, extended alike.  It is the model's key.
+    """
+
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        rule: Callable[[History, Action], Percept],
+        memory: Optional[Callable[[History], Hashable]] = None,
+    ):
         self.alphabet = alphabet
         self.rule = rule
+        self.memory = memory
 
     def cond_map(self, h: History, y: Action) -> Dict[Percept, Fraction]:
         return {self.rule(h, y): _ONE}
+
+    def key(self, state: Any, h: History) -> Hashable:
+        return h if self.memory is None else self.memory(h)
 
 
 class KernelEnv(ChronologicalModel):
@@ -275,7 +298,13 @@ class ProgramEnv(ChronologicalModel):
             return {}
         s = state.copy()
         x, _, _, timed_out = env_cycle(self.program, s, y, self.budget, self.alphabet)
-        return {} if timed_out else {x: (Fraction(1), s)}
+        return {} if timed_out else {x: (_ONE, s)}
+
+    def key(self, state: Optional[MachineState], h: History) -> Hashable:
+        # run_cycle never reads input_cursor or output_count.
+        if state is None:
+            return None
+        return tuple(state.registers), tuple(sorted(state.work_tape.items())), state.head
 
     def cond_map(self, h: History, y: Action) -> Dict[Percept, Fraction]:
         return {x: p for x, (p, _) in self.step(self.state(h), h, y).items()}
@@ -313,9 +342,12 @@ class MixtureModel(ChronologicalModel):
     or "semimeasure-class" (arbitrary weights summing to <= 1).
 
     The state after a history h is the tuple of surviving components
-    ``(index, weight * component joint of h, component state)``; its masses
-    sum to the mixture joint of h.  ``step`` steps each survivor one cycle,
-    so a planner that carries the state never replays a history.
+    ``(index, mass, component state)``, where mass is weight * component
+    joint of h times ``_scale``, the lcm of the root masses' denominators
+    (2^l_max for a program class).  So the masses of deterministic components
+    stay integers, and they sum to the mixture joint of h times ``_scale``.
+    ``step`` steps each survivor one cycle, so a planner that carries the
+    state never replays a history.
     """
 
     def __init__(
@@ -340,9 +372,11 @@ class MixtureModel(ChronologicalModel):
         self.mode = mode
         # A component's mass starts at its weight times its own base mass,
         # which is not 1 when the component is itself a mixture.
+        masses = [w * m.base_mass() for _, w, m in self.components]
+        self._scale = math.lcm(*(r.denominator for r in masses))
         self._root = tuple(
-            (i, w * m.base_mass(), m.state(EMPTY_HISTORY))
-            for i, (_, w, m) in enumerate(self.components)
+            (i, r.numerator * (self._scale // r.denominator), m.state(EMPTY_HISTORY))
+            for i, (r, (_, _, m)) in enumerate(zip(masses, self.components))
         )
 
     def base_mass(self) -> Fraction:
@@ -366,7 +400,7 @@ class MixtureModel(ChronologicalModel):
         for i, mass, s in state:
             for x, (p, child) in self.components[i][2].step(s, h, y).items():
                 if p:
-                    out.setdefault(x, []).append((i, mass * p, child))
+                    out.setdefault(x, []).append((i, mass if p == 1 else mass * p, child))
         return {x: tuple(survivors) for x, survivors in out.items()}
 
     def step(self, state: tuple, h: History, y: Action) -> Dict[Percept, Tuple[Fraction, tuple]]:
@@ -377,20 +411,25 @@ class MixtureModel(ChronologicalModel):
             )
         children = self._children(state, h, y)
         return {
-            x: (_mass(children[x]) / total, children[x])
+            x: (Fraction(_mass(children[x]), total), children[x])
             for x in self.alphabet.percepts()
             if x in children
         }
 
+    def key(self, state: tuple, h: History) -> Hashable:
+        """The survivors' indices, masses and component keys."""
+        comps = self.components
+        return tuple((i, mass, comps[i][2].key(s, h)) for i, mass, s in state)
+
     def joint(self, h: History) -> Fraction:
-        return _mass(self.state(h))
+        return Fraction(_mass(self.state(h)), self._scale)
 
     def cond_map(self, h: History, y: Action) -> Dict[Percept, Fraction]:
         return {x: p for x, (p, _) in self.step(self.state(h), h, y).items()}
 
 
-def _mass(state: tuple) -> Fraction:
-    return sum((mass for _, mass, _ in state), Fraction(0))
+def _mass(state: tuple) -> int | Fraction:
+    return sum(mass for _, mass, _ in state)
 
 
 def build_mixture(
@@ -412,7 +451,7 @@ def posterior(m: MixtureModel, h: History) -> PosteriorState:
         raise UndefinedConditionalError("posterior on a zero-mass history")
     masses = [Fraction(0)] * len(m.components)
     for i, mass, _ in state:
-        masses[i] = mass
+        masses[i] = Fraction(mass, m._scale)
     return PosteriorState(
         tuple(label for label, _, _ in m.components),
         tuple(w for _, w, _ in m.components),

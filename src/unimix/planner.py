@@ -15,7 +15,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, Optional, Protocol, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Hashable, Optional, Protocol, Sequence, Tuple, Union,
+)
 
 from .core import (
     Action,
@@ -70,12 +72,26 @@ def _plan(
     t: int,
     state: Any,
     actions: Optional[Sequence[Action]] = None,
+    memo: Optional[Dict[Tuple[Hashable, int], Plan]] = None,
 ) -> Plan:
     """Expectimax from cycle t (history h, model state ``state``) to m_k over
     ``actions`` (all of them by default).  A later action replaces the best
     only when its value is strictly greater, so ties go to the smaller one;
-    the plans under every other action are dropped as soon as it loses."""
+    the plans under every other action are dropped as soon as it loses.
+
+    Every node is solved once per decision: ``memo`` maps the model's key
+    and t to the plan of every node solved so far, so histories that leave
+    the model in equal states share one plan.  The top-level call creates
+    it, and it is gone when the decision returns.  A node restricted to
+    some ``actions`` is neither looked up nor stored."""
+    if memo is None:
+        memo = {}
     model, horizon = q.model, q.horizon
+    if actions is None:
+        node = (model.key(state, h), t)
+        plan = memo.get(node)
+        if plan is not None:
+            return plan
     last = t == q.m_k
     best: Optional[Plan] = None
     for y in model.alphabet.actions() if actions is None else actions:
@@ -85,13 +101,15 @@ def _plan(
                 continue
             r = discounted_reward(horizon, t, x.reward)
             if not last:
-                plans[x] = sub = _plan(q, append_cycle(h, y, x), t + 1, child)
+                plans[x] = sub = _plan(q, append_cycle(h, y, x), t + 1, child, memo=memo)
                 r += sub[1]
             if p != 1:
                 r *= p
             v = r if v is _ZERO else v + r  # no 0 + r on the first term
         if best is None or v > best[1]:
             best = (y, v, plans)
+    if actions is None:
+        memo[node] = best
     return best
 
 

@@ -310,6 +310,31 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "validation error: --l must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize("command", ["enumerate", "verify"])
+    def test_a_pool_bound_above_the_cap_exits_2_without_a_traceback(self, command, capsys):
+        assert main([command, "--l", "40"]) == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert err == f"capacity error: --l 40 exceeds the pool cap of {cli.L_CAP} bits\n"
+
+    @pytest.mark.parametrize(
+        "world, l_max",
+        [
+            ("scenario=onlyone\nlifetime=3\nn=2\n", 6),
+            ("scenario=fm\nlifetime=4\nclass=uniform16\n", 10),
+        ],
+        ids=["onlyone", "fm"],
+    )
+    def test_a_world_outside_the_pool_exits_2_without_a_traceback(
+        self, world, l_max, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{world}agent=mixture\nl={l_max}\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_CAPACITY
+        assert capsys.readouterr().err == (
+            f"capacity error: no program of at most {l_max} bits reproduces "
+            "the history at cycle 1\n"
+        )
+
     def test_enumerate_lists_the_pool(self, capsys):
         assert main(["enumerate", "--l", "4"]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()

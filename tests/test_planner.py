@@ -18,10 +18,20 @@ from unimix.core import (
     append_cycle,
     horizon_end,
 )
-from unimix.domains import ProductEpisodeModel, make_heavenhell
+from unimix.domains import (
+    ProductEpisodeModel,
+    make_fm_env,
+    make_heavenhell,
+    make_onlyone,
+    make_sp_env,
+    uniform_function_class,
+)
 from unimix.evaluate import all_policy_values
 from unimix.models import (
+    ChronologicalModel,
     FunctionalEnv,
+    MixtureModel,
+    ProgramEnv,
     TabularModel,
     UndefinedConditionalError,
     build_mixture,
@@ -40,7 +50,7 @@ from unimix.planner import (
     value_given_action,
     value_opt,
 )
-from unimix.vm import RunBudget, enumerate_programs
+from unimix.vm import RunBudget, decode, enumerate_programs
 
 R0, R1 = Fraction(0), Fraction(1)
 
@@ -187,10 +197,163 @@ def test_a_fixed_horizon_run_solves_only_at_the_first_cycle():
         y = policy(h)
         if k == 1:
             solved = len(calls)
-            assert solved == 2 ** 7 - 2  # both actions at every node to depth 6
+            # both actions at cycle 1, then at each of the two states (the
+            # first action) at cycles 2..6: one solve per (key, t)
+            assert solved == 2 + 2 * 2 * 5
         h = append_cycle(h, y, rule(h, y))
     assert len(calls) == solved
     assert h.rewards() == (R1,) * 6
+
+
+# --- Transposition: one solve per (model key, cycle) ------------------------
+
+
+class Unmerged(ChronologicalModel):
+    """A model with the default key, the history itself: a planner on it
+    merges no two nodes and solves the whole history tree."""
+
+    def __init__(self, model):
+        self.model, self.alphabet = model, model.alphabet
+
+    def state(self, h):
+        return self.model.state(h)
+
+    def step(self, state, h, y):
+        return self.model.step(state, h, y)
+
+    def cond_map(self, h, y):
+        return self.model.cond_map(h, y)
+
+
+class Coin(ChronologicalModel):
+    """Percepts drawn afresh each cycle from a random row per action, so
+    nothing of the history is remembered."""
+
+    alphabet = BINARY
+
+    def __init__(self, rng):
+        self.rows = []
+        for _ in BINARY.actions():
+            weights = [rng.randint(1, 4) for _ in BINARY.percepts()]
+            self.rows.append(
+                {x: Fraction(w, sum(weights)) for x, w in zip(BINARY.percepts(), weights)}
+            )
+
+    def cond_map(self, h, y):
+        return self.rows[y]
+
+    def key(self, state, h):
+        return ()
+
+
+# While its tape cell holds 0, a cycle stores the action there and emits 0;
+# once the cell holds a nonzero action, every cycle emits it.  A storing
+# cycle leaves the register and head at 0 whatever the action, so only the
+# tape tells the actions apart.
+#   MOVT 3; JZ 3; OUT; IN; MOVT 2; LDC 0; OUT; END
+TAPE = decode((1, 1, 1, 1, 1) + (1, 0, 1, 1, 1) + (0, 0, 1) + (0, 1, 0)
+              + (1, 1, 1, 1, 0) + (1, 0, 0, 0, 0) + (0, 0, 1) + (0, 0, 0))
+SP_SOURCES = (
+    {(0, 1, 1): Fraction(1, 2), (1, 1, 0): Fraction(1, 4), (0, 0, 0): Fraction(1, 4)},
+    {(1, 0): Fraction(2, 3), (0, 1): Fraction(1, 3)},
+)
+TRANSPOSITION_HORIZONS = st.one_of(
+    st.builds(FixedHorizon, st.integers(1, 4)),
+    st.builds(MovingHorizon, st.integers(1, 3)),
+    st.builds(
+        GeometricDiscount, st.sampled_from((Fraction(1, 2), Fraction(2, 3))), st.integers(1, 4)
+    ),
+)
+
+
+@st.composite
+def transposition_cases(draw):
+    """A model, a history of 0-2 cycles of positive mass, and a query on it."""
+    kind = draw(st.sampled_from(
+        ("tabular", "tape", "programs", "coins", "fm", "sp", "onlyone", "heavenhell")
+    ))
+    if kind == "tabular":
+        seed = draw(st.integers(0, 2**16))
+        model = random_tabular(BINARY, draw(st.integers(2, 3)), random.Random(seed))
+    elif kind == "tape":  # it needs six steps per cycle
+        model = ProgramEnv(TAPE, RunBudget(8), draw(st.sampled_from(ALPHABETS)))
+    elif kind == "programs":
+        alphabet = draw(st.sampled_from(ALPHABETS))
+        budget = RunBudget(draw(st.integers(1, 5)))  # small enough to time out
+        components = [
+            (q.to_hex(), q.weight, ProgramEnv(q, budget, alphabet))
+            for q in enumerate_programs(draw(st.integers(6, 9)))
+        ]
+        tape = ProgramEnv(TAPE, RunBudget(8), alphabet)
+        model = MixtureModel(components + [("tape", TAPE.weight, tape)], alphabet)
+    elif kind == "coins":
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        coins = [Coin(rng) for _ in range(draw(st.integers(2, 3)))]
+        model = MixtureModel(
+            [(f"coin{i}", Fraction(1, 4), c) for i, c in enumerate(coins)], BINARY
+        )
+    elif kind == "fm":
+        model = make_fm_env(uniform_function_class(2, tuple(map(Fraction, (1, 2, 3, 4)))))
+    elif kind == "sp":
+        model = make_sp_env(draw(st.sampled_from(SP_SOURCES)))
+    elif kind == "onlyone":
+        n = draw(st.integers(2, 3))
+        model = make_onlyone(n, draw(st.integers(0, n - 1)))
+    else:
+        model = make_heavenhell(draw(st.integers(0, 1)))
+    horizon, lifetime = draw(TRANSPOSITION_HORIZONS), draw(st.integers(1, 4))
+    h = EMPTY_HISTORY
+    for _ in range(draw(st.integers(0, min(2, lifetime - 1)))):
+        y = draw(st.sampled_from(model.alphabet.actions()))
+        reachable = [x for x, p in model.cond_map(h, y).items() if p > 0]
+        if not reachable:  # every program timed out
+            break
+        h = append_cycle(h, y, draw(st.sampled_from(reachable)))
+    k = len(h) + 1
+    return model, h, k, horizon_end(horizon, k, lifetime), horizon
+
+
+@settings(max_examples=200, deadline=None)
+@given(transposition_cases())
+def test_a_merged_solve_equals_the_whole_tree(case):
+    """Solving each (key, t) once gives the action and value of solving every
+    node of the history tree."""
+    model, h, k, m_k, horizon = case
+    assert _decide(ValueQuery(model, h, k, m_k, horizon)) == _decide(
+        ValueQuery(Unmerged(model), h, k, m_k, horizon)
+    )
+
+
+def count_calls(obj, name):
+    """A list that grows by one on each later call of ``obj.<name>``."""
+    calls, f = [], getattr(obj, name)
+    setattr(obj, name, lambda *args: calls.append(None) or f(*args))
+    return calls
+
+
+def first_decision(model, lifetime):
+    planning_policy(model, FixedHorizon(lifetime), lifetime)(EMPTY_HISTORY)
+
+
+def test_informed_heavenhell_at_the_lifetime_cap_solves_a_chain():
+    env = make_heavenhell(1)
+    calls = count_calls(env, "rule")
+    first_decision(env, 64)
+    assert len(calls) <= 4 * 64
+
+
+def test_informed_onlyone_solves_one_node_per_cycle():
+    env = make_onlyone(4, 0)
+    calls = count_calls(env, "rule")
+    first_decision(env, 12)
+    assert len(calls) <= 4 * 12 * 4
+
+
+def test_a_heavenhell_mixture_solves_each_belief_state_once(pool12):
+    xi = build_mixture(pool12, RunBudget(64), make_heavenhell(0).alphabet)
+    calls = count_calls(xi, "step")
+    first_decision(xi, 8)
+    assert len(calls) <= 250  # 2,458 on the whole history tree
 
 
 class TestRunInteraction:
