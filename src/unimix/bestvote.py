@@ -20,6 +20,7 @@ from .core import (
     History,
     HorizonPolicy,
     append_cycle,
+    discounted_reward,
     horizon_end,
 )
 from .models import ChronologicalModel, UndefinedConditionalError
@@ -135,6 +136,13 @@ def run_candidate_cycle(
     return claim
 
 
+def _check_not_past(c: ExtendedCandidate, h: History) -> None:
+    if c.cycles_run > len(h) + 1:
+        raise ValueError(
+            f"candidate has run {c.cycles_run} cycles, past cycle {len(h) + 1}"
+        )
+
+
 def claimed(
     c: ExtendedCandidate, h: History, budget: RunBudget, alphabet
 ) -> ExtendedCandidate:
@@ -144,10 +152,7 @@ def claimed(
     one); the copy is stepped on the prefixes it has not seen, so a live
     candidate that has just claimed on h is only copied.
     """
-    if c.cycles_run > len(h) + 1:
-        raise ValueError(
-            f"candidate has run {c.cycles_run} cycles, past cycle {len(h) + 1}"
-        )
+    _check_not_past(c, h)
     cc = c.copy()
     while cc.cycles_run <= len(h):
         run_candidate_cycle(cc, History(h.cycles[: cc.cycles_run]), budget, alphabet)
@@ -207,10 +212,29 @@ def validate_claim(
     m_k: int,
     horizon: Optional[HorizonPolicy] = None,
 ) -> bool:
-    """True iff the claim never overrates the candidate: w <= its exact value."""
+    """True iff the claim never overrates the candidate: w <= its exact value.
+
+    The value lies in [0, U], U the discounted r_max summed over cycles
+    k..m_k: rewards lie in [0, r_max], and an environment that times out
+    only drops mass.  So a claim of 0 is valid and a claim above U is not,
+    once some environment is consistent with h; only a claim in (0, U] is
+    walked.  False when no environment is.
+    """
+    _check_not_past(c, h)
     k = len(h) + 1
+    node = env_node(envs, h, budget, alphabet)
+    if not node.survivors:
+        return False
+    if claim.w == 0:
+        return True
+    ceiling = sum(
+        (discounted_reward(horizon, t, alphabet.r_max) for t in range(k, m_k + 1)),
+        Fraction(0),
+    )
+    if claim.w > ceiling:
+        return False
     try:
-        v = candidate_value(c, envs, k, m_k, h, budget, alphabet, horizon)
+        v = candidate_value(c, node, k, m_k, h, budget, alphabet, horizon)
     except UndefinedConditionalError:
         return False
     return claim.w <= v
@@ -279,10 +303,14 @@ def run_best_vote(
     horizon: Optional[HorizonPolicy] = None,
     seed: int = 0,
     extra_candidates: Sequence[ExtendedCandidate] = (),
+    leaders: Optional[List[Optional[Program]]] = None,
 ) -> Tuple[History, List[SelectionRow]]:
     """Full best-vote run with the pool's programs as both the candidates and
     the environment pool: interact with env for `lifetime` cycles.  The
-    consistent-environment tree is carried from cycle to cycle."""
+    consistent-environment tree is carried from cycle to cycle.
+
+    ``leaders``, when given, gets the posterior leader before each cycle
+    (``EnvNode.top`` of the tree's node), None once no program is left."""
     candidates = [ExtendedCandidate.from_program(p) for p in pool] + [
         c.fresh() for c in extra_candidates
     ]
@@ -294,6 +322,8 @@ def run_best_vote(
     node = EnvNode.root(pool, budget, alphabet)
     for k in range(1, lifetime + 1):
         m_k = horizon_end(hpol, k, lifetime)
+        if leaders is not None:
+            leaders.append(node.top())
         y, rows = best_vote_cycle(candidates, h, node, budget, alphabet, m_k, horizon)
         log.extend(rows)
         x = sample_percept(rng, env.cond_map(h, y), alphabet)

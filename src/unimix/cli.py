@@ -44,7 +44,6 @@ from .models import (
     UndefinedConditionalError,
     build_mixture,
     check_chronological,
-    posterior,
 )
 from .planner import (
     planning_policy,
@@ -306,12 +305,18 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     reports: List[BoundReport] = []
     selection_csv = None
 
+    # tops[k-1]: the label of the posterior leader of the agent's program
+    # mixture before cycle k; blank where no program is left, or for an agent
+    # without a mixture.
     if cfg.agent == "best-vote":
         pool = enumerate_programs(cfg.l_max)
-        h, log = run_best_vote(pool, budget, env, cfg.lifetime, cfg.horizon, cfg.seed)
+        leaders: List[Optional[Program]] = []
+        h, log = run_best_vote(
+            pool, budget, env, cfg.lifetime, cfg.horizon, cfg.seed, leaders=leaders
+        )
         selection_csv = selection_log_csv(log)
         model = None
-        mixture = build_mixture(pool, budget, env.alphabet)
+        tops = ["" if q is None else q.to_hex() for q in leaders]
     else:
         with _input_errors(f"agent={cfg.agent}"):
             policy, model, mixture = _build_agent(cfg, env)
@@ -325,17 +330,17 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
                 f"no program of at most {cfg.l_max} bits reproduces the history "
                 f"at cycle {len(policy.values)}"
             ) from None
+        if mixture is None:
+            tops = [""] * len(h)
+        else:
+            # The state before each cycle, carried one cycle at a time.
+            states = mixture.states(History(h.cycles[:-1]))
+            tops = [mixture.top(s) or "" for s in states]
 
     rows = ["cycle,action,observation,reward,planner_value,posterior_top"]
-    for k in range(1, len(h) + 1):
-        y, x = h.cycles[k - 1]
-        prefix = History(h.cycles[: k - 1])
-        # A planning agent decided cycle k on exactly this prefix.
+    for k, ((y, x), top) in enumerate(zip(h.cycles, tops), start=1):
+        # A planning agent decided cycle k on exactly the prefix before it.
         value_s = str(policy.values[k]) if model is not None else ""
-        if mixture is not None and mixture.joint(prefix) > 0:
-            top = posterior(mixture, prefix).top()
-        else:
-            top = ""
         rows.append(f"{k},{y},{x.observation},{x.reward},{value_s},{top}")
     trace_csv = "\n".join(rows) + "\n"
 

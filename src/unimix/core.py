@@ -18,6 +18,10 @@ class AlternationError(ValueError):
     """Raised when the strict action/percept alternation of a history is violated."""
 
 
+class CapacityError(RuntimeError):
+    """An exact enumeration was requested beyond the configured caps."""
+
+
 @dataclass(frozen=True)
 class Percept:
     """One environment reply: a bounded nonnegative reward plus an observation index."""

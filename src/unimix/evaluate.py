@@ -17,6 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .core import (
     Action,
     Alphabet,
+    CapacityError,
     EMPTY_HISTORY,
     FixedHorizon,
     History,
@@ -47,10 +48,6 @@ from .vm import Program, RunBudget, consistent_envs
 
 # ln 2 = 0.69314718... ; any rational upper bound keeps the inequalities safe
 LN2_UPPER = Fraction(693148, 1000000)
-
-
-class CapacityError(RuntimeError):
-    """An exact enumeration was requested beyond the configured caps."""
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from .core import (
     Action,
@@ -385,14 +387,28 @@ class MixtureModel(ChronologicalModel):
     def state(self, h: History) -> tuple:
         if h.pending_action is not None:
             raise ValueError("mixture state of a history with a pending action")
+        *_, state = self.states(h)
+        return state
+
+    def states(self, h: History) -> Iterator[tuple]:
+        """The state after each prefix of h, the empty one first: one
+        survivor step per cycle, and ``()`` once no component is left."""
         state = self._root
+        yield state
         ctx = EMPTY_HISTORY
         for y, x in h.cycles:
-            if not state:
-                break
-            state = self._children(state, ctx, y).get(x, ())
-            ctx = append_cycle(ctx, y, x)
-        return state
+            if state:
+                state = self._children(state, ctx, y).get(x, ())
+                ctx = append_cycle(ctx, y, x)
+            yield state
+
+    def top(self, state: tuple) -> Optional[str]:
+        """Label of the heaviest survivor in ``state``, the lowest index on
+        ties (``posterior(self, h).top()`` for the state after h); None if
+        there is no survivor."""
+        if not state:
+            return None
+        return self.components[max(state, key=lambda s: (s[1], -s[0]))[0]][0]
 
     def _children(self, state: tuple, h: History, y: Action) -> Dict[Percept, tuple]:
         """Survivors after each next percept, with their masses updated."""

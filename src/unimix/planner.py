@@ -21,6 +21,7 @@ from typing import (
 
 from .core import (
     Action,
+    CapacityError,
     EMPTY_HISTORY,
     History,
     HorizonPolicy,
@@ -65,6 +66,13 @@ Plan = Tuple[Action, Fraction, Dict[Percept, "Plan"]]
 
 _ZERO = Fraction(0)
 
+# The most distinct (key, t) nodes one decision may solve.  A decision of
+# the tests or the pinned configs solves at most 127.  A model whose key
+# merges nothing solves one node per history, 2^m - 1 for lazy at lifetime
+# m, so lazy runs up to lifetime 15 and past it exits with a capacity error
+# instead of running for hours.
+PLAN_MEMO_CAP = 2**15
+
 
 def _plan(
     q: ValueQuery,
@@ -83,7 +91,8 @@ def _plan(
     and t to the plan of every node solved so far, so histories that leave
     the model in equal states share one plan.  The top-level call creates
     it, and it is gone when the decision returns.  A node restricted to
-    some ``actions`` is neither looked up nor stored."""
+    some ``actions`` is neither looked up nor stored.  Storing more than
+    ``PLAN_MEMO_CAP`` nodes raises ``CapacityError``."""
     if memo is None:
         memo = {}
     model, horizon = q.model, q.horizon
@@ -109,6 +118,10 @@ def _plan(
         if best is None or v > best[1]:
             best = (y, v, plans)
     if actions is None:
+        if len(memo) >= PLAN_MEMO_CAP:
+            raise CapacityError(
+                f"one decision solved more than {PLAN_MEMO_CAP} distinct belief states"
+            )
         memo[node] = best
     return best
 
@@ -328,6 +341,13 @@ class EnvNode:
     def child(self, y: Action, x: Percept) -> "EnvNode":
         """The node one cycle (y, x) on; empty if no survivor emits x."""
         return self.step(y).get(x) or EnvNode((), self.budget, self.alphabet)
+
+    def top(self) -> Optional[Program]:
+        """The first survivor, in pool order, of largest weight: the leader
+        of the posterior over the pool after the node's history.  None if
+        there is no survivor."""
+        best = max(self.survivors, key=lambda s: s[1], default=None)
+        return None if best is None else best[0]
 
     def after(self, h: History) -> "EnvNode":
         """The node reached by h's cycles; empty if no survivor reproduces h."""

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unimix import bestvote
 from unimix.bestvote import (
     Claim,
     ExtendedCandidate,
@@ -19,6 +20,7 @@ from unimix.bestvote import (
     validate_claim,
     validated_claim_weight,
 )
+from unimix.cli import parse_config, run_scenario
 from unimix.core import (
     EMPTY_HISTORY,
     Alphabet,
@@ -32,8 +34,8 @@ from unimix.core import (
     horizon_end,
 )
 from unimix.domains import make_heavenhell
-from unimix.models import UndefinedConditionalError
-from unimix.planner import EnvNode, policy_value_functional
+from unimix.models import UndefinedConditionalError, build_mixture, posterior
+from unimix.planner import EnvNode, functional_value, policy_value_functional
 from unimix.vm import (
     MachineState,
     RunBudget,
@@ -140,6 +142,18 @@ class TestValidation:
         assert not validate_claim(
             over, Claim(v + 1, 1), EMPTY_HISTORY, pool12, budget, binary_alphabet, 1
         )
+
+    def test_a_claim_of_the_reward_ceiling_is_valid_where_it_is_earned(
+        self, binary_alphabet, budget
+    ):
+        # BRAGGART as an environment pays reward 1 every cycle
+        c = ExtendedCandidate.from_program(SILENT)
+        for horizon, ceiling in ((None, F(2)), (GeometricDiscount(F(1, 2), 2), F(3, 4))):
+            for w, valid in ((ceiling, True), (ceiling + F(1, 2**20), False)):
+                assert validate_claim(
+                    c, Claim(w, 0), EMPTY_HISTORY, [BRAGGART], budget, binary_alphabet, 2,
+                    horizon,
+                ) == valid
 
 
 class TestBestVoteCycle:
@@ -266,11 +280,11 @@ def reference_value(new_act, pool, k, m, h, budget, alphabet, horizon):
 
 
 @st.composite
-def walk_cases(draw):
+def walk_cases(draw, max_l=9):
     """A pool, a budget small enough that programs time out, a horizon, and
     a history of 0-2 cycles that mostly follows one of the pool's programs."""
     alphabet = draw(st.sampled_from(ALPHABETS))
-    pool = enumerate_programs(draw(st.integers(6, 9)))
+    pool = enumerate_programs(draw(st.integers(6, max_l)))
     budget = RunBudget(draw(st.integers(1, 5)))
     k = draw(st.integers(1, 3))
     lifetime = k + draw(st.integers(0, 2))
@@ -346,6 +360,82 @@ def test_tree_walk_equals_per_environment_rollouts_for_a_composite(case, members
             candidate_value(composite, pool, k, m, h, budget, a, horizon)
     else:
         assert candidate_value(composite, pool, k, m, h, budget, a, horizon) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(walk_cases(max_l=8), st.sampled_from(POLICIES), st.data())
+def test_bound_decided_validity_equals_the_walked_comparison(case, p, data):
+    a, pool, budget, k, m, horizon, h, _ = case
+    c = ExtendedCandidate.from_program(p)
+    try:
+        v = candidate_value(c, pool, k, m, h, budget, a, horizon)
+    except UndefinedConditionalError:
+        v = None
+    ceiling = sum((discounted_reward(horizon, t, a.r_max) for t in range(k, m + 1)), F(0))
+    claims = [
+        F(0),
+        data.draw(st.fractions(min_value=0, max_value=ceiling, max_denominator=64)),
+        ceiling,
+        ceiling + data.draw(st.fractions(min_value=F(1, 2**20), max_value=1)),
+    ]
+    if v is not None:
+        claims += [v, v + F(1, 2**20)]
+    node = EnvNode.root(pool, budget, a).after(h)
+    for w in claims:
+        expected = v is not None and w <= v
+        for envs in (pool, node):
+            assert validate_claim(c, Claim(w, 0), h, envs, budget, a, m, horizon) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_cases())
+def test_the_tree_leader_is_the_posterior_leader(case):
+    a, pool, budget, _, _, _, h, _ = case
+    mixture = build_mixture(pool, budget, a)
+    top = EnvNode.root(pool, budget, a).after(h).top()
+    if mixture.joint(h) > 0:
+        assert top.to_hex() == posterior(mixture, h).top()
+    else:
+        assert top is None
+
+
+def test_the_tree_leader_is_the_first_of_tied_heaviest_survivors(binary_alphabet, budget):
+    pool = enumerate_programs(9)
+    h = append_cycle(EMPTY_HISTORY, 1, Percept(F(1), 0))
+    node = EnvNode.root(pool, budget, binary_alphabet).after(h)
+    assert [(q.to_hex(), w) for q, w, _ in node.survivors] == [
+        ("9:088", F(1, 512)), ("9:188", F(1, 512))
+    ]
+    mixture = build_mixture(pool, budget, binary_alphabet)
+    assert node.top().to_hex() == posterior(mixture, h).top() == "9:088"
+
+
+def test_a_candidate_run_past_cycle_k_cannot_be_validated(binary_alphabet, budget, pool6):
+    c = ExtendedCandidate.from_program(SILENT)
+    h = append_cycle(EMPTY_HISTORY, 0, Percept(F(0), 0))
+    for i in range(2):
+        run_candidate_cycle(c, History(h.cycles[:i]), budget, binary_alphabet)
+    for w in (F(0), F(1, 2), F(5)):  # decided by the bounds, walked, decided
+        with pytest.raises(ValueError, match="past cycle 1"):
+            validate_claim(c, Claim(w, 0), EMPTY_HISTORY, pool6, budget, binary_alphabet, 2)
+
+
+@pytest.mark.parametrize("config_seed", [0, 1])
+def test_a_best_vote_run_walks_only_claims_inside_the_value_bounds(config_seed, monkeypatch):
+    walks = []
+
+    def counting(*args, **kwargs):
+        walks.append(args)
+        return functional_value(*args, **kwargs)
+
+    monkeypatch.setattr(bestvote, "functional_value", counting)
+    cfg = parse_config(
+        "scenario=heavenhell\nagent=best-vote\nl=11\nlifetime=2\n"
+        f"seed={config_seed}\ni={config_seed % 2}\n"
+    )
+    run_scenario(cfg)
+    # 129 claims a cycle, nearly all 0; walking every one took 258 walks
+    assert 0 < len(walks) <= 8
 
 
 def test_a_carried_tree_equals_one_rebuilt_after_the_history(budget, pool8):

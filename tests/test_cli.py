@@ -28,8 +28,8 @@ from unimix.core import (
     horizon_end,
 )
 from unimix.evaluate import BoundReport, CapacityError
-from unimix.models import build_mixture
-from unimix.planner import ValueQuery, value_opt
+from unimix.models import build_mixture, posterior
+from unimix.planner import PLAN_MEMO_CAP, ValueQuery, value_opt
 from unimix.vm import RunBudget, decode, enumerate_programs
 
 HEAVEN = "scenario=heavenhell\nagent=informed\nlifetime=5\ni=1\n"
@@ -164,6 +164,30 @@ class TestRunScenario:
         for k, (_, y, o, r, value, _) in enumerate(rows, start=1):
             m_k = horizon_end(hor, k, cfg.lifetime)
             assert value == str(value_opt(ValueQuery(model, prefix, k, m_k, hor)))
+            prefix = append_cycle(prefix, int(y), Percept(Fraction(r), int(o)))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "scenario=heavenhell\nagent=mixture\nlifetime=3\ni=1\nl=9\n",
+            "scenario=onlyone\nagent=mixture\nlifetime=3\nn=3\ny_star=1\nl=9\n",
+            "scenario=heavenhell\nagent=best-vote\nlifetime=3\ni=0\nl=9\nseed=1\n",
+            "scenario=onlyone\nagent=best-vote\nlifetime=3\nn=2\nl=7\n",
+        ],
+    )
+    def test_posterior_top_equals_a_mixture_built_from_scratch(self, text):
+        cfg = parse_config(text)
+        rows = trace_rows(run_scenario(cfg).trace_csv)
+        env = cli._build_env(cfg)
+        mixture = build_mixture(
+            enumerate_programs(cfg.l_max), RunBudget(cfg.steps), env.alphabet
+        )
+        prefix = EMPTY_HISTORY
+        for _, y, o, r, _, top in rows:
+            if mixture.joint(prefix) > 0:
+                assert top == posterior(mixture, prefix).top()
+            else:
+                assert top == ""
             prefix = append_cycle(prefix, int(y), Percept(Fraction(r), int(o)))
 
     def test_best_vote_agent_emits_a_selection_log(self):
@@ -360,6 +384,16 @@ class TestMain:
         )
         assert main(["run", "--config", str(cfg)]) == EXIT_CAPACITY
         assert "capacity error" in capsys.readouterr().err
+
+    def test_an_unmerged_expectimax_past_the_memo_cap_exits_2(self, tmp_path, capsys):
+        # lazy merges no histories: a lifetime-64 decision would solve 2^64 - 1 nodes
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("scenario=lazy\nagent=informed\nlifetime=64\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_CAPACITY
+        assert capsys.readouterr().err == (
+            f"capacity error: one decision solved more than {PLAN_MEMO_CAP} "
+            "distinct belief states\n"
+        )
 
     def test_strict_bound_failure_exits_3(self, monkeypatch, capsys):
         failing = [BoundReport(Fraction(2), Fraction(1), False, "synthetic")]
