@@ -9,7 +9,6 @@ and the action of the highest surviving claim is played.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -19,9 +18,11 @@ from .core import (
     FixedHorizon,
     History,
     HorizonPolicy,
+    Value,
     append_cycle,
     discounted_reward,
     horizon_end,
+    set_field,
 )
 from .models import ChronologicalModel, UndefinedConditionalError
 from .planner import (
@@ -35,19 +36,21 @@ from .planner import (
 from .vm import MachineState, Program, RunBudget, run_cycle
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Value):
     """A candidate's self-rating for the coming cycle: value estimate + action."""
 
-    w: Fraction
-    y: Action
-    timed_out: bool = False
-    steps_used: int = 0
+    __slots__ = ("w", "y", "timed_out", "steps_used")
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", Fraction(self.w))
-        if self.w < 0:
+    def __init__(
+        self, w: Fraction, y: Action, timed_out: bool = False, steps_used: int = 0
+    ):
+        w = Fraction(w)
+        if w < 0:
             raise ValueError("claims must be nonnegative")
+        set_field(self, "w", w)
+        set_field(self, "y", y)
+        set_field(self, "timed_out", timed_out)
+        set_field(self, "steps_used", steps_used)
 
 
 class ExtendedCandidate:
@@ -240,15 +243,28 @@ def validate_claim(
     return claim.w <= v
 
 
-@dataclass(frozen=True)
-class SelectionRow:
-    cycle: int
-    candidate: str
-    claimed_w: Fraction
-    valid: bool
-    selected: bool
-    action: Action
-    steps_used: int
+class SelectionRow(Value):
+    __slots__ = (
+        "cycle", "candidate", "claimed_w", "valid", "selected", "action", "steps_used",
+    )
+
+    def __init__(
+        self,
+        cycle: int,
+        candidate: str,
+        claimed_w: Fraction,
+        valid: bool,
+        selected: bool,
+        action: Action,
+        steps_used: int,
+    ):
+        set_field(self, "cycle", cycle)
+        set_field(self, "candidate", candidate)
+        set_field(self, "claimed_w", claimed_w)
+        set_field(self, "valid", valid)
+        set_field(self, "selected", selected)
+        set_field(self, "action", action)
+        set_field(self, "steps_used", steps_used)
 
 
 def best_vote_cycle(

@@ -3,7 +3,7 @@
 Configs are line-oriented ``key=value`` text.  Every number in a trace or
 report originates in the planner/eval modules; the CLI only wires things
 together.  Exit codes: 0 success, 1 validation error, 2 capacity error,
-3 bound-check failure under --strict.
+3 bound-check failure under ``verify --strict``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -84,17 +83,33 @@ class ValidationError(ValueError):
         self.violations = violations
 
 
-@dataclass
 class ScenarioConfig:
-    scenario: str
-    agent: str
-    lifetime: int
-    horizon: HorizonPolicy
-    l_max: int
-    steps: int
-    seed: int
-    extras: Dict[str, str] = field(default_factory=dict)
-    source_text: str = ""
+    __slots__ = (
+        "scenario", "agent", "lifetime", "horizon", "l_max", "steps", "seed",
+        "extras", "source_text",
+    )
+
+    def __init__(
+        self,
+        scenario: str,
+        agent: str,
+        lifetime: int,
+        horizon: HorizonPolicy,
+        l_max: int,
+        steps: int,
+        seed: int,
+        extras: Optional[Dict[str, str]] = None,
+        source_text: str = "",
+    ):
+        self.scenario = scenario
+        self.agent = agent
+        self.lifetime = lifetime
+        self.horizon = horizon
+        self.l_max = l_max
+        self.steps = steps
+        self.seed = seed
+        self.extras = {} if extras is None else extras
+        self.source_text = source_text
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
@@ -275,13 +290,20 @@ def _build_agent(cfg: ScenarioConfig, env):
     raise ValidationError([f"agent kind {cfg.agent!r} not wired here"])
 
 
-@dataclass
 class RunArtifacts:
-    trace_csv: str
-    manifest: str
-    results: str
-    reports: List[BoundReport]
-    selection_csv: Optional[str] = None
+    __slots__ = ("trace_csv", "manifest", "results", "selection_csv")
+
+    def __init__(
+        self,
+        trace_csv: str,
+        manifest: str,
+        results: str,
+        selection_csv: Optional[str] = None,
+    ):
+        self.trace_csv = trace_csv
+        self.manifest = manifest
+        self.results = results
+        self.selection_csv = selection_csv
 
 
 @contextmanager
@@ -302,7 +324,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     with _input_errors(f"scenario={cfg.scenario}"):
         env = _build_env(cfg)
     budget = RunBudget(cfg.steps)
-    reports: List[BoundReport] = []
     selection_csv = None
 
     # tops[k-1]: the label of the posterior leader of the agent's program
@@ -351,18 +372,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         f"version={__version__}\n"
         "config_begin\n" + cfg.canonical() + "config_end\n"
     )
-    results_lines = [
-        f"scenario={cfg.scenario}",
-        f"agent={cfg.agent}",
-        f"cycles={len(h)}",
-        f"total_reward={total_reward}",
-    ]
-    for r in reports:
-        results_lines.append(
-            f"bound {'holds' if r.holds else 'FAILS'} lhs={r.lhs} rhs={r.rhs} ({r.context})"
-        )
-    results = "\n".join(results_lines) + "\n"
-    return RunArtifacts(trace_csv, manifest, results, reports, selection_csv)
+    results = (
+        f"scenario={cfg.scenario}\n"
+        f"agent={cfg.agent}\n"
+        f"cycles={len(h)}\n"
+        f"total_reward={total_reward}\n"
+    )
+    return RunArtifacts(trace_csv, manifest, results, selection_csv)
 
 
 def emit_report(art: RunArtifacts) -> str:
@@ -371,10 +387,7 @@ def emit_report(art: RunArtifacts) -> str:
     if not lines:
         raise ValueError("empty trace")
     total = sum(Fraction(ln.split(",")[3]) for ln in lines)
-    out = [art.results.rstrip(), f"trace_total_reward={total}"]
-    if art.reports:
-        out.append(summary_block(art.reports).rstrip())
-    return "\n".join(out) + "\n"
+    return f"{art.results.rstrip()}\ntrace_total_reward={total}\n"
 
 
 # --- verify: the re-checkable invariant suite -------------------------------
@@ -425,7 +438,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
-    p_run.add_argument("--strict", action="store_true")
 
     p_verify = sub.add_parser("verify", help="re-check invariant suites")
     p_verify.add_argument("--l", type=int, default=10, dest="l_max")
@@ -476,8 +488,6 @@ def _dispatch(args) -> int:
         else:
             sys.stdout.write(art.trace_csv)
         sys.stdout.write(emit_report(art))
-        if args.strict and any(not r.holds for r in art.reports):
-            return EXIT_BOUND
         return EXIT_OK
 
     if args.command == "verify":

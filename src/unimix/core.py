@@ -6,9 +6,8 @@ rationals, so downstream expectimax values compare bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from operator import attrgetter
 from typing import Optional, Union
 
 Action = int
@@ -22,28 +21,67 @@ class CapacityError(RuntimeError):
     """An exact enumeration was requested beyond the configured caps."""
 
 
-@dataclass(frozen=True)
-class Percept:
+set_field = object.__setattr__
+
+
+class Value:
+    """Base of the immutable value classes.
+
+    A direct subclass names its fields in ``__slots__``; a slot whose name
+    starts with ``_`` is a cache, not a field.  Equality (only between objects
+    of exactly the same class), hash and repr read the fields in order, and
+    assigning to any attribute raises ``AttributeError``, so ``__init__``
+    sets each slot with ``set_field``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        # An attrgetter is no descriptor, so ``self._get`` is the getter itself.
+        cls._get = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._get(self) == self._get(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._get(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Percept(Value):
     """One environment reply: a bounded nonnegative reward plus an observation index."""
 
-    reward: Fraction
-    observation: int = 0
+    __slots__ = ("reward", "observation", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "reward", Fraction(self.reward))
-        if self.reward < 0:
-            raise ValueError(f"negative reward {self.reward}")
-        if self.observation < 0:
-            raise ValueError(f"negative observation {self.observation}")
+    def __init__(self, reward: Fraction, observation: int = 0):
+        reward = Fraction(reward)
+        if reward < 0:
+            raise ValueError(f"negative reward {reward}")
+        if observation < 0:
+            raise ValueError(f"negative observation {observation}")
+        set_field(self, "reward", reward)
+        set_field(self, "observation", observation)
         # Percepts key the planner's dicts; hashing a Fraction is costly.
-        object.__setattr__(self, "_hash", hash((self.reward, self.observation)))
+        set_field(self, "_hash", hash((reward, observation)))
 
     def __hash__(self) -> int:
         return self._hash
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Value):
     """Finite I/O spaces: actions, observations, and the allowed reward levels.
 
     A percept is flattened to a single symbol ``r_idx * num_observations + o``
@@ -51,19 +89,27 @@ class Alphabet:
     increasing order, with ``rewards[-1]`` acting as r_max.
     """
 
-    num_actions: int = 2
-    num_observations: int = 1
-    rewards: tuple = (Fraction(0), Fraction(1))
+    __slots__ = ("num_actions", "num_observations", "rewards", "_percept_table")
 
-    def __post_init__(self):
-        if self.num_actions < 1 or self.num_observations < 1:
+    def __init__(
+        self,
+        num_actions: int = 2,
+        num_observations: int = 1,
+        rewards: tuple = (Fraction(0), Fraction(1)),
+    ):
+        if num_actions < 1 or num_observations < 1:
             raise ValueError("alphabet sizes must be >= 1")
-        rewards = tuple(Fraction(r) for r in self.rewards)
-        object.__setattr__(self, "rewards", rewards)
+        rewards = tuple(Fraction(r) for r in rewards)
         if any(r < 0 for r in rewards):
             raise ValueError("rewards must be nonnegative")
         if list(rewards) != sorted(set(rewards)):
             raise ValueError("rewards must be strictly increasing")
+        set_field(self, "num_actions", num_actions)
+        set_field(self, "num_observations", num_observations)
+        set_field(self, "rewards", rewards)
+        # Not a field, so eq and hash never see it.
+        table = tuple(Percept(r, o) for r in rewards for o in range(num_observations))
+        set_field(self, "_percept_table", table)
 
     @property
     def r_max(self) -> Fraction:
@@ -76,13 +122,6 @@ class Alphabet:
     def percepts(self) -> tuple:
         """All percepts in symbol order (reward-major)."""
         return self._percept_table
-
-    @cached_property
-    def _percept_table(self) -> tuple:
-        # Built on first use; not a field, so eq and hash never see it.
-        return tuple(
-            Percept(r, o) for r in self.rewards for o in range(self.num_observations)
-        )
 
     def actions(self) -> range:
         return range(self.num_actions)
@@ -99,12 +138,14 @@ class Alphabet:
         return self.rewards.index(x.reward)
 
 
-@dataclass(frozen=True)
-class History:
+class History(Value):
     """Alternating record y1 x1 y2 x2 ... with an optional not-yet-answered action."""
 
-    cycles: tuple = ()
-    pending_action: Optional[Action] = None
+    __slots__ = ("cycles", "pending_action")
+
+    def __init__(self, cycles: tuple = (), pending_action: Optional[Action] = None):
+        set_field(self, "cycles", cycles)
+        set_field(self, "pending_action", pending_action)
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -177,53 +218,53 @@ def decode_history(text: str) -> History:
 # --- Horizon policies -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FixedHorizon:
+class FixedHorizon(Value):
     """Plan to a fixed final cycle m (the lifetime case m_k = m)."""
 
-    m: int
+    __slots__ = ("m",)
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int):
+        if m < 1:
             raise ValueError("m >= 1 required")
+        set_field(self, "m", m)
 
 
-@dataclass(frozen=True)
-class MovingHorizon:
+class MovingHorizon(Value):
     """Plan the next h cycles: m_k = k + h - 1."""
 
-    h: int
+    __slots__ = ("h",)
 
-    def __post_init__(self):
-        if self.h < 1:
+    def __init__(self, h: int):
+        if h < 1:
             raise ValueError("h >= 1 required")
+        set_field(self, "h", h)
 
 
-@dataclass(frozen=True)
-class ProportionalHorizon:
+class ProportionalHorizon(Value):
     """Farsightedness proportional to age: m_k = k + ceil(beta*k) - 1."""
 
-    beta: Fraction
+    __slots__ = ("beta",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.beta <= 0:
+    def __init__(self, beta: Fraction):
+        beta = Fraction(beta)
+        if beta <= 0:
             raise ValueError("beta > 0 required")
+        set_field(self, "beta", beta)
 
 
-@dataclass(frozen=True)
-class GeometricDiscount:
+class GeometricDiscount(Value):
     """Exponential damping r_k * gamma^k, planned to a capped final cycle."""
 
-    gamma: Fraction
-    m_cap: int
+    __slots__ = ("gamma", "m_cap")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        if not (0 < self.gamma < 1):
+    def __init__(self, gamma: Fraction, m_cap: int):
+        gamma = Fraction(gamma)
+        if not (0 < gamma < 1):
             raise ValueError("0 < gamma < 1 required")
-        if self.m_cap < 1:
+        if m_cap < 1:
             raise ValueError("m_cap >= 1 required")
+        set_field(self, "gamma", gamma)
+        set_field(self, "m_cap", m_cap)
 
 
 HorizonPolicy = Union[FixedHorizon, MovingHorizon, ProportionalHorizon, GeometricDiscount]

@@ -8,11 +8,10 @@ demonstration environments heaven-hell, only-one, and the lazy-rest world.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .core import Action, Alphabet, History, Percept
+from .core import Action, Alphabet, History, Percept, Value, set_field
 from .models import (
     ChronologicalModel,
     FunctionalEnv,
@@ -78,32 +77,34 @@ def sp_argmax(env: MixtureModel, h: History) -> int:
 # --- Strategic games --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GameSpec:
+class GameSpec(Value):
     """A fixed-length alternating game: we move, the opponent replies.
 
     ``leaf_values`` maps every complete move sequence (y1, o1, ..., yn, on)
     to a value already shifted into [0, r_max].
     """
 
-    rounds: int
-    num_moves: int
-    num_replies: int
-    leaf_values: Dict[Tuple[int, ...], Fraction]
+    __slots__ = ("rounds", "num_moves", "num_replies", "leaf_values")
 
-    def __post_init__(self):
-        if self.rounds < 1 or self.num_moves < 1 or self.num_replies < 1:
+    def __init__(
+        self,
+        rounds: int,
+        num_moves: int,
+        num_replies: int,
+        leaf_values: Dict[Tuple[int, ...], Fraction],
+    ):
+        if rounds < 1 or num_moves < 1 or num_replies < 1:
             raise ValueError("rounds and move counts must be >= 1")
-        object.__setattr__(
-            self,
-            "leaf_values",
-            {tuple(k): Fraction(v) for k, v in self.leaf_values.items()},
-        )
-        expected = (self.num_moves * self.num_replies) ** self.rounds
-        if len(self.leaf_values) != expected:
-            raise ValueError(f"need {expected} leaves, got {len(self.leaf_values)}")
-        if any(v < 0 for v in self.leaf_values.values()):
+        leaf_values = {tuple(k): Fraction(v) for k, v in leaf_values.items()}
+        expected = (num_moves * num_replies) ** rounds
+        if len(leaf_values) != expected:
+            raise ValueError(f"need {expected} leaves, got {len(leaf_values)}")
+        if any(v < 0 for v in leaf_values.values()):
             raise ValueError("leaf values must be shifted into [0, r_max]")
+        set_field(self, "rounds", rounds)
+        set_field(self, "num_moves", num_moves)
+        set_field(self, "num_replies", num_replies)
+        set_field(self, "leaf_values", leaf_values)
 
     def dumps(self) -> str:
         lines = [
@@ -197,30 +198,32 @@ def make_sg_env(g: GameSpec, episodes: int = 1) -> FunctionalEnv:
 # --- Function minimization --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctionClassSpec:
+class FunctionClassSpec(Value):
     """A finite function class f: Y -> Z with a prior over its members."""
 
-    num_actions: int
-    z_values: Tuple[Fraction, ...]
-    prior: Tuple[Tuple[Tuple[int, ...], Fraction], ...]  # (f as z-index tuple, prob)
-    r_max: Fraction = Fraction(1)
+    __slots__ = ("num_actions", "z_values", "prior", "r_max")
 
-    def __post_init__(self):
-        zs = tuple(Fraction(z) for z in self.z_values)
-        object.__setattr__(self, "z_values", zs)
+    def __init__(
+        self,
+        num_actions: int,
+        z_values: Tuple[Fraction, ...],
+        prior: Tuple[Tuple[Tuple[int, ...], Fraction], ...],  # (f as z-index tuple, prob)
+        r_max: Fraction = Fraction(1),
+    ):
+        zs = tuple(Fraction(z) for z in z_values)
         if list(zs) != sorted(set(zs)):
             raise ValueError("z_values must be strictly increasing")
-        prior = tuple((tuple(f), Fraction(p)) for f, p in self.prior)
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "r_max", Fraction(self.r_max))
+        prior = tuple((tuple(f), Fraction(p)) for f, p in prior)
+        r_max = Fraction(r_max)
         if sum((p for _, p in prior), Fraction(0)) != 1:
             raise ValueError("function prior must sum to 1")
         for f, _ in prior:
-            if len(f) != self.num_actions or any(
-                not (0 <= zi < len(zs)) for zi in f
-            ):
+            if len(f) != num_actions or any(not (0 <= zi < len(zs)) for zi in f):
                 raise ValueError(f"malformed function table {f}")
+        set_field(self, "num_actions", num_actions)
+        set_field(self, "z_values", zs)
+        set_field(self, "prior", prior)
+        set_field(self, "r_max", r_max)
 
     def reward_of(self, z_index: int) -> Fraction:
         """Affine map sending z_min to r_max and z_max to 0 (minimize z)."""
@@ -322,30 +325,35 @@ def fm_expected_z(
 QUESTION = None  # presentation marker for "(z, ?)"
 
 
-@dataclass(frozen=True)
-class RelationSpec:
+class RelationSpec(Value):
     """A relation R over Z x Y with a presentation distribution.
 
     Presentations are either examples (z, v) with (z, v) in R, or questions
     (z, QUESTION).  Wrong examples must carry probability 0.
     """
 
-    num_z: int
-    num_actions: int
-    relation: FrozenSet[Tuple[int, int]]
-    presentation: Tuple[Tuple[Tuple[int, Optional[int]], Fraction], ...]
+    __slots__ = ("num_z", "num_actions", "relation", "presentation")
 
-    def __post_init__(self):
-        object.__setattr__(self, "relation", frozenset(self.relation))
-        pres = tuple(((z, v), Fraction(p)) for (z, v), p in self.presentation)
-        object.__setattr__(self, "presentation", pres)
+    def __init__(
+        self,
+        num_z: int,
+        num_actions: int,
+        relation: FrozenSet[Tuple[int, int]],
+        presentation: Tuple[Tuple[Tuple[int, Optional[int]], Fraction], ...],
+    ):
+        relation = frozenset(relation)
+        pres = tuple(((z, v), Fraction(p)) for (z, v), p in presentation)
         if sum((p for _, p in pres), Fraction(0)) != 1:
             raise ValueError("presentation distribution must sum to 1")
         for (z, v), p in pres:
-            if not (0 <= z < self.num_z):
+            if not (0 <= z < num_z):
                 raise ValueError(f"z={z} outside range")
-            if v is not None and (z, v) not in self.relation and p > 0:
+            if v is not None and (z, v) not in relation and p > 0:
                 raise ValueError(f"wrong example ({z},{v}) must have probability 0")
+        set_field(self, "num_z", num_z)
+        set_field(self, "num_actions", num_actions)
+        set_field(self, "relation", relation)
+        set_field(self, "presentation", pres)
 
     def obs_index(self, z: int, v: Optional[int]) -> int:
         """Flatten a presentation to an observation symbol."""

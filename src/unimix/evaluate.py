@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,14 +49,16 @@ from .vm import Program, RunBudget, consistent_envs
 LN2_UPPER = Fraction(693148, 1000000)
 
 
-@dataclass(frozen=True)
 class BoundReport:
     """One checked inequality lhs <= rhs with a human-readable context."""
 
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
-    context: str
+    __slots__ = ("lhs", "rhs", "holds", "context")
+
+    def __init__(self, lhs: Fraction, rhs: Fraction, holds: bool, context: str):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.holds = holds
+        self.context = context
 
 
 def bound_reports_csv(reports: Sequence[BoundReport]) -> str:

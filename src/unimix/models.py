@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import (
     Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple,
@@ -319,13 +318,15 @@ class ProgramEnv(ChronologicalModel):
 # --- Mixtures ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PosteriorState:
     """Unnormalized per-component posterior mass after a history."""
 
-    labels: tuple
-    weights: tuple
-    masses: tuple
+    __slots__ = ("labels", "weights", "masses")
+
+    def __init__(self, labels: tuple, weights: tuple, masses: tuple):
+        self.labels = labels
+        self.weights = weights
+        self.masses = masses
 
     @property
     def total(self) -> Fraction:

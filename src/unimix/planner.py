@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import (
     Any, Callable, Dict, Hashable, Optional, Protocol, Sequence, Tuple, Union,
@@ -37,26 +36,33 @@ from .vm import MachineState, Program, RunBudget, env_cycle, policy_cycle
 PolicyOracle = Callable[[History], Action]
 
 
-@dataclass(frozen=True)
 class ValueQuery:
     """One planning question: the value from cycle k through m_k."""
 
-    model: ChronologicalModel
-    history: History
-    k: int
-    m_k: int
-    horizon: Optional[HorizonPolicy] = None
+    __slots__ = ("model", "history", "k", "m_k", "horizon")
 
-    def __post_init__(self):
-        if self.history.pending_action is not None:
+    def __init__(
+        self,
+        model: ChronologicalModel,
+        history: History,
+        k: int,
+        m_k: int,
+        horizon: Optional[HorizonPolicy] = None,
+    ):
+        if history.pending_action is not None:
             raise ValueError("planning from a history with a pending action")
-        if len(self.history) != self.k - 1:
+        if len(history) != k - 1:
             raise ValueError(
-                f"history has {len(self.history)} cycles; cycle index k={self.k} "
-                f"requires {self.k - 1}"
+                f"history has {len(history)} cycles; cycle index k={k} "
+                f"requires {k - 1}"
             )
-        if not (self.k <= self.m_k):
-            raise ValueError(f"need k <= m_k, got k={self.k}, m_k={self.m_k}")
+        if not (k <= m_k):
+            raise ValueError(f"need k <= m_k, got k={k}, m_k={m_k}")
+        self.model = model
+        self.history = history
+        self.k = k
+        self.m_k = m_k
+        self.horizon = horizon
 
 
 # One expectimax decision: the smallest optimal action y*, the optimal value,
@@ -66,11 +72,13 @@ Plan = Tuple[Action, Fraction, Dict[Percept, "Plan"]]
 
 _ZERO = Fraction(0)
 
-# The most distinct (key, t) nodes one decision may solve.  A decision of
-# the tests or the pinned configs solves at most 127.  A model whose key
-# merges nothing solves one node per history, 2^m - 1 for lazy at lifetime
-# m, so lazy runs up to lifetime 15 and past it exits with a capacity error
-# instead of running for hours.
+# The most distinct (key, t) nodes one decision may solve, and all the
+# decisions of one ``planning_policy`` together.  A decision of the tests or
+# the pinned configs solves at most 127.  A model whose key merges nothing
+# solves one node per history, 2^m - 1 for lazy at lifetime m, so lazy runs
+# up to lifetime 15 and past it exits with a capacity error instead of
+# running for hours; a moving horizon that re-solves such a tree every cycle
+# exits the same way once the run has spent the budget.
 PLAN_MEMO_CAP = 2**15
 
 
@@ -81,6 +89,7 @@ def _plan(
     state: Any,
     actions: Optional[Sequence[Action]] = None,
     memo: Optional[Dict[Tuple[Hashable, int], Plan]] = None,
+    cap: int = PLAN_MEMO_CAP,
 ) -> Plan:
     """Expectimax from cycle t (history h, model state ``state``) to m_k over
     ``actions`` (all of them by default).  A later action replaces the best
@@ -92,7 +101,7 @@ def _plan(
     the model in equal states share one plan.  The top-level call creates
     it, and it is gone when the decision returns.  A node restricted to
     some ``actions`` is neither looked up nor stored.  Storing more than
-    ``PLAN_MEMO_CAP`` nodes raises ``CapacityError``."""
+    ``cap`` nodes raises ``CapacityError``."""
     if memo is None:
         memo = {}
     model, horizon = q.model, q.horizon
@@ -110,7 +119,9 @@ def _plan(
                 continue
             r = discounted_reward(horizon, t, x.reward)
             if not last:
-                plans[x] = sub = _plan(q, append_cycle(h, y, x), t + 1, child, memo=memo)
+                plans[x] = sub = _plan(
+                    q, append_cycle(h, y, x), t + 1, child, memo=memo, cap=cap
+                )
                 r += sub[1]
             if p != 1:
                 r *= p
@@ -118,9 +129,9 @@ def _plan(
         if best is None or v > best[1]:
             best = (y, v, plans)
     if actions is None:
-        if len(memo) >= PLAN_MEMO_CAP:
+        if len(memo) >= cap:
             raise CapacityError(
-                f"one decision solved more than {PLAN_MEMO_CAP} distinct belief states"
+                f"one decision solved more than {cap} distinct belief states"
             )
         memo[node] = best
     return best
@@ -162,16 +173,32 @@ def planning_policy(
     cycle is exactly one of them, so a call on that history and horizon end
     takes its decision from it; any other call solves afresh.  At most |X|
     plans are kept, with |X|^(m_k - k) leaves at most.
+
+    The decisions solved afresh share one budget of ``PLAN_MEMO_CAP`` nodes;
+    a decision taken from a kept plan costs nothing.  A decision that would
+    pass what is left of it raises ``CapacityError``.
     """
     values: Dict[int, Fraction] = {}
     carried: Dict[Tuple[History, int], Plan] = {}
+    spent = 0
 
     def policy(h: History) -> Action:
+        nonlocal spent
         k = len(h) + 1
         m_k = horizon_end(horizon, k, lifetime)
         plan = carried.get((h, m_k))
         if plan is None:
-            plan = _plan(ValueQuery(model, h, k, m_k, horizon), h, k, model.state(h))
+            q, memo = ValueQuery(model, h, k, m_k, horizon), {}
+            try:
+                plan = _plan(q, h, k, model.state(h), memo=memo, cap=PLAN_MEMO_CAP - spent)
+            except CapacityError:
+                if not spent:
+                    raise
+                raise CapacityError(
+                    f"the decisions up to cycle {k} solved more than {PLAN_MEMO_CAP} "
+                    "distinct belief states"
+                ) from None
+            spent += len(memo)
         y, values[k], plans = plan
         carried.clear()
         for x, sub in plans.items():

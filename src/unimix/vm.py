@@ -10,11 +10,10 @@ is incremental; the program counter restarts each cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .core import Action, Alphabet, History, Percept
+from .core import Action, Alphabet, History, Percept, Value, set_field
 
 # Opcodes: 3 bits each, followed by a fixed-width operand (possibly empty).
 OP_END = 0  # end of cycle / end of code
@@ -53,18 +52,22 @@ class DecodeError(ValueError):
     """Bit string does not decode to a valid END-terminated program."""
 
 
-@dataclass(frozen=True)
-class Instruction:
-    op: int
-    arg: int = 0
+class Instruction(Value):
+    __slots__ = ("op", "arg")
+
+    def __init__(self, op: int, arg: int = 0):
+        set_field(self, "op", op)
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Value):
     """Prefix-free bytecode; ``code`` is exactly the consumed bit prefix."""
 
-    code: tuple
-    instructions: tuple
+    __slots__ = ("code", "instructions")
+
+    def __init__(self, code: tuple, instructions: tuple):
+        set_field(self, "code", code)
+        set_field(self, "instructions", instructions)
 
     @property
     def length_bits(self) -> int:
@@ -167,15 +170,30 @@ def kraft_sum(pool: Iterable[Program]) -> Fraction:
     return sum((p.weight for p in pool), Fraction(0))
 
 
-@dataclass
 class MachineState:
     """Persistent per-program state: accumulator bank, tape, monotone cursors."""
 
-    registers: List[int] = field(default_factory=lambda: [0])
-    work_tape: dict = field(default_factory=dict)
-    head: int = 0
-    input_cursor: int = 0
-    output_count: int = 0
+    __slots__ = ("registers", "work_tape", "head", "input_cursor", "output_count")
+
+    def __init__(
+        self,
+        registers: Optional[List[int]] = None,
+        work_tape: Optional[dict] = None,
+        head: int = 0,
+        input_cursor: int = 0,
+        output_count: int = 0,
+    ):
+        self.registers = [0] if registers is None else registers
+        self.work_tape = {} if work_tape is None else work_tape
+        self.head = head
+        self.input_cursor = input_cursor
+        self.output_count = output_count
+
+    def __eq__(self, other):
+        # Mutable, so equal by value but unhashable.
+        if other.__class__ is self.__class__:
+            return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+        return NotImplemented
 
     def copy(self) -> "MachineState":
         return MachineState(
@@ -184,20 +202,22 @@ class MachineState:
         )
 
 
-@dataclass(frozen=True)
-class RunBudget:
-    steps_per_cycle: int
+class RunBudget(Value):
+    __slots__ = ("steps_per_cycle",)
 
-    def __post_init__(self):
-        if self.steps_per_cycle < 1:
+    def __init__(self, steps_per_cycle: int):
+        if steps_per_cycle < 1:
             raise ValueError("steps_per_cycle >= 1 required")
+        set_field(self, "steps_per_cycle", steps_per_cycle)
 
 
-@dataclass(frozen=True)
-class CycleResult:
-    outputs: tuple
-    steps_used: int
-    timed_out: bool
+class CycleResult(Value):
+    __slots__ = ("outputs", "steps_used", "timed_out")
+
+    def __init__(self, outputs: tuple, steps_used: int, timed_out: bool):
+        set_field(self, "outputs", outputs)
+        set_field(self, "steps_used", steps_used)
+        set_field(self, "timed_out", timed_out)
 
 
 def run_cycle(

@@ -226,7 +226,6 @@ class TestEmitReport:
             trace_csv="cycle,action,observation,reward,planner_value,posterior_top\n",
             manifest="",
             results="",
-            reports=[],
         )
         with pytest.raises(ValueError):
             emit_report(art)
@@ -394,6 +393,23 @@ class TestMain:
             f"capacity error: one decision solved more than {PLAN_MEMO_CAP} "
             "distinct belief states\n"
         )
+
+    def test_a_moving_horizon_past_the_run_budget_exits_2(self, tmp_path, capsys):
+        # Each decision solves 2^13 - 1 nodes afresh; the fifth passes the budget.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("scenario=lazy\nagent=informed\nlifetime=64\nhorizon=moving:13\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_CAPACITY
+        assert capsys.readouterr().err == (
+            f"capacity error: the decisions up to cycle 5 solved more than "
+            f"{PLAN_MEMO_CAP} distinct belief states\n"
+        )
+
+    def test_a_fixed_horizon_decision_just_under_the_memo_cap_runs(self, tmp_path, capsys):
+        # 2^15 - 1 nodes in the first decision; the other 14 are carried.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("scenario=lazy\nagent=informed\nlifetime=15\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert "cycles=15" in capsys.readouterr().out
 
     def test_strict_bound_failure_exits_3(self, monkeypatch, capsys):
         failing = [BoundReport(Fraction(2), Fraction(1), False, "synthetic")]

@@ -1,6 +1,10 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and the
+command-line entry point imports no code-generation machinery."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,25 @@ def test_no_unused_imports(path):
         if name not in used
     ]
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+def test_importing_the_cli_loads_no_code_generation_modules():
+    # dataclasses builds methods from source text through these modules; at
+    # start-up they cost more than a typical run.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import unimix.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    loaded = set(out.split())
+    assert "unimix.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unimix import planner
 from unimix.core import (
     Alphabet,
+    CapacityError,
     EMPTY_HISTORY,
     FixedHorizon,
     GeometricDiscount,
@@ -22,6 +24,7 @@ from unimix.domains import (
     ProductEpisodeModel,
     make_fm_env,
     make_heavenhell,
+    make_lazy,
     make_onlyone,
     make_sp_env,
     uniform_function_class,
@@ -468,3 +471,31 @@ class TestFunctionalValue:
         assert fp(EMPTY_HISTORY) == 1
         v = policy_value_functional(echo, pool12, 2, 3, h, budget, binary_alphabet)
         assert v >= 0  # defined despite any past inconsistency
+
+
+# lazy merges no histories, so a decision to m_k solves 2^(m_k - k + 1) - 1 nodes.
+
+
+def test_the_decisions_of_one_policy_share_the_memo_cap(monkeypatch):
+    monkeypatch.setattr(planner, "PLAN_MEMO_CAP", 40)
+    env = make_lazy(8)
+    policy = planning_policy(env, MovingHorizon(4), 8)
+    # 15 nodes a decision: cycles 1 and 2 spend 30, cycle 3 passes 40.
+    with pytest.raises(CapacityError, match="the decisions up to cycle 3 solved more than 40 "):
+        run_interaction(policy, env, 8)
+    assert sorted(policy.values) == [1, 2]
+
+
+def test_decisions_taken_from_a_kept_plan_cost_nothing(monkeypatch):
+    # Cycle 1 solves 2^5 - 1 = 31 nodes, cycles 2-5 take theirs from its plan,
+    # and cycles 6-8 (m_k = k) solve one node each: 34 in all.
+    env = make_lazy(8)
+    monkeypatch.setattr(planner, "PLAN_MEMO_CAP", 34)
+    h = run_interaction(planning_policy(env, FixedHorizon(5), 8), env, 8)
+    assert len(h) == 8
+    monkeypatch.setattr(planner, "PLAN_MEMO_CAP", 33)
+    with pytest.raises(CapacityError, match="the decisions up to cycle 8 solved more than 33 "):
+        run_interaction(planning_policy(env, FixedHorizon(5), 8), env, 8)
+    monkeypatch.setattr(planner, "PLAN_MEMO_CAP", 30)
+    with pytest.raises(CapacityError, match="one decision solved more than 30 "):
+        run_interaction(planning_policy(env, FixedHorizon(5), 8), env, 8)
