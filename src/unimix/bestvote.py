@@ -26,7 +26,6 @@ from .core import (
 )
 from .models import ChronologicalModel, UndefinedConditionalError
 from .planner import (
-    EnvNode,
     Envs,
     dominance_walk,
     env_node,
@@ -319,14 +318,15 @@ def run_best_vote(
     horizon: Optional[HorizonPolicy] = None,
     seed: int = 0,
     extra_candidates: Sequence[ExtendedCandidate] = (),
-    leaders: Optional[List[Optional[Program]]] = None,
+    leaders: Optional[List[Optional[str]]] = None,
 ) -> Tuple[History, List[SelectionRow]]:
     """Full best-vote run with the pool's programs as both the candidates and
     the environment pool: interact with env for `lifetime` cycles.  The
     consistent-environment tree is carried from cycle to cycle.
 
-    ``leaders``, when given, gets the posterior leader before each cycle
-    (``EnvNode.top`` of the tree's node), None once no program is left."""
+    ``leaders``, when given, gets the label of the posterior leader before
+    each cycle (``MixtureNode.top`` of the tree's node), None once no
+    program is left."""
     candidates = [ExtendedCandidate.from_program(p) for p in pool] + [
         c.fresh() for c in extra_candidates
     ]
@@ -335,7 +335,7 @@ def run_best_vote(
     rng = random.Random(seed)
     h = EMPTY_HISTORY
     log: List[SelectionRow] = []
-    node = EnvNode.root(pool, budget, alphabet)
+    node = env_node(pool, h, budget, alphabet)
     for k in range(1, lifetime + 1):
         m_k = horizon_end(hpol, k, lifetime)
         if leaders is not None:
@@ -343,7 +343,7 @@ def run_best_vote(
         y, rows = best_vote_cycle(candidates, h, node, budget, alphabet, m_k, horizon)
         log.extend(rows)
         x = sample_percept(rng, env.cond_map(h, y), alphabet)
-        node = node.child(y, x)
+        node = node.child(h, y, x)
         h = append_cycle(h, y, x)
     return h, log
 

@@ -49,12 +49,15 @@ from .planner import (
     program_policy,
     run_interaction,
 )
-from .vm import DecodeError, Program, RunBudget, enumerate_programs, kraft_sum
+from .vm import DecodeError, Program, RunBudget, decode, enumerate_programs, kraft_sum
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CAPACITY = 2
 EXIT_BOUND = 3
+
+# The largest config seed, and of run --seed.
+SEED_MAX = 2**31
 
 # The largest --l of verify and enumerate.  The pool of 18 bits (8,721
 # programs) is listed in under a second; it roughly triples every two bits.
@@ -206,7 +209,7 @@ def parse_config(text: str) -> ScenarioConfig:
     lifetime = to_int("lifetime", lifetime_s, 1, 64)
     l_max = to_int("l", l_s, 1, 12)
     steps = to_int("t", t_s, 1, 4096)
-    seed = to_int("seed", seed_s, 0, 2**31)
+    seed = to_int("seed", seed_s, 0, SEED_MAX)
 
     if horizon_s:
         try:
@@ -331,13 +334,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     # without a mixture.
     if cfg.agent == "best-vote":
         pool = enumerate_programs(cfg.l_max)
-        leaders: List[Optional[Program]] = []
+        leaders: List[Optional[str]] = []
         h, log = run_best_vote(
             pool, budget, env, cfg.lifetime, cfg.horizon, cfg.seed, leaders=leaders
         )
         selection_csv = selection_log_csv(log)
         model = None
-        tops = ["" if q is None else q.to_hex() for q in leaders]
+        tops = [top or "" for top in leaders]
     else:
         with _input_errors(f"agent={cfg.agent}"):
             policy, model, mixture = _build_agent(cfg, env)
@@ -354,9 +357,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         if mixture is None:
             tops = [""] * len(h)
         else:
-            # The state before each cycle, carried one cycle at a time.
-            states = mixture.states(History(h.cycles[:-1]))
-            tops = [mixture.top(s) or "" for s in states]
+            # The node before each cycle, carried one cycle at a time.
+            nodes = mixture.states(History(h.cycles[:-1]))
+            tops = [node.top() or "" for node in nodes]
 
     rows = ["cycle,action,observation,reward,planner_value,posterior_top"]
     for k, ((y, x), top) in enumerate(zip(h.cycles, tops), start=1):
@@ -394,8 +397,6 @@ def emit_report(art: RunArtifacts) -> str:
 
 
 def verify_invariants(l_max: int) -> List[BoundReport]:
-    from .vm import decode
-
     reports: List[BoundReport] = []
     pool = enumerate_programs(l_max)
     ks = kraft_sum(pool)
@@ -428,8 +429,17 @@ def verify_invariants(l_max: int) -> List[BoundReport]:
 # --- argparse wiring ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, like any other invalid input; argparse's own
+    code, 2, is the capacity-error exit."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="unimix", description="universal-mixture agent scenario runner"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -473,8 +483,11 @@ def _dispatch(args) -> int:
         if args.l_max > L_CAP:
             raise CapacityError(f"--l {args.l_max} exceeds the pool cap of {L_CAP} bits")
     if args.command == "run":
-        cfg = load_config(args.config)
+        with _input_errors("--config"):
+            cfg = load_config(args.config)
         if args.seed is not None:
+            if not 0 <= args.seed <= SEED_MAX:
+                raise ValidationError([f"--seed={args.seed} outside [0, {SEED_MAX}]"])
             cfg.seed = args.seed
         art = run_scenario(cfg)
         if args.out:

@@ -57,7 +57,7 @@ def make_sp_env(mu_sp: Dict[Tuple[int, ...], Fraction]) -> MixtureModel:
         for z, p in sorted(mu_sp.items())
         if p > 0
     ]
-    return MixtureModel(components, alphabet, mode="semimeasure-class")
+    return MixtureModel(components, alphabet)
 
 
 def sp_argmax(env: MixtureModel, h: History) -> int:
@@ -307,7 +307,7 @@ def make_fm_env(c: FunctionClassSpec) -> MixtureModel:
     components = [
         (f"f:{''.join(map(str, f))}", p, f_env(f)) for f, p in c.prior if p > 0
     ]
-    return MixtureModel(components, alphabet, mode="semimeasure-class")
+    return MixtureModel(components, alphabet)
 
 
 def fm_expected_z(
@@ -405,7 +405,7 @@ def make_relation_mixture(
     if any(e.alphabet != alphabet for e, _ in envs):
         raise ValueError("all relation environments must share an alphabet")
     components = [(f"R{i}", w, e) for i, (e, w) in enumerate(envs)]
-    return MixtureModel(components, alphabet, mode="semimeasure-class")
+    return MixtureModel(components, alphabet)
 
 
 class ProductEpisodeModel(ChronologicalModel):

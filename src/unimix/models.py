@@ -71,7 +71,7 @@ class ChronologicalModel:
 
     def base_mass(self) -> Fraction:
         """Mass of the empty history (1 for proper measures)."""
-        return Fraction(1)
+        return _ONE
 
     def joint(self, h: History) -> Fraction:
         """Chain-rule joint of a complete history."""
@@ -289,6 +289,8 @@ class ProgramEnv(ChronologicalModel):
         self.alphabet = alphabet
 
     def state(self, h: History) -> Optional[MachineState]:
+        if not h.cycles:  # every mixture's root, one per program
+            return MachineState()
         _, ok, s = replay_env(self.program, h.actions(), self.budget, self.alphabet)
         return s if ok else None
 
@@ -338,44 +340,104 @@ class PosteriorState:
         return self.labels[best]
 
 
+class MixtureNode:
+    """A node of a mixture's consistent-environment tree.
+
+    It holds the components that give the history leading to it positive
+    mass, as ``survivors``: ``(index, mass, component state)`` with the mass
+    scaled as in ``MixtureModel``, and their total ``mass``.  ``step(h, y)``,
+    h the node's history, steps every survivor once on action y, once per
+    action: the survivors split into children by the percept they emit, and
+    a component that gives the percept no mass drops out.  Any number of
+    walks can share the tree.
+    """
+
+    __slots__ = ("mixture", "survivors", "mass", "_children")
+
+    def __init__(self, mixture: "MixtureModel", survivors: tuple):
+        self.mixture = mixture
+        self.survivors = survivors
+        self.mass = sum(mass for _, mass, _ in survivors)
+        self._children: Dict[Action, Dict[Percept, "MixtureNode"]] = {}
+
+    def __eq__(self, other):
+        # By value, as the tuple states before it were: a nested mixture's
+        # survivors hold its component's nodes.
+        if other.__class__ is self.__class__:
+            return self.survivors == other.survivors
+        return NotImplemented
+
+    def step(self, h: History, y: Action) -> Dict[Percept, "MixtureNode"]:
+        children = self._children.get(y)
+        if children is None:
+            children = self._children[y] = self.split(h, y)
+        return children
+
+    def split(self, h: History, y: Action) -> Dict[Percept, "MixtureNode"]:
+        """``step(h, y)`` without keeping the children: for a walk that asks
+        each node once per action, such as the expectimax, whose memo
+        already solves each belief state once.  The node then holds no
+        subtree, so the walk frees each child once it is solved."""
+        comps = self.mixture.components
+        split: Dict[Percept, list] = {}
+        for i, mass, s in self.survivors:
+            for x, (p, child) in comps[i][2].step(s, h, y).items():
+                if p:
+                    split.setdefault(x, []).append((i, mass if p == 1 else mass * p, child))
+        return {x: MixtureNode(self.mixture, tuple(v)) for x, v in split.items()}
+
+    def child(self, h: History, y: Action, x: Percept) -> "MixtureNode":
+        """The node one cycle (y, x) on; empty if no survivor emits x."""
+        return self.step(h, y).get(x) or MixtureNode(self.mixture, ())
+
+    def top(self) -> Optional[str]:
+        """Label of the heaviest survivor, the lowest index on ties (the
+        ``posterior(mixture, h).top()`` of the node's history h); None if
+        there is no survivor."""
+        if not self.survivors:
+            return None
+        best = max(self.survivors, key=lambda s: (s[1], -s[0]))
+        return self.mixture.components[best[0]][0]
+
+
 class MixtureModel(ChronologicalModel):
     """Weighted mixture of component models; the computable stand-in for xi.
 
-    ``mode`` is "program-class" (weights 2^-length over enumerated programs)
-    or "semimeasure-class" (arbitrary weights summing to <= 1).
+    The weights are positive and sum to <= 1: 2^-length over an enumerated
+    program pool (``build_mixture``), or any such semimeasure-class weights.
 
-    The state after a history h is the tuple of surviving components
-    ``(index, mass, component state)``, where mass is weight * component
-    joint of h times ``_scale``, the lcm of the root masses' denominators
-    (2^l_max for a program class).  So the masses of deterministic components
-    stay integers, and they sum to the mixture joint of h times ``_scale``.
-    ``step`` steps each survivor one cycle, so a planner that carries the
-    state never replays a history.
+    The state after a history h is the consistent-environment tree's node
+    after h (``MixtureNode``), a fresh tree per ``state`` call; ``step``
+    splits it without keeping the children.  A survivor's mass is weight *
+    component joint of h times ``_scale``, the lcm of the root masses'
+    denominators (2^l_max for a program class).  So the masses of
+    deterministic components stay integers, and they sum to the mixture
+    joint of h times ``_scale``.  ``step`` steps each survivor one cycle, so
+    a planner that carries the state never replays a history.
     """
 
     def __init__(
         self,
         components: Sequence[Tuple[str, Fraction, ChronologicalModel]],
         alphabet: Alphabet,
-        mode: str = "semimeasure-class",
     ):
         if not components:
             raise ValueError("mixture needs at least one component")
-        if mode not in ("program-class", "semimeasure-class"):
-            raise ValueError(f"unknown mixture mode {mode!r}")
-        weights = [Fraction(w) for _, w, _ in components]
-        if any(w <= 0 for w in weights):
+        self.components = tuple(components)
+        weights = [w for _, w, _ in self.components]
+        # Checked on integers: a Fraction sum over a large pool costs more.
+        if any(w.numerator <= 0 for w in weights):
             raise ValueError("component weights must be positive")
-        if sum(weights) > 1:
+        d = math.lcm(*(w.denominator for w in weights))
+        if sum(w.numerator * (d // w.denominator) for w in weights) > d:
             raise ValueError("component weights must sum to <= 1")
-        self.components = tuple(
-            (label, Fraction(w), m) for (label, w, m) in components
-        )
         self.alphabet = alphabet
-        self.mode = mode
         # A component's mass starts at its weight times its own base mass,
         # which is not 1 when the component is itself a mixture.
-        masses = [w * m.base_mass() for _, w, m in self.components]
+        masses = []
+        for _, w, m in self.components:
+            b = m.base_mass()
+            masses.append(w if b == 1 else w * b)
         self._scale = math.lcm(*(r.denominator for r in masses))
         self._root = tuple(
             (i, r.numerator * (self._scale // r.denominator), m.state(EMPTY_HISTORY))
@@ -385,68 +447,48 @@ class MixtureModel(ChronologicalModel):
     def base_mass(self) -> Fraction:
         return sum((w for _, w, _ in self.components), Fraction(0))
 
-    def state(self, h: History) -> tuple:
+    def state(self, h: History) -> MixtureNode:
         if h.pending_action is not None:
             raise ValueError("mixture state of a history with a pending action")
-        *_, state = self.states(h)
-        return state
+        *_, node = self.states(h)
+        return node
 
-    def states(self, h: History) -> Iterator[tuple]:
-        """The state after each prefix of h, the empty one first: one
-        survivor step per cycle, and ``()`` once no component is left."""
-        state = self._root
-        yield state
+    def states(self, h: History) -> Iterator[MixtureNode]:
+        """The node after each prefix of h, the empty one first: one
+        survivor step per cycle, on one fresh tree."""
+        node = MixtureNode(self, self._root)
+        yield node
         ctx = EMPTY_HISTORY
         for y, x in h.cycles:
-            if state:
-                state = self._children(state, ctx, y).get(x, ())
-                ctx = append_cycle(ctx, y, x)
-            yield state
+            node = node.child(ctx, y, x)
+            ctx = append_cycle(ctx, y, x)
+            yield node
 
-    def top(self, state: tuple) -> Optional[str]:
-        """Label of the heaviest survivor in ``state``, the lowest index on
-        ties (``posterior(self, h).top()`` for the state after h); None if
-        there is no survivor."""
-        if not state:
-            return None
-        return self.components[max(state, key=lambda s: (s[1], -s[0]))[0]][0]
-
-    def _children(self, state: tuple, h: History, y: Action) -> Dict[Percept, tuple]:
-        """Survivors after each next percept, with their masses updated."""
-        out: Dict[Percept, list] = {}
-        for i, mass, s in state:
-            for x, (p, child) in self.components[i][2].step(s, h, y).items():
-                if p:
-                    out.setdefault(x, []).append((i, mass if p == 1 else mass * p, child))
-        return {x: tuple(survivors) for x, survivors in out.items()}
-
-    def step(self, state: tuple, h: History, y: Action) -> Dict[Percept, Tuple[Fraction, tuple]]:
-        total = _mass(state)
+    def step(
+        self, state: MixtureNode, h: History, y: Action
+    ) -> Dict[Percept, Tuple[Fraction, MixtureNode]]:
+        total = state.mass
         if total == 0:
             raise UndefinedConditionalError(
                 "mixture conditional on a zero-mass history"
             )
-        children = self._children(state, h, y)
+        children = state.split(h, y)
         return {
-            x: (Fraction(_mass(children[x]), total), children[x])
+            x: (Fraction(children[x].mass, total), children[x])
             for x in self.alphabet.percepts()
             if x in children
         }
 
-    def key(self, state: tuple, h: History) -> Hashable:
+    def key(self, state: MixtureNode, h: History) -> Hashable:
         """The survivors' indices, masses and component keys."""
         comps = self.components
-        return tuple((i, mass, comps[i][2].key(s, h)) for i, mass, s in state)
+        return tuple((i, mass, comps[i][2].key(s, h)) for i, mass, s in state.survivors)
 
     def joint(self, h: History) -> Fraction:
-        return Fraction(_mass(self.state(h)), self._scale)
+        return Fraction(self.state(h).mass, self._scale)
 
     def cond_map(self, h: History, y: Action) -> Dict[Percept, Fraction]:
         return {x: p for x, (p, _) in self.step(self.state(h), h, y).items()}
-
-
-def _mass(state: tuple) -> int | Fraction:
-    return sum(mass for _, mass, _ in state)
 
 
 def build_mixture(
@@ -458,16 +500,16 @@ def build_mixture(
     components = [
         (q.to_hex(), q.weight, ProgramEnv(q, budget, alphabet)) for q in pool
     ]
-    return MixtureModel(components, alphabet, mode="program-class")
+    return MixtureModel(components, alphabet)
 
 
 def posterior(m: MixtureModel, h: History) -> PosteriorState:
     """Unnormalized component masses weight * component-joint on h."""
-    state = m.state(h)
-    if _mass(state) == 0:
+    node = m.state(h)
+    if node.mass == 0:
         raise UndefinedConditionalError("posterior on a zero-mass history")
     masses = [Fraction(0)] * len(m.components)
-    for i, mass, _ in state:
+    for i, mass, _ in node.survivors:
         masses[i] = Fraction(mass, m._scale)
     return PosteriorState(
         tuple(label for label, _, _ in m.components),

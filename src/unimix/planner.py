@@ -5,8 +5,8 @@ percepts recursion with induction start V = 0 beyond the horizon.  Values of
 fixed policies come in two equivalent forms: the iterative expectation under a
 model's conditionals, and the functional weighted average of deterministic
 rollouts over the environment programs consistent with the history, walked
-on one consistent-environment tree (``EnvNode``) that any number of policies
-can share.
+on the program mixture's consistent-environment tree (``MixtureNode``), which
+any number of policies can share.
 """
 
 from __future__ import annotations
@@ -29,8 +29,14 @@ from .core import (
     discounted_reward,
     horizon_end,
 )
-from .models import ChronologicalModel, UndefinedConditionalError, expected_sum
-from .vm import MachineState, Program, RunBudget, env_cycle, policy_cycle
+from .models import (
+    ChronologicalModel,
+    MixtureNode,
+    UndefinedConditionalError,
+    build_mixture,
+    expected_sum,
+)
+from .vm import MachineState, Program, RunBudget, policy_cycle
 
 # A policy oracle is any pure function from a complete history to an action.
 PolicyOracle = Callable[[History], Action]
@@ -210,22 +216,13 @@ def planning_policy(
 
 
 def program_policy(p: Program, budget: RunBudget, alphabet) -> PolicyOracle:
-    """A bytecode program as a policy oracle, replayed from scratch per call.
+    """A bytecode program as a policy oracle: a fresh ``ProgramStepper`` fed
+    the history on every call.
 
     Historical actions are taken from the history itself (the program's own
     past outputs are discarded), so the oracle is defined on any history.
     """
-
-    def policy(h: History) -> Action:
-        s = MachineState()
-        percepts = h.percepts()
-        action = 0
-        for t in range(len(percepts) + 1):
-            x_prev = percepts[t - 1] if t > 0 else None
-            action, s, _, _ = policy_cycle(p, s, x_prev, budget, alphabet)
-        return action
-
-    return policy
+    return lambda h: _fed(ProgramStepper(p, budget, alphabet), h)
 
 
 def forced_policy(p: Program, h0: History, budget: RunBudget, alphabet) -> PolicyOracle:
@@ -322,78 +319,17 @@ def policy_value_iterative(
     return expected_sum(rho, p, score, m, h)
 
 
-class EnvNode:
-    """A node of the consistent-environment tree.
-
-    It holds the environment programs that reproduce the history leading to
-    it, each with its weight and its machine state after that history, and
-    their total weight (``mass``).  ``step(y)`` runs every survivor one cycle
-    on action y, on a copy of its state, once per action: the survivors split
-    into children by the percept they emit, and a program that times out
-    drops out.  Any number of walks can share the tree.
-    """
-
-    __slots__ = ("survivors", "mass", "budget", "alphabet", "_children")
-
-    def __init__(
-        self,
-        survivors: Sequence[Tuple[Program, Fraction, MachineState]],
-        budget: RunBudget,
-        alphabet,
-    ):
-        self.survivors = tuple(survivors)
-        self.mass = sum((w for _, w, _ in self.survivors), Fraction(0))
-        self.budget = budget
-        self.alphabet = alphabet
-        self._children: Dict[Action, Dict[Percept, "EnvNode"]] = {}
-
-    @classmethod
-    def root(cls, pool: Sequence[Program], budget: RunBudget, alphabet) -> "EnvNode":
-        """The node of the empty history: the whole pool, weighted 2^-length."""
-        return cls([(q, q.weight, MachineState()) for q in pool], budget, alphabet)
-
-    def step(self, y: Action) -> Dict[Percept, "EnvNode"]:
-        children = self._children.get(y)
-        if children is None:
-            split: Dict[Percept, list] = {}
-            for q, w, s in self.survivors:
-                s = s.copy()
-                x, _, _, timed_out = env_cycle(q, s, y, self.budget, self.alphabet)
-                if not timed_out:
-                    split.setdefault(x, []).append((q, w, s))
-            children = {x: EnvNode(v, self.budget, self.alphabet) for x, v in split.items()}
-            self._children[y] = children
-        return children
-
-    def child(self, y: Action, x: Percept) -> "EnvNode":
-        """The node one cycle (y, x) on; empty if no survivor emits x."""
-        return self.step(y).get(x) or EnvNode((), self.budget, self.alphabet)
-
-    def top(self) -> Optional[Program]:
-        """The first survivor, in pool order, of largest weight: the leader
-        of the posterior over the pool after the node's history.  None if
-        there is no survivor."""
-        best = max(self.survivors, key=lambda s: s[1], default=None)
-        return None if best is None else best[0]
-
-    def after(self, h: History) -> "EnvNode":
-        """The node reached by h's cycles; empty if no survivor reproduces h."""
-        node = self
-        for y, x in h.cycles:
-            node = node.child(y, x)
-        return node
-
-
 # A program pool, or the consistent-environment tree's node after the history.
-Envs = Union[Sequence[Program], EnvNode]
+Envs = Union[Sequence[Program], MixtureNode]
 
 
-def env_node(envs: Envs, h: History, budget: RunBudget, alphabet) -> EnvNode:
+def env_node(envs: Envs, h: History, budget: RunBudget, alphabet) -> MixtureNode:
     """The consistent-environment tree's node after h: a node is taken as it
-    is (it must be the node after h), a pool is rooted and walked down h."""
-    if isinstance(envs, EnvNode):
+    is (it must be the node after h), a pool is rooted as its program-class
+    mixture and walked down h."""
+    if isinstance(envs, MixtureNode):
         return envs
-    return EnvNode.root(envs, budget, alphabet).after(h)
+    return build_mixture(envs, budget, alphabet).state(h)
 
 
 class PolicyStepper(Protocol):
@@ -422,8 +358,16 @@ class ProgramStepper:
         return ProgramStepper(self.p, self.budget, self.alphabet, self.state.copy())
 
 
+def _fed(act: PolicyStepper, h: History) -> Action:
+    """Call a stepper that has seen no history on each prefix of h and then
+    on h; its action at h."""
+    for i in range(len(h)):
+        act(History(h.cycles[:i]))
+    return act(h)
+
+
 def functional_value(
-    node: EnvNode,
+    node: MixtureNode,
     y: Action,
     act: PolicyStepper,
     k: int,
@@ -447,9 +391,9 @@ def functional_value(
     if not node.survivors:
         raise UndefinedConditionalError("no pool program is consistent with the history")
 
-    def walk(node: EnvNode, y: Action, act: PolicyStepper, t: int, h: History) -> Fraction:
+    def walk(node: MixtureNode, y: Action, act: PolicyStepper, t: int, h: History) -> Fraction:
         total = Fraction(0)
-        children = node.step(y)
+        children = node.step(h, y)
         last = len(children) - 1
         for i, (x, child) in enumerate(children.items()):
             total += child.mass * discounted_reward(horizon, t, x.reward)
@@ -481,10 +425,9 @@ def policy_value_functional(
     ``envs`` is a program pool or the consistent-environment tree's node after h.
     """
     act = ProgramStepper(p, budget, alphabet)
-    for i in range(len(h)):
-        act(History(h.cycles[:i]))
+    y = _fed(act, h)
     node = env_node(envs, h, budget, alphabet)
-    return functional_value(node, act(h), act, k, m, h, horizon)
+    return functional_value(node, y, act, k, m, h, horizon)
 
 
 def dominance_walk(

@@ -63,11 +63,14 @@ class Instruction(Value):
 class Program(Value):
     """Prefix-free bytecode; ``code`` is exactly the consumed bit prefix."""
 
-    __slots__ = ("code", "instructions")
+    __slots__ = ("code", "instructions", "_hex")
 
     def __init__(self, code: tuple, instructions: tuple):
         set_field(self, "code", code)
         set_field(self, "instructions", instructions)
+        # A program's hex is both its best-vote candidate label and its
+        # mixture component label: made once, on first use.
+        set_field(self, "_hex", None)
 
     @property
     def length_bits(self) -> int:
@@ -78,11 +81,13 @@ class Program(Value):
         return Fraction(1, 2 ** self.length_bits)
 
     def to_hex(self) -> str:
-        # length prefix keeps trailing zero bits unambiguous
-        n = len(self.code)
-        value = int("".join(map(str, self.code)), 2) if n else 0
-        width = max(1, (n + 3) // 4)
-        return f"{n}:{value:0{width}x}"
+        if self._hex is None:
+            # length prefix keeps trailing zero bits unambiguous
+            n = len(self.code)
+            value = int("".join(map(str, self.code)), 2) if n else 0
+            width = max(1, (n + 3) // 4)
+            set_field(self, "_hex", f"{n}:{value:0{width}x}")
+        return self._hex
 
     @classmethod
     def from_hex(cls, text: str) -> "Program":

@@ -383,7 +383,7 @@ def test_criterion_13_mixture_agent_is_pareto_undominated():
         envs = [random_tabular(a, 3, random.Random(10 * seed + i)) for i in range(size)]
         w = F(1, size)
         mix = MixtureModel(
-            [(f"e{i}", w, e) for i, e in enumerate(envs)], a, mode="semimeasure-class"
+            [(f"e{i}", w, e) for i, e in enumerate(envs)], a
         )
         policy = planning_policy(mix, FixedHorizon(3), 3)
         assert pareto_check(policy, envs, 3)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unimix import bestvote
+from unimix import bestvote, vm
 from unimix.bestvote import (
     Claim,
     ExtendedCandidate,
@@ -35,7 +35,7 @@ from unimix.core import (
 )
 from unimix.domains import make_heavenhell
 from unimix.models import UndefinedConditionalError, build_mixture, posterior
-from unimix.planner import EnvNode, functional_value, policy_value_functional
+from unimix.planner import env_node, functional_value, policy_value_functional
 from unimix.vm import (
     MachineState,
     RunBudget,
@@ -328,7 +328,7 @@ def test_tree_walk_equals_per_environment_rollouts_for_programs(case, p):
     live = c.fresh()
     for i in range(k):
         run_candidate_cycle(live, History(h.cycles[:i]), budget, a)
-    node = EnvNode.root(pool, budget, a).after(h)
+    node = env_node(pool, h, budget, a)
     values = (
         (new_candidate, lambda: candidate_value(c, pool, k, m, h, budget, a, horizon)),
         (new_candidate, lambda: candidate_value(live, node, k, m, h, budget, a, horizon)),
@@ -380,7 +380,7 @@ def test_bound_decided_validity_equals_the_walked_comparison(case, p, data):
     ]
     if v is not None:
         claims += [v, v + F(1, 2**20)]
-    node = EnvNode.root(pool, budget, a).after(h)
+    node = env_node(pool, h, budget, a)
     for w in claims:
         expected = v is not None and w <= v
         for envs in (pool, node):
@@ -392,9 +392,9 @@ def test_bound_decided_validity_equals_the_walked_comparison(case, p, data):
 def test_the_tree_leader_is_the_posterior_leader(case):
     a, pool, budget, _, _, _, h, _ = case
     mixture = build_mixture(pool, budget, a)
-    top = EnvNode.root(pool, budget, a).after(h).top()
+    top = env_node(pool, h, budget, a).top()
     if mixture.joint(h) > 0:
-        assert top.to_hex() == posterior(mixture, h).top()
+        assert top == posterior(mixture, h).top()
     else:
         assert top is None
 
@@ -402,12 +402,13 @@ def test_the_tree_leader_is_the_posterior_leader(case):
 def test_the_tree_leader_is_the_first_of_tied_heaviest_survivors(binary_alphabet, budget):
     pool = enumerate_programs(9)
     h = append_cycle(EMPTY_HISTORY, 1, Percept(F(1), 0))
-    node = EnvNode.root(pool, budget, binary_alphabet).after(h)
-    assert [(q.to_hex(), w) for q, w, _ in node.survivors] == [
+    node = env_node(pool, h, budget, binary_alphabet)
+    comps, scale = node.mixture.components, node.mixture._scale
+    assert [(comps[i][0], F(mass, scale)) for i, mass, _ in node.survivors] == [
         ("9:088", F(1, 512)), ("9:188", F(1, 512))
     ]
     mixture = build_mixture(pool, budget, binary_alphabet)
-    assert node.top().to_hex() == posterior(mixture, h).top() == "9:088"
+    assert node.top() == posterior(mixture, h).top() == "9:088"
 
 
 def test_a_candidate_run_past_cycle_k_cannot_be_validated(binary_alphabet, budget, pool6):
@@ -438,21 +439,43 @@ def test_a_best_vote_run_walks_only_claims_inside_the_value_bounds(config_seed, 
     assert 0 < len(walks) <= 8
 
 
+@pytest.mark.parametrize("config_seed", [0, 1])
+def test_a_best_vote_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeypatch):
+    # Every VM cycle of the run: candidates' claims and environment steps on
+    # the shared tree.  A tree that stepped a node twice, or was not shared
+    # by the candidates' walks, would make more.
+    calls = []
+    run_cycle = vm.run_cycle
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return run_cycle(*args, **kwargs)
+
+    monkeypatch.setattr(vm, "run_cycle", counting)
+    monkeypatch.setattr(bestvote, "run_cycle", counting)
+    cfg = parse_config(
+        "scenario=heavenhell\nagent=best-vote\nl=11\nlifetime=2\n"
+        f"seed={config_seed}\ni={config_seed % 2}\n"
+    )
+    run_scenario(cfg)
+    assert len(calls) == 513
+
+
 def test_a_carried_tree_equals_one_rebuilt_after_the_history(budget, pool8):
     a = ALPHABETS[1]
     c = ExtendedCandidate.from_program(decode(bits(IN, OUT, OUT, END)))  # plays its observation
-    root = EnvNode.root(pool8, budget, a)
+    root = env_node(pool8, EMPTY_HISTORY, budget, a)
     carried = root
     h = EMPTY_HISTORY
     for y in (1, 2):
         # expand the node the way a best-vote cycle does, then move down
         candidate_value(c, carried, len(h) + 1, 3, h, budget, a)
-        x = next(iter(carried.step(y)))
-        carried = carried.child(y, x)
+        x = next(iter(carried.step(h, y)))
+        carried = carried.child(h, y, x)
         h = append_cycle(h, y, x)
-    rebuilt = EnvNode.root(pool8, budget, a).after(h)
+    rebuilt = env_node(pool8, h, budget, a)
     assert carried.survivors == rebuilt.survivors
-    assert [q for q, _, _ in rebuilt.survivors] == consistent_envs(pool8, h, budget, a)
+    assert [pool8[i] for i, _, _ in rebuilt.survivors] == consistent_envs(pool8, h, budget, a)
     assert carried.mass == rebuilt.mass > 0
     assert candidate_value(c, carried, 3, 3, h, budget, a) == candidate_value(
         c, rebuilt, 3, 3, h, budget, a

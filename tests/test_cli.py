@@ -313,6 +313,39 @@ class TestMain:
             assert f"validation error: unknown key {key!r}" in err
         assert err.count("validation error:") == 3
 
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_an_unreadable_config_exits_1_without_a_traceback(self, where, tmp_path, capsys):
+        path = tmp_path / "no-such-cfg.txt" if where == "missing" else tmp_path
+        assert main(["run", "--config", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: --config: ")
+        assert str(path) in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", ["-5", str(2**31 + 1)])
+    def test_a_seed_flag_out_of_range_exits_1(self, seed, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(HEAVEN)
+        out = tmp_path / "out"
+        args = ["run", "--config", str(cfg), "--out", str(out), "--seed", seed]
+        assert main(args) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"validation error: --seed={seed} outside [0, {2**31}]\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["run"], ["run", "--config"], ["run", "--seed", "x"]],
+        ids=["no-command", "no-config", "config-without-path", "seed-not-int"],
+    )
+    def test_a_usage_error_prints_the_usage_and_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("usage: unimix")
+        assert "error: " in err
+
     def test_the_threads_flag_is_gone(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(HEAVEN)

@@ -110,6 +110,30 @@ def test_chain_rule_for_every_model_kind(binary_alphabet, budget, pool8):
             assert joint_prob(m, h) == prod
 
 
+def test_a_node_keeps_what_it_steps_and_not_what_it_splits(
+    binary_alphabet, budget, pool8, monkeypatch
+):
+    steps = []
+    program_step = ProgramEnv.step
+
+    def counting(self, *args):
+        steps.append(self)
+        return program_step(self, *args)
+
+    monkeypatch.setattr(ProgramEnv, "step", counting)
+    m = build_mixture(pool8, budget, binary_alphabet)
+    node = m.state(EMPTY_HISTORY)
+    n = len(node.survivors)
+    m.step(node, EMPTY_HISTORY, 0)  # the expectimax's split keeps no children
+    node.split(EMPTY_HISTORY, 0)
+    assert len(steps) == 2 * n
+    children = node.step(EMPTY_HISTORY, 0)  # a shared walk's step keeps them
+    assert node.step(EMPTY_HISTORY, 0) is children
+    x = next(iter(children))
+    assert node.child(EMPTY_HISTORY, 0, x) is children[x]
+    assert len(steps) == 3 * n
+
+
 def test_mixture_of_two_deterministic_components(binary_alphabet):
     up = FunctionalEnv(binary_alphabet, lambda h, y: Percept(R1, 0))
     down = FunctionalEnv(binary_alphabet, lambda h, y: Percept(R0, 0))
