@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     Action,
@@ -41,7 +41,7 @@ class Claim(Value):
     __slots__ = ("w", "y", "timed_out", "steps_used")
 
     def __init__(
-        self, w: Fraction, y: Action, timed_out: bool = False, steps_used: int = 0
+        self, w: Union[int, Fraction], y: Action, timed_out: bool = False, steps_used: int = 0
     ):
         w = Fraction(w)
         if w < 0:
@@ -126,10 +126,10 @@ def run_candidate_cycle(
         rew = alphabet.reward_index(x_prev) if x_prev is not None else 0
         res = run_cycle(c.program, c.state, obs, rew, budget, max_outputs=2)
         if res.timed_out:
-            claim = Claim(Fraction(0), 0, timed_out=True, steps_used=res.steps_used)
+            claim = Claim(0, 0, timed_out=True, steps_used=res.steps_used)
         else:
             claim = Claim(
-                Fraction(res.outputs[0]),
+                res.outputs[0],
                 res.outputs[1] % alphabet.num_actions,
                 steps_used=res.steps_used,
             )

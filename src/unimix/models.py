@@ -26,10 +26,15 @@ from .core import (
     decode_history,
     encode_history,
 )
-from .vm import MachineState, Program, RunBudget, env_cycle, replay_env
+from .vm import (
+    FrozenState, MachineState, Program, RunBudget, env_cycle, freeze, replay_env, thaw,
+)
 
 # The certain probability of a deterministic environment's percept, shared.
 _ONE = Fraction(1)
+
+# A program's machine before its first cycle, frozen.
+_FRESH = freeze(MachineState())
 
 
 class UndefinedConditionalError(ValueError):
@@ -279,35 +284,45 @@ class ProgramEnv(ChronologicalModel):
 
     A cycle that exhausts the step budget gets an all-zero conditional (the
     program drops out of every mixture it sits in from that point on).  Its
-    state is the machine after the history's actions, or None once a cycle
-    has timed out; ``step`` runs a copy of it for one more cycle.
+    state is the machine after the history's actions, frozen (``vm.freeze``),
+    or None once a cycle has timed out; the state is also its key.
+
+    ``step`` runs each (state, action) pair on the machine once per model:
+    it keeps every row it computes in a transition table and answers a
+    repeat from there, so the planner, the ``posterior_top`` column and
+    best vote, which share their mixture's components for a run, share its
+    cycles too.  The table holds at most one row per machine cycle run,
+    never more than the cycles a ``step`` without it would run, and it lives
+    as long as the model.  Rows are shared: callers must not mutate them.
     """
 
     def __init__(self, program: Program, budget: RunBudget, alphabet: Alphabet):
         self.program = program
         self.budget = budget
         self.alphabet = alphabet
+        # (state, action) -> step's row
+        self._table: Dict[Tuple[FrozenState, Action], Dict[Percept, tuple]] = {}
 
-    def state(self, h: History) -> Optional[MachineState]:
+    def state(self, h: History) -> Optional[FrozenState]:
         if not h.cycles:  # every mixture's root, one per program
-            return MachineState()
+            return _FRESH
         _, ok, s = replay_env(self.program, h.actions(), self.budget, self.alphabet)
-        return s if ok else None
+        return freeze(s) if ok else None
 
     def step(
-        self, state: Optional[MachineState], h: History, y: Action
-    ) -> Dict[Percept, Tuple[Fraction, MachineState]]:
-        if state is None:
-            return {}
-        s = state.copy()
-        x, _, _, timed_out = env_cycle(self.program, s, y, self.budget, self.alphabet)
-        return {} if timed_out else {x: (_ONE, s)}
+        self, state: Optional[FrozenState], h: History, y: Action
+    ) -> Dict[Percept, Tuple[Fraction, FrozenState]]:
+        row = self._table.get((state, y))
+        if row is None:
+            if state is None:
+                return {}
+            s = thaw(state)
+            x, _, _, timed_out = env_cycle(self.program, s, y, self.budget, self.alphabet)
+            row = self._table[state, y] = {} if timed_out else {x: (_ONE, freeze(s))}
+        return row
 
-    def key(self, state: Optional[MachineState], h: History) -> Hashable:
-        # run_cycle never reads input_cursor or output_count.
-        if state is None:
-            return None
-        return tuple(state.registers), tuple(sorted(state.work_tape.items())), state.head
+    def key(self, state: Optional[FrozenState], h: History) -> Hashable:
+        return state
 
     def cond_map(self, h: History, y: Action) -> Dict[Percept, Fraction]:
         return {x: p for x, (p, _) in self.step(self.state(h), h, y).items()}
@@ -382,7 +397,10 @@ class MixtureNode:
         split: Dict[Percept, list] = {}
         for i, mass, s in self.survivors:
             for x, (p, child) in comps[i][2].step(s, h, y).items():
-                if p:
+                # A program's row carries the shared _ONE: no Fraction compare.
+                if p is _ONE:
+                    split.setdefault(x, []).append((i, mass, child))
+                elif p:
                     split.setdefault(x, []).append((i, mass if p == 1 else mass * p, child))
         return {x: MixtureNode(self.mixture, tuple(v)) for x, v in split.items()}
 

@@ -207,6 +207,22 @@ class MachineState:
         )
 
 
+# A machine state as an immutable, hashable value: (registers, sorted tape
+# items, head).  run_cycle never reads input_cursor or output_count, so two
+# states with equal frozen forms run alike from then on.
+FrozenState = Tuple[tuple, tuple, int]
+
+
+def freeze(s: MachineState) -> FrozenState:
+    return tuple(s.registers), tuple(sorted(s.work_tape.items())), s.head
+
+
+def thaw(f: FrozenState) -> MachineState:
+    """A fresh machine in the frozen state, sharing nothing with it."""
+    registers, tape, head = f
+    return MachineState(list(registers), dict(tape), head)
+
+
 class RunBudget(Value):
     __slots__ = ("steps_per_cycle",)
 

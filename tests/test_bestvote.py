@@ -442,8 +442,9 @@ def test_a_best_vote_run_walks_only_claims_inside_the_value_bounds(config_seed, 
 @pytest.mark.parametrize("config_seed", [0, 1])
 def test_a_best_vote_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeypatch):
     # Every VM cycle of the run: candidates' claims and environment steps on
-    # the shared tree.  A tree that stepped a node twice, or was not shared
-    # by the candidates' walks, would make more.
+    # the shared tree.  A tree that stepped a node twice, was not shared by
+    # the candidates' walks, or ran a program's (state, action) pair twice
+    # would make more.
     calls = []
     run_cycle = vm.run_cycle
 
@@ -458,7 +459,7 @@ def test_a_best_vote_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeyp
         f"seed={config_seed}\ni={config_seed % 2}\n"
     )
     run_scenario(cfg)
-    assert len(calls) == 513
+    assert len(calls) == 447
 
 
 def test_a_carried_tree_equals_one_rebuilt_after_the_history(budget, pool8):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unimix import planner
+from unimix import planner, vm
+from unimix.cli import parse_config, run_scenario
 from unimix.core import (
     Alphabet,
     CapacityError,
@@ -53,7 +54,7 @@ from unimix.planner import (
     value_given_action,
     value_opt,
 )
-from unimix.vm import RunBudget, decode, enumerate_programs
+from unimix.vm import MachineState, RunBudget, decode, enumerate_programs, env_cycle
 
 R0, R1 = Fraction(0), Fraction(1)
 
@@ -357,6 +358,78 @@ def test_a_heavenhell_mixture_solves_each_belief_state_once(pool12):
     calls = count_calls(xi, "step")
     first_decision(xi, 8)
     assert len(calls) <= 250  # 2,458 on the whole history tree
+
+
+@pytest.mark.parametrize("config_seed", [0, 1])
+def test_a_mixture_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeypatch):
+    # The planner, the posterior_top column and the carried plans share each
+    # program's transition table, so a (state, action) pair runs once a run;
+    # without the table the run makes 2,949 (seed 0) and 2,795 (seed 1).
+    calls = []
+    run_cycle = vm.run_cycle
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return run_cycle(*args, **kwargs)
+
+    monkeypatch.setattr(vm, "run_cycle", counting)
+    cfg = parse_config(
+        "scenario=heavenhell\nagent=mixture\nl=12\nlifetime=3\n"
+        f"seed={config_seed}\ni={config_seed % 2}\n"
+    )
+    run_scenario(cfg)
+    assert len(calls) == 688
+
+
+POOLS = {n: enumerate_programs(n) for n in range(6, 10)}
+PROGRAMS = st.one_of(
+    st.just(TAPE), st.sampled_from(range(6, 10)).flatmap(lambda n: st.sampled_from(POOLS[n]))
+)
+
+
+def machine_key(s):
+    return tuple(s.registers), tuple(sorted(s.work_tape.items())), s.head
+
+
+@settings(max_examples=300, deadline=None)
+@given(PROGRAMS, st.integers(1, 8), st.sampled_from(ALPHABETS), st.data())
+def test_a_tabled_program_steps_as_a_copied_machine(q, steps, alphabet, data):
+    """``ProgramEnv.step`` answers from its table what copying the machine
+    and running one ``env_cycle`` gives, on states and actions visited in
+    any order, and against a fresh model whose table is empty."""
+    budget = RunBudget(steps)  # below 6, TAPE always times out
+    env = ProgramEnv(q, budget, alphabet)
+    # Every history reached: (h, the model's state, a reference machine or
+    # None once a cycle has timed out).
+    reached = [(EMPTY_HISTORY, env.state(EMPTY_HISTORY), MachineState())]
+    pairs = set()
+    for _ in range(data.draw(st.integers(1, 12))):
+        h, state, machine = data.draw(st.sampled_from(reached))
+        y = data.draw(st.sampled_from(alphabet.actions()))
+        model = env if data.draw(st.booleans()) else ProgramEnv(q, budget, alphabet)
+        if model is env and state is not None:
+            pairs.add((state, y))
+        row = model.step(state, h, y)
+        if machine is None:
+            assert state is None and row == {}
+            continue
+        assert model.key(state, h) == machine_key(machine)
+        s = machine.copy()
+        x, s, _, timed_out = env_cycle(q, s, y, budget, alphabet)
+        if timed_out:
+            assert row == {}
+            h = append_cycle(h, y, alphabet.percepts()[0])
+            assert env.state(h) is None
+            reached.append((h, None, None))
+            continue
+        assert list(row) == [x]
+        p, child = row[x]
+        assert p == 1
+        h = append_cycle(h, y, x)
+        assert model.key(child, h) == machine_key(s)
+        assert env.state(h) == child  # the replayed machine, frozen
+        reached.append((h, child, s))
+    assert len(env._table) == len(pairs)  # one row per distinct pair
 
 
 class TestRunInteraction:
