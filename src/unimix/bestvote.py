@@ -28,9 +28,9 @@ from .models import ChronologicalModel, UndefinedConditionalError
 from .planner import (
     Envs,
     dominance_walk,
+    draw_percept,
     env_node,
     functional_value,
-    sample_percept,
 )
 from .vm import MachineState, Program, RunBudget, run_cycle
 
@@ -121,7 +121,7 @@ def run_candidate_cycle(
     if c.oracle is not None:
         claim = c.oracle(h)
     else:
-        x_prev = h.percepts()[-1] if h.cycles else None
+        x_prev = h.cycles[-1][1] if h.cycles else None
         obs = x_prev.observation if x_prev is not None else 0
         rew = alphabet.reward_index(x_prev) if x_prev is not None else 0
         res = run_cycle(c.program, c.state, obs, rew, budget, max_outputs=2)
@@ -322,7 +322,8 @@ def run_best_vote(
 ) -> Tuple[History, List[SelectionRow]]:
     """Full best-vote run with the pool's programs as both the candidates and
     the environment pool: interact with env for `lifetime` cycles.  The
-    consistent-environment tree is carried from cycle to cycle.
+    consistent-environment tree and the world's state are carried from
+    cycle to cycle.
 
     ``leaders``, when given, gets the label of the posterior leader before
     each cycle (``MixtureNode.top`` of the tree's node), None once no
@@ -336,13 +337,14 @@ def run_best_vote(
     h = EMPTY_HISTORY
     log: List[SelectionRow] = []
     node = env_node(pool, h, budget, alphabet)
+    state = env.state(h)
     for k in range(1, lifetime + 1):
         m_k = horizon_end(hpol, k, lifetime)
         if leaders is not None:
             leaders.append(node.top())
         y, rows = best_vote_cycle(candidates, h, node, budget, alphabet, m_k, horizon)
         log.extend(rows)
-        x = sample_percept(rng, env.cond_map(h, y), alphabet)
+        x, state = draw_percept(rng, env, state, h, y)
         node = node.child(h, y, x)
         h = append_cycle(h, y, x)
     return h, log

@@ -89,7 +89,9 @@ class Alphabet(Value):
     increasing order, with ``rewards[-1]`` acting as r_max.
     """
 
-    __slots__ = ("num_actions", "num_observations", "rewards", "_percept_table")
+    __slots__ = (
+        "num_actions", "num_observations", "rewards", "_percept_table", "_reward_index",
+    )
 
     def __init__(
         self,
@@ -107,9 +109,10 @@ class Alphabet(Value):
         set_field(self, "num_actions", num_actions)
         set_field(self, "num_observations", num_observations)
         set_field(self, "rewards", rewards)
-        # Not a field, so eq and hash never see it.
+        # Not fields, so eq and hash never see them.
         table = tuple(Percept(r, o) for r in rewards for o in range(num_observations))
         set_field(self, "_percept_table", table)
+        set_field(self, "_reward_index", {r: i for i, r in enumerate(rewards)})
 
     @property
     def r_max(self) -> Fraction:
@@ -127,7 +130,7 @@ class Alphabet(Value):
         return range(self.num_actions)
 
     def symbol_of(self, x: Percept) -> int:
-        return self.rewards.index(x.reward) * self.num_observations + x.observation
+        return self.reward_index(x) * self.num_observations + x.observation
 
     def percept_of(self, symbol: int) -> Percept:
         """The percept with this symbol; out-of-range symbols wrap around."""
@@ -135,7 +138,20 @@ class Alphabet(Value):
         return table[symbol % len(table)]
 
     def reward_index(self, x: Percept) -> int:
-        return self.rewards.index(x.reward)
+        return self._rank(x.reward)
+
+    def percept(self, reward, observation: int = 0) -> Percept:
+        """The alphabet's own percept object for this reward and observation,
+        so that a rule can answer with it instead of building an equal one."""
+        if not 0 <= observation < self.num_observations:
+            raise ValueError(f"observation {observation} outside [0, {self.num_observations})")
+        return self._percept_table[self._rank(reward) * self.num_observations + observation]
+
+    def _rank(self, reward) -> int:
+        i = self._reward_index.get(reward)
+        if i is None:
+            raise ValueError(f"reward {reward} is not in the alphabet")
+        return i
 
 
 class History(Value):

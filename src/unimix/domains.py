@@ -43,12 +43,13 @@ def make_sp_env(mu_sp: Dict[Tuple[int, ...], Fraction]) -> MixtureModel:
     if sum(mu_sp.values(), Fraction(0)) != 1:
         raise ValueError("sequence distribution must sum to 1")
     alphabet = Alphabet(num_actions=2, num_observations=1, rewards=(Fraction(0), Fraction(1)))
+    miss, hit = alphabet.percepts()
 
     def seq_env(z: Tuple[int, ...]) -> FunctionalEnv:
         def rule(h: History, y: Action) -> Percept:
             k = len(h)  # 0-based position of the bit being predicted
             bit = z[k] if k < len(z) else 0
-            return Percept(Fraction(1) if y == bit else Fraction(0), 0)
+            return hit if y == bit else miss
 
         return FunctionalEnv(alphabet, rule, _no_memory)
 
@@ -68,7 +69,7 @@ def sp_argmax(env: MixtureModel, h: History) -> int:
     best_bit, best_p = 0, Fraction(-1)
     for bit in (0, 1):
         # predicting `bit` earns reward 1 exactly when the bit occurs
-        p = env.cond_map(h, bit).get(Percept(Fraction(1), 0), Fraction(0))
+        p = env.cond_map(h, bit).get(env.alphabet.percept(1), Fraction(0))
         if p > best_p:
             best_bit, best_p = bit, p
     return best_bit
@@ -172,6 +173,9 @@ def make_sg_env(g: GameSpec, episodes: int = 1) -> FunctionalEnv:
         num_observations=g.num_replies,
         rewards=tuple(values),
     )
+    # Each leaf's percept and each reply's percept before the last round.
+    leaf_percept = {seq: alphabet.percept(v, seq[-1]) for seq, v in g.leaf_values.items()}
+    reply_percept = [alphabet.percept(0, o) for o in range(g.num_replies)]
 
     def rule(h: History, y: Action) -> Percept:
         k = len(h)  # completed cycles
@@ -181,10 +185,9 @@ def make_sg_env(g: GameSpec, episodes: int = 1) -> FunctionalEnv:
             prefix += [yy, xx.observation]
         prefix.append(y)
         o = minimax_move(g, prefix)
-        prefix.append(o)
         if round_in_ep == g.rounds - 1:
-            return Percept(g.leaf_values[tuple(prefix)], o)
-        return Percept(Fraction(0), o)
+            return leaf_percept[(*prefix, o)]
+        return reply_percept[o]
 
     def memory(h: History) -> Tuple:
         k = len(h)
@@ -290,17 +293,20 @@ def uniform_function_class(
 def make_fm_env(c: FunctionClassSpec) -> MixtureModel:
     """Function minimization: query a point, observe its value, earn more for
     smaller values.  The latent function is drawn from the class prior."""
-    rewards = tuple(sorted({c.reward_of(i) for i in range(len(c.z_values))}))
+    rewards = [c.reward_of(i) for i in range(len(c.z_values))]
     alphabet = Alphabet(
         num_actions=c.num_actions,
         num_observations=len(c.z_values),
-        rewards=rewards,
+        rewards=tuple(sorted(set(rewards))),
     )
+    # The percept of observing each z index, made once for every component.
+    percepts = [alphabet.percept(r, zi) for zi, r in enumerate(rewards)]
 
     def f_env(f: Tuple[int, ...]) -> FunctionalEnv:
+        row = [percepts[zi] for zi in f]
+
         def rule(h: History, y: Action) -> Percept:
-            zi = f[y]
-            return Percept(c.reward_of(zi), zi)
+            return row[y]
 
         return FunctionalEnv(alphabet, rule, _no_memory)
 
@@ -376,22 +382,26 @@ def make_ex_env(r: RelationSpec) -> KernelEnv:
         z, slot = divmod(o, r.num_actions + 1)
         return z, (None if slot == r.num_actions else slot)
 
-    def kernel(h: History, y: Action) -> Dict[Percept, Fraction]:
-        if len(h) == 0:
-            reward = Fraction(1)
-        else:
-            z_prev, v_prev = decode_obs(h.cycles[-1][1].observation)
-            if v_prev is None:
-                reward = Fraction(1) if (z_prev, y) in r.relation else Fraction(0)
-            else:
-                reward = Fraction(1)
+    # The kernel's row for each reward, made once: the presentation is drawn
+    # independently of the history.  Rows are shared; KernelEnv copies them.
+    rows: List[Dict[Percept, Fraction]] = []
+    for reward in alphabet.rewards:
         out: Dict[Percept, Fraction] = {}
         for (z, v), p in r.presentation:
             if p == 0:
                 continue
-            x = Percept(reward, r.obs_index(z, v))
+            x = alphabet.percept(reward, r.obs_index(z, v))
             out[x] = out.get(x, Fraction(0)) + p
-        return out
+        rows.append(out)
+    miss, hit = rows
+
+    def kernel(h: History, y: Action) -> Dict[Percept, Fraction]:
+        if len(h) == 0:
+            return hit
+        z_prev, v_prev = decode_obs(h.cycles[-1][1].observation)
+        if v_prev is None:
+            return hit if (z_prev, y) in r.relation else miss
+        return hit
 
     return KernelEnv(alphabet, kernel)
 
@@ -463,9 +473,10 @@ def make_onlyone(n: int, y_star: Action) -> FunctionalEnv:
     if not (0 <= y_star < n):
         raise ValueError("y_star must lie in [0, n)")
     alphabet = Alphabet(num_actions=n, num_observations=1, rewards=(Fraction(0), Fraction(1)))
+    miss, hit = alphabet.percepts()
 
     def rule(h: History, y: Action) -> Percept:
-        return Percept(Fraction(1) if y == y_star else Fraction(0), 0)
+        return hit if y == y_star else miss
 
     return FunctionalEnv(alphabet, rule, _no_memory)
 
@@ -498,11 +509,11 @@ def make_lazy(m: int) -> FunctionalEnv:
     rest l cycles later; only rest on a license earns reward."""
     if m < 2:
         raise ValueError("lifetime m >= 2 required")
+    miss, hit = _BINARY.percepts()
 
     def rule(h: History, y: Action) -> Percept:
         actions = list(h.actions()) + [y]
-        k = len(actions)
-        return Percept(Fraction(1) if lazy_reward(actions, k) else Fraction(0), 0)
+        return hit if lazy_reward(actions, len(actions)) else miss
 
     env = FunctionalEnv(_BINARY, rule)
     env.lifetime = m

@@ -242,6 +242,9 @@ def random_tabular(alphabet: Alphabet, depth: int, rng: random.Random) -> Tabula
 class FunctionalEnv(ChronologicalModel):
     """Deterministic environment defined by a rule (history, action) -> percept.
 
+    The rules of ``unimix.domains`` answer with their alphabet's own percept
+    objects (``Alphabet.percept``), picked when the world is made.
+
     ``memory(h)``, when given, is the part of h the rule reads besides
     len(h): the rule must give equal percepts on histories of one length with
     equal memories, extended alike.  It is the model's key.
@@ -560,18 +563,24 @@ def expected_sum(
 
     h_t runs over the mu-possible extensions of h by t-1-len(h) cycles, with
     actions y_t = feed(h_t) and percept row row_t = mu.cond_map(h_t, y_t);
-    zero-probability percepts are not followed.
+    zero-probability percepts are not followed.  The walk carries mu's
+    state, so it takes each row from ``mu.step`` and replays no history.
     """
-    t = len(h) + 1
-    if t > n:
+
+    def walk(h: History, state: Any) -> Fraction:
+        t = len(h) + 1
+        y = feed(h)
+        step = mu.step(state, h, y)
+        total = score(h, t, y, {x: p for x, (p, _) in step.items()})
+        if t < n:
+            for x, (p, child) in step.items():
+                if p:
+                    total += p * walk(append_cycle(h, y, x), child)
+        return total
+
+    if len(h) >= n:
         return Fraction(0)
-    y = feed(h)
-    row = mu.cond_map(h, y)
-    total = score(h, t, y, row)
-    for x, p in row.items():
-        if p:
-            total += p * expected_sum(mu, feed, score, n, append_cycle(h, y, x))
-    return total
+    return walk(h, mu.state(h))
 
 
 def sq_distance_sum(

@@ -259,6 +259,17 @@ def sample_percept(rng: random.Random, row: Dict[Percept, Fraction], alphabet) -
     raise AssertionError("unreachable")
 
 
+def draw_percept(
+    rng: random.Random, env: ChronologicalModel, state: Any, h: History, y: Action
+) -> Tuple[Percept, Any]:
+    """The world's percept after h and action y, drawn by ``sample_percept``
+    from the row of ``env.step`` (``state`` is ``env.state(h)``), which is
+    ``cond_map``'s; and the world's state after it."""
+    row = env.step(state, h, y)
+    x = sample_percept(rng, {x: p for x, (p, _) in row.items()}, env.alphabet)
+    return x, row[x][1]
+
+
 def run_interaction(
     agent: PolicyOracle,
     env: ChronologicalModel,
@@ -268,13 +279,16 @@ def run_interaction(
     """Interleave agent and environment for `lifetime` cycles.
 
     Stochastic percepts are drawn by exact inverse-CDF sampling from a seeded
-    generator, so runs are deterministic given (agent, env, seed).
+    generator, so runs are deterministic given (agent, env, seed).  The
+    world's state is carried from cycle to cycle, so no history is replayed.
     """
     rng = random.Random(seed)
     h = EMPTY_HISTORY
+    state = env.state(h)
     for _ in range(lifetime):
         y = agent(h)
-        h = append_cycle(h, y, sample_percept(rng, env.cond_map(h, y), env.alphabet))
+        x, state = draw_percept(rng, env, state, h, y)
+        h = append_cycle(h, y, x)
     return h
 
 

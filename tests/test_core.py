@@ -34,6 +34,24 @@ def test_alphabet_symbol_round_trip():
     assert a.r_max == 1
 
 
+def test_alphabet_percept_is_its_own_object():
+    a = Alphabet(num_actions=2, num_observations=3, rewards=(Fraction(0), Fraction(1, 2), Fraction(1)))
+    for x in a.percepts():
+        assert a.percept(x.reward, x.observation) is x
+    assert a.percept(1, 2) is a.percepts()[-1]  # an int reward finds its Fraction
+
+
+def test_alphabet_percept_rejects_what_lies_outside_the_alphabet():
+    a = Alphabet(num_actions=2, num_observations=3, rewards=(Fraction(0), Fraction(1, 2), Fraction(1)))
+    with pytest.raises(ValueError):
+        a.percept(Fraction(1, 3), 0)  # a foreign reward
+    for o in (-1, 3):
+        with pytest.raises(ValueError):
+            a.percept(Fraction(1, 2), o)
+    with pytest.raises(ValueError):
+        a.reward_index(Percept(Fraction(1, 3), 0))
+
+
 def test_alphabet_rejects_unsorted_rewards():
     with pytest.raises(ValueError):
         Alphabet(rewards=(Fraction(1), Fraction(0)))

@@ -353,3 +353,41 @@ def test_every_constructor_yields_a_chronological_model():
     ]
     for m in models:
         assert check_chronological(m, 3)
+
+
+def two_round_game():
+    leaves = {seq: F(sum(seq), 8) for seq in itertools.product((0, 1), repeat=4)}
+    return GameSpec(rounds=2, num_moves=2, num_replies=2, leaf_values=leaves)
+
+
+RULE_WORLDS = {
+    "sp": biased_sp,
+    "sg": lambda: make_sg_env(tiny_game(), episodes=3),
+    "sg-two-rounds": lambda: make_sg_env(two_round_game(), episodes=2),
+    "fm": lambda: make_fm_env(quadratic_class()),
+    "ex": lambda: make_ex_env(even_odd_relation()),
+    "onlyone": lambda: make_onlyone(3, 1),
+    "lazy": lambda: make_lazy(5),
+    "heavenhell-0": lambda: make_heavenhell(0),
+    "heavenhell-1": lambda: make_heavenhell(1),
+}
+
+
+@pytest.mark.parametrize("world", sorted(RULE_WORLDS))
+def test_a_rule_world_answers_with_its_alphabets_own_percepts(world):
+    """Every percept a rule world, or a component of a rule-world mixture,
+    answers on a history of up to 3 cycles is its alphabet's own object."""
+    env = RULE_WORLDS[world]()
+    models = [env] + [m for _, _, m in getattr(env, "components", ())]
+
+    def walk(h):
+        for y in env.alphabet.actions():
+            for m in models:
+                for x in m.cond_map(h, y):
+                    assert x is m.alphabet.percept(x.reward, x.observation)
+            if len(h) < 3:
+                for x, p in env.cond_map(h, y).items():
+                    if p:
+                        walk(append_cycle(h, y, x))
+
+    walk(EMPTY_HISTORY)

@@ -14,10 +14,12 @@ from unimix.core import (
     append_cycle,
     encode_history,
 )
+from unimix.domains import make_fm_env, uniform_function_class
 from unimix.models import (
     ChronologicalModel,
     FunctionalEnv,
     MixtureModel,
+    MixtureNode,
     ProgramEnv,
     TabularModel,
     UndefinedConditionalError,
@@ -314,6 +316,32 @@ class TestExpectedSum:
         assert expected_sum(mu, lambda h: 1, score, 3) == 1 + 2 + 3
         row = {Percept(R0): R0, Percept(R1): R1}
         assert seen == [(t - 1, t, 1, row) for t in (1, 2, 3)]
+
+    @pytest.mark.parametrize("kind", ["programs", "fm"])
+    def test_a_mixture_walk_splits_each_node_once(
+        self, kind, binary_alphabet, budget, pool12, monkeypatch
+    ):
+        """The walk carries the mixture's tree: one split per scored node, and
+        each node's row is its history's ``cond_map`` row, in order."""
+        if kind == "programs":
+            mu = build_mixture(pool12, budget, binary_alphabet)
+        else:
+            mu = make_fm_env(uniform_function_class(2, tuple(map(Fraction, (1, 2, 3, 4)))))
+        splits, split = [], MixtureNode.split
+        monkeypatch.setattr(
+            MixtureNode, "split", lambda *args: splits.append(None) or split(*args)
+        )
+        seen = []
+
+        def score(h, t, y, row):
+            seen.append((h, y, list(row.items())))
+            return R0
+
+        expected_sum(mu, lambda h: len(h) % 2, score, 3)
+        assert len(splits) == len(seen) > 3
+        monkeypatch.undo()
+        for h, y, row in seen:
+            assert row == list(mu.cond_map(h, y).items())
 
 
 def test_evidence_gap_is_zero_for_proper_models(binary_alphabet):

@@ -43,11 +43,13 @@ def config_text(workload: str, lifetime: int, config_seed: int) -> str:
     return text
 
 
-# Best vote is cheap enough to check every pinned config seed; the others
-# check the self-test's round, and config seeds 0-7 at their benchmark lifetime.
+# Best vote and informed fm are cheap enough to check every pinned config
+# seed; the others check the self-test's round, and config seeds 0-7 at their
+# benchmark lifetime.
 SEEDS = {w: range(64) if w == "bestvote-heavenhell" else (0, 1) for w in WORKLOADS}
+BENCHMARK_SEEDS = {w: range(64) if w == "informed-fm" else range(8) for w in BENCHMARK_LIFETIMES}
 CASES = [(w, LIFETIME, s) for w in sorted(WORKLOADS) for s in SEEDS[w]] + [
-    (w, life, s) for w, life in sorted(BENCHMARK_LIFETIMES.items()) for s in range(8)
+    (w, life, s) for w, life in sorted(BENCHMARK_LIFETIMES.items()) for s in BENCHMARK_SEEDS[w]
 ]
 IDS = [f"{w}-{s}" if life == LIFETIME else f"{w}-lifetime{life}-{s}" for w, life, s in CASES]
 

@@ -19,14 +19,18 @@ from unimix.core import (
     Percept,
     ProportionalHorizon,
     append_cycle,
+    encode_history,
     horizon_end,
 )
 from unimix.domains import (
+    FunctionClassSpec,
     ProductEpisodeModel,
+    RelationSpec,
     make_fm_env,
     make_heavenhell,
     make_lazy,
     make_onlyone,
+    make_relation_mixture,
     make_sp_env,
     uniform_function_class,
 )
@@ -35,6 +39,7 @@ from unimix.models import (
     ChronologicalModel,
     FunctionalEnv,
     MixtureModel,
+    MixtureNode,
     ProgramEnv,
     TabularModel,
     UndefinedConditionalError,
@@ -51,6 +56,7 @@ from unimix.planner import (
     policy_value_functional,
     policy_value_iterative,
     run_interaction,
+    sample_percept,
     value_given_action,
     value_opt,
 )
@@ -452,6 +458,116 @@ class TestRunInteraction:
         agent = planning_policy(env, FixedHorizon(4), 4)
         runs = {run_interaction(agent, env, 4, seed=s) for s in range(8)}
         assert len(runs) > 1
+
+
+@pytest.mark.parametrize("config_seed", [0, 1])
+def test_an_informed_fm_run_builds_no_percept_and_splits_once_a_cycle(
+    config_seed, monkeypatch
+):
+    # The fm rules answer with the percepts made with the world, and the
+    # world's own draw steps its carried tree: replaying the history for
+    # each draw made 72 splits, and the rules built 252 percepts (seed 0),
+    # each with a reward_of call.
+    cfg = parse_config(
+        f"scenario=fm\nagent=informed\nclass=uniform16\nlifetime=3\nseed={config_seed}\n"
+    )
+    env = make_fm_env(uniform_function_class(2, tuple(map(Fraction, (1, 2, 3, 4)))))
+    policy = planning_policy(env, cfg.horizon, cfg.lifetime)
+    calls = {}
+
+    def count(cls, name):
+        f = getattr(cls, name)
+
+        def counting(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+
+    count(Percept, "__init__")
+    count(FunctionClassSpec, "reward_of")
+    count(MixtureNode, "split")
+    run_interaction(policy, env, cfg.lifetime, cfg.seed)
+    assert calls == {"split": 69}
+
+
+def replayed_run(agent, env, lifetime, seed):
+    """``run_interaction`` as a loop that draws each percept from
+    ``env.cond_map`` on the whole history."""
+    rng = random.Random(seed)
+    h = EMPTY_HISTORY
+    for _ in range(lifetime):
+        y = agent(h)
+        h = append_cycle(h, y, sample_percept(rng, env.cond_map(h, y), env.alphabet))
+    return h
+
+
+@st.composite
+def sp_mixtures(draw):
+    length = draw(st.integers(1, 4))
+    seqs = draw(st.lists(
+        st.tuples(*[st.integers(0, 1)] * length), min_size=1, max_size=4, unique=True
+    ))
+    weights = [draw(st.integers(1, 4)) for _ in seqs]
+    return make_sp_env({z: Fraction(w, sum(weights)) for z, w in zip(seqs, weights)})
+
+
+@st.composite
+def fm_classes(draw):
+    zs = sorted(draw(st.sets(st.integers(0, 5), min_size=1, max_size=3)))
+    tables = uniform_function_class(draw(st.integers(1, 3)), tuple(map(Fraction, zs))).prior
+    chosen = draw(st.lists(st.sampled_from(tables), min_size=1, unique=True))
+    weights = [draw(st.integers(1, 4)) for _ in chosen]
+    prior = tuple((f, Fraction(w, sum(weights))) for (f, _), w in zip(chosen, weights))
+    return make_fm_env(FunctionClassSpec(len(chosen[0][0]), tuple(map(Fraction, zs)), prior))
+
+
+@st.composite
+def relation_mixtures(draw):
+    num_z, num_actions = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    pairs = [(z, v) for z in range(num_z) for v in range(num_actions)]
+    specs = []
+    for _ in range(draw(st.integers(1, 3))):
+        relation = frozenset(p for p in pairs if draw(st.booleans()))
+        shown = [(z, None) for z in range(num_z)] + sorted(relation)
+        weights = [draw(st.integers(0, 3)) for _ in shown]
+        weights[0] += sum(weights) == 0
+        presentation = tuple(
+            (zv, Fraction(w, sum(weights))) for zv, w in zip(shown, weights)
+        )
+        specs.append(RelationSpec(num_z, num_actions, relation, presentation))
+    return make_relation_mixture([(r, Fraction(1, len(specs))) for r in specs])
+
+
+WORLDS = st.one_of(
+    st.builds(
+        random_tabular,
+        st.sampled_from(ALPHABETS),
+        st.integers(1, 3),
+        st.builds(random.Random, st.integers(0, 2**16)),
+    ),
+    fm_classes(),
+    sp_mixtures(),
+    relation_mixtures(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(WORLDS, st.integers(0, 2**16), st.integers(1, 6), st.integers(0, 50))
+def test_a_run_carrying_the_world_draws_the_history_of_a_replayed_one(
+    env, agent_seed, lifetime, seed
+):
+    """Carrying the world's state from cycle to cycle draws each percept
+    from the row ``cond_map`` gives on the whole history, with the same
+    generator: the same run."""
+    actions = env.alphabet.num_actions
+
+    def agent(h):  # any fixed function of the history
+        return random.Random(f"{agent_seed} {encode_history(h)}").randrange(actions)
+
+    assert run_interaction(agent, env, lifetime, seed) == replayed_run(
+        agent, env, lifetime, seed
+    )
 
 
 class TestEpisodeCutoff:
