@@ -367,16 +367,25 @@ class RelationSpec(Value):
         return z * (self.num_actions + 1) + slot
 
 
-def make_ex_env(r: RelationSpec) -> KernelEnv:
-    """Example/question environment: presentations are drawn independently
-    each cycle; the action answers the previous cycle's presentation and is
-    rewarded iff that was a question (z, ?) and (z, y) is in the relation.
-    Examples (and the very first cycle) reward unconditionally."""
-    alphabet = Alphabet(
+def relation_alphabet(r: RelationSpec) -> Alphabet:
+    """The alphabet of r's example/question environment."""
+    return Alphabet(
         num_actions=r.num_actions,
         num_observations=r.num_z * (r.num_actions + 1),
         rewards=(Fraction(0), Fraction(1)),
     )
+
+
+def make_ex_env(r: RelationSpec, alphabet: Optional[Alphabet] = None) -> KernelEnv:
+    """Example/question environment: presentations are drawn independently
+    each cycle; the action answers the previous cycle's presentation and is
+    rewarded iff that was a question (z, ?) and (z, y) is in the relation.
+    Examples (and the very first cycle) reward unconditionally.
+
+    ``alphabet`` is ``relation_alphabet(r)`` when the caller has built it:
+    the environment answers with that alphabet's own percepts."""
+    if alphabet is None:
+        alphabet = relation_alphabet(r)
 
     def decode_obs(o: int) -> Tuple[int, Optional[int]]:
         z, slot = divmod(o, r.num_actions + 1)
@@ -410,11 +419,13 @@ def make_relation_mixture(
     specs: Sequence[Tuple[RelationSpec, Fraction]]
 ) -> MixtureModel:
     """A sigma-weighted mixture over relation environments."""
-    envs = [(make_ex_env(r), Fraction(w)) for r, w in specs]
-    alphabet = envs[0][0].alphabet
-    if any(e.alphabet != alphabet for e, _ in envs):
+    # One alphabet, so that every component answers with its percepts.
+    alphabet = relation_alphabet(specs[0][0])
+    if any(relation_alphabet(r) != alphabet for r, _ in specs):
         raise ValueError("all relation environments must share an alphabet")
-    components = [(f"R{i}", w, e) for i, (e, w) in enumerate(envs)]
+    components = [
+        (f"R{i}", Fraction(w), make_ex_env(r, alphabet)) for i, (r, w) in enumerate(specs)
+    ]
     return MixtureModel(components, alphabet)
 
 

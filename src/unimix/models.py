@@ -27,7 +27,7 @@ from .core import (
     encode_history,
 )
 from .vm import (
-    FrozenState, MachineState, Program, RunBudget, env_cycle, freeze, replay_env, thaw,
+    OP_IN, FrozenState, MachineState, Program, RunBudget, env_step, freeze, replay_env,
 )
 
 # The certain probability of a deterministic environment's percept, shared.
@@ -294,7 +294,10 @@ class ProgramEnv(ChronologicalModel):
     it keeps every row it computes in a transition table and answers a
     repeat from there, so the planner, the ``posterior_top`` column and
     best vote, which share their mixture's components for a run, share its
-    cycles too.  The table holds at most one row per machine cycle run,
+    cycles too.  A program with no ``IN`` instruction never reads the
+    action (its other input, the reward channel, is always 0 for an
+    environment), so it keys its rows by (state, None): one cycle answers
+    every action.  The table holds at most one row per machine cycle run,
     never more than the cycles a ``step`` without it would run, and it lives
     as long as the model.  Rows are shared: callers must not mutate them.
     """
@@ -303,8 +306,9 @@ class ProgramEnv(ChronologicalModel):
         self.program = program
         self.budget = budget
         self.alphabet = alphabet
-        # (state, action) -> step's row
-        self._table: Dict[Tuple[FrozenState, Action], Dict[Percept, tuple]] = {}
+        self._reads_action = any(ins.op == OP_IN for ins in program.instructions)
+        # (state, action, or None for a program that never reads it) -> step's row
+        self._table: Dict[Tuple[FrozenState, Optional[Action]], Dict[Percept, tuple]] = {}
 
     def state(self, h: History) -> Optional[FrozenState]:
         if not h.cycles:  # every mixture's root, one per program
@@ -315,13 +319,15 @@ class ProgramEnv(ChronologicalModel):
     def step(
         self, state: Optional[FrozenState], h: History, y: Action
     ) -> Dict[Percept, Tuple[Fraction, FrozenState]]:
-        row = self._table.get((state, y))
+        k = (state, y if self._reads_action else None)
+        row = self._table.get(k)
         if row is None:
             if state is None:
                 return {}
-            s = thaw(state)
-            x, _, _, timed_out = env_cycle(self.program, s, y, self.budget, self.alphabet)
-            row = self._table[state, y] = {} if timed_out else {x: (_ONE, freeze(s))}
+            out = env_step(self.program, state, y, self.budget)
+            row = self._table[k] = (
+                {} if out is None else {self.alphabet.percept_of(out[0]): (_ONE, out[1])}
+            )
         return row
 
     def key(self, state: Optional[FrozenState], h: History) -> Hashable:
@@ -453,6 +459,7 @@ class MixtureModel(ChronologicalModel):
         if sum(w.numerator * (d // w.denominator) for w in weights) > d:
             raise ValueError("component weights must sum to <= 1")
         self.alphabet = alphabet
+        self._rank = {x: i for i, x in enumerate(alphabet.percepts())}
         # A component's mass starts at its weight times its own base mass,
         # which is not 1 when the component is itself a mixture.
         masses = []
@@ -493,12 +500,11 @@ class MixtureModel(ChronologicalModel):
             raise UndefinedConditionalError(
                 "mixture conditional on a zero-mass history"
             )
-        children = state.split(h, y)
-        return {
-            x: (Fraction(children[x].mass, total), children[x])
-            for x in self.alphabet.percepts()
-            if x in children
-        }
+        children = state.split(h, y).items()
+        if len(children) > 1:  # the row lists its percepts in alphabet order
+            rank = self._rank
+            children = sorted(children, key=lambda xc: rank[xc[0]])
+        return {x: (Fraction(c.mass, total), c) for x, c in children}
 
     def key(self, state: MixtureNode, h: History) -> Hashable:
         """The survivors' indices, masses and component keys."""

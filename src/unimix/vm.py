@@ -63,11 +63,16 @@ class Instruction(Value):
 class Program(Value):
     """Prefix-free bytecode; ``code`` is exactly the consumed bit prefix."""
 
-    __slots__ = ("code", "instructions", "_hex")
+    __slots__ = ("code", "instructions", "_ops", "_hex")
 
-    def __init__(self, code: tuple, instructions: tuple):
+    def __init__(self, code: tuple, instructions: tuple, ops: Optional[tuple] = None):
         set_field(self, "code", code)
         set_field(self, "instructions", instructions)
+        # The instructions as the machine loop reads them, (op, arg) pairs;
+        # ``enumerate_programs`` hands in pairs it shares between programs.
+        if ops is None:
+            ops = tuple((ins.op, ins.arg) for ins in instructions)
+        set_field(self, "_ops", ops)
         # A program's hex is both its best-vote candidate label and its
         # mixture component label: made once, on first use.
         set_field(self, "_hex", None)
@@ -148,26 +153,29 @@ def enumerate_programs(l_max: int) -> List[Program]:
     """All valid programs with length_bits <= l_max, in lexicographic code order."""
     if l_max < 1:
         raise ValueError("l_max >= 1 required")
+    # Every instruction word once: its bits, its shared Instruction and its
+    # (op, arg) pair.  END comes first and the rest follow in code order, so
+    # the depth-first walk below visits codes in lexicographic order.
+    words = []
+    for op in range(8):
+        width = OPERAND_BITS[op]
+        n = OPCODE_BITS + width
+        for arg in range(2 ** width):
+            word = (op << width) | arg
+            bits = tuple((word >> (n - 1 - i)) & 1 for i in range(n))
+            words.append((bits, Instruction(op, arg), (op, arg)))
+    (end_bits, end_ins, end_pair), *words = words
     out: List[Program] = []
 
-    def walk(code: List[int], instrs: List[Instruction]) -> None:
-        for op in range(8):
-            width = OPERAND_BITS[op]
-            need = OPCODE_BITS + width
-            if len(code) + need > l_max:
-                continue
-            op_bits = [(op >> (OPCODE_BITS - 1 - i)) & 1 for i in range(OPCODE_BITS)]
-            for arg in range(2 ** width):
-                arg_bits = [(arg >> (width - 1 - i)) & 1 for i in range(width)]
-                new_code = code + op_bits + arg_bits
-                new_instrs = instrs + [Instruction(op, arg)]
-                if op == OP_END:
-                    out.append(Program(tuple(new_code), tuple(new_instrs)))
-                else:
-                    walk(new_code, new_instrs)
+    def walk(code: tuple, instrs: tuple, ops: tuple) -> None:
+        out.append(Program(code + end_bits, instrs + (end_ins,), ops + (end_pair,)))
+        room = l_max - len(code) - OPCODE_BITS  # bits a word may take, END after it
+        for bits, ins, pair in words:
+            if len(bits) <= room:
+                walk(code + bits, instrs + (ins,), ops + (pair,))
 
-    walk([], [])
-    out.sort(key=lambda p: p.code)
+    if l_max >= OPCODE_BITS:
+        walk((), (), ())
     return out
 
 
@@ -217,12 +225,6 @@ def freeze(s: MachineState) -> FrozenState:
     return tuple(s.registers), tuple(sorted(s.work_tape.items())), s.head
 
 
-def thaw(f: FrozenState) -> MachineState:
-    """A fresh machine in the frozen state, sharing nothing with it."""
-    registers, tape, head = f
-    return MachineState(list(registers), dict(tape), head)
-
-
 class RunBudget(Value):
     __slots__ = ("steps_per_cycle",)
 
@@ -241,6 +243,84 @@ class CycleResult(Value):
         set_field(self, "timed_out", timed_out)
 
 
+def run_machine(
+    ops: tuple,
+    acc: int,
+    tape: dict,
+    head: int,
+    primary_in: int,
+    secondary_in: int,
+    limit: int,
+    max_outputs: int,
+) -> Tuple[List[int], int, int, int, bool]:
+    """The machine loop: one cycle of the program ``ops`` ((op, arg) pairs).
+
+    Runs from pc 0 with accumulator ``acc``, work tape ``tape`` (updated in
+    place) and head ``head`` until END, falling off the code, the
+    ``max_outputs``-th emit or ``limit`` steps.  Returns (outputs, acc, head,
+    steps used, timed out); the outputs are not padded.
+
+    Idle loops are skipped exactly.  Only a taken ``JZ 0``/``JZ 1`` jumps
+    back (or in place), and only with acc = 0.  If such a jump is reached
+    again with the same pc, head, number of tape stores and number of
+    outputs, nothing was stored or emitted in between, so the whole machine
+    is as it was and would repeat that lap until the step limit: the steps
+    of the whole laps left are counted at once, and the rest run as usual.
+    """
+    n = len(ops)
+    pc = steps = stores = 0
+    outputs: List[int] = []
+    marks: dict = {}
+    while 0 <= pc < n:  # falling off the code ends the cycle as END does
+        if steps >= limit:
+            return outputs, acc, head, steps, True
+        op, arg = ops[pc]
+        steps += 1
+        if op == 5:  # JZ
+            if acc:
+                pc += 1
+            else:
+                if arg < 2:  # back or in place
+                    mark = (pc, head, stores, len(outputs))
+                    last = marks.get(mark)
+                    if last is not None:
+                        lap = steps - last
+                        steps += (limit - steps) // lap * lap
+                    marks[mark] = steps
+                pc += arg - 1
+        elif op == 0:  # END
+            break
+        elif op == 1:  # OUT
+            outputs.append(acc)
+            if len(outputs) >= max_outputs:
+                break
+            pc += 1
+        elif op == 2:  # IN
+            acc = primary_in
+            pc += 1
+        elif op == 3:  # INR
+            acc = secondary_in
+            pc += 1
+        elif op == 4:  # LDC
+            acc = arg
+            pc += 1
+        elif op == 6:  # INC
+            acc += 1
+            pc += 1
+        else:  # MOVT
+            if arg == 0:
+                head -= 1
+            elif arg == 1:
+                head += 1
+            elif arg == 2:
+                tape[head] = acc
+                stores += 1
+            else:
+                acc = tape.get(head, 0)
+            pc += 1
+    return outputs, acc, head, steps, False
+
+
 def run_cycle(
     program: Program,
     state: MachineState,
@@ -254,55 +334,39 @@ def run_cycle(
     Missing outputs are padded with the default symbol 0; ``timed_out`` is set
     only when the step budget ran out before the cycle finished.
     """
-    instrs = program.instructions
-    pc = 0
-    steps = 0
-    outputs: List[int] = []
     state.input_cursor += 1
-    timed_out = False
-    while True:
-        if pc < 0 or pc >= len(instrs):
-            break  # fell off the code: treat as END
-        if steps >= budget.steps_per_cycle:
-            timed_out = True
-            break
-        ins = instrs[pc]
-        steps += 1
-        if ins.op == OP_END:
-            break
-        elif ins.op == OP_OUT:
-            outputs.append(state.registers[0])
-            state.output_count += 1
-            if len(outputs) >= max_outputs:
-                break
-            pc += 1
-        elif ins.op == OP_IN:
-            state.registers[0] = primary_in
-            pc += 1
-        elif ins.op == OP_INR:
-            state.registers[0] = secondary_in
-            pc += 1
-        elif ins.op == OP_LDC:
-            state.registers[0] = ins.arg
-            pc += 1
-        elif ins.op == OP_JZ:
-            pc += (ins.arg - 1) if state.registers[0] == 0 else 1
-        elif ins.op == OP_INC:
-            state.registers[0] += 1
-            pc += 1
-        elif ins.op == OP_MOVT:
-            if ins.arg == 0:
-                state.head -= 1
-            elif ins.arg == 1:
-                state.head += 1
-            elif ins.arg == 2:
-                state.work_tape[state.head] = state.registers[0]
-            else:
-                state.registers[0] = state.work_tape.get(state.head, 0)
-            pc += 1
-    while len(outputs) < max_outputs:
-        outputs.append(0)
+    outputs, acc, state.head, steps, timed_out = run_machine(
+        program._ops, state.registers[0], state.work_tape, state.head,
+        primary_in, secondary_in, budget.steps_per_cycle, max_outputs,
+    )
+    state.registers[0] = acc
+    state.output_count += len(outputs)
+    outputs += [0] * (max_outputs - len(outputs))
     return CycleResult(tuple(outputs), steps, timed_out)
+
+
+def env_step(
+    q: Program, frozen: FrozenState, y: Action, budget: RunBudget
+) -> Optional[Tuple[int, FrozenState]]:
+    """One environment cycle of q from a frozen machine on action y: the
+    output symbol and the next frozen machine, or None on a timeout.
+
+    The cycle ``env_cycle`` runs, on the frozen state's values: no
+    ``MachineState`` is built, and the registers stay shared when the
+    cycle leaves the accumulator as it was.
+    """
+    registers, tape, head = frozen
+    work = dict(tape)
+    outputs, acc, head, _, timed_out = run_machine(
+        q._ops, registers[0], work, head, y, 0, budget.steps_per_cycle, 1,
+    )
+    if timed_out:
+        return None
+    if acc != registers[0]:
+        registers = (acc,) + registers[1:]
+    if work:
+        tape = tuple(sorted(work.items()))
+    return (outputs[0] if outputs else 0), (registers, tape, head)
 
 
 def policy_cycle(

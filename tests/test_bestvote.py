@@ -446,14 +446,13 @@ def test_a_best_vote_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeyp
     # the candidates' walks, or ran a program's (state, action) pair twice
     # would make more.
     calls = []
-    run_cycle = vm.run_cycle
+    run_machine = vm.run_machine
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return run_cycle(*args, **kwargs)
+        return run_machine(*args, **kwargs)
 
-    monkeypatch.setattr(vm, "run_cycle", counting)
-    monkeypatch.setattr(bestvote, "run_cycle", counting)
+    monkeypatch.setattr(vm, "run_machine", counting)
     cfg = parse_config(
         "scenario=heavenhell\nagent=best-vote\nl=11\nlifetime=2\n"
         f"seed={config_seed}\ni={config_seed % 2}\n"

@@ -222,6 +222,29 @@ def even_odd_relation():
     )
 
 
+def odd_even_relation():
+    # z in {0,1}, answer y must differ from z
+    return RelationSpec(
+        num_z=2,
+        num_actions=2,
+        relation=frozenset({(0, 1), (1, 0)}),
+        presentation=(
+            ((1, 0), F(1, 4)),
+            ((0, QUESTION), F(1, 2)),
+            ((1, QUESTION), F(1, 4)),
+        ),
+    )
+
+
+def relation_pair_mixture():
+    return make_relation_mixture([(even_odd_relation(), F(1, 2)), (odd_even_relation(), F(1, 3))])
+
+
+def test_a_relation_mixtures_components_share_its_alphabet():
+    mix = relation_pair_mixture()
+    assert [m.alphabet is mix.alphabet for _, _, m in mix.components] == [True, True]
+
+
 def test_relation_rejects_wrong_examples():
     with pytest.raises(ValueError):
         RelationSpec(
@@ -366,6 +389,7 @@ RULE_WORLDS = {
     "sg-two-rounds": lambda: make_sg_env(two_round_game(), episodes=2),
     "fm": lambda: make_fm_env(quadratic_class()),
     "ex": lambda: make_ex_env(even_odd_relation()),
+    "relation-mixture": relation_pair_mixture,
     "onlyone": lambda: make_onlyone(3, 1),
     "lazy": lambda: make_lazy(5),
     "heavenhell-0": lambda: make_heavenhell(0),

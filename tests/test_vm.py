@@ -2,11 +2,16 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from unimix.core import EMPTY_HISTORY, Percept, append_cycle
 from unimix.vm import (
+    OPERAND_BITS,
+    OPCODE_BITS,
+    OP_END,
+    CycleResult,
     DecodeError,
+    Instruction,
     MachineState,
     Program,
     RunBudget,
@@ -36,6 +41,7 @@ def bits(*groups):
 
 LDC = lambda c: (1, 0, 0) + tuple((c >> i) & 1 for i in (1, 0))
 JZ = lambda d: (1, 0, 1) + tuple((d >> i) & 1 for i in (1, 0))
+MOVT = lambda a: (1, 1, 1) + tuple((a >> i) & 1 for i in (1, 0))
 
 ECHO = decode(bits(IN, OUT, END))          # action := last input
 LOOP = decode(bits(JZ(1), END))            # 1-instruction self-loop on acc=0
@@ -223,3 +229,120 @@ def test_step_accounting_is_replay_stable(binary_alphabet, budget):
     r1 = run_cycle(ECHO, MachineState(), 1, 0, budget)
     r2 = run_cycle(ECHO, MachineState(), 1, 0, budget)
     assert r1 == r2
+
+
+def reference_enumeration(l_max):
+    """The enumeration as it was first written: lists per word, then a sort."""
+    out = []
+
+    def walk(code, instrs):
+        for op in range(8):
+            width = OPERAND_BITS[op]
+            if len(code) + OPCODE_BITS + width > l_max:
+                continue
+            op_bits = [(op >> (OPCODE_BITS - 1 - i)) & 1 for i in range(OPCODE_BITS)]
+            for arg in range(2 ** width):
+                arg_bits = [(arg >> (width - 1 - i)) & 1 for i in range(width)]
+                new_code = code + op_bits + arg_bits
+                new_instrs = instrs + [Instruction(op, arg)]
+                if op == OP_END:
+                    out.append((tuple(new_code), tuple(new_instrs)))
+                else:
+                    walk(new_code, new_instrs)
+
+    walk([], [])
+    out.sort()
+    return out
+
+
+@pytest.mark.parametrize("l_max", range(1, 15))
+def test_enumeration_equals_the_reference(l_max):
+    pool = enumerate_programs(l_max)
+    assert [(p.code, p.instructions) for p in pool] == reference_enumeration(l_max)
+
+
+def reference_cycle(program, state, primary_in, secondary_in, budget, max_outputs):
+    """One cycle stepped instruction by instruction, with no idle-loop skip."""
+    instrs = program.instructions
+    pc = steps = 0
+    outputs = []
+    state.input_cursor += 1
+    timed_out = False
+    while 0 <= pc < len(instrs):
+        if steps >= budget.steps_per_cycle:
+            timed_out = True
+            break
+        ins = instrs[pc]
+        steps += 1
+        if ins.op == 0:  # END
+            break
+        elif ins.op == 1:  # OUT
+            outputs.append(state.registers[0])
+            state.output_count += 1
+            if len(outputs) >= max_outputs:
+                break
+            pc += 1
+        elif ins.op == 2:  # IN
+            state.registers[0] = primary_in
+            pc += 1
+        elif ins.op == 3:  # INR
+            state.registers[0] = secondary_in
+            pc += 1
+        elif ins.op == 4:  # LDC
+            state.registers[0] = ins.arg
+            pc += 1
+        elif ins.op == 5:  # JZ
+            pc += (ins.arg - 1) if state.registers[0] == 0 else 1
+        elif ins.op == 6:  # INC
+            state.registers[0] += 1
+            pc += 1
+        else:  # MOVT
+            if ins.arg == 0:
+                state.head -= 1
+            elif ins.arg == 1:
+                state.head += 1
+            elif ins.arg == 2:
+                state.work_tape[state.head] = state.registers[0]
+            else:
+                state.registers[0] = state.work_tape.get(state.head, 0)
+            pc += 1
+    while len(outputs) < max_outputs:
+        outputs.append(0)
+    return CycleResult(tuple(outputs), steps, timed_out)
+
+
+# Idle loops: on acc = 0 a self-loop, a loop through IN (idle on input 0),
+# a loop whose head drifts, so that it never repeats and is never skipped,
+# and a loop entered at its jump that emits once a lap (until max_outputs).
+HAND_LOOPS = [
+    decode(bits(JZ(1), END)),
+    decode(bits(IN, JZ(0), END)),
+    decode(bits(MOVT(1), JZ(0), END)),
+    decode(bits(JZ(3), OUT, JZ(0), END)),
+]
+POOL12 = enumerate_programs(12)
+SMALL = st.integers(0, 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(st.sampled_from(HAND_LOOPS), st.sampled_from(POOL12)),
+    st.integers(1, 300),
+    SMALL,
+    SMALL,
+    st.one_of(st.just(0), SMALL),
+    st.dictionaries(st.integers(-3, 3), SMALL, max_size=4),
+    st.integers(-3, 3),
+    st.integers(1, 2),
+)
+def test_a_cycle_equals_the_stepped_reference(
+    q, steps, primary_in, secondary_in, acc, tape, head, max_outputs
+):
+    budget = RunBudget(steps)
+    start = MachineState([acc], tape, head, 2, 1)
+    s, ref = start.copy(), start.copy()
+    assert run_cycle(q, s, primary_in, secondary_in, budget, max_outputs) == reference_cycle(
+        q, ref, primary_in, secondary_in, budget, max_outputs
+    )
+    assert s == ref
+
