@@ -458,6 +458,10 @@ class MixtureModel(ChronologicalModel):
         d = math.lcm(*(w.denominator for w in weights))
         if sum(w.numerator * (d // w.denominator) for w in weights) > d:
             raise ValueError("component weights must sum to <= 1")
+        # The rows are ordered by the alphabet's percepts, so every component
+        # must answer in that alphabet.
+        if any(m.alphabet != alphabet for _, _, m in self.components):
+            raise ValueError("every component must have the mixture's alphabet")
         self.alphabet = alphabet
         self._rank = {x: i for i, x in enumerate(alphabet.percepts())}
         # A component's mass starts at its weight times its own base mass,

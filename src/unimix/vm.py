@@ -65,14 +65,11 @@ class Program(Value):
 
     __slots__ = ("code", "instructions", "_ops", "_hex")
 
-    def __init__(self, code: tuple, instructions: tuple, ops: Optional[tuple] = None):
+    def __init__(self, code: tuple, instructions: tuple):
         set_field(self, "code", code)
         set_field(self, "instructions", instructions)
-        # The instructions as the machine loop reads them, (op, arg) pairs;
-        # ``enumerate_programs`` hands in pairs it shares between programs.
-        if ops is None:
-            ops = tuple((ins.op, ins.arg) for ins in instructions)
-        set_field(self, "_ops", ops)
+        # The instructions as the machine loop reads them: (op, arg) pairs.
+        set_field(self, "_ops", tuple((ins.op, ins.arg) for ins in instructions))
         # A program's hex is both its best-vote candidate label and its
         # mixture component label: made once, on first use.
         set_field(self, "_hex", None)
@@ -153,9 +150,9 @@ def enumerate_programs(l_max: int) -> List[Program]:
     """All valid programs with length_bits <= l_max, in lexicographic code order."""
     if l_max < 1:
         raise ValueError("l_max >= 1 required")
-    # Every instruction word once: its bits, its shared Instruction and its
-    # (op, arg) pair.  END comes first and the rest follow in code order, so
-    # the depth-first walk below visits codes in lexicographic order.
+    # Every instruction word once: its bits and its shared Instruction.  END
+    # comes first and the rest follow in code order, so the depth-first walk
+    # below visits codes in lexicographic order.
     words = []
     for op in range(8):
         width = OPERAND_BITS[op]
@@ -163,19 +160,19 @@ def enumerate_programs(l_max: int) -> List[Program]:
         for arg in range(2 ** width):
             word = (op << width) | arg
             bits = tuple((word >> (n - 1 - i)) & 1 for i in range(n))
-            words.append((bits, Instruction(op, arg), (op, arg)))
-    (end_bits, end_ins, end_pair), *words = words
+            words.append((bits, Instruction(op, arg)))
+    (end_bits, end_ins), *words = words
     out: List[Program] = []
 
-    def walk(code: tuple, instrs: tuple, ops: tuple) -> None:
-        out.append(Program(code + end_bits, instrs + (end_ins,), ops + (end_pair,)))
+    def walk(code: tuple, instrs: tuple) -> None:
+        out.append(Program(code + end_bits, instrs + (end_ins,)))
         room = l_max - len(code) - OPCODE_BITS  # bits a word may take, END after it
-        for bits, ins, pair in words:
+        for bits, ins in words:
             if len(bits) <= room:
-                walk(code + bits, instrs + (ins,), ops + (pair,))
+                walk(code + bits, instrs + (ins,))
 
     if l_max >= OPCODE_BITS:
-        walk((), (), ())
+        walk((), ())
     return out
 
 
@@ -259,35 +256,17 @@ def run_machine(
     place) and head ``head`` until END, falling off the code, the
     ``max_outputs``-th emit or ``limit`` steps.  Returns (outputs, acc, head,
     steps used, timed out); the outputs are not padded.
-
-    Idle loops are skipped exactly.  Only a taken ``JZ 0``/``JZ 1`` jumps
-    back (or in place), and only with acc = 0.  If such a jump is reached
-    again with the same pc, head, number of tape stores and number of
-    outputs, nothing was stored or emitted in between, so the whole machine
-    is as it was and would repeat that lap until the step limit: the steps
-    of the whole laps left are counted at once, and the rest run as usual.
     """
     n = len(ops)
-    pc = steps = stores = 0
+    pc = steps = 0
     outputs: List[int] = []
-    marks: dict = {}
     while 0 <= pc < n:  # falling off the code ends the cycle as END does
         if steps >= limit:
             return outputs, acc, head, steps, True
         op, arg = ops[pc]
         steps += 1
         if op == 5:  # JZ
-            if acc:
-                pc += 1
-            else:
-                if arg < 2:  # back or in place
-                    mark = (pc, head, stores, len(outputs))
-                    last = marks.get(mark)
-                    if last is not None:
-                        lap = steps - last
-                        steps += (limit - steps) // lap * lap
-                    marks[mark] = steps
-                pc += arg - 1
+            pc += (arg - 1) if acc == 0 else 1
         elif op == 0:  # END
             break
         elif op == 1:  # OUT
@@ -314,7 +293,6 @@ def run_machine(
                 head += 1
             elif arg == 2:
                 tape[head] = acc
-                stores += 1
             else:
                 acc = tape.get(head, 0)
             pc += 1

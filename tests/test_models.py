@@ -148,6 +148,18 @@ def test_mixture_of_two_deterministic_components(binary_alphabet):
     assert row[Percept(R0, 0)] == Fraction(1, 3)
 
 
+def test_a_mixture_rejects_a_component_of_another_alphabet(binary_alphabet):
+    # A row is ordered by the mixture's percepts, so a component answering in
+    # another alphabet is refused when the mixture is made.
+    wide = Alphabet(num_actions=2, num_observations=2, rewards=(R0, R1))
+    up = FunctionalEnv(binary_alphabet, lambda h, y: Percept(R1, 0))
+    other = FunctionalEnv(wide, lambda h, y: Percept(R1, 1))
+    with pytest.raises(ValueError, match="alphabet"):
+        MixtureModel([("up", Fraction(1, 2), up), ("other", Fraction(1, 4), other)], binary_alphabet)
+    with pytest.raises(ValueError, match="alphabet"):
+        MixtureModel([("other", Fraction(1, 2), other)], binary_alphabet)
+
+
 class TestChronologicalCheck:
     def test_tabular_constructions_pass(self, binary_alphabet):
         assert check_chronological(two_cycle_tabular(binary_alphabet), 3)

@@ -262,7 +262,7 @@ def test_enumeration_equals_the_reference(l_max):
 
 
 def reference_cycle(program, state, primary_in, secondary_in, budget, max_outputs):
-    """One cycle stepped instruction by instruction, with no idle-loop skip."""
+    """One cycle stepped on the program's Instructions and a MachineState."""
     instrs = program.instructions
     pc = steps = 0
     outputs = []
@@ -311,9 +311,9 @@ def reference_cycle(program, state, primary_in, secondary_in, budget, max_output
     return CycleResult(tuple(outputs), steps, timed_out)
 
 
-# Idle loops: on acc = 0 a self-loop, a loop through IN (idle on input 0),
-# a loop whose head drifts, so that it never repeats and is never skipped,
-# and a loop entered at its jump that emits once a lap (until max_outputs).
+# Loops that run until the budget on acc = 0: a self-loop, a loop through IN
+# (on input 0), a loop whose head drifts, and a loop entered at its jump that
+# emits once a lap (until max_outputs).
 HAND_LOOPS = [
     decode(bits(JZ(1), END)),
     decode(bits(IN, JZ(0), END)),
