@@ -41,7 +41,7 @@ from .evaluate import BoundReport, CapacityError, summary_block
 from .models import (
     TabularModel,
     UndefinedConditionalError,
-    build_mixture,
+    build_class_mixture,
     check_chronological,
 )
 from .planner import (
@@ -282,7 +282,10 @@ def _build_agent(cfg: ScenarioConfig, env):
     if cfg.agent == "greedy":
         return planning_policy(env, MovingHorizon(1), cfg.lifetime), env, None
     if cfg.agent == "mixture":
-        xi = build_mixture(enumerate_programs(cfg.l_max), budget, env.alphabet)
+        # horizon_end clamps every plan to the lifetime, so the classes
+        # need only agree for that many cycles.
+        pool = enumerate_programs(cfg.l_max)
+        xi = build_class_mixture(pool, budget, env.alphabet, cfg.lifetime)
         return planning_policy(xi, cfg.horizon, cfg.lifetime), xi, xi
     if cfg.agent == "program":
         hexcode = cfg.extras.get("program")

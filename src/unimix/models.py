@@ -19,6 +19,7 @@ from typing import (
 from .core import (
     Action,
     Alphabet,
+    CapacityError,
     EMPTY_HISTORY,
     History,
     Percept,
@@ -418,12 +419,14 @@ class MixtureNode:
         return self.step(h, y).get(x) or MixtureNode(self.mixture, ())
 
     def top(self) -> Optional[str]:
-        """Label of the heaviest survivor, the lowest index on ties (the
-        ``posterior(mixture, h).top()`` of the node's history h); None if
-        there is no survivor."""
+        """Label of the survivor whose leader is heaviest, the lowest index
+        on ties (the ``posterior(mixture, h).top()`` of the node's history h
+        when each component is its own leader); None if there is no
+        survivor."""
         if not self.survivors:
             return None
-        best = max(self.survivors, key=lambda s: (s[1], -s[0]))
+        share = self.mixture._lead_share
+        best = max(self.survivors, key=lambda s: (s[1] * share[s[0]], -s[0]))
         return self.mixture.components[best[0]][0]
 
 
@@ -441,12 +444,18 @@ class MixtureModel(ChronologicalModel):
     deterministic components stay integers, and they sum to the mixture
     joint of h times ``_scale``.  ``step`` steps each survivor one cycle, so
     a planner that carries the state never replays a history.
+
+    ``leads``, when given, is the weight of each component's leader, the
+    heaviest of the programs it stands for (``build_class_mixture``):
+    ``MixtureNode.top`` ranks survivors by their leaders' masses.  By
+    default each component is its own leader.
     """
 
     def __init__(
         self,
         components: Sequence[Tuple[str, Fraction, ChronologicalModel]],
         alphabet: Alphabet,
+        leads: Optional[Sequence[Fraction]] = None,
     ):
         if not components:
             raise ValueError("mixture needs at least one component")
@@ -464,6 +473,11 @@ class MixtureModel(ChronologicalModel):
             raise ValueError("every component must have the mixture's alphabet")
         self.alphabet = alphabet
         self._rank = {x: i for i, x in enumerate(alphabet.percepts())}
+        # A survivor's mass times its share is its leader's mass.
+        if leads is None:
+            self._lead_share = (1,) * len(weights)
+        else:
+            self._lead_share = tuple(lead / w for lead, w in zip(leads, weights))
         # A component's mass starts at its weight times its own base mass,
         # which is not 1 when the component is itself a mixture.
         masses = []
@@ -532,6 +546,86 @@ def build_mixture(
         (q.to_hex(), q.weight, ProgramEnv(q, budget, alphabet)) for q in pool
     ]
     return MixtureModel(components, alphabet)
+
+
+# The most signature entries one ``build_class_mixture`` may compute: one
+# per action of each (program, machine state, remaining depth) signature,
+# so the cap bounds the table rows read whatever the number of actions.
+CLASS_CAP = 2**20
+
+# A signature's entry for an action whose cycle runs out of steps.
+_TIMEOUT = -1
+
+
+def build_class_mixture(
+    pool: Sequence[Program], budget: RunBudget, alphabet: Alphabet, depth: int
+) -> MixtureModel:
+    """``build_mixture`` with one component per behaviour class: the
+    programs that, on every action sequence of at most ``depth`` actions,
+    emit the same percepts and time out on the same cycle.
+
+    A program's class is its signature from the fresh machine: for each
+    action, the percept and the signature of the next machine state one
+    cycle shallower, or a timeout mark; it is computed from the program's
+    transition table (``ProgramEnv.step``) and interned to a small int.  A
+    class's component is its leader's ``ProgramEnv`` (the heaviest member,
+    the lowest pool index on ties, which gives its label) with the summed
+    weight of its members.  So the mixture equals ``build_mixture`` on
+    every history of at most ``depth`` cycles: equal joints and equal
+    conditionals.  ``MixtureNode.top`` still names the heaviest surviving
+    program, since it ranks classes by their leaders' masses.
+
+    Computing more than ``CLASS_CAP`` signature entries raises
+    ``CapacityError``.
+    """
+    if not pool:
+        raise ValueError("empty program pool")
+    if depth < 1:
+        raise ValueError("depth >= 1 required")
+    actions = alphabet.actions()
+    ids: Dict[tuple, int] = {}  # signature -> its interned int
+    entries = 0
+
+    def signature(env: ProgramEnv, memo: dict, s: FrozenState, d: int) -> int:
+        nonlocal entries
+        got = memo.get((s, d))
+        if got is None:
+            entries += len(actions)
+            if entries > CLASS_CAP:
+                raise CapacityError(
+                    f"the behaviour classes of {len(pool)} programs over {depth} "
+                    f"cycles need more than {CLASS_CAP} signature entries"
+                )
+            sig = []
+            # A program that never reads the action has one row for all.
+            for y in actions if env._reads_action else actions[:1]:
+                row = env.step(s, None, y)  # a program's row reads no history
+                if not row:
+                    sig.append(_TIMEOUT)
+                    continue
+                ((x, (_, child)),) = row.items()
+                # Signatures are compared at equal depths only, so the
+                # depth-0 signature may share its int with any other.
+                sig.append((x, signature(env, memo, child, d - 1) if d > 1 else 0))
+            if not env._reads_action:
+                sig *= len(actions)
+            got = memo[s, d] = ids.setdefault(tuple(sig), len(ids))
+        return got
+
+    # The weights are summed as integers over 2^l_max.
+    l_max = max(q.length_bits for q in pool)
+    classes: Dict[int, list] = {}  # class -> [leader's pool index, its env, mass]
+    for i, q in enumerate(pool):
+        env = ProgramEnv(q, budget, alphabet)
+        c = classes.setdefault(signature(env, {}, _FRESH, depth), [i, env, 0])
+        if q.length_bits < pool[c[0]].length_bits:
+            c[0], c[1] = i, env
+        c[2] += 1 << (l_max - q.length_bits)
+    leaders = sorted(classes.values(), key=lambda c: c[0])
+    components = [
+        (pool[i].to_hex(), Fraction(mass, 1 << l_max), env) for i, env, mass in leaders
+    ]
+    return MixtureModel(components, alphabet, [pool[i].weight for i, _, _ in leaders])
 
 
 def posterior(m: MixtureModel, h: History) -> PosteriorState:

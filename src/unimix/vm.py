@@ -60,6 +60,10 @@ class Instruction(Value):
         set_field(self, "arg", arg)
 
 
+# Bits 0 and 1 as the ASCII digits ``int(..., 2)`` reads.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 class Program(Value):
     """Prefix-free bytecode; ``code`` is exactly the consumed bit prefix."""
 
@@ -86,7 +90,7 @@ class Program(Value):
         if self._hex is None:
             # length prefix keeps trailing zero bits unambiguous
             n = len(self.code)
-            value = int("".join(map(str, self.code)), 2) if n else 0
+            value = int(bytes(self.code).translate(_DIGITS), 2) if n else 0
             width = max(1, (n + 3) // 4)
             set_field(self, "_hex", f"{n}:{value:0{width}x}")
         return self._hex

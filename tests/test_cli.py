@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from unimix import cli
+from unimix import cli, models
 from unimix.cli import (
     EXIT_BOUND,
     EXIT_CAPACITY,
@@ -171,6 +171,13 @@ class TestRunScenario:
         [
             "scenario=heavenhell\nagent=mixture\nlifetime=3\ni=1\nl=9\n",
             "scenario=onlyone\nagent=mixture\nlifetime=3\nn=3\ny_star=1\nl=9\n",
+            # The agent's mixture has one component per behaviour class; the
+            # column still names the heaviest program of the unmerged one.
+            "scenario=heavenhell\nagent=mixture\nlifetime=4\ni=0\nl=12\n",
+            "scenario=heavenhell\nagent=mixture\nlifetime=5\ni=1\nl=12\nt=3\n"
+            "horizon=moving:2\n",
+            "scenario=lazy\nagent=mixture\nlifetime=4\nl=12\nseed=5\n",
+            "scenario=onlyone\nagent=mixture\nlifetime=4\nn=4\ny_star=2\nl=11\n",
             "scenario=heavenhell\nagent=best-vote\nlifetime=3\ni=0\nl=9\nseed=1\n",
             "scenario=onlyone\nagent=best-vote\nlifetime=3\nn=2\nl=7\n",
         ],
@@ -407,6 +414,19 @@ class TestMain:
     def test_disasm_rejects_malformed_hex(self, capsys):
         assert main(["disasm", "4:f"]) == EXIT_VALIDATION
         assert "validation error" in capsys.readouterr().err
+
+    def test_a_class_build_past_its_cap_exits_2_without_a_traceback(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # heavenhell at l=12 and lifetime 3 needs 1,298 signature entries
+        monkeypatch.setattr(models, "CLASS_CAP", 100)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("scenario=heavenhell\nagent=mixture\nlifetime=3\nl=12\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_CAPACITY
+        assert capsys.readouterr().err == (
+            "capacity error: the behaviour classes of 193 programs over 3 cycles "
+            "need more than 100 signature entries\n"
+        )
 
     def test_capacity_errors_exit_2(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "cfg.txt"

@@ -3,18 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unimix.core import (
     Alphabet,
     EMPTY_HISTORY,
+    FixedHorizon,
     History,
     Percept,
     append_cycle,
     encode_history,
 )
-from unimix.domains import make_fm_env, uniform_function_class
+from unimix.domains import make_fm_env, make_heavenhell, uniform_function_class
 from unimix.models import (
     ChronologicalModel,
     FunctionalEnv,
@@ -23,6 +24,7 @@ from unimix.models import (
     ProgramEnv,
     TabularModel,
     UndefinedConditionalError,
+    build_class_mixture,
     build_mixture,
     check_chronological,
     cond_prob,
@@ -34,7 +36,8 @@ from unimix.models import (
     sq_distance_sum,
     weights_csv,
 )
-from unimix.vm import RunBudget, enumerate_programs, replay_env
+from unimix.planner import ValueQuery, best_action, value_opt
+from unimix.vm import RunBudget, decode, enumerate_programs, replay_env
 
 R0 = Fraction(0)
 R1 = Fraction(1)
@@ -467,3 +470,88 @@ def test_stepped_state_equals_from_scratch_sums(case):
             assert {x: p for x, (p, _) in stepped.items()} == expected
             for x, (_, child) in stepped.items():
                 assert child == m.state(append_cycle(h, y, x))
+
+
+# --- One component per behaviour class ---------------------------------------
+
+CLASS_POOLS = {n: enumerate_programs(n) for n in range(6, 13)}
+
+
+@st.composite
+def class_cases(draw):
+    """A random sub-pool (l 6-12), an alphabet, a budget small enough that
+    some programs time out, and a depth."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    full = CLASS_POOLS[draw(st.sampled_from(sorted(CLASS_POOLS)))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    keep = draw(st.sampled_from((1, 1, 2, 3)))  # every program, or about 1 in keep
+    pool = [q for q in full if rng.randrange(keep) == 0] or full[:1]
+    return pool, RunBudget(draw(st.integers(1, 8))), alphabet, draw(st.integers(1, 4))
+
+
+def plan(m, h, depth):
+    q = ValueQuery(m, h, len(h) + 1, depth, FixedHorizon(depth))
+    return best_action(q), value_opt(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(class_cases())
+# Two fixed cases on the whole 12-bit pool: from 11 bits on, some classes
+# split only on the second cycle, and at 3 steps some programs time out.
+@example((CLASS_POOLS[12], RunBudget(8), ALPHABETS[0], 2))
+@example((CLASS_POOLS[12], RunBudget(3), ALPHABETS[1], 3))
+def test_the_class_mixture_equals_the_program_mixture_up_to_its_depth(case):
+    pool, budget, alphabet, depth = case
+    classes = build_class_mixture(pool, budget, alphabet, depth)
+    plain = build_mixture(pool, budget, alphabet)
+
+    def walk(h, cs, ps):
+        """Every path down to the depth, both states carried."""
+        assert classes.joint(h) == plain.joint(h) > 0
+        assert plan(classes, h, depth) == plan(plain, h, depth)
+        for y in alphabet.actions():
+            c_row, p_row = classes.step(cs, h, y), plain.step(ps, h, y)
+            assert {x: p for x, (p, _) in c_row.items()} == {
+                x: p for x, (p, _) in p_row.items()
+            }
+            if len(h) + 1 < depth:
+                for x, (_, child) in c_row.items():
+                    walk(append_cycle(h, y, x), child, p_row[x][1])
+
+    walk(EMPTY_HISTORY, classes.state(EMPTY_HISTORY), plain.state(EMPTY_HISTORY))
+
+
+@pytest.mark.parametrize("depth", [3, 8])
+def test_the_12_bit_pool_falls_into_7_classes_in_heavenhells_alphabet(pool12, depth):
+    a = make_heavenhell(0).alphabet
+    xi = build_class_mixture(pool12, RunBudget(64), a, depth)
+    assert len(pool12) == 193
+    assert len(xi.components) == 7
+    assert xi.base_mass() == build_mixture(pool12, RunBudget(64), a).base_mass()
+
+
+OUT, INR, INC, END, LDC2 = (0, 0, 1), (0, 1, 1), (1, 1, 0), (0, 0, 0), (1, 0, 0, 1, 0)
+
+
+def test_top_names_the_heaviest_program_not_the_heaviest_class(binary_alphabet, budget):
+    # Over one cycle the three 12-bit programs emit symbol 1 and share a
+    # class of mass 3/2^12; the 11-bit one emits 2, percept 0, alone.
+    lights = [
+        decode(INC + OUT + OUT + END),
+        decode(INR + INC + OUT + END),
+        decode(INC + OUT + INC + END),
+    ]
+    heavy = decode(LDC2 + OUT + END)
+    pool = lights + [heavy]
+    xi = build_class_mixture(pool, budget, binary_alphabet, 1)
+    assert [w for _, w, _ in xi.components] == [Fraction(3, 2**12), Fraction(1, 2**11)]
+    assert xi.state(EMPTY_HISTORY).top() == heavy.to_hex()
+    plain = build_mixture(pool, budget, binary_alphabet)
+    assert posterior(plain, EMPTY_HISTORY).top() == heavy.to_hex()
+
+
+def test_a_class_build_needs_a_depth_and_a_pool(binary_alphabet, budget, pool6):
+    with pytest.raises(ValueError):
+        build_class_mixture(pool6, budget, binary_alphabet, 0)
+    with pytest.raises(ValueError):
+        build_class_mixture([], budget, binary_alphabet, 1)

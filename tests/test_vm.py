@@ -201,6 +201,14 @@ def test_hex_round_trip(pool8):
         assert Program.from_hex(p.to_hex()).code == p.code
 
 
+def test_hex_equals_the_bit_string_formula_on_every_program_up_to_12_bits():
+    for p in enumerate_programs(12):  # fresh programs: no label made yet
+        n = len(p.code)
+        value = int("".join(map(str, p.code)), 2)
+        assert p.to_hex() == f"{n}:{value:0{(n + 3) // 4}x}"
+        assert Program.from_hex(p.to_hex()) == p
+
+
 @given(st.integers(min_value=0, max_value=2**12 - 1), st.integers(min_value=3, max_value=12))
 def test_hex_round_trip_on_arbitrary_decodable_strings(value, n):
     raw = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
