@@ -25,6 +25,7 @@ from .core import (
     HorizonPolicy,
     MovingHorizon,
     ProportionalHorizon,
+    horizon_end,
 )
 from .domains import (
     FunctionClassSpec,
@@ -42,6 +43,7 @@ from .models import (
     TabularModel,
     UndefinedConditionalError,
     build_class_mixture,
+    build_mixture,
     check_chronological,
 )
 from .planner import (
@@ -282,10 +284,16 @@ def _build_agent(cfg: ScenarioConfig, env):
     if cfg.agent == "greedy":
         return planning_policy(env, MovingHorizon(1), cfg.lifetime), env, None
     if cfg.agent == "mixture":
-        # horizon_end clamps every plan to the lifetime, so the classes
-        # need only agree for that many cycles.
         pool = enumerate_programs(cfg.l_max)
-        xi = build_class_mixture(pool, budget, env.alphabet, cfg.lifetime)
+        # When the first plan reaches the lifetime it steps every program on
+        # every action sequence to it, so the class build runs no machine
+        # cycle that plan would not; a shorter first plan visits only part of
+        # the build's walk.  horizon_end clamps every plan to the lifetime,
+        # so the classes need only agree for that many cycles.
+        if horizon_end(cfg.horizon, 1, cfg.lifetime) == cfg.lifetime:
+            xi = build_class_mixture(pool, budget, env.alphabet, cfg.lifetime)
+        else:
+            xi = build_mixture(pool, budget, env.alphabet)
         return planning_policy(xi, cfg.horizon, cfg.lifetime), xi, xi
     if cfg.agent == "program":
         hexcode = cfg.extras.get("program")

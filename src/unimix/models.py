@@ -19,7 +19,6 @@ from typing import (
 from .core import (
     Action,
     Alphabet,
-    CapacityError,
     EMPTY_HISTORY,
     History,
     Percept,
@@ -476,6 +475,10 @@ class MixtureModel(ChronologicalModel):
         # A survivor's mass times its share is its leader's mass.
         if leads is None:
             self._lead_share = (1,) * len(weights)
+        elif len(leads) != len(weights) or not all(
+            0 < lead <= w for lead, w in zip(leads, weights)
+        ):
+            raise ValueError("each component needs one lead in (0, its weight]")
         else:
             self._lead_share = tuple(lead / w for lead, w in zip(leads, weights))
         # A component's mass starts at its weight times its own base mass,
@@ -548,13 +551,18 @@ def build_mixture(
     return MixtureModel(components, alphabet)
 
 
-# The most signature entries one ``build_class_mixture`` may compute: one
-# per action of each (program, machine state, remaining depth) signature,
-# so the cap bounds the table rows read whatever the number of actions.
+# The most signature entries one ``build_class_mixture`` computes before it
+# gives up on classes: one per action of each (program, machine state,
+# remaining depth) signature, so the cap bounds the table rows read whatever
+# the number of actions.
 CLASS_CAP = 2**20
 
 # A signature's entry for an action whose cycle runs out of steps.
 _TIMEOUT = -1
+
+
+class _PastClassCap(Exception):
+    """The class build needs more than ``CLASS_CAP`` signature entries."""
 
 
 def build_class_mixture(
@@ -575,8 +583,9 @@ def build_class_mixture(
     conditionals.  ``MixtureNode.top`` still names the heaviest surviving
     program, since it ranks classes by their leaders' masses.
 
-    Computing more than ``CLASS_CAP`` signature entries raises
-    ``CapacityError``.
+    A build that would compute more than ``CLASS_CAP`` signature entries
+    returns ``build_mixture``'s per-program mixture instead, over the same
+    ``ProgramEnv``s, so the rows the walk ran stay in their tables.
     """
     if not pool:
         raise ValueError("empty program pool")
@@ -592,10 +601,7 @@ def build_class_mixture(
         if got is None:
             entries += len(actions)
             if entries > CLASS_CAP:
-                raise CapacityError(
-                    f"the behaviour classes of {len(pool)} programs over {depth} "
-                    f"cycles need more than {CLASS_CAP} signature entries"
-                )
+                raise _PastClassCap
             sig = []
             # A program that never reads the action has one row for all.
             for y in actions if env._reads_action else actions[:1]:
@@ -612,15 +618,20 @@ def build_class_mixture(
             got = memo[s, d] = ids.setdefault(tuple(sig), len(ids))
         return got
 
+    envs = [ProgramEnv(q, budget, alphabet) for q in pool]
     # The weights are summed as integers over 2^l_max.
     l_max = max(q.length_bits for q in pool)
     classes: Dict[int, list] = {}  # class -> [leader's pool index, its env, mass]
-    for i, q in enumerate(pool):
-        env = ProgramEnv(q, budget, alphabet)
-        c = classes.setdefault(signature(env, {}, _FRESH, depth), [i, env, 0])
-        if q.length_bits < pool[c[0]].length_bits:
-            c[0], c[1] = i, env
-        c[2] += 1 << (l_max - q.length_bits)
+    try:
+        for i, (q, env) in enumerate(zip(pool, envs)):
+            c = classes.setdefault(signature(env, {}, _FRESH, depth), [i, env, 0])
+            if q.length_bits < pool[c[0]].length_bits:
+                c[0], c[1] = i, env
+            c[2] += 1 << (l_max - q.length_bits)
+    except _PastClassCap:
+        return MixtureModel(
+            [(q.to_hex(), q.weight, env) for q, env in zip(pool, envs)], alphabet
+        )
     leaders = sorted(classes.values(), key=lambda c: c[0])
     components = [
         (pool[i].to_hex(), Fraction(mass, 1 << l_max), env) for i, env, mass in leaders

@@ -171,9 +171,12 @@ class TestRunScenario:
         [
             "scenario=heavenhell\nagent=mixture\nlifetime=3\ni=1\nl=9\n",
             "scenario=onlyone\nagent=mixture\nlifetime=3\nn=3\ny_star=1\nl=9\n",
-            # The agent's mixture has one component per behaviour class; the
-            # column still names the heaviest program of the unmerged one.
+            # Where the first plan reaches the lifetime, the agent's mixture
+            # has one component per behaviour class; the column still names
+            # the heaviest program of the unmerged one.
             "scenario=heavenhell\nagent=mixture\nlifetime=4\ni=0\nl=12\n",
+            "scenario=heavenhell\nagent=mixture\nlifetime=5\ni=1\nl=12\nt=3\n"
+            "horizon=moving:5\n",
             "scenario=heavenhell\nagent=mixture\nlifetime=5\ni=1\nl=12\nt=3\n"
             "horizon=moving:2\n",
             "scenario=lazy\nagent=mixture\nlifetime=4\nl=12\nseed=5\n",
@@ -196,6 +199,24 @@ class TestRunScenario:
             else:
                 assert top == ""
             prefix = append_cycle(prefix, int(y), Percept(Fraction(r), int(o)))
+
+    @pytest.mark.parametrize(
+        "horizon, components",
+        [("", 7), ("horizon=moving:3\n", 7), ("horizon=moving:2\n", 193)],
+    )
+    def test_the_mixture_agent_has_classes_when_its_first_plan_reaches_the_lifetime(
+        self, horizon, components
+    ):
+        cfg = parse_config(f"scenario=heavenhell\nagent=mixture\nlifetime=3\nl=12\n{horizon}")
+        assert len(cli._build_agent(cfg, cli._build_env(cfg))[2].components) == components
+
+    def test_a_many_action_mixture_run_with_a_short_horizon_finishes(self):
+        # Classes over 64 cycles of 16 actions would pass CLASS_CAP; the
+        # one-cycle plans step the per-program mixture instead.
+        cfg = parse_config(
+            "scenario=onlyone\nagent=mixture\nl=12\nlifetime=64\nn=16\nhorizon=moving:1\n"
+        )
+        assert len(trace_rows(run_scenario(cfg).trace_csv)) == 64
 
     def test_best_vote_agent_emits_a_selection_log(self):
         cfg = parse_config(
@@ -415,18 +436,16 @@ class TestMain:
         assert main(["disasm", "4:f"]) == EXIT_VALIDATION
         assert "validation error" in capsys.readouterr().err
 
-    def test_a_class_build_past_its_cap_exits_2_without_a_traceback(
-        self, tmp_path, monkeypatch, capsys
-    ):
+    def test_a_class_build_past_its_cap_runs_the_per_program_mixture(self, monkeypatch):
         # heavenhell at l=12 and lifetime 3 needs 1,298 signature entries
+        cfg = parse_config("scenario=heavenhell\nagent=mixture\nlifetime=3\nl=12\n")
+        classed = run_scenario(cfg)
+        assert len(cli._build_agent(cfg, cli._build_env(cfg))[2].components) == 7
         monkeypatch.setattr(models, "CLASS_CAP", 100)
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("scenario=heavenhell\nagent=mixture\nlifetime=3\nl=12\n")
-        assert main(["run", "--config", str(cfg)]) == EXIT_CAPACITY
-        assert capsys.readouterr().err == (
-            "capacity error: the behaviour classes of 193 programs over 3 cycles "
-            "need more than 100 signature entries\n"
-        )
+        assert len(cli._build_agent(cfg, cli._build_env(cfg))[2].components) == 193
+        capped = run_scenario(cfg)
+        assert capped.trace_csv == classed.trace_csv
+        assert capped.results == classed.results
 
     def test_capacity_errors_exit_2(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "cfg.txt"

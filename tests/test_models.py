@@ -163,6 +163,18 @@ def test_a_mixture_rejects_a_component_of_another_alphabet(binary_alphabet):
         MixtureModel([("other", Fraction(1, 2), other)], binary_alphabet)
 
 
+@pytest.mark.parametrize(
+    "leads", [[Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 2)], [Fraction(1, 4), 0]]
+)
+def test_a_mixture_rejects_a_lead_per_component_out_of_its_weight(binary_alphabet, leads):
+    # One lead per component, each in (0, its component's weight].
+    up = FunctionalEnv(binary_alphabet, lambda h, y: Percept(R1, 0))
+    comps = [("a", Fraction(1, 2), up), ("b", Fraction(1, 4), up)]
+    with pytest.raises(ValueError, match="lead"):
+        MixtureModel(comps, binary_alphabet, leads)
+    assert MixtureModel(comps, binary_alphabet, [Fraction(1, 4), Fraction(1, 4)])
+
+
 class TestChronologicalCheck:
     def test_tabular_constructions_pass(self, binary_alphabet):
         assert check_chronological(two_cycle_tabular(binary_alphabet), 3)
