@@ -70,7 +70,9 @@ class ExtendedCandidate:
         self.sort_key = sort_key
         self.program = program
         self.oracle = oracle
-        self.reset()
+        self.state = MachineState()
+        self.cycles_run = 0
+        self.last_claim: Optional[Claim] = None
 
     @classmethod
     def from_program(cls, p: Program) -> "ExtendedCandidate":
@@ -83,12 +85,6 @@ class ExtendedCandidate:
         # oracles sort after all bytecode candidates, then by rank
         return cls(label, (1, rank), oracle=fn)
 
-    def reset(self) -> None:
-        self.state = MachineState()
-        self.cycles_run = 0
-        self.last_claim: Optional[Claim] = None
-        self.alive = True
-
     def fresh(self) -> "ExtendedCandidate":
         return ExtendedCandidate(
             self.label, self.sort_key, program=self.program, oracle=self.oracle
@@ -100,7 +96,6 @@ class ExtendedCandidate:
         c.state = self.state.copy()
         c.cycles_run = self.cycles_run
         c.last_claim = self.last_claim
-        c.alive = self.alive
         return c
 
 
@@ -112,8 +107,6 @@ def run_candidate_cycle(
     Incremental: the candidate must have been stepped on exactly the previous
     cycles.  A budget timeout yields the flagged (w=0, y=0) claim.
     """
-    if not c.alive:
-        raise ValueError("candidate is not alive")
     if c.cycles_run != len(h):
         raise ValueError(
             f"candidate has run {c.cycles_run} cycles but history has {len(h)}"

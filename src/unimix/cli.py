@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -25,7 +24,11 @@ from .core import (
     HorizonPolicy,
     MovingHorizon,
     ProportionalHorizon,
+    ValidationError,
     horizon_end,
+    input_errors,
+    read_text,
+    write_text,
 )
 from .domains import (
     FunctionClassSpec,
@@ -80,18 +83,9 @@ _SCENARIOS = tuple(_SCENARIO_KEYS)
 _AGENTS = ("informed", "mixture", "greedy", "best-vote", "program")
 
 
-class ValidationError(ValueError):
-    """Carries every violation found in a config, not just the first."""
-
-    def __init__(self, violations: List[str]):
-        super().__init__("; ".join(violations))
-        self.violations = violations
-
-
 class ScenarioConfig:
     __slots__ = (
-        "scenario", "agent", "lifetime", "horizon", "l_max", "steps", "seed",
-        "extras", "source_text",
+        "scenario", "agent", "lifetime", "horizon", "l_max", "steps", "seed", "extras",
     )
 
     def __init__(
@@ -104,7 +98,6 @@ class ScenarioConfig:
         steps: int,
         seed: int,
         extras: Optional[Dict[str, str]] = None,
-        source_text: str = "",
     ):
         self.scenario = scenario
         self.agent = agent
@@ -114,7 +107,6 @@ class ScenarioConfig:
         self.steps = steps
         self.seed = seed
         self.extras = {} if extras is None else extras
-        self.source_text = source_text
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
@@ -130,7 +122,7 @@ class ScenarioConfig:
             "seed": str(self.seed),
             **dict(sorted(self.extras.items())),
         }
-        return "\n".join(f"{k}={v}" for k, v in pairs.items()) + "\n"
+        return write_text(pairs.items())
 
 
 def _horizon_str(h: HorizonPolicy) -> str:
@@ -159,17 +151,8 @@ def parse_horizon(text: str) -> HorizonPolicy:
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate, collecting every violation before failing."""
-    pairs: Dict[str, str] = {}
     violations: List[str] = []
-    for idx, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            violations.append(f"line {idx}: expected key=value, got {line!r}")
-            continue
-        k, _, v = line.partition("=")
-        pairs[k.strip()] = v.strip()
+    pairs, _ = read_text(text, violations=violations)
 
     def take(key: str, default: Optional[str] = None) -> Optional[str]:
         if key in pairs:
@@ -213,28 +196,16 @@ def parse_config(text: str) -> ScenarioConfig:
     steps = to_int("t", t_s, 1, 4096)
     seed = to_int("seed", seed_s, 0, SEED_MAX)
 
+    horizon = FixedHorizon(max(1, lifetime))
     if horizon_s:
         try:
             horizon = parse_horizon(horizon_s)
         except (ValueError, ZeroDivisionError) as e:
             violations.append(f"bad horizon {horizon_s!r}: {e}")
-            horizon = FixedHorizon(max(1, lifetime))
-    else:
-        horizon = FixedHorizon(max(1, lifetime))
 
     if violations:
         raise ValidationError(violations)
-    return ScenarioConfig(
-        scenario=scenario,
-        agent=agent,
-        lifetime=lifetime,
-        horizon=horizon,
-        l_max=l_max,
-        steps=steps,
-        seed=seed,
-        extras=pairs,
-        source_text=text,
-    )
+    return ScenarioConfig(scenario, agent, lifetime, horizon, l_max, steps, seed, pairs)
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -242,6 +213,14 @@ def load_config(path: str) -> ScenarioConfig:
 
 
 # --- Environment and agent wiring -------------------------------------------
+
+
+def _load(loads, path: str):
+    """The environment file at ``path``, read by ``loads``; its violations name it."""
+    try:
+        return loads(Path(path).read_text())
+    except ValidationError as e:
+        raise ValidationError([f"{path}: {v}" for v in e.violations]) from None
 
 
 def _build_env(cfg: ScenarioConfig):
@@ -253,26 +232,21 @@ def _build_env(cfg: ScenarioConfig):
     if cfg.scenario == "lazy":
         return make_lazy(cfg.lifetime)
     if cfg.scenario == "sp":
-        mu = {}
-        for item in ex.get("sequences", "").split(";"):
-            if not item:
-                continue
-            bits, _, p = item.partition(":")
-            mu[tuple(int(b) for b in bits)] = Fraction(p)
-        if not mu:
+        items = [item.partition(":") for item in ex.get("sequences", "").split(";") if item]
+        if not items:
             raise ValidationError(["sp scenario needs sequences=<bits:prob;...>"])
-        return make_sp_env(mu)
+        return make_sp_env({tuple(map(int, bits)): Fraction(p) for bits, _, p in items})
     if cfg.scenario == "sg":
-        spec = GameSpec.loads(Path(ex["env_file"]).read_text())
+        spec = _load(GameSpec.loads, ex["env_file"])
         return make_sg_env(spec, episodes=int(ex.get("episodes", "1")))
     if cfg.scenario == "fm":
         if ex.get("class") == "uniform16":
             spec = uniform_function_class(2, tuple(Fraction(z) for z in (1, 2, 3, 4)))
         else:
-            spec = FunctionClassSpec.loads(Path(ex["env_file"]).read_text())
+            spec = _load(FunctionClassSpec.loads, ex["env_file"])
         return make_fm_env(spec)
     if cfg.scenario == "tabular":
-        return TabularModel.loads(Path(ex["env_file"]).read_text())
+        return _load(TabularModel.loads, ex["env_file"])
     raise ValidationError([f"unknown scenario {cfg.scenario!r}"])
 
 
@@ -320,22 +294,8 @@ class RunArtifacts:
         self.selection_csv = selection_csv
 
 
-@contextmanager
-def _input_errors(label: str):
-    """Turn an error from building a run's environment or agent out of its
-    config into one violation, so the run exits 1 without a traceback."""
-    try:
-        yield
-    except ValidationError:
-        raise
-    except KeyError as e:
-        raise ValidationError([f"{label}: missing key {e}"]) from None
-    except (ValueError, ArithmeticError, OSError) as e:
-        raise ValidationError([f"{label}: {e}"]) from None
-
-
 def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
-    with _input_errors(f"scenario={cfg.scenario}"):
+    with input_errors(f"scenario={cfg.scenario}"):
         env = _build_env(cfg)
     budget = RunBudget(cfg.steps)
     selection_csv = None
@@ -353,7 +313,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         model = None
         tops = [top or "" for top in leaders]
     else:
-        with _input_errors(f"agent={cfg.agent}"):
+        with input_errors(f"agent={cfg.agent}"):
             policy, model, mixture = _build_agent(cfg, env)
         try:
             h = run_interaction(policy, env, cfg.lifetime, cfg.seed)
@@ -494,7 +454,7 @@ def _dispatch(args) -> int:
         if args.l_max > L_CAP:
             raise CapacityError(f"--l {args.l_max} exceeds the pool cap of {L_CAP} bits")
     if args.command == "run":
-        with _input_errors("--config"):
+        with input_errors("--config"):
             cfg = load_config(args.config)
         if args.seed is not None:
             if not 0 <= args.seed <= SEED_MAX:

@@ -1,14 +1,15 @@
-"""Shared vocabulary: alphabets, percepts, histories, horizon policies.
+"""Shared vocabulary: alphabets, percepts, histories, horizon policies, and
+the one text format of configs and environment files.
 
-Everything here is an immutable value object and all rewards are exact
-rationals, so downstream expectimax values compare bit-exactly.
-"""
+Its value objects are immutable and all rewards are exact rationals, so
+downstream expectimax values compare bit-exactly."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from operator import attrgetter
-from typing import Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 Action = int
 
@@ -19,6 +20,86 @@ class AlternationError(ValueError):
 
 class CapacityError(RuntimeError):
     """An exact enumeration was requested beyond the configured caps."""
+
+
+class ValidationError(ValueError):
+    """Carries every violation found in an input, not just the first."""
+
+    def __init__(self, violations: List[str]):
+        super().__init__("; ".join(violations))
+        self.violations = violations
+
+
+@contextmanager
+def input_errors(label: str):
+    """Turn an error from building something out of an input into one
+    violation, prefixed with ``label``; a ``ValidationError`` passes as it is."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except KeyError as e:
+        raise ValidationError([f"{label}: missing key {e}"]) from None
+    except (ValueError, ArithmeticError, OSError) as e:
+        raise ValidationError([f"{label}: {e}"]) from None
+
+
+# --- The text format of configs and environment files ----------------------
+
+
+def read_text(
+    text: str,
+    fields: Optional[Dict[str, Callable[[str], Any]]] = None,
+    row: Optional[Tuple[Callable[[str], Any], Callable[[str], Any]]] = None,
+    optional: Iterable[str] = (),
+    violations: Optional[List[str]] = None,
+) -> Tuple[Dict[str, Any], Dict[Any, Any]]:
+    """Read ``key=value`` header lines and ``<key> | <values>`` rows.
+
+    ``#`` starts a comment anywhere on a line; blank lines are skipped.
+    ``fields`` maps each header key to the function that converts its value
+    (each key not in ``optional`` is required); without it any key is kept
+    as text.  ``row`` converts a row's key and values; without it rows are
+    not allowed.  Returns the header and the rows by converted key.  Every
+    violation is collected with its line number and appended to
+    ``violations``, or, when that is not given, raised in one ``ValidationError``.
+    """
+    found = [] if violations is None else violations
+    header, rows, seen = {}, {}, set()
+    for n, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        sep = "|" if "|" in line else "="
+        k, _, v = (part.strip() for part in line.partition(sep))
+        try:
+            if sep not in line or (sep == "|" and row is None):
+                either = "" if row is None else " or <key> | <values>"
+                found.append(f"line {n}: expected key=value{either}, got {line!r}")
+            elif sep == "|":
+                key, value = row[0](k), row[1](v)
+                if key in rows:
+                    found.append(f"line {n}: duplicate row {k!r}")
+                rows[key] = value
+            elif k in seen or (fields is not None and k not in fields):
+                found.append(f"line {n}: {'duplicate' if k in seen else 'unknown'} key {k!r}")
+            else:
+                seen.add(k)
+                header[k] = v if fields is None else fields[k](v)
+        except (ValueError, ArithmeticError) as e:
+            found.append(f"line {n}: bad {'row' if sep == '|' else 'value of'} {k!r}: {e}")
+    given = seen.union(optional)
+    found += [f"missing required key {k!r}" for k in fields or () if k not in given]
+    if found and violations is None:
+        raise ValidationError(found)
+    return header, rows
+
+
+def write_text(header: Iterable[Tuple[str, Any]], rows: Iterable[Tuple[str, str]] = ()) -> str:
+    """The text ``read_text`` reads: ``key=value`` lines, then ``key | values`` rows."""
+    lines = [f"{k}={v}" for k, v in header]
+    lines += [f"{k} | {v}" for k, v in rows]
+    return "\n".join(lines) + "\n"
 
 
 set_field = object.__setattr__
@@ -81,6 +162,10 @@ class Percept(Value):
         return self._hash
 
 
+# The most percepts an alphabet holds; it builds all of them when it is made.
+PERCEPT_CAP = 2**16
+
+
 class Alphabet(Value):
     """Finite I/O spaces: actions, observations, and the allowed reward levels.
 
@@ -102,6 +187,8 @@ class Alphabet(Value):
         if num_actions < 1 or num_observations < 1:
             raise ValueError("alphabet sizes must be >= 1")
         rewards = tuple(Fraction(r) for r in rewards)
+        if len(rewards) * num_observations > PERCEPT_CAP:
+            raise CapacityError(f"more than {PERCEPT_CAP} percepts in an alphabet")
         if any(r < 0 for r in rewards):
             raise ValueError("rewards must be nonnegative")
         if list(rewards) != sorted(set(rewards)):
@@ -198,36 +285,30 @@ def append_cycle(h: History, y: Action, x: Percept) -> History:
 
 def encode_history(h: History) -> str:
     """Canonical textual encoding: ``y:<int> r:<p>/<q> o:<int>`` per cycle."""
-    parts = []
-    for y, x in h.cycles:
-        parts.append(f"y:{y}")
-        parts.append(f"r:{x.reward.numerator}/{x.reward.denominator}")
-        parts.append(f"o:{x.observation}")
+    parts = [
+        f"y:{y} r:{x.reward.numerator}/{x.reward.denominator} o:{x.observation}"
+        for y, x in h.cycles
+    ]
     if h.pending_action is not None:
         parts.append(f"y:{h.pending_action}")
     return " ".join(parts)
 
 
 def decode_history(text: str) -> History:
+    """Inverse of ``encode_history``; raises ``ValueError`` on other text."""
     tokens = text.split()
     h = EMPTY_HISTORY
-    i = 0
-    while i < len(tokens):
-        tag, val = tokens[i].split(":", 1)
-        if tag != "y":
-            raise ValueError(f"expected action token, got {tokens[i]!r}")
-        y = int(val)
-        if i + 1 == len(tokens):
+    for i in range(0, len(tokens), 3):
+        cycle = tokens[i : i + 3]
+        if len(cycle) == 2:
+            raise ValueError(f"truncated cycle {' '.join(cycle)!r}")
+        if tuple(t.partition(":")[0] for t in cycle) != ("y", "r", "o")[: len(cycle)]:
+            raise ValueError(f"malformed cycle {' '.join(cycle)!r}")
+        y = int(cycle[0][2:])
+        if len(cycle) == 1:
             return h.with_pending(y)
-        if i + 3 > len(tokens):
-            raise ValueError(f"truncated cycle {' '.join(tokens[i:])!r}")
-        rtag, rval = tokens[i + 1].split(":", 1)
-        otag, oval = tokens[i + 2].split(":", 1)
-        if rtag != "r" or otag != "o":
-            raise ValueError("malformed history encoding")
-        num, den = rval.split("/")
-        h = append_cycle(h, y, Percept(Fraction(int(num), int(den)), int(oval)))
-        i += 3
+        num, den = cycle[1][2:].split("/")
+        h = append_cycle(h, y, Percept(Fraction(int(num), int(den)), int(cycle[2][2:])))
     return h
 
 

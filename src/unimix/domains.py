@@ -11,13 +11,20 @@ import math
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .core import Action, Alphabet, History, Percept, Value, set_field
+from .core import (
+    Action, Alphabet, History, Percept, Value, input_errors, read_text, set_field, write_text,
+)
 from .models import (
     ChronologicalModel,
     FunctionalEnv,
     KernelEnv,
     MixtureModel,
 )
+
+
+def _ints(text: str) -> Tuple[int, ...]:
+    """A row key of the game and function-class text forms: integers."""
+    return tuple(int(t) for t in text.split())
 
 
 def _no_memory(h: History) -> Tuple:
@@ -97,9 +104,13 @@ class GameSpec(Value):
         if rounds < 1 or num_moves < 1 or num_replies < 1:
             raise ValueError("rounds and move counts must be >= 1")
         leaf_values = {tuple(k): Fraction(v) for k, v in leaf_values.items()}
-        expected = (num_moves * num_replies) ** rounds
-        if len(leaf_values) != expected:
-            raise ValueError(f"need {expected} leaves, got {len(leaf_values)}")
+        sizes = (num_moves, num_replies)
+        for k in leaf_values:
+            if len(k) != 2 * rounds or any(not 0 <= c < sizes[i % 2] for i, c in enumerate(k)):
+                raise ValueError(f"leaf {k} is not {rounds} (move, reply) pairs in range")
+        # No leaf bounds the rounds, so the count is not computed without one.
+        if not leaf_values or len(leaf_values) != (num_moves * num_replies) ** rounds:
+            raise ValueError(f"{len(leaf_values)} leaves, not {num_moves * num_replies}^{rounds}")
         if any(v < 0 for v in leaf_values.values()):
             raise ValueError("leaf values must be shifted into [0, r_max]")
         set_field(self, "rounds", rounds)
@@ -108,35 +119,16 @@ class GameSpec(Value):
         set_field(self, "leaf_values", leaf_values)
 
     def dumps(self) -> str:
-        lines = [
-            f"rounds={self.rounds}",
-            f"moves={self.num_moves}",
-            f"replies={self.num_replies}",
-        ]
-        for seq in sorted(self.leaf_values):
-            lines.append(" ".join(map(str, seq)) + f" | {self.leaf_values[seq]}")
-        return "\n".join(lines) + "\n"
+        header = (("rounds", self.rounds), ("moves", self.num_moves), ("replies", self.num_replies))
+        leaves = ((" ".join(map(str, seq)), v) for seq, v in sorted(self.leaf_values.items()))
+        return write_text(header, leaves)
 
     @classmethod
     def loads(cls, text: str) -> "GameSpec":
-        header: Dict[str, str] = {}
-        leaves: Dict[Tuple[int, ...], Fraction] = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "|" in line:
-                seq, _, val = line.partition("|")
-                leaves[tuple(int(t) for t in seq.split())] = Fraction(val.strip())
-            else:
-                k, _, v = line.partition("=")
-                header[k.strip()] = v.strip()
-        return cls(
-            rounds=int(header["rounds"]),
-            num_moves=int(header["moves"]),
-            num_replies=int(header["replies"]),
-            leaf_values=leaves,
-        )
+        fields = {"rounds": int, "moves": int, "replies": int}
+        header, leaves = read_text(text, fields, (_ints, Fraction))
+        with input_errors("game"):
+            return cls(header["rounds"], header["moves"], header["replies"], leaves)
 
 
 def game_value(g: GameSpec, prefix: Sequence[int] = ()) -> Fraction:
@@ -236,35 +228,17 @@ class FunctionClassSpec(Value):
         return (zs[-1] - zs[z_index]) / (zs[-1] - zs[0]) * self.r_max
 
     def dumps(self) -> str:
-        lines = [
-            f"actions={self.num_actions}",
-            "z=" + ",".join(str(z) for z in self.z_values),
-            f"rmax={self.r_max}",
-        ]
-        for f, p in self.prior:
-            lines.append(" ".join(map(str, f)) + f" | {p}")
-        return "\n".join(lines) + "\n"
+        z = ",".join(str(z) for z in self.z_values)
+        header = (("actions", self.num_actions), ("z", z), ("rmax", self.r_max))
+        return write_text(header, ((" ".join(map(str, f)), p) for f, p in self.prior))
 
     @classmethod
     def loads(cls, text: str) -> "FunctionClassSpec":
-        header: Dict[str, str] = {}
-        prior: List[Tuple[Tuple[int, ...], Fraction]] = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "|" in line:
-                f, _, p = line.partition("|")
-                prior.append((tuple(int(t) for t in f.split()), Fraction(p.strip())))
-            else:
-                k, _, v = line.partition("=")
-                header[k.strip()] = v.strip()
-        return cls(
-            num_actions=int(header["actions"]),
-            z_values=tuple(Fraction(z) for z in header["z"].split(",")),
-            prior=tuple(prior),
-            r_max=Fraction(header.get("rmax", "1")),
-        )
+        fields = {"actions": int, "rmax": Fraction}
+        fields["z"] = lambda v: tuple(map(Fraction, v.split(",")))
+        header, prior = read_text(text, fields, (_ints, Fraction), optional=("rmax",))
+        with input_errors("function class"):
+            return cls(header["actions"], header["z"], tuple(prior.items()), header.get("rmax", 1))
 
 
 def uniform_function_class(

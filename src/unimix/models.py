@@ -22,19 +22,18 @@ from .core import (
     EMPTY_HISTORY,
     History,
     Percept,
+    ValidationError,
     append_cycle,
     decode_history,
     encode_history,
+    input_errors,
+    read_text,
+    write_text,
 )
-from .vm import (
-    OP_IN, FrozenState, MachineState, Program, RunBudget, env_step, freeze, replay_env,
-)
+from .vm import OP_IN, FRESH, FrozenState, Program, RunBudget, env_step, replay_env
 
 # The certain probability of a deterministic environment's percept, shared.
 _ONE = Fraction(1)
-
-# A program's machine before its first cycle, frozen.
-_FRESH = freeze(MachineState())
 
 
 class UndefinedConditionalError(ValueError):
@@ -145,7 +144,8 @@ class TabularModel(ChronologicalModel):
 
     ``rows`` maps a context key — the textual encoding of the history with its
     pending action — to a per-percept probability row in symbol order.  Every
-    row must sum to 1 exactly.
+    row must sum to 1 exactly and be one ``cond_map`` looks up: a context of
+    fewer than ``depth`` cycles in the alphabet, encoded canonically.
     """
 
     def __init__(self, alphabet: Alphabet, depth: int, rows: Dict[str, Sequence[Fraction]]):
@@ -155,13 +155,18 @@ class TabularModel(ChronologicalModel):
         self.depth = depth
         self.rows: Dict[str, Tuple[Fraction, ...]] = {}
         n = alphabet.num_percepts
+        violations = []
         for key, row in rows.items():
-            row = tuple(Fraction(p) for p in row)
+            row = self.rows[key] = tuple(Fraction(p) for p in row)
             if len(row) != n:
-                raise ValueError(f"row for {key!r} has {len(row)} entries, need {n}")
-            if any(p < 0 for p in row) or sum(row) != 1:
-                raise ValueError(f"row for {key!r} must be a probability vector")
-            self.rows[key] = row
+                violations.append(f"row for {key!r} has {len(row)} entries, need {n}")
+            elif any(p < 0 for p in row) or sum(row) != 1:
+                violations.append(f"row for {key!r} must be a probability vector")
+            why = _unreachable(alphabet, depth, key)
+            if why:
+                violations.append(f"row for {key!r} is never looked up: {why}")
+        if violations:
+            raise ValidationError(violations)
 
     def cond_map(self, h: History, y: Action) -> Dict[Percept, Fraction]:
         a = self.alphabet
@@ -173,47 +178,50 @@ class TabularModel(ChronologicalModel):
         u = Fraction(1, a.num_percepts)
         return {x: u for x in a.percepts()}
 
-    # -- plain-text table format: header key=value lines, then one line per
-    #    context: `<history encoding with pending action> | p1 p2 ...`
+    # -- the text format of ``core.read_text``: an alphabet and depth header,
+    #    then one row per context: `<history encoding with pending action> | p1 p2 ...`
 
     def dumps(self) -> str:
         a = self.alphabet
-        lines = [
-            f"actions={a.num_actions}",
-            f"observations={a.num_observations}",
-            "rewards=" + ",".join(str(r) for r in a.rewards),
-            f"depth={self.depth}",
-        ]
-        for key in sorted(self.rows):
-            lines.append(f"{key} | " + " ".join(str(p) for p in self.rows[key]))
-        return "\n".join(lines) + "\n"
+        header = (
+            ("actions", a.num_actions),
+            ("observations", a.num_observations),
+            ("rewards", ",".join(map(str, a.rewards))),
+            ("depth", self.depth),
+        )
+        rows = ((k, " ".join(map(str, self.rows[k]))) for k in sorted(self.rows))
+        return write_text(header, rows)
 
     @classmethod
     def loads(cls, text: str) -> "TabularModel":
-        header: Dict[str, str] = {}
-        rows: Dict[str, List[Fraction]] = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "|" in line:
-                key, _, row = line.partition("|")
-                rows[key.strip()] = [Fraction(tok) for tok in row.split()]
-            else:
-                k, _, v = line.partition("=")
-                header[k.strip()] = v.strip()
-        try:
-            alphabet = Alphabet(
-                num_actions=int(header["actions"]),
-                num_observations=int(header["observations"]),
-                rewards=tuple(Fraction(r) for r in header["rewards"].split(",")),
-            )
-            depth = int(header["depth"])
-        except KeyError as e:
-            raise ValueError(f"missing header field {e.args[0]}") from None
-        for key in rows:
-            decode_history(key)  # validates the context encoding
-        return cls(alphabet, depth, rows)
+        fields = {"actions": int, "observations": int, "depth": int}
+        fields["rewards"] = lambda v: tuple(map(Fraction, v.split(",")))
+        row = (
+            lambda k: encode_history(decode_history(k)),  # each context in one spelling
+            lambda v: tuple(map(Fraction, v.split())),
+        )
+        header, rows = read_text(text, fields, row)
+        with input_errors("tabular model"):
+            a = Alphabet(header["actions"], header["observations"], header["rewards"])
+            return cls(a, header["depth"], rows)
+
+
+def _unreachable(a: Alphabet, depth: int, key: str) -> Optional[str]:
+    """Why ``TabularModel.cond_map`` never looks up a row keyed ``key``, or None."""
+    try:
+        h = decode_history(key)
+        for x in h.percepts():
+            a.percept(x.reward, x.observation)  # raises outside the alphabet
+    except (ValueError, ArithmeticError) as e:
+        return str(e)
+    if h.pending_action is None:
+        return "no pending action"
+    if not all(0 <= y < a.num_actions for y in h.actions() + (h.pending_action,)):
+        return f"an action outside range({a.num_actions})"
+    if len(h) >= depth:
+        return f"{len(h)} completed cycles, not fewer than depth {depth}"
+    if encode_history(h) != key:
+        return f"the context is written {encode_history(h)!r}"
 
 
 def random_tabular(alphabet: Alphabet, depth: int, rng: random.Random) -> TabularModel:
@@ -311,10 +319,15 @@ class ProgramEnv(ChronologicalModel):
         self._table: Dict[Tuple[FrozenState, Optional[Action]], Dict[Percept, tuple]] = {}
 
     def state(self, h: History) -> Optional[FrozenState]:
-        if not h.cycles:  # every mixture's root, one per program
-            return _FRESH
-        _, ok, s = replay_env(self.program, h.actions(), self.budget, self.alphabet)
-        return freeze(s) if ok else None
+        """Walks h's actions through the transition table from the fresh
+        machine; h's percepts are not checked."""
+        s = FRESH
+        for y in h.actions():
+            row = self.step(s, h, y)
+            if not row:
+                return None
+            ((_, s),) = row.values()
+        return s
 
     def step(
         self, state: Optional[FrozenState], h: History, y: Action
@@ -624,7 +637,7 @@ def build_class_mixture(
     classes: Dict[int, list] = {}  # class -> [leader's pool index, its env, mass]
     try:
         for i, (q, env) in enumerate(zip(pool, envs)):
-            c = classes.setdefault(signature(env, {}, _FRESH, depth), [i, env, 0])
+            c = classes.setdefault(signature(env, {}, FRESH, depth), [i, env, 0])
             if q.length_bits < pool[c[0]].length_bits:
                 c[0], c[1] = i, env
             c[2] += 1 << (l_max - q.length_bits)

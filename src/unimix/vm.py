@@ -185,23 +185,19 @@ def kraft_sum(pool: Iterable[Program]) -> Fraction:
 
 
 class MachineState:
-    """Persistent per-program state: accumulator bank, tape, monotone cursors."""
+    """Persistent per-program state: accumulator bank, work tape and head."""
 
-    __slots__ = ("registers", "work_tape", "head", "input_cursor", "output_count")
+    __slots__ = ("registers", "work_tape", "head")
 
     def __init__(
         self,
         registers: Optional[List[int]] = None,
         work_tape: Optional[dict] = None,
         head: int = 0,
-        input_cursor: int = 0,
-        output_count: int = 0,
     ):
         self.registers = [0] if registers is None else registers
         self.work_tape = {} if work_tape is None else work_tape
         self.head = head
-        self.input_cursor = input_cursor
-        self.output_count = output_count
 
     def __eq__(self, other):
         # Mutable, so equal by value but unhashable.
@@ -210,20 +206,20 @@ class MachineState:
         return NotImplemented
 
     def copy(self) -> "MachineState":
-        return MachineState(
-            list(self.registers), dict(self.work_tape), self.head,
-            self.input_cursor, self.output_count,
-        )
+        return MachineState(list(self.registers), dict(self.work_tape), self.head)
 
 
 # A machine state as an immutable, hashable value: (registers, sorted tape
-# items, head).  run_cycle never reads input_cursor or output_count, so two
-# states with equal frozen forms run alike from then on.
+# items, head).
 FrozenState = Tuple[tuple, tuple, int]
 
 
 def freeze(s: MachineState) -> FrozenState:
     return tuple(s.registers), tuple(sorted(s.work_tape.items())), s.head
+
+
+# A program's machine before its first cycle, frozen.
+FRESH = freeze(MachineState())
 
 
 class RunBudget(Value):
@@ -316,13 +312,11 @@ def run_cycle(
     Missing outputs are padded with the default symbol 0; ``timed_out`` is set
     only when the step budget ran out before the cycle finished.
     """
-    state.input_cursor += 1
     outputs, acc, state.head, steps, timed_out = run_machine(
         program._ops, state.registers[0], state.work_tape, state.head,
         primary_in, secondary_in, budget.steps_per_cycle, max_outputs,
     )
     state.registers[0] = acc
-    state.output_count += len(outputs)
     outputs += [0] * (max_outputs - len(outputs))
     return CycleResult(tuple(outputs), steps, timed_out)
 
@@ -331,11 +325,13 @@ def env_step(
     q: Program, frozen: FrozenState, y: Action, budget: RunBudget
 ) -> Optional[Tuple[int, FrozenState]]:
     """One environment cycle of q from a frozen machine on action y: the
-    output symbol and the next frozen machine, or None on a timeout.
+    output symbol (0 when the cycle emits none) and the next frozen machine,
+    or None on a timeout.
 
-    The cycle ``env_cycle`` runs, on the frozen state's values: no
-    ``MachineState`` is built, and the registers stay shared when the
-    cycle leaves the accumulator as it was.
+    The machine reads the action on its primary input and 0 on the reward
+    channel.  It runs on the frozen state's values: no ``MachineState`` is
+    built, and the registers stay shared when the cycle leaves the
+    accumulator as it was.
     """
     registers, tape, head = frozen
     work = dict(tape)
@@ -371,34 +367,21 @@ def policy_cycle(
     return action, s, res.steps_used, res.timed_out
 
 
-def env_cycle(
-    q: Program,
-    s: MachineState,
-    y: Action,
-    budget: RunBudget,
-    alphabet: Alphabet,
-) -> Tuple[Percept, MachineState, int, bool]:
-    """One environment cycle: reads the current action, emits a percept."""
-    res = run_cycle(q, s, y, 0, budget, max_outputs=1)
-    if res.timed_out:
-        return Percept(Fraction(0), 0), s, res.steps_used, True
-    return alphabet.percept_of(res.outputs[0]), s, res.steps_used, False
-
-
 def replay_env(
     q: Program,
     actions: Sequence[Action],
     budget: RunBudget,
     alphabet: Alphabet,
-) -> Tuple[tuple, bool, MachineState]:
-    """Percepts q produces on an action sequence; ok=False if any cycle timed out."""
-    s = MachineState()
-    percepts = []
+) -> Tuple[tuple, bool, Optional[FrozenState]]:
+    """Percepts q produces on an action sequence; ok=False if any cycle timed
+    out.  The third value is the frozen machine after them, None on a timeout."""
+    s, percepts = FRESH, []
     for y in actions:
-        x, s, _, timed_out = env_cycle(q, s, y, budget, alphabet)
-        if timed_out:
-            return tuple(percepts), False, s
-        percepts.append(x)
+        out = env_step(q, s, y, budget)
+        if out is None:
+            return tuple(percepts), False, None
+        percepts.append(alphabet.percept_of(out[0]))
+        s = out[1]
     return tuple(percepts), True, s
 
 
@@ -411,11 +394,6 @@ def consistent_envs(
     """Programs whose replay on h's actions reproduces h's percepts without timeout."""
     if h.pending_action is not None:
         raise ValueError("history has a pending action")
-    actions = h.actions()
-    expected = h.percepts()
-    result = []
-    for q in pool:
-        percepts, ok, _ = replay_env(q, actions, budget, alphabet)
-        if ok and percepts == expected:
-            result.append(q)
-    return result
+    actions, expected = h.actions(), h.percepts()
+    # A timed-out replay returns fewer percepts than h has.
+    return [q for q in pool if replay_env(q, actions, budget, alphabet)[0] == expected]

@@ -42,10 +42,11 @@ from unimix.vm import (
     consistent_envs,
     decode,
     enumerate_programs,
-    env_cycle,
     policy_cycle,
     replay_env,
 )
+
+from reference import env_cycle
 
 F = Fraction
 

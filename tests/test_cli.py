@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +51,24 @@ class TestParseConfig:
     def test_comments_and_blanks_are_ignored(self):
         cfg = parse_config("# a comment\n\n" + HEAVEN)
         assert cfg.scenario == "heavenhell"
+
+    def test_a_comment_may_end_any_line(self):
+        cfg = parse_config("scenario=heavenhell  # a | b\nlifetime=5#\ni=1 # door\n")
+        assert (cfg.scenario, cfg.lifetime, cfg.extras) == ("heavenhell", 5, {"i": "1"})
+
+    def test_junk_lines_repeated_keys_and_rows_are_violations(self):
+        with pytest.raises(ValidationError) as e:
+            parse_config(HEAVEN + "lifetime=6\njunk\n0 | 1\n")
+        assert e.value.violations == [
+            "line 5: duplicate key 'lifetime'",
+            "line 6: expected key=value, got 'junk'",
+            "line 7: expected key=value, got '0 | 1'",
+        ]
+
+    def test_line_violations_are_listed_with_the_others(self):
+        with pytest.raises(ValidationError) as e:
+            parse_config("scenario=flying\nnonsense\nlifetime=0\n")
+        assert len(e.value.violations) == 3
 
     def test_every_violation_is_reported_at_once(self):
         bad = "scenario=flying\nagent=psychic\nlifetime=0\nl=99\nt=zero\n"
@@ -322,6 +341,51 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("validation error: ")
         assert "Traceback" not in err
+
+    def test_the_readme_config_example_runs(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        after = readme.split("A config is line-oriented `key=value` text")[1]
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(after.split("```\n")[1])
+        assert "# heavenhell | onlyone" in cfg.read_text()
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert "cycles=10" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "scenario, text, lines",
+        [
+            (
+                "tabular",
+                "actions=2\nobservations=1 oops\nrewards=0,1\ndepth=1\n"
+                "y:0 | 1/2 1/2\ny:1 | 1/2 1/2\ny:0 | 1 0\n",
+                (2, 7),
+            ),
+            (
+                "sg",
+                "rounds=1\nmoves=2\nturns=2\nreplies=2\n"
+                "0 0 | 1\n0 1 | 1/0\n1 0 | 1\n1 1 | 0\n",
+                (3, 6),
+            ),
+            (
+                "fm",
+                "actions=2\nz=1,2\nactions=2\n# a comment | with a bar\n"
+                "0 1 | 1/2\n1 x | 1/2\n",
+                (3, 6),
+            ),
+        ],
+    )
+    def test_an_env_file_with_two_defects_exits_1_and_names_both_lines(
+        self, scenario, text, lines, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "env.txt").write_text(text)
+        (tmp_path / "cfg.txt").write_text(f"scenario={scenario}\nenv_file=env.txt\nlifetime=1\n")
+        assert main(["run", "--config", "cfg.txt"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("validation error: env.txt: line ") == 2
+        for n in lines:
+            assert f"env.txt: line {n}: " in err
 
     @pytest.mark.parametrize("program", ["zz", "5", "x:1f", "5:zz"])
     def test_a_malformed_program_exits_1_without_a_traceback(self, program, tmp_path, capsys):

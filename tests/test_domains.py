@@ -156,6 +156,18 @@ def test_game_spec_rejects_missing_leaves():
         GameSpec(rounds=1, num_moves=2, num_replies=2, leaf_values={(0, 0): F(1)})
 
 
+@pytest.mark.parametrize(
+    "leaf",
+    [(0, 0, 0), (2, 0), (0, -1)],
+    ids=["three-moves", "move-out-of-range", "negative-reply"],
+)
+def test_game_spec_rejects_a_leaf_no_play_reaches(leaf):
+    # Four leaves, as many as a one-round 2x2 game has, one of them unreachable.
+    leaves = {(0, 0): F(1), (0, 1): F(0), (1, 0): F(1), leaf: F(0)}
+    with pytest.raises(ValueError, match=r"is not 1 \(move, reply\) pairs in range"):
+        GameSpec(rounds=1, num_moves=2, num_replies=2, leaf_values=leaves)
+
+
 # --- function minimization --------------------------------------------------
 
 

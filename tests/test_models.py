@@ -12,6 +12,7 @@ from unimix.core import (
     FixedHorizon,
     History,
     Percept,
+    ValidationError,
     append_cycle,
     encode_history,
 )
@@ -392,6 +393,50 @@ def test_tabular_text_format_round_trips(binary_alphabet):
 def test_tabular_rejects_bad_rows(binary_alphabet):
     with pytest.raises(ValueError):
         TabularModel(binary_alphabet, 1, {"y:0": (Fraction(1, 2), Fraction(1, 3))})
+
+
+def test_a_program_state_is_the_frozen_machine_after_the_actions(binary_alphabet, pool8):
+    budget = RunBudget(6)  # some programs time out
+    zero = binary_alphabet.percepts()[0]
+    for q in pool8:
+        env = ProgramEnv(q, budget, binary_alphabet)
+        for n in range(5):
+            for actions in itertools.product((0, 1), repeat=n):
+                # The percepts are not checked, only the actions followed.
+                h = History(tuple((y, zero) for y in actions))
+                assert env.state(h) == replay_env(q, actions, budget, binary_alphabet)[2]
+
+
+def test_tabular_lists_every_row_it_can_never_look_up():
+    a = Alphabet(num_actions=2, num_observations=2, rewards=(R0, R1))
+    half = (Fraction(1, 4),) * 4
+    unreachable = {
+        "y:0 r:1/1 o:0": "no pending action",
+        "y:7": "an action outside range(2)",
+        "y:2 r:0/1 o:0 y:0": "an action outside range(2)",
+        "y:0 r:1/2 o:0 y:0": "reward 1/2 is not in the alphabet",
+        "y:0 r:0/1 o:2 y:0": "observation 2 outside [0, 2)",
+        "y:0 r:0/1 o:0 y:0 r:0/1 o:0 y:1": "2 completed cycles, not fewer than depth 2",
+        "y:0  r:2/2 o:1 y:1": "the context is written 'y:0 r:1/1 o:1 y:1'",
+        "y:0 r:1/0 o:0 y:0": "Fraction(1, 0)",
+    }
+    reachable = {"y:0": half, "y:1 r:1/1 o:1 y:0": half}
+    with pytest.raises(ValidationError) as e:
+        TabularModel(a, 2, {**reachable, **{k: half for k in unreachable}})
+    assert e.value.violations == [
+        f"row for {k!r} is never looked up: {why}" for k, why in unreachable.items()
+    ]
+    assert TabularModel(a, 2, reachable).cond_map(EMPTY_HISTORY, 0) == {
+        x: Fraction(1, 4) for x in a.percepts()
+    }
+
+
+def test_tabular_loads_each_context_in_its_one_spelling():
+    header = "actions=2\nobservations=1\nrewards=0,1\ndepth=2\n"
+    loose = "y:1  r:2/2 o:0   y:0 | 1/2 1/2\n"
+    assert list(TabularModel.loads(header + loose).rows) == ["y:1 r:1/1 o:0 y:0"]
+    with pytest.raises(ValidationError, match="line 6: duplicate row 'y:1 r:1/1 o:0 y:0'"):
+        TabularModel.loads(header + loose + "y:1 r:1/1 o:0 y:0 | 1 0\n")
 
 
 def test_random_tabular_is_chronological_and_seed_stable(binary_alphabet):

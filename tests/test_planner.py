@@ -60,7 +60,9 @@ from unimix.planner import (
     value_given_action,
     value_opt,
 )
-from unimix.vm import OP_IN, MachineState, RunBudget, decode, enumerate_programs, env_cycle
+from unimix.vm import OP_IN, MachineState, RunBudget, decode, enumerate_programs
+
+from reference import env_cycle
 
 R0, R1 = Fraction(0), Fraction(1)
 
@@ -417,7 +419,8 @@ def test_a_tabled_program_steps_as_a_copied_machine(q, steps, alphabet, data):
         h, state, machine = data.draw(st.sampled_from(reached))
         y = data.draw(st.sampled_from(alphabet.actions()))
         model = env if data.draw(st.booleans()) else ProgramEnv(q, budget, alphabet)
-        if model is env and state is not None:
+        # env.state(h') below walks env's table through this pair too.
+        if state is not None:
             pairs.add((state, y if reads_action else None))
         row = model.step(state, h, y)
         if machine is None:

@@ -160,7 +160,7 @@ def test_machine_state_defaults_are_not_shared():
 
 
 def test_machine_state_compares_by_value_and_is_unhashable():
-    a = MachineState([1, 2], {0: 3}, 1, 2, 3)
+    a = MachineState([1, 2], {0: 3}, 1)
     b = a.copy()
     assert a == b and a.registers is not b.registers
     b.work_tape[1] = 0

@@ -18,12 +18,14 @@ from unimix.vm import (
     consistent_envs,
     decode,
     enumerate_programs,
-    env_cycle,
+    freeze,
     kraft_sum,
     policy_cycle,
     replay_env,
     run_cycle,
 )
+
+from reference import env_cycle
 
 END = (0, 0, 0)
 OUT = (0, 0, 1)
@@ -163,6 +165,20 @@ def test_incremental_equals_from_scratch(binary_alphabet, budget, pool8):
         assert tuple(incremental) == scratch
 
 
+def test_a_replay_ends_in_the_reference_machine_frozen(binary_alphabet, pool8):
+    budget = RunBudget(6)  # some programs time out
+    for actions in itertools.product((0, 1), repeat=3):
+        for q in pool8:
+            s, ok = MachineState(), True
+            for y in actions:
+                _, s, _, timed_out = env_cycle(q, s, y, budget, binary_alphabet)
+                if timed_out:
+                    ok = False
+                    break
+            _, replay_ok, frozen = replay_env(q, actions, budget, binary_alphabet)
+            assert (replay_ok, frozen) == (ok, freeze(s) if ok else None)
+
+
 class TestConsistentEnvs:
     def test_empty_history_keeps_the_whole_pool(self, binary_alphabet, budget, pool8):
         assert consistent_envs(pool8, EMPTY_HISTORY, budget, binary_alphabet) == pool8
@@ -274,7 +290,6 @@ def reference_cycle(program, state, primary_in, secondary_in, budget, max_output
     instrs = program.instructions
     pc = steps = 0
     outputs = []
-    state.input_cursor += 1
     timed_out = False
     while 0 <= pc < len(instrs):
         if steps >= budget.steps_per_cycle:
@@ -286,7 +301,6 @@ def reference_cycle(program, state, primary_in, secondary_in, budget, max_output
             break
         elif ins.op == 1:  # OUT
             outputs.append(state.registers[0])
-            state.output_count += 1
             if len(outputs) >= max_outputs:
                 break
             pc += 1
@@ -347,7 +361,7 @@ def test_a_cycle_equals_the_stepped_reference(
     q, steps, primary_in, secondary_in, acc, tape, head, max_outputs
 ):
     budget = RunBudget(steps)
-    start = MachineState([acc], tape, head, 2, 1)
+    start = MachineState([acc], tape, head)
     s, ref = start.copy(), start.copy()
     assert run_cycle(q, s, primary_in, secondary_in, budget, max_outputs) == reference_cycle(
         q, ref, primary_in, secondary_in, budget, max_outputs
