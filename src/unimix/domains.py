@@ -228,7 +228,7 @@ class FunctionClassSpec(Value):
         return (zs[-1] - zs[z_index]) / (zs[-1] - zs[0]) * self.r_max
 
     def dumps(self) -> str:
-        z = ",".join(str(z) for z in self.z_values)
+        z = ",".join(map(str, self.z_values))
         header = (("actions", self.num_actions), ("z", z), ("rmax", self.r_max))
         return write_text(header, ((" ".join(map(str, f)), p) for f, p in self.prior))
 
