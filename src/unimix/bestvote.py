@@ -32,7 +32,7 @@ from .planner import (
     env_node,
     functional_value,
 )
-from .vm import MachineState, Program, RunBudget, run_cycle
+from .vm import MachineState, Program, RunBudget, machine_cycle
 
 
 class Claim(Value):
@@ -72,7 +72,14 @@ class ExtendedCandidate:
         self.oracle = oracle
         self.state = MachineState()
         self.cycles_run = 0
-        self.last_claim: Optional[Claim] = None
+        # The last cycle's claim as the plain values (w, y, timed_out,
+        # steps_used), so a round builds no Claim it does not walk.
+        self.last: Optional[tuple] = None
+
+    @property
+    def last_claim(self) -> Optional[Claim]:
+        """The claim of the last cycle run, None before the first."""
+        return None if self.last is None else Claim(*self.last)
 
     @classmethod
     def from_program(cls, p: Program) -> "ExtendedCandidate":
@@ -95,8 +102,44 @@ class ExtendedCandidate:
         c = self.fresh()
         c.state = self.state.copy()
         c.cycles_run = self.cycles_run
-        c.last_claim = self.last_claim
+        c.last = self.last
         return c
+
+
+def _inputs(h: History, alphabet) -> Tuple[int, int]:
+    """What a program candidate reads at cycle len(h)+1: the previous
+    percept's observation and reward index, or (0, 0) at the first cycle."""
+    if not h.cycles:
+        return 0, 0
+    x = h.cycles[-1][1]
+    return x.observation, alphabet.reward_index(x)
+
+
+def _check_at(c: ExtendedCandidate, h: History) -> None:
+    if c.cycles_run != len(h):
+        raise ValueError(
+            f"candidate has run {c.cycles_run} cycles but history has {len(h)}"
+        )
+
+
+def _program_claim(
+    c: ExtendedCandidate, obs: int, rew: int, budget: RunBudget, num_actions: int
+) -> tuple:
+    """Advance the program candidate c one cycle on the inputs (obs, rew):
+    its claim as the plain values (w, y, timed_out, steps_used).  The claim
+    is the first output and the action the second, each 0 when not emitted;
+    a budget timeout yields (0, 0)."""
+    out, steps, timed_out = machine_cycle(
+        c.program, c.state, obs, rew, budget.steps_per_cycle, 2
+    )
+    if timed_out:
+        last = (0, 0, True, steps)
+    else:
+        w = out[0] if out else 0
+        last = (w, out[1] % num_actions if len(out) == 2 else 0, False, steps)
+    c.cycles_run += 1
+    c.last = last
+    return last
 
 
 def run_candidate_cycle(
@@ -107,27 +150,13 @@ def run_candidate_cycle(
     Incremental: the candidate must have been stepped on exactly the previous
     cycles.  A budget timeout yields the flagged (w=0, y=0) claim.
     """
-    if c.cycles_run != len(h):
-        raise ValueError(
-            f"candidate has run {c.cycles_run} cycles but history has {len(h)}"
-        )
-    if c.oracle is not None:
-        claim = c.oracle(h)
-    else:
-        x_prev = h.cycles[-1][1] if h.cycles else None
-        obs = x_prev.observation if x_prev is not None else 0
-        rew = alphabet.reward_index(x_prev) if x_prev is not None else 0
-        res = run_cycle(c.program, c.state, obs, rew, budget, max_outputs=2)
-        if res.timed_out:
-            claim = Claim(0, 0, timed_out=True, steps_used=res.steps_used)
-        else:
-            claim = Claim(
-                res.outputs[0],
-                res.outputs[1] % alphabet.num_actions,
-                steps_used=res.steps_used,
-            )
+    _check_at(c, h)
+    if c.oracle is None:
+        obs, rew = _inputs(h, alphabet)
+        return Claim(*_program_claim(c, obs, rew, budget, alphabet.num_actions))
+    claim = c.oracle(h)
     c.cycles_run += 1
-    c.last_claim = claim
+    c.last = (claim.w, claim.y, claim.timed_out, claim.steps_used)
     return claim
 
 
@@ -197,6 +226,17 @@ def candidate_value(
     return functional_value(node, cc.last_claim.y, stepper, k, m, h, horizon)
 
 
+def claim_bound(
+    horizon: Optional[HorizonPolicy], k: int, m_k: int, alphabet
+) -> Fraction:
+    """U, the most a claim at cycle k can be worth: the discounted r_max
+    summed over cycles k..m_k."""
+    r_max = alphabet.r_max
+    return sum(
+        (discounted_reward(horizon, t, r_max) for t in range(k, m_k + 1)), Fraction(0)
+    )
+
+
 def validate_claim(
     c: ExtendedCandidate,
     claim: Claim,
@@ -209,11 +249,10 @@ def validate_claim(
 ) -> bool:
     """True iff the claim never overrates the candidate: w <= its exact value.
 
-    The value lies in [0, U], U the discounted r_max summed over cycles
-    k..m_k: rewards lie in [0, r_max], and an environment that times out
-    only drops mass.  So a claim of 0 is valid and a claim above U is not,
-    once some environment is consistent with h; only a claim in (0, U] is
-    walked.  False when no environment is.
+    The value lies in [0, U], U = ``claim_bound``: rewards lie in [0, r_max],
+    and an environment that times out only drops mass.  So a claim of 0 is
+    valid and a claim above U is not, once some environment is consistent
+    with h; only a claim in (0, U] is walked.  False when no environment is.
     """
     _check_not_past(c, h)
     k = len(h) + 1
@@ -222,11 +261,7 @@ def validate_claim(
         return False
     if claim.w == 0:
         return True
-    ceiling = sum(
-        (discounted_reward(horizon, t, alphabet.r_max) for t in range(k, m_k + 1)),
-        Fraction(0),
-    )
-    if claim.w > ceiling:
+    if claim.w > claim_bound(horizon, k, m_k, alphabet):
         return False
     try:
         v = candidate_value(c, node, k, m_k, h, budget, alphabet, horizon)
@@ -244,7 +279,7 @@ class SelectionRow(Value):
         self,
         cycle: int,
         candidate: str,
-        claimed_w: Fraction,
+        claimed_w: Union[int, Fraction],
         valid: bool,
         selected: bool,
         action: Action,
@@ -259,6 +294,12 @@ class SelectionRow(Value):
         set_field(self, "steps_used", steps_used)
 
 
+def selection_first(candidates: Sequence[ExtendedCandidate]) -> int:
+    """The index of the candidate first in selection order: least
+    ``sort_key``, the earliest of equal ones."""
+    return min(range(len(candidates)), key=lambda i: candidates[i].sort_key)
+
+
 def best_vote_cycle(
     candidates: Sequence[ExtendedCandidate],
     h: History,
@@ -267,30 +308,55 @@ def best_vote_cycle(
     alphabet,
     m_k: int,
     horizon: Optional[HorizonPolicy] = None,
+    first: Optional[int] = None,
 ) -> Tuple[Action, List[SelectionRow]]:
     """One round of claims, validation, clamping, and selection.
 
-    Every candidate is valued on one shared consistent-environment tree.
+    Every candidate is valued on one shared consistent-environment tree.  The
+    highest valid claim wins, the first in selection order among equal ones;
+    when no claim is both positive and valid that is the candidate at index
+    ``first`` (``selection_first``, fixed for a run, so a run passes it).
+
+    A program candidate's claim stays plain values: ``validate_claim``'s
+    rules decide a claim of 0 or above U here, once U is known for the
+    cycle, and only a claim in (0, U] becomes a ``Claim`` and is walked.
     """
     if not candidates:
         raise ValueError("no candidates")
     k = len(h) + 1
     node = env_node(envs, h, budget, alphabet)
-    entries = []
-    for c in candidates:
-        claim = run_candidate_cycle(c, h, budget, alphabet)
-        valid = validate_claim(c, claim, h, node, budget, alphabet, m_k, horizon)
-        w_eff = claim.w if valid else Fraction(0)
-        entries.append((c, claim, valid, w_eff))
-    best = None
-    for entry in sorted(entries, key=lambda e: e[0].sort_key):
-        if best is None or entry[3] > best[3]:
-            best = entry
-    rows = [
-        SelectionRow(k, c.label, claim.w, valid, c is best[0], claim.y, claim.steps_used)
-        for c, claim, valid, _ in entries
-    ]
-    return best[1].y, rows
+    survived = bool(node.survivors)
+    bound = claim_bound(horizon, k, m_k, alphabet)
+    obs, rew = _inputs(h, alphabet)
+    num_actions = alphabet.num_actions
+    rows = []
+    best, best_w = None, 0
+    for i, c in enumerate(candidates):
+        if c.oracle is None:
+            _check_at(c, h)
+            w, y, _, steps = _program_claim(c, obs, rew, budget, num_actions)
+            if w == 0:
+                valid = survived
+            elif not survived or w > bound:
+                valid = False
+            else:
+                valid = validate_claim(
+                    c, c.last_claim, h, node, budget, alphabet, m_k, horizon
+                )
+        else:
+            claim = run_candidate_cycle(c, h, budget, alphabet)
+            w, y, steps = claim.w, claim.y, claim.steps_used
+            valid = validate_claim(c, claim, h, node, budget, alphabet, m_k, horizon)
+        if valid and w > 0 and (
+            w > best_w or (w == best_w and c.sort_key < candidates[best].sort_key)
+        ):
+            best, best_w = i, w
+        rows.append(SelectionRow(k, c.label, w, valid, False, y, steps))
+    if best is None:
+        best = selection_first(candidates) if first is None else first
+    r = rows[best]
+    rows[best] = SelectionRow(k, r.candidate, r.claimed_w, r.valid, True, r.action, r.steps_used)
+    return r.action, rows
 
 
 def selection_log_csv(rows: Sequence[SelectionRow]) -> str:
@@ -331,11 +397,14 @@ def run_best_vote(
     log: List[SelectionRow] = []
     node = env_node(pool, h, budget, alphabet)
     state = env.state(h)
+    first = selection_first(candidates)
     for k in range(1, lifetime + 1):
         m_k = horizon_end(hpol, k, lifetime)
         if leaders is not None:
             leaders.append(node.top())
-        y, rows = best_vote_cycle(candidates, h, node, budget, alphabet, m_k, horizon)
+        y, rows = best_vote_cycle(
+            candidates, h, node, budget, alphabet, m_k, horizon, first
+        )
         log.extend(rows)
         x, state = draw_percept(rng, env, state, h, y)
         node = node.child(h, y, x)

@@ -27,6 +27,7 @@ from .core import (
     ValidationError,
     horizon_end,
     input_errors,
+    rational,
     read_text,
     write_text,
 )
@@ -142,10 +143,10 @@ def parse_horizon(text: str) -> HorizonPolicy:
     if kind == "moving":
         return MovingHorizon(int(rest))
     if kind == "proportional":
-        return ProportionalHorizon(Fraction(rest))
+        return ProportionalHorizon(rational(rest))
     if kind == "geometric":
         gamma, _, cap = rest.partition(":")
-        return GeometricDiscount(Fraction(gamma), int(cap))
+        return GeometricDiscount(rational(gamma), int(cap))
     raise ValueError(f"unknown horizon kind {kind!r}")
 
 
@@ -235,7 +236,7 @@ def _build_env(cfg: ScenarioConfig):
         items = [item.partition(":") for item in ex.get("sequences", "").split(";") if item]
         if not items:
             raise ValidationError(["sp scenario needs sequences=<bits:prob;...>"])
-        return make_sp_env({tuple(map(int, bits)): Fraction(p) for bits, _, p in items})
+        return make_sp_env({tuple(map(int, bits)): rational(p) for bits, _, p in items})
     if cfg.scenario == "sg":
         spec = _load(GameSpec.loads, ex["env_file"])
         return make_sg_env(spec, episodes=int(ex.get("episodes", "1")))

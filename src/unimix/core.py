@@ -95,6 +95,35 @@ def read_text(
     return header, rows
 
 
+# The most characters a rational read from text may take, its exponent
+# counted as that many more: Python writes no int of more digits as text
+# (the default of ``sys.get_int_max_str_digits``), and ``Fraction`` applies
+# an exponent as a power of ten while it parses.
+RATIONAL_DIGITS = 4300
+
+
+def rational(text: str) -> Fraction:
+    """``Fraction(text)`` for a value read from an input.
+
+    Refused with a ``ValueError`` before it is parsed when the text, with
+    its exponent counted as that many more characters, is longer than
+    ``RATIONAL_DIGITS``: neither its numerator nor its denominator could
+    then be written back as text, and a large exponent takes long to apply.
+    """
+    size = len(text)
+    _, e, exponent = text.lower().partition("e")
+    if e and size <= RATIONAL_DIGITS:
+        try:
+            size += abs(int(exponent))
+        except ValueError:  # no exponent: Fraction says what is wrong
+            pass
+    if size > RATIONAL_DIGITS:
+        raise ValueError(
+            f"a rational of more than {RATIONAL_DIGITS} digits, its exponent counted"
+        )
+    return Fraction(text)
+
+
 def write_text(header: Iterable[Tuple[str, Any]], rows: Iterable[Tuple[str, str]] = ()) -> str:
     """The text ``read_text`` reads: ``key=value`` lines, then ``key | values`` rows."""
     lines = [f"{k}={v}" for k, v in header]

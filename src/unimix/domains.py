@@ -12,7 +12,8 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .core import (
-    Action, Alphabet, History, Percept, Value, input_errors, read_text, set_field, write_text,
+    Action, Alphabet, History, Percept, Value, input_errors, rational, read_text, set_field,
+    write_text,
 )
 from .models import (
     ChronologicalModel,
@@ -126,7 +127,7 @@ class GameSpec(Value):
     @classmethod
     def loads(cls, text: str) -> "GameSpec":
         fields = {"rounds": int, "moves": int, "replies": int}
-        header, leaves = read_text(text, fields, (_ints, Fraction))
+        header, leaves = read_text(text, fields, (_ints, rational))
         with input_errors("game"):
             return cls(header["rounds"], header["moves"], header["replies"], leaves)
 
@@ -234,9 +235,9 @@ class FunctionClassSpec(Value):
 
     @classmethod
     def loads(cls, text: str) -> "FunctionClassSpec":
-        fields = {"actions": int, "rmax": Fraction}
-        fields["z"] = lambda v: tuple(map(Fraction, v.split(",")))
-        header, prior = read_text(text, fields, (_ints, Fraction), optional=("rmax",))
+        fields = {"actions": int, "rmax": rational}
+        fields["z"] = lambda v: tuple(map(rational, v.split(",")))
+        header, prior = read_text(text, fields, (_ints, rational), optional=("rmax",))
         with input_errors("function class"):
             return cls(header["actions"], header["z"], tuple(prior.items()), header.get("rmax", 1))
 

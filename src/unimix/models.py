@@ -27,6 +27,7 @@ from .core import (
     decode_history,
     encode_history,
     input_errors,
+    rational,
     read_text,
     write_text,
 )
@@ -195,10 +196,10 @@ class TabularModel(ChronologicalModel):
     @classmethod
     def loads(cls, text: str) -> "TabularModel":
         fields = {"actions": int, "observations": int, "depth": int}
-        fields["rewards"] = lambda v: tuple(map(Fraction, v.split(",")))
+        fields["rewards"] = lambda v: tuple(map(rational, v.split(",")))
         row = (
             lambda k: encode_history(decode_history(k)),  # each context in one spelling
-            lambda v: tuple(map(Fraction, v.split())),
+            lambda v: tuple(map(rational, v.split())),
         )
         header, rows = read_text(text, fields, row)
         with input_errors("tabular model"):

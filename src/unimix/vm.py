@@ -299,6 +299,24 @@ def run_machine(
     return outputs, acc, head, steps, False
 
 
+def machine_cycle(
+    program: Program,
+    state: MachineState,
+    primary_in: int,
+    secondary_in: int,
+    limit: int,
+    max_outputs: int,
+) -> Tuple[List[int], int, bool]:
+    """Run one cycle of ``program`` on ``state`` in place: ``run_machine`` on
+    the state's accumulator, tape and head.  Returns (outputs, steps used,
+    timed out); the outputs are not padded."""
+    outputs, state.registers[0], state.head, steps, timed_out = run_machine(
+        program._ops, state.registers[0], state.work_tape, state.head,
+        primary_in, secondary_in, limit, max_outputs,
+    )
+    return outputs, steps, timed_out
+
+
 def run_cycle(
     program: Program,
     state: MachineState,
@@ -312,11 +330,9 @@ def run_cycle(
     Missing outputs are padded with the default symbol 0; ``timed_out`` is set
     only when the step budget ran out before the cycle finished.
     """
-    outputs, acc, state.head, steps, timed_out = run_machine(
-        program._ops, state.registers[0], state.work_tape, state.head,
-        primary_in, secondary_in, budget.steps_per_cycle, max_outputs,
+    outputs, steps, timed_out = machine_cycle(
+        program, state, primary_in, secondary_in, budget.steps_per_cycle, max_outputs
     )
-    state.registers[0] = acc
     outputs += [0] * (max_outputs - len(outputs))
     return CycleResult(tuple(outputs), steps, timed_out)
 

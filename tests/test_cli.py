@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -386,6 +387,46 @@ class TestMain:
         assert err.count("validation error: env.txt: line ") == 2
         for n in lines:
             assert f"env.txt: line {n}: " in err
+
+    @pytest.mark.parametrize(
+        "config, env_file, violation",
+        [
+            (
+                "scenario=heavenhell\nlifetime=2\nhorizon=proportional:1e5000\n",
+                None,
+                "bad horizon 'proportional:1e5000': a rational of more than 4300 digits",
+            ),
+            (
+                "scenario=heavenhell\nlifetime=2\nhorizon=geometric:1e-10000000:2\n",
+                None,
+                "bad horizon 'geometric:1e-10000000:2': a rational of more than 4300 digits",
+            ),
+            (
+                "scenario=tabular\nlifetime=1\nenv_file=env.txt\n",
+                "actions=2\nobservations=1\nrewards=0,1e5000\ndepth=1\n",
+                "env.txt: line 3: bad value of 'rewards': a rational of more than 4300 digits",
+            ),
+            (
+                "scenario=tabular\nlifetime=1\nenv_file=env.txt\n",
+                "actions=2\nobservations=1\nrewards=0,1\ndepth=1\n"
+                "y:0 | 1e10000000 0\ny:1 | 1 0\n",
+                "env.txt: line 5: bad row 'y:0': a rational of more than 4300 digits",
+            ),
+        ],
+        ids=["proportional", "geometric", "tabular-rewards", "tabular-row"],
+    )
+    def test_a_rational_too_long_to_write_back_exits_1_at_once(
+        self, config, env_file, violation, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        if env_file is not None:
+            (tmp_path / "env.txt").write_text(env_file)
+        (tmp_path / "cfg.txt").write_text(config)
+        start = time.perf_counter()
+        assert main(["run", "--config", "cfg.txt", "--out", "out"]) == EXIT_VALIDATION
+        assert time.perf_counter() - start < 0.5  # parsing 1e10000000 took 7 s
+        err = capsys.readouterr().err
+        assert err == f"validation error: {violation}, its exponent counted\n"
 
     @pytest.mark.parametrize("program", ["zz", "5", "x:1f", "5:zz"])
     def test_a_malformed_program_exits_1_without_a_traceback(self, program, tmp_path, capsys):

@@ -13,11 +13,13 @@ from unimix.core import (
     MovingHorizon,
     Percept,
     ProportionalHorizon,
+    RATIONAL_DIGITS,
     append_cycle,
     decode_history,
     discounted_reward,
     encode_history,
     horizon_end,
+    rational,
 )
 
 
@@ -141,3 +143,27 @@ def test_decode_history_rejects_malformed_text():
 def test_decode_history_rejects_a_truncated_cycle(text):
     with pytest.raises(ValueError, match="truncated cycle"):
         decode_history(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e4294", "1E-4293", "1.5e+4291", "1" * RATIONAL_DIGITS, "7/" + "3" * 4298, "-0.25"],
+)
+def test_a_rational_within_the_digit_cap_reads_and_writes_back(text):
+    value = rational(text)
+    assert value == Fraction(text)
+    assert Fraction(str(value)) == value  # numerator and denominator print
+
+
+@pytest.mark.parametrize(
+    "text", ["1e4295", "1E-4294", "1.5e+4292", "1" * (RATIONAL_DIGITS + 1), "1e10000000"]
+)
+def test_a_rational_past_the_digit_cap_is_refused_before_it_is_parsed(text):
+    with pytest.raises(ValueError, match=f"more than {RATIONAL_DIGITS} digits"):
+        rational(text)
+
+
+@pytest.mark.parametrize("text", ["x", "1e", "1e5x", "1/0e2", ""])
+def test_a_malformed_rational_is_refused_as_fraction_refuses_it(text):
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        rational(text)
