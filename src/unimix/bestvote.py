@@ -237,6 +237,23 @@ def claim_bound(
     )
 
 
+def claim_verdict(
+    w: Union[int, Fraction], survived: bool, bound: Fraction
+) -> Optional[bool]:
+    """``validate_claim``'s verdict on a claim of w where it needs no walk,
+    None where it does.  The value lies in [0, U], U = ``claim_bound``:
+    rewards lie in [0, r_max], and an environment that times out only drops
+    mass.  So once some environment is consistent with h (``survived``), a
+    claim of 0 is valid and a claim above U is not; with none, no claim is."""
+    if not survived:
+        return False
+    if w == 0:
+        return True
+    if w > bound:
+        return False
+    return None
+
+
 def validate_claim(
     c: ExtendedCandidate,
     claim: Claim,
@@ -247,22 +264,16 @@ def validate_claim(
     m_k: int,
     horizon: Optional[HorizonPolicy] = None,
 ) -> bool:
-    """True iff the claim never overrates the candidate: w <= its exact value.
-
-    The value lies in [0, U], U = ``claim_bound``: rewards lie in [0, r_max],
-    and an environment that times out only drops mass.  So a claim of 0 is
-    valid and a claim above U is not, once some environment is consistent
-    with h; only a claim in (0, U] is walked.  False when no environment is.
-    """
+    """True iff the claim never overrates the candidate: w <= its exact value,
+    walked only for a claim in (0, U] (``claim_verdict``)."""
     _check_not_past(c, h)
     k = len(h) + 1
     node = env_node(envs, h, budget, alphabet)
-    if not node.survivors:
-        return False
-    if claim.w == 0:
-        return True
-    if claim.w > claim_bound(horizon, k, m_k, alphabet):
-        return False
+    verdict = claim_verdict(
+        claim.w, bool(node.survivors), claim_bound(horizon, k, m_k, alphabet)
+    )
+    if verdict is not None:
+        return verdict
     try:
         v = candidate_value(c, node, k, m_k, h, budget, alphabet, horizon)
     except UndefinedConditionalError:
@@ -308,18 +319,17 @@ def best_vote_cycle(
     alphabet,
     m_k: int,
     horizon: Optional[HorizonPolicy] = None,
-    first: Optional[int] = None,
 ) -> Tuple[Action, List[SelectionRow]]:
     """One round of claims, validation, clamping, and selection.
 
     Every candidate is valued on one shared consistent-environment tree.  The
     highest valid claim wins, the first in selection order among equal ones;
-    when no claim is both positive and valid that is the candidate at index
-    ``first`` (``selection_first``, fixed for a run, so a run passes it).
+    when no claim is both positive and valid that is ``selection_first``.
 
-    A program candidate's claim stays plain values: ``validate_claim``'s
-    rules decide a claim of 0 or above U here, once U is known for the
-    cycle, and only a claim in (0, U] becomes a ``Claim`` and is walked.
+    A program candidate's claim stays plain values.  The node, the previous
+    percept's inputs and U are found once for the round, ``claim_verdict``
+    judges every claim, and only a claim in (0, U] becomes a ``Claim`` and
+    is walked by ``validate_claim``.
     """
     if not candidates:
         raise ValueError("no candidates")
@@ -335,25 +345,21 @@ def best_vote_cycle(
         if c.oracle is None:
             _check_at(c, h)
             w, y, _, steps = _program_claim(c, obs, rew, budget, num_actions)
-            if w == 0:
-                valid = survived
-            elif not survived or w > bound:
-                valid = False
-            else:
-                valid = validate_claim(
-                    c, c.last_claim, h, node, budget, alphabet, m_k, horizon
-                )
         else:
             claim = run_candidate_cycle(c, h, budget, alphabet)
             w, y, steps = claim.w, claim.y, claim.steps_used
-            valid = validate_claim(c, claim, h, node, budget, alphabet, m_k, horizon)
+        valid = claim_verdict(w, survived, bound)
+        if valid is None:
+            valid = validate_claim(
+                c, c.last_claim, h, node, budget, alphabet, m_k, horizon
+            )
         if valid and w > 0 and (
             w > best_w or (w == best_w and c.sort_key < candidates[best].sort_key)
         ):
             best, best_w = i, w
         rows.append(SelectionRow(k, c.label, w, valid, False, y, steps))
     if best is None:
-        best = selection_first(candidates) if first is None else first
+        best = selection_first(candidates)
     r = rows[best]
     rows[best] = SelectionRow(k, r.candidate, r.claimed_w, r.valid, True, r.action, r.steps_used)
     return r.action, rows
@@ -397,14 +403,11 @@ def run_best_vote(
     log: List[SelectionRow] = []
     node = env_node(pool, h, budget, alphabet)
     state = env.state(h)
-    first = selection_first(candidates)
     for k in range(1, lifetime + 1):
         m_k = horizon_end(hpol, k, lifetime)
         if leaders is not None:
             leaders.append(node.top())
-        y, rows = best_vote_cycle(
-            candidates, h, node, budget, alphabet, m_k, horizon, first
-        )
+        y, rows = best_vote_cycle(candidates, h, node, budget, alphabet, m_k, horizon)
         log.extend(rows)
         x, state = draw_percept(rng, env, state, h, y)
         node = node.child(h, y, x)

@@ -6,6 +6,7 @@ downstream expectimax values compare bit-exactly."""
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from operator import attrgetter
@@ -95,11 +96,20 @@ def read_text(
     return header, rows
 
 
-# The most characters a rational read from text may take, its exponent
-# counted as that many more: Python writes no int of more digits as text
-# (the default of ``sys.get_int_max_str_digits``), and ``Fraction`` applies
-# an exponent as a power of ten while it parses.
-RATIONAL_DIGITS = 4300
+# Where Python sets no limit on the digits of an int as text (a limit of 0,
+# or a Python without one), a rational still takes at most the default
+# limit's characters: ``Fraction`` applies an exponent as a power of ten
+# while it parses, which takes long for a large one.
+UNLIMITED_RATIONAL_DIGITS = 4300
+
+
+def rational_digits() -> int:
+    """The most characters a rational read from text may take, its exponent
+    counted as that many more: the most digits Python writes of an int as
+    text (``sys.get_int_max_str_digits``), read at each call, or
+    ``UNLIMITED_RATIONAL_DIGITS`` where it sets no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit or UNLIMITED_RATIONAL_DIGITS
 
 
 def rational(text: str) -> Fraction:
@@ -107,20 +117,19 @@ def rational(text: str) -> Fraction:
 
     Refused with a ``ValueError`` before it is parsed when the text, with
     its exponent counted as that many more characters, is longer than
-    ``RATIONAL_DIGITS``: neither its numerator nor its denominator could
+    ``rational_digits()``: neither its numerator nor its denominator could
     then be written back as text, and a large exponent takes long to apply.
     """
+    cap = rational_digits()
     size = len(text)
     _, e, exponent = text.lower().partition("e")
-    if e and size <= RATIONAL_DIGITS:
+    if e and size <= cap:
         try:
             size += abs(int(exponent))
         except ValueError:  # no exponent: Fraction says what is wrong
             pass
-    if size > RATIONAL_DIGITS:
-        raise ValueError(
-            f"a rational of more than {RATIONAL_DIGITS} digits, its exponent counted"
-        )
+    if size > cap:
+        raise ValueError(f"a rational of more than {cap} digits, its exponent counted")
     return Fraction(text)
 
 

@@ -16,7 +16,6 @@ from unimix.bestvote import (
     replay_candidate,
     run_best_vote,
     run_candidate_cycle,
-    selection_first,
     selection_log_csv,
     validate_claim,
     validated_claim_weight,
@@ -557,13 +556,11 @@ def test_the_round_on_plain_values_equals_the_reference_round(case):
     hpol = horizon if horizon is not None else FixedHorizon(lifetime)
     new = [c.fresh() for c in candidates]
     old = [c.fresh() for c in candidates]
-    first = selection_first(new)
     h, world = EMPTY_HISTORY, FRESH
     for k in range(1, lifetime + 1):
         m_k = horizon_end(hpol, k, lifetime)
         node = env_node(envs, h, budget, a)
-        given_first = first if k % 2 else None  # a run's, or found by the round
-        y, rows = best_vote_cycle(new, h, node, budget, a, m_k, horizon, given_first)
+        y, rows = best_vote_cycle(new, h, node, budget, a, m_k, horizon)
         assert (y, rows) == reference.best_vote_cycle(old, h, node, budget, a, m_k, horizon)
         assert [c.last_claim for c in new] == [c.last_claim for c in old]
         if k == lifetime:

@@ -1,3 +1,5 @@
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -13,13 +15,13 @@ from unimix.core import (
     MovingHorizon,
     Percept,
     ProportionalHorizon,
-    RATIONAL_DIGITS,
     append_cycle,
     decode_history,
     discounted_reward,
     encode_history,
     horizon_end,
     rational,
+    rational_digits,
 )
 
 
@@ -145,22 +147,47 @@ def test_decode_history_rejects_a_truncated_cycle(text):
         decode_history(text)
 
 
+@contextmanager
+def int_digit_limit(n):
+    """Python's limit on the digits of an int as text set to n for a block."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(n)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 @pytest.mark.parametrize(
     "text",
-    ["1e4294", "1E-4293", "1.5e+4291", "1" * RATIONAL_DIGITS, "7/" + "3" * 4298, "-0.25"],
+    ["1e4294", "1E-4293", "1.5e+4291", "1" * 4300, "7/" + "3" * 4298, "-0.25"],
 )
 def test_a_rational_within_the_digit_cap_reads_and_writes_back(text):
-    value = rational(text)
-    assert value == Fraction(text)
-    assert Fraction(str(value)) == value  # numerator and denominator print
+    with int_digit_limit(4300):
+        value = rational(text)
+        assert value == Fraction(text)
+        assert Fraction(str(value)) == value  # numerator and denominator print
 
 
 @pytest.mark.parametrize(
-    "text", ["1e4295", "1E-4294", "1.5e+4292", "1" * (RATIONAL_DIGITS + 1), "1e10000000"]
+    "text", ["1e4295", "1E-4294", "1.5e+4292", "1" * 4301, "1e10000000"]
 )
 def test_a_rational_past_the_digit_cap_is_refused_before_it_is_parsed(text):
-    with pytest.raises(ValueError, match=f"more than {RATIONAL_DIGITS} digits"):
+    with int_digit_limit(4300), pytest.raises(ValueError, match="more than 4300 digits"):
         rational(text)
+
+
+@pytest.mark.parametrize(
+    "limit, within, past, cap",
+    [(640, "1e635", "1e636", 640), (5000, "1e4994", "1e4995", 5000), (0, "1e4294", "1e4295", 4300)],
+)
+def test_the_digit_cap_is_python_s_int_digit_limit_or_4300_without_one(limit, within, past, cap):
+    with int_digit_limit(limit):
+        assert rational_digits() == cap
+        value = rational(within)
+        assert Fraction(str(value)) == value
+        with pytest.raises(ValueError, match=f"more than {cap} digits"):
+            rational(past)
 
 
 @pytest.mark.parametrize("text", ["x", "1e", "1e5x", "1/0e2", ""])
