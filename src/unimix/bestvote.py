@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
+from . import vm
 from .core import (
     Action,
     EMPTY_HISTORY,
@@ -31,8 +32,9 @@ from .planner import (
     draw_percept,
     env_node,
     functional_value,
+    program_inputs,
 )
-from .vm import MachineState, Program, RunBudget, machine_cycle
+from .vm import FRESH, Program, RunBudget
 
 
 class Claim(Value):
@@ -55,7 +57,8 @@ class Claim(Value):
 class ExtendedCandidate:
     """A claim-emitting policy: either a bytecode program (two outputs per
     cycle: the claim, then the action) or a pure oracle function of the
-    history.  Runtime state is incremental across cycles."""
+    history.  Runtime state is incremental across cycles: a program's is its
+    frozen machine state, which a copy shares."""
 
     def __init__(
         self,
@@ -70,7 +73,7 @@ class ExtendedCandidate:
         self.sort_key = sort_key
         self.program = program
         self.oracle = oracle
-        self.state = MachineState()
+        self.state = FRESH
         self.cycles_run = 0
         # The last cycle's claim as the plain values (w, y, timed_out,
         # steps_used), so a round builds no Claim it does not walk.
@@ -100,19 +103,10 @@ class ExtendedCandidate:
     def copy(self) -> "ExtendedCandidate":
         """An independent candidate in the same runtime state."""
         c = self.fresh()
-        c.state = self.state.copy()
+        c.state = self.state
         c.cycles_run = self.cycles_run
         c.last = self.last
         return c
-
-
-def _inputs(h: History, alphabet) -> Tuple[int, int]:
-    """What a program candidate reads at cycle len(h)+1: the previous
-    percept's observation and reward index, or (0, 0) at the first cycle."""
-    if not h.cycles:
-        return 0, 0
-    x = h.cycles[-1][1]
-    return x.observation, alphabet.reward_index(x)
 
 
 def _check_at(c: ExtendedCandidate, h: History) -> None:
@@ -129,8 +123,8 @@ def _program_claim(
     its claim as the plain values (w, y, timed_out, steps_used).  The claim
     is the first output and the action the second, each 0 when not emitted;
     a budget timeout yields (0, 0)."""
-    out, steps, timed_out = machine_cycle(
-        c.program, c.state, obs, rew, budget.steps_per_cycle, 2
+    out, steps, timed_out, c.state = vm.run_machine(
+        c.program._ops, c.state, obs, rew, budget.steps_per_cycle, 2
     )
     if timed_out:
         last = (0, 0, True, steps)
@@ -152,7 +146,7 @@ def run_candidate_cycle(
     """
     _check_at(c, h)
     if c.oracle is None:
-        obs, rew = _inputs(h, alphabet)
+        obs, rew = program_inputs(h, alphabet)
         return Claim(*_program_claim(c, obs, rew, budget, alphabet.num_actions))
     claim = c.oracle(h)
     c.cycles_run += 1
@@ -337,7 +331,7 @@ def best_vote_cycle(
     node = env_node(envs, h, budget, alphabet)
     survived = bool(node.survivors)
     bound = claim_bound(horizon, k, m_k, alphabet)
-    obs, rew = _inputs(h, alphabet)
+    obs, rew = program_inputs(h, alphabet)
     num_actions = alphabet.num_actions
     rows = []
     best, best_w = None, 0

@@ -28,6 +28,7 @@ from .core import (
     horizon_end,
     input_errors,
     rational,
+    rational_digits,
     read_text,
     write_text,
 )
@@ -203,6 +204,15 @@ def parse_config(text: str) -> ScenarioConfig:
             horizon = parse_horizon(horizon_s)
         except (ValueError, ZeroDivisionError) as e:
             violations.append(f"bad horizon {horizon_s!r}: {e}")
+    if isinstance(horizon, GeometricDiscount):
+        # Values carry gamma^k up to k = min(m_cap, lifetime); its denominator,
+        # the larger part of a gamma below 1, has fewer than k * bits * 0.30103
+        # + 1 digits (0.30103 > log10 2), which must fit ``rational_digits()``.
+        k, cap = min(horizon.m_cap, lifetime), rational_digits()
+        if k * horizon.gamma.denominator.bit_length() * 30103 // 100000 + 1 > cap:
+            violations.append(
+                f"bad horizon {horizon_s!r}: gamma^{k} would have more than {cap} digits"
+            )
 
     if violations:
         raise ValidationError(violations)

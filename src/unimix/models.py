@@ -201,10 +201,19 @@ class TabularModel(ChronologicalModel):
             lambda k: encode_history(decode_history(k)),  # each context in one spelling
             lambda v: tuple(map(rational, v.split())),
         )
-        header, rows = read_text(text, fields, row)
-        with input_errors("tabular model"):
-            a = Alphabet(header["actions"], header["observations"], header["rewards"])
-            return cls(a, header["depth"], rows)
+        found: List[str] = []
+        header, rows = read_text(text, fields, row, violations=found)
+        model = None
+        if len(header) == len(fields):  # a whole header: the rows are checked too
+            try:
+                with input_errors("tabular model"):
+                    a = Alphabet(header["actions"], header["observations"], header["rewards"])
+                    model = cls(a, header["depth"], rows)
+            except ValidationError as e:
+                found += e.violations
+        if found:
+            raise ValidationError(found)
+        return model
 
 
 def _unreachable(a: Alphabet, depth: int, key: str) -> Optional[str]:
@@ -296,8 +305,8 @@ class ProgramEnv(ChronologicalModel):
 
     A cycle that exhausts the step budget gets an all-zero conditional (the
     program drops out of every mixture it sits in from that point on).  Its
-    state is the machine after the history's actions, frozen (``vm.freeze``),
-    or None once a cycle has timed out; the state is also its key.
+    state is the machine's ``vm.FrozenState`` after the history's actions, or
+    None once a cycle has timed out; the state is also its key.
 
     ``step`` runs each (state, action) pair on the machine once per model:
     it keeps every row it computes in a transition table and answers a

@@ -36,7 +36,7 @@ from .models import (
     build_mixture,
     expected_sum,
 )
-from .vm import MachineState, Program, RunBudget, policy_cycle
+from .vm import FRESH, FrozenState, Program, RunBudget, run_cycle
 
 # A policy oracle is any pure function from a complete history to an action.
 PolicyOracle = Callable[[History], Action]
@@ -355,21 +355,32 @@ class PolicyStepper(Protocol):
     def fork(self) -> "PolicyStepper": ...
 
 
-class ProgramStepper:
-    """A bytecode program run incrementally on one machine state."""
+def program_inputs(h: History, alphabet) -> Tuple[int, int]:
+    """What a program policy reads at cycle len(h)+1: the previous percept's
+    observation and reward index, or (0, 0) at the first cycle."""
+    if not h.cycles:
+        return 0, 0
+    x = h.cycles[-1][1]
+    return x.observation, alphabet.reward_index(x)
 
-    def __init__(
-        self, p: Program, budget: RunBudget, alphabet, state: Optional[MachineState] = None
-    ):
+
+class ProgramStepper:
+    """A bytecode program run incrementally from one frozen machine state,
+    which a fork shares.  Each cycle emits the action; a cycle that times out
+    plays the default action 0."""
+
+    def __init__(self, p: Program, budget: RunBudget, alphabet, state: FrozenState = FRESH):
         self.p, self.budget, self.alphabet = p, budget, alphabet
-        self.state = state if state is not None else MachineState()
+        self.state = state
 
     def __call__(self, h: History) -> Action:
-        x_prev = h.cycles[-1][1] if h.cycles else None
-        return policy_cycle(self.p, self.state, x_prev, self.budget, self.alphabet)[0]
+        obs, rew = program_inputs(h, self.alphabet)
+        res = run_cycle(self.p, self.state, obs, rew, self.budget)
+        self.state = res.state
+        return 0 if res.timed_out else res.outputs[0] % self.alphabet.num_actions
 
     def fork(self) -> "ProgramStepper":
-        return ProgramStepper(self.p, self.budget, self.alphabet, self.state.copy())
+        return ProgramStepper(self.p, self.budget, self.alphabet, self.state)
 
 
 def _fed(act: PolicyStepper, h: History) -> Action:

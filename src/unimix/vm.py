@@ -6,6 +6,13 @@ weights 2^-length satisfy Kraft's inequality exactly.  The same machine runs
 as a policy (reads percepts, writes actions) and as an environment (reads
 actions, writes percept symbols).  State persists across cycles so execution
 is incremental; the program counter restarts each cycle.
+
+A machine state is one immutable value, ``FrozenState`` = (accumulator,
+sorted work tape items, head), for environments, policies and best-vote
+candidates alike.  ``run_machine`` is the one loop, and the only code that
+turns a state into a working tape and back: ``run_cycle`` pads its outputs
+for a policy, ``env_step`` is the environment cycle, and a fork shares the
+state it forks.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .core import Action, Alphabet, History, Percept, Value, set_field
+from .core import Action, Alphabet, History, Value, set_field
 
 # Opcodes: 3 bits each, followed by a fixed-width operand (possibly empty).
 OP_END = 0  # end of cycle / end of code
@@ -184,42 +191,12 @@ def kraft_sum(pool: Iterable[Program]) -> Fraction:
     return sum((p.weight for p in pool), Fraction(0))
 
 
-class MachineState:
-    """Persistent per-program state: accumulator bank, work tape and head."""
+# A machine state as an immutable, hashable value: (accumulator, sorted work
+# tape items, head).  A fork shares it; a cycle returns the next one.
+FrozenState = Tuple[int, tuple, int]
 
-    __slots__ = ("registers", "work_tape", "head")
-
-    def __init__(
-        self,
-        registers: Optional[List[int]] = None,
-        work_tape: Optional[dict] = None,
-        head: int = 0,
-    ):
-        self.registers = [0] if registers is None else registers
-        self.work_tape = {} if work_tape is None else work_tape
-        self.head = head
-
-    def __eq__(self, other):
-        # Mutable, so equal by value but unhashable.
-        if other.__class__ is self.__class__:
-            return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-        return NotImplemented
-
-    def copy(self) -> "MachineState":
-        return MachineState(list(self.registers), dict(self.work_tape), self.head)
-
-
-# A machine state as an immutable, hashable value: (registers, sorted tape
-# items, head).
-FrozenState = Tuple[tuple, tuple, int]
-
-
-def freeze(s: MachineState) -> FrozenState:
-    return tuple(s.registers), tuple(sorted(s.work_tape.items())), s.head
-
-
-# A program's machine before its first cycle, frozen.
-FRESH = freeze(MachineState())
+# A program's machine before its first cycle.
+FRESH: FrozenState = (0, (), 0)
 
 
 class RunBudget(Value):
@@ -232,37 +209,42 @@ class RunBudget(Value):
 
 
 class CycleResult(Value):
-    __slots__ = ("outputs", "steps_used", "timed_out")
+    __slots__ = ("outputs", "steps_used", "timed_out", "state")
 
-    def __init__(self, outputs: tuple, steps_used: int, timed_out: bool):
+    def __init__(
+        self, outputs: tuple, steps_used: int, timed_out: bool, state: FrozenState
+    ):
         set_field(self, "outputs", outputs)
         set_field(self, "steps_used", steps_used)
         set_field(self, "timed_out", timed_out)
+        set_field(self, "state", state)
 
 
 def run_machine(
     ops: tuple,
-    acc: int,
-    tape: dict,
-    head: int,
+    state: FrozenState,
     primary_in: int,
     secondary_in: int,
     limit: int,
     max_outputs: int,
-) -> Tuple[List[int], int, int, int, bool]:
+) -> Tuple[List[int], int, bool, FrozenState]:
     """The machine loop: one cycle of the program ``ops`` ((op, arg) pairs).
 
-    Runs from pc 0 with accumulator ``acc``, work tape ``tape`` (updated in
-    place) and head ``head`` until END, falling off the code, the
-    ``max_outputs``-th emit or ``limit`` steps.  Returns (outputs, acc, head,
-    steps used, timed out); the outputs are not padded.
+    Runs from pc 0 on the frozen ``state`` until END, falling off the code,
+    the ``max_outputs``-th emit or ``limit`` steps.  Returns (outputs, steps
+    used, timed out, next state); the outputs are not padded, and a cycle
+    that times out still returns the state it reached.
     """
+    acc, items, head = state
+    tape = None  # the work tape as a dict, made at the first store or load
     n = len(ops)
     pc = steps = 0
+    timed_out = False
     outputs: List[int] = []
     while 0 <= pc < n:  # falling off the code ends the cycle as END does
         if steps >= limit:
-            return outputs, acc, head, steps, True
+            timed_out = True
+            break
         op, arg = ops[pc]
         steps += 1
         if op == 5:  # JZ
@@ -291,96 +273,53 @@ def run_machine(
                 head -= 1
             elif arg == 1:
                 head += 1
-            elif arg == 2:
-                tape[head] = acc
             else:
-                acc = tape.get(head, 0)
+                if tape is None:
+                    tape = dict(items)
+                if arg == 2:
+                    tape[head] = acc
+                else:
+                    acc = tape.get(head, 0)
             pc += 1
-    return outputs, acc, head, steps, False
-
-
-def machine_cycle(
-    program: Program,
-    state: MachineState,
-    primary_in: int,
-    secondary_in: int,
-    limit: int,
-    max_outputs: int,
-) -> Tuple[List[int], int, bool]:
-    """Run one cycle of ``program`` on ``state`` in place: ``run_machine`` on
-    the state's accumulator, tape and head.  Returns (outputs, steps used,
-    timed out); the outputs are not padded."""
-    outputs, state.registers[0], state.head, steps, timed_out = run_machine(
-        program._ops, state.registers[0], state.work_tape, state.head,
-        primary_in, secondary_in, limit, max_outputs,
-    )
-    return outputs, steps, timed_out
+    if tape is not None:
+        items = tuple(sorted(tape.items()))
+    return outputs, steps, timed_out, (acc, items, head)
 
 
 def run_cycle(
     program: Program,
-    state: MachineState,
+    state: FrozenState,
     primary_in: int,
     secondary_in: int,
     budget: RunBudget,
     max_outputs: int = 1,
 ) -> CycleResult:
-    """Run one cycle in place; stops at END, at max_outputs emits, or on budget.
+    """One cycle of ``program`` from ``state``; stops at END, at max_outputs
+    emits, or on budget.
 
     Missing outputs are padded with the default symbol 0; ``timed_out`` is set
     only when the step budget ran out before the cycle finished.
     """
-    outputs, steps, timed_out = machine_cycle(
-        program, state, primary_in, secondary_in, budget.steps_per_cycle, max_outputs
+    outputs, steps, timed_out, state = run_machine(
+        program._ops, state, primary_in, secondary_in, budget.steps_per_cycle, max_outputs
     )
     outputs += [0] * (max_outputs - len(outputs))
-    return CycleResult(tuple(outputs), steps, timed_out)
+    return CycleResult(tuple(outputs), steps, timed_out, state)
 
 
 def env_step(
-    q: Program, frozen: FrozenState, y: Action, budget: RunBudget
+    q: Program, state: FrozenState, y: Action, budget: RunBudget
 ) -> Optional[Tuple[int, FrozenState]]:
-    """One environment cycle of q from a frozen machine on action y: the
-    output symbol (0 when the cycle emits none) and the next frozen machine,
-    or None on a timeout.
-
-    The machine reads the action on its primary input and 0 on the reward
-    channel.  It runs on the frozen state's values: no ``MachineState`` is
-    built, and the registers stay shared when the cycle leaves the
-    accumulator as it was.
-    """
-    registers, tape, head = frozen
-    work = dict(tape)
-    outputs, acc, head, _, timed_out = run_machine(
-        q._ops, registers[0], work, head, y, 0, budget.steps_per_cycle, 1,
+    """One environment cycle of q from ``state`` on action y: the output
+    symbol (0 when the cycle emits none) and the next state, or None on a
+    timeout.  The machine reads the action on its primary input and 0 on the
+    reward channel."""
+    outputs, _, timed_out, state = run_machine(
+        q._ops, state, y, 0, budget.steps_per_cycle, 1
     )
     if timed_out:
         return None
-    if acc != registers[0]:
-        registers = (acc,) + registers[1:]
-    if work:
-        tape = tuple(sorted(work.items()))
-    return (outputs[0] if outputs else 0), (registers, tape, head)
-
-
-def policy_cycle(
-    p: Program,
-    s: MachineState,
-    x_prev: Optional[Percept],
-    budget: RunBudget,
-    alphabet: Alphabet,
-) -> Tuple[Action, MachineState, int, bool]:
-    """One agent cycle: reads the previous percept, emits an action.
-
-    On timeout the designated default action 0 is returned with the flag set.
-    """
-    obs = x_prev.observation if x_prev is not None else 0
-    rew = alphabet.reward_index(x_prev) if x_prev is not None else 0
-    res = run_cycle(p, s, obs, rew, budget, max_outputs=1)
-    action = res.outputs[0] % alphabet.num_actions
-    if res.timed_out:
-        action = 0
-    return action, s, res.steps_used, res.timed_out
+    return (outputs[0] if outputs else 0), state
 
 
 def replay_env(

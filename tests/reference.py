@@ -1,8 +1,12 @@
 """Library steps written out on their own, the references that the library's
 faster forms are compared against.
 
-``env_cycle`` is the environment cycle on a mutable machine, for the
-frozen-state cycle (``vm.env_step``) and every table and tree built on it.
+``reference_cycle`` is the machine cycle stepped on a program's
+``Instruction``s and a mutable ``MachineState``, sharing no code with the
+library's machine loop (``vm.run_machine``).  ``env_cycle`` and
+``policy_action`` are the environment and policy cycles on it, for the
+frozen-state cycles (``vm.env_step``, ``planner.ProgramStepper``) and every
+table and tree built on them.
 ``best_vote_cycle`` is the best-vote round with one ``Claim`` per candidate,
 each judged by ``validate_claim`` here, for the round on plain values
 (``bestvote.best_vote_cycle``).  That ``validate_claim`` walks every positive
@@ -15,17 +19,93 @@ from unimix.bestvote import SelectionRow, candidate_value, run_candidate_cycle
 from unimix.core import Percept
 from unimix.models import UndefinedConditionalError
 from unimix.planner import env_node
-from unimix.vm import run_cycle
+
+
+class MachineState:
+    """A program's machine, mutable: accumulator, work tape and head."""
+
+    def __init__(self, acc=0, work_tape=None, head=0):
+        self.acc = acc
+        self.work_tape = {} if work_tape is None else work_tape
+        self.head = head
+
+    def copy(self):
+        return MachineState(self.acc, dict(self.work_tape), self.head)
+
+
+def freeze(s):
+    """The machine as the library's immutable state: (accumulator, sorted
+    tape items, head)."""
+    return s.acc, tuple(sorted(s.work_tape.items())), s.head
+
+
+def reference_cycle(program, state, primary_in, secondary_in, budget, max_outputs):
+    """One cycle of program on the machine state (run in place), stepped on
+    the program's Instructions.  Returns (outputs padded with 0 to
+    max_outputs, steps used, timed out)."""
+    instrs = program.instructions
+    pc = steps = 0
+    outputs = []
+    timed_out = False
+    while 0 <= pc < len(instrs):
+        if steps >= budget.steps_per_cycle:
+            timed_out = True
+            break
+        ins = instrs[pc]
+        steps += 1
+        if ins.op == 0:  # END
+            break
+        elif ins.op == 1:  # OUT
+            outputs.append(state.acc)
+            if len(outputs) >= max_outputs:
+                break
+            pc += 1
+        elif ins.op == 2:  # IN
+            state.acc = primary_in
+            pc += 1
+        elif ins.op == 3:  # INR
+            state.acc = secondary_in
+            pc += 1
+        elif ins.op == 4:  # LDC
+            state.acc = ins.arg
+            pc += 1
+        elif ins.op == 5:  # JZ
+            pc += (ins.arg - 1) if state.acc == 0 else 1
+        elif ins.op == 6:  # INC
+            state.acc += 1
+            pc += 1
+        else:  # MOVT
+            if ins.arg == 0:
+                state.head -= 1
+            elif ins.arg == 1:
+                state.head += 1
+            elif ins.arg == 2:
+                state.work_tape[state.head] = state.acc
+            else:
+                state.acc = state.work_tape.get(state.head, 0)
+            pc += 1
+    while len(outputs) < max_outputs:
+        outputs.append(0)
+    return tuple(outputs), steps, timed_out
 
 
 def env_cycle(q, s, y, budget, alphabet):
     """One environment cycle of q on the machine s (run in place): reads the
     action, emits a percept.  Returns (percept, s, steps used, timed out);
     a timed-out cycle's percept is the zero one."""
-    res = run_cycle(q, s, y, 0, budget, max_outputs=1)
-    if res.timed_out:
-        return Percept(Fraction(0), 0), s, res.steps_used, True
-    return alphabet.percept_of(res.outputs[0]), s, res.steps_used, False
+    outputs, steps, timed_out = reference_cycle(q, s, y, 0, budget, 1)
+    if timed_out:
+        return Percept(Fraction(0), 0), s, steps, True
+    return alphabet.percept_of(outputs[0]), s, steps, False
+
+
+def policy_action(p, s, x_prev, budget, alphabet):
+    """One policy cycle of p on the machine s (run in place): reads the
+    previous percept x_prev ((0, 0) before the first), emits an action; a
+    timed-out cycle plays action 0."""
+    obs, rew = (0, 0) if x_prev is None else (x_prev.observation, alphabet.reward_index(x_prev))
+    outputs, _, timed_out = reference_cycle(p, s, obs, rew, budget, 1)
+    return 0 if timed_out else outputs[0] % alphabet.num_actions
 
 
 def validate_claim(c, claim, h, envs, budget, alphabet, m_k, horizon=None):

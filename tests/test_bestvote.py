@@ -1,4 +1,6 @@
 import functools
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -37,19 +39,17 @@ from unimix.domains import make_heavenhell
 from unimix.models import UndefinedConditionalError, build_mixture, posterior
 from unimix.planner import env_node, functional_value, policy_value_functional
 from unimix.vm import (
-    MachineState,
     RunBudget,
     consistent_envs,
     FRESH,
     decode,
     enumerate_programs,
     env_step,
-    policy_cycle,
     replay_env,
 )
 
 import reference
-from reference import env_cycle
+from reference import MachineState, env_cycle, policy_action
 
 F = Fraction
 
@@ -324,9 +324,9 @@ def test_tree_walk_equals_per_environment_rollouts_for_programs(case, p):
 
     def new_policy():
         s = MachineState()
-        return lambda hist: policy_cycle(
+        return lambda hist: policy_action(
             p, s, hist.cycles[-1][1] if hist.cycles else None, budget, a
-        )[0]
+        )
 
     # a live candidate that has claimed on h, valued on the shared node
     live = c.fresh()
@@ -451,10 +451,12 @@ def test_a_best_vote_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeyp
     # the candidates' walks, or ran a program's (state, action) pair twice
     # would make more.
     calls = []
+    callers = []
     run_machine = vm.run_machine
 
     def counting(*args, **kwargs):
         calls.append(1)
+        callers.append(sys._getframe(1).f_code.co_name)
         return run_machine(*args, **kwargs)
 
     monkeypatch.setattr(vm, "run_machine", counting)
@@ -464,6 +466,8 @@ def test_a_best_vote_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeyp
     )
     run_scenario(cfg)
     assert len(calls) == 447
+    # Candidates' cycles (claims and the walks' steps) and environment cycles.
+    assert Counter(callers) == {"_program_claim": 264, "env_step": 183}
 
 
 def test_a_carried_tree_equals_one_rebuilt_after_the_history(budget, pool8):

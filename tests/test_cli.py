@@ -114,6 +114,26 @@ class TestParseHorizon:
             parse_config(HEAVEN + "horizon=psychic:3\n")
         assert any("horizon" in v for v in e.value.violations)
 
+    @pytest.mark.parametrize(
+        "bits, lifetime, cap, ok",
+        # (2^223 - 1)^64 has 4,296 digits and (2^224 - 1)^64 4,316; a gamma is
+        # judged at min(cap, lifetime) cycles
+        [(223, 64, 64, True), (224, 64, 64, False), (224, 63, 64, True), (224, 64, 63, True)],
+    )
+    def test_a_geometric_gamma_is_judged_by_its_power_at_the_last_cycle(
+        self, bits, lifetime, cap, ok
+    ):
+        text = f"scenario=heavenhell\nlifetime={lifetime}\nhorizon=geometric:1/{2**bits - 1}:{cap}\n"
+        if ok:
+            assert parse_config(text).horizon.m_cap == cap
+            return
+        with pytest.raises(ValidationError) as e:
+            parse_config(text)
+        assert e.value.violations == [
+            f"bad horizon 'geometric:1/{2**bits - 1}:{cap}': "
+            "gamma^64 would have more than 4300 digits"
+        ]
+
 
 class TestRunScenario:
     def test_heavenhell_informed_trace(self):
@@ -427,6 +447,23 @@ class TestMain:
         assert time.perf_counter() - start < 0.5  # parsing 1e10000000 took 7 s
         err = capsys.readouterr().err
         assert err == f"validation error: {violation}, its exponent counted\n"
+
+    def test_a_geometric_gamma_whose_power_is_too_long_to_write_exits_1(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # gamma^64 has 6,401 digits: the run once failed with a traceback
+        # when it wrote a planner value
+        monkeypatch.chdir(tmp_path)
+        horizon = "geometric:1/1" + "0" * 99 + "1:64"
+        (tmp_path / "cfg.txt").write_text(
+            f"scenario=heavenhell\nagent=informed\nlifetime=64\nhorizon={horizon}\n"
+        )
+        assert main(["run", "--config", "cfg.txt", "--out", "out"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == (
+            f"validation error: bad horizon '{horizon}': "
+            "gamma^64 would have more than 4300 digits\n"
+        )
 
     @pytest.mark.parametrize("program", ["zz", "5", "x:1f", "5:zz"])
     def test_a_malformed_program_exits_1_without_a_traceback(self, program, tmp_path, capsys):

@@ -60,9 +60,9 @@ from unimix.planner import (
     value_given_action,
     value_opt,
 )
-from unimix.vm import OP_IN, MachineState, RunBudget, decode, enumerate_programs
+from unimix.vm import OP_IN, RunBudget, decode, enumerate_programs
 
-from reference import env_cycle
+from reference import MachineState, env_cycle, freeze
 
 R0, R1 = Fraction(0), Fraction(1)
 
@@ -397,10 +397,6 @@ PROGRAMS = st.one_of(
 )
 
 
-def machine_key(s):
-    return tuple(s.registers), tuple(sorted(s.work_tape.items())), s.head
-
-
 @settings(max_examples=300, deadline=None)
 @given(PROGRAMS, st.integers(1, 8), st.sampled_from(ALPHABETS), st.data())
 def test_a_tabled_program_steps_as_a_copied_machine(q, steps, alphabet, data):
@@ -426,7 +422,7 @@ def test_a_tabled_program_steps_as_a_copied_machine(q, steps, alphabet, data):
         if machine is None:
             assert state is None and row == {}
             continue
-        assert model.key(state, h) == machine_key(machine)
+        assert model.key(state, h) == freeze(machine)
         s = machine.copy()
         x, s, _, timed_out = env_cycle(q, s, y, budget, alphabet)
         if timed_out:
@@ -439,7 +435,7 @@ def test_a_tabled_program_steps_as_a_copied_machine(q, steps, alphabet, data):
         p, child = row[x]
         assert p == 1
         h = append_cycle(h, y, x)
-        assert model.key(child, h) == machine_key(s)
+        assert model.key(child, h) == freeze(s)
         assert env.state(h) == child  # the replayed machine, frozen
         reached.append((h, child, s))
     assert len(env._table) == len(pairs)  # one row per distinct pair

@@ -234,6 +234,16 @@ def test_any_text_parses_or_lists_its_violations(text):
             assert read(x.dumps()) == x
 
 
+def test_a_tabular_file_lists_its_line_and_row_violations_together():
+    text = "actions=2\nobservations=1\nrewards=0,1\ndepth=1\njunk\ny:7 | 1 0\n"
+    with pytest.raises(ValidationError) as e:
+        TabularModel.loads(text)
+    assert e.value.violations == [
+        "line 5: expected key=value or <key> | <values>, got 'junk'",
+        "row for 'y:7' is never looked up: an action outside range(2)",
+    ]
+
+
 def test_an_alphabet_past_the_percept_cap_is_a_capacity_error():
     text = f"actions=2\nobservations={PERCEPT_CAP}\nrewards=0,1\ndepth=0\n"
     with pytest.raises(CapacityError):

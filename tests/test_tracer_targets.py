@@ -13,9 +13,7 @@ import pytest
 
 from unimix.bestvote import ExtendedCandidate, run_candidate_cycle, validate_claim
 from unimix.core import EMPTY_HISTORY, Alphabet, append_cycle
-from unimix.vm import (
-    MachineState, RunBudget, consistent_envs, decode, replay_env, run_cycle,
-)
+from unimix.vm import FRESH, RunBudget, consistent_envs, decode, replay_env, run_cycle
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -68,8 +66,8 @@ def _validity(p):
 # span name -> [(positional arguments, call, the (a, b) the tracer records)]
 CALLS = {
     "vm.run_cycle": [
-        ((BRAGGART, MachineState(), 0, 0, BUDGET, 2), run_cycle, (3, 0)),
-        ((SPINNER, MachineState(), 0, 0, BUDGET, 2), run_cycle, (3, 1)),
+        ((BRAGGART, FRESH, 0, 0, BUDGET, 2), run_cycle, (3, 0)),
+        ((SPINNER, FRESH, 0, 0, BUDGET, 2), run_cycle, (3, 1)),
     ],
     "vm.replay_env": [((BRAGGART, (0, 1), BUDGET, A), replay_env, (2, 0))],
     "vm.consistent_envs": [(([SILENT, BRAGGART], H1, BUDGET, A), consistent_envs, (1, 2))],

@@ -22,7 +22,7 @@ from unimix.core import (
 )
 from unimix.domains import FunctionClassSpec, GameSpec, RelationSpec, make_heavenhell
 from unimix.planner import ValueQuery
-from unimix.vm import CycleResult, Instruction, MachineState, RunBudget, decode
+from unimix.vm import FRESH, CycleResult, Instruction, RunBudget, decode
 
 X = Percept(F(1, 2), 1)
 
@@ -38,7 +38,7 @@ VALUES = [
     ("Instruction", lambda: Instruction(4, 1), "op"),
     ("Program", lambda: decode((1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0)), "code"),
     ("RunBudget", lambda: RunBudget(5), "steps_per_cycle"),
-    ("CycleResult", lambda: CycleResult((1, 0), 3, False), "outputs"),
+    ("CycleResult", lambda: CycleResult((1, 0), 3, False, FRESH), "outputs"),
     ("Claim", lambda: Claim(F(1, 3), 1, False, 2), "w"),
     ("SelectionRow", lambda: SelectionRow(1, "9:088", F(1), True, True, 0, 4), "valid"),
 ]
@@ -149,24 +149,6 @@ def test_specs_compare_by_value():
 def test_constructors_reject_what_they_rejected_before(build):
     with pytest.raises(ValueError):
         build()
-
-
-def test_machine_state_defaults_are_not_shared():
-    a, b = MachineState(), MachineState()
-    a.registers.append(1)
-    a.work_tape[0] = 1
-    assert b.registers == [0] and b.work_tape == {}
-    assert MachineState().registers == [0]
-
-
-def test_machine_state_compares_by_value_and_is_unhashable():
-    a = MachineState([1, 2], {0: 3}, 1)
-    b = a.copy()
-    assert a == b and a.registers is not b.registers
-    b.work_tape[1] = 0
-    assert a != b
-    with pytest.raises(TypeError):
-        hash(a)
 
 
 def test_scenario_config_extras_are_not_shared():

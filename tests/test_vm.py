@@ -5,27 +5,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unimix.core import EMPTY_HISTORY, Percept, append_cycle
+from unimix.planner import ProgramStepper
 from unimix.vm import (
+    FRESH,
     OPERAND_BITS,
     OPCODE_BITS,
     OP_END,
-    CycleResult,
     DecodeError,
     Instruction,
-    MachineState,
     Program,
     RunBudget,
     consistent_envs,
     decode,
     enumerate_programs,
-    freeze,
     kraft_sum,
-    policy_cycle,
     replay_env,
     run_cycle,
 )
 
-from reference import env_cycle
+from reference import MachineState, env_cycle, freeze, reference_cycle
 
 END = (0, 0, 0)
 OUT = (0, 0, 1)
@@ -103,30 +101,41 @@ def test_kraft_inequality(l_max):
     assert kraft_sum(enumerate_programs(l_max)) <= 1
 
 
+# A policy's cycle is a ProgramStepper call: it reads the previous percept
+# and plays its output, or action 0 on a timeout.
+
+
 def test_policy_cycle_constant_program(binary_alphabet, budget):
-    s = MachineState()
-    y, _, steps, timed_out = policy_cycle(CONST1, s, None, budget, binary_alphabet)
-    assert (y, timed_out) == (1, False)
-    assert steps <= budget.steps_per_cycle
+    act = ProgramStepper(CONST1, budget, binary_alphabet)
+    assert act(EMPTY_HISTORY) == 1
+    assert act.state == (1, (), 0)
 
 
 def test_policy_cycle_echo_program(budget):
     from unimix.core import Alphabet
 
     a = Alphabet(num_actions=2, num_observations=2, rewards=(Fraction(0), Fraction(1)))
-    s = MachineState()
-    y, _, _, _ = policy_cycle(ECHO, s, Percept(Fraction(0), 1), budget, a)
-    assert y == 1
-    y, _, _, _ = policy_cycle(ECHO, s, Percept(Fraction(0), 0), budget, a)
-    assert y == 0
+    act = ProgramStepper(ECHO, budget, a)
+    h = append_cycle(EMPTY_HISTORY, 0, Percept(Fraction(0), 1))
+    assert act(h) == 1
+    assert act(append_cycle(h, 1, Percept(Fraction(0), 0))) == 0
 
 
 def test_policy_cycle_timeout_returns_default_action(binary_alphabet, budget):
-    s = MachineState()
-    y, _, steps, timed_out = policy_cycle(LOOP, s, None, budget, binary_alphabet)
-    assert timed_out
-    assert y == 0
-    assert steps == budget.steps_per_cycle
+    act = ProgramStepper(LOOP, budget, binary_alphabet)
+    assert act(EMPTY_HISTORY) == 0
+    res = run_cycle(LOOP, FRESH, 0, 0, budget)
+    assert res.timed_out and res.steps_used == budget.steps_per_cycle
+    assert act.state == res.state
+
+
+def test_a_policy_fork_shares_the_state_and_steps_on_its_own(binary_alphabet, budget):
+    act = ProgramStepper(decode(bits(MOVT(3), INC, MOVT(2), OUT, END)), budget, binary_alphabet)
+    act(EMPTY_HISTORY)  # the tape cell counts the cycles
+    fork = act.fork()
+    assert fork.state is act.state
+    fork(EMPTY_HISTORY)
+    assert (act.state, fork.state) == ((1, ((0, 1),), 0), (2, ((0, 2),), 0))
 
 
 def test_env_cycle_reward_copy(binary_alphabet, budget):
@@ -250,8 +259,8 @@ def test_disassembler_mentions_every_instruction():
 
 
 def test_step_accounting_is_replay_stable(binary_alphabet, budget):
-    r1 = run_cycle(ECHO, MachineState(), 1, 0, budget)
-    r2 = run_cycle(ECHO, MachineState(), 1, 0, budget)
+    r1 = run_cycle(ECHO, FRESH, 1, 0, budget)
+    r2 = run_cycle(ECHO, FRESH, 1, 0, budget)
     assert r1 == r2
 
 
@@ -285,54 +294,6 @@ def test_enumeration_equals_the_reference(l_max):
     assert [(p.code, p.instructions) for p in pool] == reference_enumeration(l_max)
 
 
-def reference_cycle(program, state, primary_in, secondary_in, budget, max_outputs):
-    """One cycle stepped on the program's Instructions and a MachineState."""
-    instrs = program.instructions
-    pc = steps = 0
-    outputs = []
-    timed_out = False
-    while 0 <= pc < len(instrs):
-        if steps >= budget.steps_per_cycle:
-            timed_out = True
-            break
-        ins = instrs[pc]
-        steps += 1
-        if ins.op == 0:  # END
-            break
-        elif ins.op == 1:  # OUT
-            outputs.append(state.registers[0])
-            if len(outputs) >= max_outputs:
-                break
-            pc += 1
-        elif ins.op == 2:  # IN
-            state.registers[0] = primary_in
-            pc += 1
-        elif ins.op == 3:  # INR
-            state.registers[0] = secondary_in
-            pc += 1
-        elif ins.op == 4:  # LDC
-            state.registers[0] = ins.arg
-            pc += 1
-        elif ins.op == 5:  # JZ
-            pc += (ins.arg - 1) if state.registers[0] == 0 else 1
-        elif ins.op == 6:  # INC
-            state.registers[0] += 1
-            pc += 1
-        else:  # MOVT
-            if ins.arg == 0:
-                state.head -= 1
-            elif ins.arg == 1:
-                state.head += 1
-            elif ins.arg == 2:
-                state.work_tape[state.head] = state.registers[0]
-            else:
-                state.registers[0] = state.work_tape.get(state.head, 0)
-            pc += 1
-    while len(outputs) < max_outputs:
-        outputs.append(0)
-    return CycleResult(tuple(outputs), steps, timed_out)
-
-
 # Loops that run until the budget on acc = 0: a self-loop, a loop through IN
 # (on input 0), a loop whose head drifts, and a loop entered at its jump that
 # emits once a lap (until max_outputs).
@@ -361,10 +322,8 @@ def test_a_cycle_equals_the_stepped_reference(
     q, steps, primary_in, secondary_in, acc, tape, head, max_outputs
 ):
     budget = RunBudget(steps)
-    start = MachineState([acc], tape, head)
-    s, ref = start.copy(), start.copy()
-    assert run_cycle(q, s, primary_in, secondary_in, budget, max_outputs) == reference_cycle(
-        q, ref, primary_in, secondary_in, budget, max_outputs
-    )
-    assert s == ref
+    ref = MachineState(acc, tape, head)
+    res = run_cycle(q, freeze(ref), primary_in, secondary_in, budget, max_outputs)
+    expected = reference_cycle(q, ref, primary_in, secondary_in, budget, max_outputs)
+    assert (res.outputs, res.steps_used, res.timed_out, res.state) == (*expected, freeze(ref))
 
