@@ -203,6 +203,10 @@ class Percept(Value):
 # The most percepts an alphabet holds; it builds all of them when it is made.
 PERCEPT_CAP = 2**16
 
+# The most actions an alphabet holds: a planner tries every action at every
+# node, and one of 2^24 actions took 53 s over a single cycle.
+ACTION_CAP = 2**16
+
 
 class Alphabet(Value):
     """Finite I/O spaces: actions, observations, and the allowed reward levels.
@@ -224,6 +228,8 @@ class Alphabet(Value):
     ):
         if num_actions < 1 or num_observations < 1:
             raise ValueError("alphabet sizes must be >= 1")
+        if num_actions > ACTION_CAP:
+            raise CapacityError(f"more than {ACTION_CAP} actions in an alphabet")
         rewards = tuple(Fraction(r) for r in rewards)
         if len(rewards) * num_observations > PERCEPT_CAP:
             raise CapacityError(f"more than {PERCEPT_CAP} percepts in an alphabet")

@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .core import (
-    Action, Alphabet, History, Percept, Value, input_errors, rational, read_text, set_field,
-    write_text,
+    Action, Alphabet, History, Percept, ValidationError, Value, input_errors, rational,
+    read_text, set_field, write_text,
 )
 from .models import (
     ChronologicalModel,
@@ -102,18 +102,10 @@ class GameSpec(Value):
         num_replies: int,
         leaf_values: Dict[Tuple[int, ...], Fraction],
     ):
-        if rounds < 1 or num_moves < 1 or num_replies < 1:
-            raise ValueError("rounds and move counts must be >= 1")
         leaf_values = {tuple(k): Fraction(v) for k, v in leaf_values.items()}
-        sizes = (num_moves, num_replies)
-        for k in leaf_values:
-            if len(k) != 2 * rounds or any(not 0 <= c < sizes[i % 2] for i, c in enumerate(k)):
-                raise ValueError(f"leaf {k} is not {rounds} (move, reply) pairs in range")
-        # No leaf bounds the rounds, so the count is not computed without one.
-        if not leaf_values or len(leaf_values) != (num_moves * num_replies) ** rounds:
-            raise ValueError(f"{len(leaf_values)} leaves, not {num_moves * num_replies}^{rounds}")
-        if any(v < 0 for v in leaf_values.values()):
-            raise ValueError("leaf values must be shifted into [0, r_max]")
+        violations = _game_violations(rounds, num_moves, num_replies, leaf_values, counted=True)
+        if violations:
+            raise ValidationError(violations)
         set_field(self, "rounds", rounds)
         set_field(self, "num_moves", num_moves)
         set_field(self, "num_replies", num_replies)
@@ -127,9 +119,41 @@ class GameSpec(Value):
     @classmethod
     def loads(cls, text: str) -> "GameSpec":
         fields = {"rounds": int, "moves": int, "replies": int}
-        header, leaves = read_text(text, fields, (_ints, rational))
-        with input_errors("game"):
-            return cls(header["rounds"], header["moves"], header["replies"], leaves)
+        found: List[str] = []
+        header, leaves = read_text(text, fields, (_ints, rational), violations=found)
+        if len(header) == len(fields):  # a whole header: the leaves are checked too
+            # A leaf line that did not read would also show as missing.
+            found += _game_violations(
+                header["rounds"], header["moves"], header["replies"], leaves, counted=not found
+            )
+        if found:
+            raise ValidationError(found)
+        return cls(header["rounds"], header["moves"], header["replies"], leaves)
+
+
+def _game_violations(
+    rounds: int, num_moves: int, num_replies: int, leaves: dict, counted: bool
+) -> List[str]:
+    """What is wrong with a game: each leaf no play reaches and each leaf of
+    negative value, named by its move sequence, and, when ``counted`` and
+    every leaf is in range, a leaf count other than (moves * replies)^rounds."""
+    if rounds < 1 or num_moves < 1 or num_replies < 1:
+        return ["rounds and move counts must be >= 1"]
+    sizes = (num_moves, num_replies)
+    found, in_range = [], True
+    for k, v in leaves.items():
+        seq = " ".join(map(str, k))
+        if len(k) != 2 * rounds or any(not 0 <= c < sizes[i % 2] for i, c in enumerate(k)):
+            found.append(f"leaf '{seq}' is not {rounds} (move, reply) pairs in range")
+            in_range = False
+        if v < 0:
+            found.append(f"leaf '{seq}' has value {v}, not one shifted into [0, r_max]")
+    # Only a leaf in range bounds the rounds, so the count is not computed
+    # without one.
+    if counted and in_range:
+        if not leaves or len(leaves) != (num_moves * num_replies) ** rounds:
+            found.append(f"{len(leaves)} leaves, not {num_moves * num_replies}^{rounds}")
+    return found
 
 
 def game_value(g: GameSpec, prefix: Sequence[int] = ()) -> Fraction:

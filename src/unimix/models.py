@@ -31,7 +31,8 @@ from .core import (
     read_text,
     write_text,
 )
-from .vm import OP_IN, FRESH, FrozenState, Program, RunBudget, env_step, replay_env
+from . import vm
+from .vm import FRESH, FrozenState, Program, RunBudget, env_step, replay_env
 
 # The certain probability of a deterministic environment's percept, shared.
 _ONE = Fraction(1)
@@ -317,14 +318,16 @@ class ProgramEnv(ChronologicalModel):
     environment), so it keys its rows by (state, None): one cycle answers
     every action.  The table holds at most one row per machine cycle run,
     never more than the cycles a ``step`` without it would run, and it lives
-    as long as the model.  Rows are shared: callers must not mutate them.
+    as long as the model.  ``build_class_mixture`` hands each env it makes
+    the rows its build ran for the program.  Rows are shared: callers must
+    not mutate them.
     """
 
     def __init__(self, program: Program, budget: RunBudget, alphabet: Alphabet):
         self.program = program
         self.budget = budget
         self.alphabet = alphabet
-        self._reads_action = any(ins.op == OP_IN for ins in program.instructions)
+        self._reads_action = program._reads_input
         # (state, action, or None for a program that never reads it) -> step's row
         self._table: Dict[Tuple[FrozenState, Optional[Action]], Dict[Percept, tuple]] = {}
 
@@ -580,12 +583,25 @@ def build_mixture(
 # the number of actions.
 CLASS_CAP = 2**20
 
-# A signature's entry for an action whose cycle runs out of steps.
+# A build row, and a signature's entry, for a cycle that runs out of steps.
 _TIMEOUT = -1
 
 
 class _PastClassCap(Exception):
     """The class build needs more than ``CLASS_CAP`` signature entries."""
+
+
+def _tabled_env(
+    q: Program, budget: RunBudget, alphabet: Alphabet, rows: dict
+) -> ProgramEnv:
+    """q's ``ProgramEnv`` with the rows a class build ran for it in its table."""
+    env = ProgramEnv(q, budget, alphabet)
+    percepts = alphabet.percepts()
+    env._table = {
+        k: {} if row is _TIMEOUT else {percepts[row[0]]: (_ONE, row[1])}
+        for k, row in rows.items()
+    }
+    return env
 
 
 def build_class_mixture(
@@ -596,70 +612,107 @@ def build_class_mixture(
     emit the same percepts and time out on the same cycle.
 
     A program's class is its signature from the fresh machine: for each
-    action, the percept and the signature of the next machine state one
-    cycle shallower, or a timeout mark; it is computed from the program's
-    transition table (``ProgramEnv.step``) and interned to a small int.  A
-    class's component is its leader's ``ProgramEnv`` (the heaviest member,
-    the lowest pool index on ties, which gives its label) with the summed
-    weight of its members.  So the mixture equals ``build_mixture`` on
-    every history of at most ``depth`` cycles: equal joints and equal
-    conditionals.  ``MixtureNode.top`` still names the heaviest surviving
-    program, since it ranks classes by their leaders' masses.
+    action, the percept's symbol and the signature of the next machine
+    state one cycle shallower, or a timeout mark; it is interned to a small
+    int.  The build steps ``vm.run_machine`` itself, on plain values: each
+    program keeps a table of the rows it ran, (state, action, or None for a
+    program with no ``IN`` instruction) -> (symbol modulo the alphabet's
+    percepts, next state), or the timeout mark, so a state signed at
+    several depths runs each cycle once.  The symbol stands for the percept
+    ``Alphabet.percept_of`` gives it, so the partition is the one percepts
+    would give.  A class's component is its leader's ``ProgramEnv`` (the
+    heaviest member, the lowest pool index on ties, which gives its label),
+    handed the rows the build ran for it, with the summed weight of its
+    members; no other program gets a ``ProgramEnv``.  So the mixture equals
+    ``build_mixture`` on every history of at most ``depth`` cycles: equal
+    joints and equal conditionals.  ``MixtureNode.top`` still names the
+    heaviest surviving program, since it ranks classes by their leaders'
+    masses.
 
     A build that would compute more than ``CLASS_CAP`` signature entries
-    returns ``build_mixture``'s per-program mixture instead, over the same
-    ``ProgramEnv``s, so the rows the walk ran stay in their tables.
+    returns ``build_mixture``'s per-program mixture instead, each
+    ``ProgramEnv`` handed the rows the build ran for its program.
     """
     if not pool:
         raise ValueError("empty program pool")
     if depth < 1:
         raise ValueError("depth >= 1 required")
     actions = alphabet.actions()
+    n_actions, n_percepts = len(actions), alphabet.num_percepts
+    limit = budget.steps_per_cycle
     ids: Dict[tuple, int] = {}  # signature -> its interned int
     entries = 0
+    # The program being signed: its ops, the inputs it is stepped on, its
+    # rows and its (state, depth) -> signature memo.
+    ops: tuple = ()
+    inputs: Sequence[Optional[Action]] = ()
+    rows: dict = {}
+    memo: dict = {}
 
-    def signature(env: ProgramEnv, memo: dict, s: FrozenState, d: int) -> int:
+    def signature(s: FrozenState, d: int) -> int:
         nonlocal entries
         got = memo.get((s, d))
         if got is None:
-            entries += len(actions)
+            entries += n_actions
             if entries > CLASS_CAP:
                 raise _PastClassCap
             sig = []
-            # A program that never reads the action has one row for all.
-            for y in actions if env._reads_action else actions[:1]:
-                row = env.step(s, None, y)  # a program's row reads no history
-                if not row:
+            for y in inputs:
+                row = rows.get((s, y))
+                if row is None:
+                    # Through the module, so that a count of its calls sees these.
+                    outputs, _, timed_out, child = vm.run_machine(
+                        ops, s, y or 0, 0, limit, 1
+                    )
+                    row = rows[s, y] = (
+                        _TIMEOUT if timed_out
+                        else ((outputs[0] if outputs else 0) % n_percepts, child)
+                    )
+                if row is _TIMEOUT:
                     sig.append(_TIMEOUT)
-                    continue
-                ((x, (_, child)),) = row.items()
-                # Signatures are compared at equal depths only, so the
-                # depth-0 signature may share its int with any other.
-                sig.append((x, signature(env, memo, child, d - 1) if d > 1 else 0))
-            if not env._reads_action:
-                sig *= len(actions)
+                else:
+                    # Signatures are compared at equal depths only, so the
+                    # depth-0 signature may share its int with any other.
+                    x, child = row
+                    sig.append((x, signature(child, d - 1) if d > 1 else 0))
+            if len(inputs) < n_actions:  # one row for every action
+                sig *= n_actions
             got = memo[s, d] = ids.setdefault(tuple(sig), len(ids))
         return got
 
-    envs = [ProgramEnv(q, budget, alphabet) for q in pool]
+    # Each program's rows: (state, action or None) -> (symbol, next state) or _TIMEOUT.
+    tables: List[dict] = [{} for _ in pool]
     # The weights are summed as integers over 2^l_max.
     l_max = max(q.length_bits for q in pool)
-    classes: Dict[int, list] = {}  # class -> [leader's pool index, its env, mass]
+    classes: Dict[int, list] = {}  # class -> [leader's pool index, mass]
     try:
-        for i, (q, env) in enumerate(zip(pool, envs)):
-            c = classes.setdefault(signature(env, {}, FRESH, depth), [i, env, 0])
+        for i, (q, rows) in enumerate(zip(pool, tables)):
+            ops, memo = q._ops, {}
+            # A program that never reads the action is stepped once per
+            # state, on None (input 0), for every action.
+            inputs = actions if q._reads_input else (None,)
+            c = classes.setdefault(signature(FRESH, depth), [i, 0])
             if q.length_bits < pool[c[0]].length_bits:
-                c[0], c[1] = i, env
-            c[2] += 1 << (l_max - q.length_bits)
+                c[0] = i
+            c[1] += 1 << (l_max - q.length_bits)
     except _PastClassCap:
         return MixtureModel(
-            [(q.to_hex(), q.weight, env) for q, env in zip(pool, envs)], alphabet
+            [
+                (q.to_hex(), q.weight, _tabled_env(q, budget, alphabet, rows))
+                for q, rows in zip(pool, tables)
+            ],
+            alphabet,
         )
-    leaders = sorted(classes.values(), key=lambda c: c[0])
+    leaders = sorted(classes.values())
     components = [
-        (pool[i].to_hex(), Fraction(mass, 1 << l_max), env) for i, env, mass in leaders
+        (
+            pool[i].to_hex(),
+            Fraction(mass, 1 << l_max),
+            _tabled_env(pool[i], budget, alphabet, tables[i]),
+        )
+        for i, mass in leaders
     ]
-    return MixtureModel(components, alphabet, [pool[i].weight for i, _, _ in leaders])
+    return MixtureModel(components, alphabet, [pool[i].weight for i, _ in leaders])
 
 
 def posterior(m: MixtureModel, h: History) -> PosteriorState:

@@ -74,13 +74,17 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 class Program(Value):
     """Prefix-free bytecode; ``code`` is exactly the consumed bit prefix."""
 
-    __slots__ = ("code", "instructions", "_ops", "_hex")
+    __slots__ = ("code", "instructions", "_ops", "_reads_input", "_hex")
 
     def __init__(self, code: tuple, instructions: tuple):
         set_field(self, "code", code)
         set_field(self, "instructions", instructions)
         # The instructions as the machine loop reads them: (op, arg) pairs.
         set_field(self, "_ops", tuple((ins.op, ins.arg) for ins in instructions))
+        # Whether the program has an IN instruction (it takes no operand):
+        # one without it never reads its primary input, an environment's
+        # action, so one cycle from a state answers every action.
+        set_field(self, "_reads_input", (OP_IN, 0) in self._ops)
         # A program's hex is both its best-vote candidate label and its
         # mixture component label: made once, on first use.
         set_field(self, "_hex", None)

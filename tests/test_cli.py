@@ -20,6 +20,7 @@ from unimix.cli import (
     run_scenario,
 )
 from unimix.core import (
+    ACTION_CAP,
     EMPTY_HISTORY,
     FixedHorizon,
     GeometricDiscount,
@@ -597,6 +598,14 @@ class TestMain:
         )
         assert main(["run", "--config", str(cfg)]) == EXIT_CAPACITY
         assert "capacity error" in capsys.readouterr().err
+
+    def test_a_world_past_the_action_cap_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"scenario=onlyone\nlifetime=2\nn={ACTION_CAP + 1}\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_CAPACITY
+        assert capsys.readouterr().err == (
+            f"capacity error: more than {ACTION_CAP} actions in an alphabet\n"
+        )
 
     def test_an_unmerged_expectimax_past_the_memo_cap_exits_2(self, tmp_path, capsys):
         # lazy merges no histories: a lifetime-64 decision would solve 2^64 - 1 nodes

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from unimix import vm
 from unimix.core import (
     Alphabet,
     EMPTY_HISTORY,
@@ -585,6 +586,22 @@ def test_the_12_bit_pool_falls_into_7_classes_in_heavenhells_alphabet(pool12, de
     assert len(pool12) == 193
     assert len(xi.components) == 7
     assert xi.base_mass() == build_mixture(pool12, RunBudget(64), a).base_mass()
+
+
+@pytest.mark.parametrize("depth,cycles", [(3, 484), (8, 709), (64, 3229)])
+def test_a_class_build_runs_each_row_of_each_program_once(pool12, depth, cycles, monkeypatch):
+    # One machine cycle per (program, state, action or None) row the build
+    # reaches; a program that never reads the action has one row per state.
+    calls = []
+    run_machine = vm.run_machine
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return run_machine(*args, **kwargs)
+
+    monkeypatch.setattr(vm, "run_machine", counting)
+    build_class_mixture(pool12, RunBudget(64), make_heavenhell(0).alphabet, depth)
+    assert len(calls) == cycles
 
 
 OUT, INR, INC, END, LDC2 = (0, 0, 1), (0, 1, 1), (1, 1, 0), (0, 0, 0), (1, 0, 0, 1, 0)

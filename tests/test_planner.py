@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unimix import planner, vm
+from unimix import models, planner, vm
 from unimix.cli import parse_config, run_scenario
 from unimix.core import (
     Alphabet,
@@ -387,6 +387,12 @@ def test_a_mixture_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeypat
         "scenario=heavenhell\nagent=mixture\nl=12\nlifetime=3\n"
         f"seed={config_seed}\ni={config_seed % 2}\n"
     )
+    run_scenario(cfg)
+    assert len(calls) == 484
+    # Past the class cap, each program's env starts with the rows the build
+    # ran for it: built fresh instead, the run makes 508.
+    calls.clear()
+    monkeypatch.setattr(models, "CLASS_CAP", 100)
     run_scenario(cfg)
     assert len(calls) == 484
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from unimix.cli import parse_config
 from unimix.core import (
+    ACTION_CAP,
     Alphabet,
     CapacityError,
     PERCEPT_CAP,
@@ -244,10 +245,60 @@ def test_a_tabular_file_lists_its_line_and_row_violations_together():
     ]
 
 
+@pytest.mark.parametrize(
+    "leaves, expected",
+    [
+        (
+            "junk\n0 0 | -1\n",
+            [
+                "line 4: expected key=value or <key> | <values>, got 'junk'",
+                "leaf '0 0' has value -1, not one shifted into [0, r_max]",
+            ],
+        ),
+        (
+            "0 0 | -1\n1 0 | -1/2\n",
+            [
+                "leaf '0 0' has value -1, not one shifted into [0, r_max]",
+                "leaf '1 0' has value -1/2, not one shifted into [0, r_max]",
+            ],
+        ),
+        (
+            "0 1 | 0\n0 0 | -1\n",
+            [
+                "leaf '0 1' is not 1 (move, reply) pairs in range",
+                "leaf '0 0' has value -1, not one shifted into [0, r_max]",
+            ],
+        ),
+    ],
+    ids=["junk-line-and-negative-leaf", "two-negative-leaves", "out-of-range-and-negative"],
+)
+def test_a_game_file_lists_each_bad_leaf_with_its_line_violations(leaves, expected):
+    with pytest.raises(ValidationError) as e:
+        GameSpec.loads("rounds=1\nmoves=2\nreplies=1\n" + leaves)
+    assert e.value.violations == expected
+
+
+def test_a_game_file_counts_its_leaves_only_when_every_line_reads():
+    header = "rounds=1\nmoves=2\nreplies=1\n0 0 | 1\n"
+    with pytest.raises(ValidationError) as e:
+        GameSpec.loads(header)
+    assert e.value.violations == ["1 leaves, not 2^1"]
+    with pytest.raises(ValidationError) as e:
+        GameSpec.loads(header + "1 0 | x\n")
+    (violation,) = e.value.violations
+    assert violation.startswith("line 5: bad row '1 0': ")
+
+
 def test_an_alphabet_past_the_percept_cap_is_a_capacity_error():
     text = f"actions=2\nobservations={PERCEPT_CAP}\nrewards=0,1\ndepth=0\n"
     with pytest.raises(CapacityError):
         TabularModel.loads(text)
+
+
+def test_an_alphabet_past_the_action_cap_is_a_capacity_error():
+    assert Alphabet(num_actions=ACTION_CAP).num_actions == ACTION_CAP
+    with pytest.raises(CapacityError):
+        Alphabet(num_actions=ACTION_CAP + 1)
 
 
 def test_a_game_with_unbounded_rounds_and_no_leaf_is_refused_at_once():
