@@ -411,6 +411,28 @@ def verify_invariants(l_max: int) -> List[BoundReport]:
 # --- argparse wiring ---------------------------------------------------------
 
 
+# The CLI's surface: each command's help and its (flag, add_argument keywords).
+COMMANDS = {
+    "run": ("run a scenario config", (
+        ("--config", {"required": True}),
+        ("--out", {"default": None, "help": "output directory"}),
+        ("--seed", {"type": int, "default": None, "help": "override config seed"}),
+    )),
+    "verify": ("re-check invariant suites", (
+        ("--l", {"type": int, "default": 10, "dest": "l_max"}),
+        ("--strict", {"action": "store_true"}),
+        ("--out", {"default": None}),
+    )),
+    "enumerate": ("dump a program pool", (
+        ("--l", {"type": int, "required": True, "dest": "l_max"}),
+        ("--out", {"default": None}),
+    )),
+    "disasm": ("disassemble a hex-coded program", (
+        ("program", {"help": "program in <bits>:<hex> form"}),
+    )),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """Exits 1 on a usage error, like any other invalid input; argparse's own
     code, 2, is the capacity-error exit."""
@@ -420,30 +442,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = _Parser(
-        prog="unimix", description="universal-mixture agent scenario runner"
-    )
+def _filled(parser: _Parser, arguments) -> _Parser:
+    for flag, keywords in arguments:
+        parser.add_argument(flag, **keywords)
+    return parser
+
+
+def parse_args(argv: List[str]) -> argparse.Namespace:
+    """The parsed ``argv``, from the parser of its command alone.  The parser
+    of the whole CLI, which prints the top-level usage and help, is built only
+    when ``argv`` does not start with a command or has arguments that command
+    does not take; it then exits as it would have parsed the whole ``argv``."""
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        parser = _filled(_Parser(prog=f"unimix {name}"), COMMANDS[name][1])
+        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
+        if not extra:
+            return args
+    parser = _Parser(prog="unimix", description="universal-mixture agent scenario runner")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, arguments) in COMMANDS.items():
+        _filled(sub.add_parser(name, help=help_), arguments)
+    return parser.parse_args(argv)
 
-    p_run = sub.add_parser("run", help="run a scenario config")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None, help="override config seed")
 
-    p_verify = sub.add_parser("verify", help="re-check invariant suites")
-    p_verify.add_argument("--l", type=int, default=10, dest="l_max")
-    p_verify.add_argument("--strict", action="store_true")
-    p_verify.add_argument("--out", default=None)
-
-    p_enum = sub.add_parser("enumerate", help="dump a program pool")
-    p_enum.add_argument("--l", type=int, required=True, dest="l_max")
-    p_enum.add_argument("--out", default=None)
-
-    p_dis = sub.add_parser("disasm", help="disassemble a hex-coded program")
-    p_dis.add_argument("program", help="program in <bits>:<hex> form")
-
-    args = parser.parse_args(argv)
+def main(argv: Optional[List[str]] = None) -> int:
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _dispatch(args)
     except ValidationError as e:

@@ -136,7 +136,8 @@ def _game_violations(
 ) -> List[str]:
     """What is wrong with a game: each leaf no play reaches and each leaf of
     negative value, named by its move sequence, and, when ``counted`` and
-    every leaf is in range, a leaf count other than (moves * replies)^rounds."""
+    every leaf is in range, a leaf count other than (moves * replies)^rounds,
+    with the first missing leaf."""
     if rounds < 1 or num_moves < 1 or num_replies < 1:
         return ["rounds and move counts must be >= 1"]
     sizes = (num_moves, num_replies)
@@ -148,12 +149,29 @@ def _game_violations(
             in_range = False
         if v < 0:
             found.append(f"leaf '{seq}' has value {v}, not one shifted into [0, r_max]")
-    # Only a leaf in range bounds the rounds, so the count is not computed
-    # without one.
+    # Only a leaf in range bounds the rounds, so neither the count nor a
+    # missing leaf is computed without one.
     if counted and in_range:
-        if not leaves or len(leaves) != (num_moves * num_replies) ** rounds:
-            found.append(f"{len(leaves)} leaves, not {num_moves * num_replies}^{rounds}")
+        count = f"{len(leaves)} leaves, not {num_moves * num_replies}^{rounds}"
+        if not leaves:
+            found.append(count)
+        elif len(leaves) != (num_moves * num_replies) ** rounds:
+            seq = " ".join(map(str, _first_missing_leaf(rounds, sizes, leaves)))
+            found.append(f"{count}: leaf '{seq}' is missing")
     return found
+
+
+def _first_missing_leaf(rounds: int, sizes: Tuple[int, int], leaves: dict) -> Tuple[int, ...]:
+    """The first move sequence, in move order, that is not a leaf; there must
+    be one.  At most ``len(leaves) + 1`` sequences are looked at."""
+    seq = [0] * (2 * rounds)
+    while tuple(seq) in leaves:
+        i = len(seq) - 1
+        while seq[i] == sizes[i % 2] - 1:
+            seq[i] = 0
+            i -= 1
+        seq[i] += 1
+    return tuple(seq)
 
 
 def game_value(g: GameSpec, prefix: Sequence[int] = ()) -> Fraction:
@@ -235,11 +253,9 @@ class FunctionClassSpec(Value):
             raise ValueError("z_values must be strictly increasing")
         prior = tuple((tuple(f), Fraction(p)) for f, p in prior)
         r_max = Fraction(r_max)
-        if sum((p for _, p in prior), Fraction(0)) != 1:
-            raise ValueError("function prior must sum to 1")
-        for f, _ in prior:
-            if len(f) != num_actions or any(not (0 <= zi < len(zs)) for zi in f):
-                raise ValueError(f"malformed function table {f}")
+        violations = _function_violations(num_actions, len(zs), prior)
+        if violations:
+            raise ValidationError(violations)
         set_field(self, "num_actions", num_actions)
         set_field(self, "z_values", zs)
         set_field(self, "prior", prior)
@@ -261,9 +277,40 @@ class FunctionClassSpec(Value):
     def loads(cls, text: str) -> "FunctionClassSpec":
         fields = {"actions": int, "rmax": rational}
         fields["z"] = lambda v: tuple(map(rational, v.split(",")))
-        header, prior = read_text(text, fields, (_ints, rational), optional=("rmax",))
-        with input_errors("function class"):
-            return cls(header["actions"], header["z"], tuple(prior.items()), header.get("rmax", 1))
+        found: List[str] = []
+        header, prior = read_text(
+            text, fields, (_ints, rational), optional=("rmax",), violations=found
+        )
+        spec = None
+        if "actions" in header and "z" in header:  # a whole header: the rows are checked too
+            try:
+                with input_errors("function class"):
+                    spec = cls(
+                        header["actions"], header["z"], tuple(prior.items()), header.get("rmax", 1)
+                    )
+            except ValidationError as e:
+                found += e.violations
+        if found:
+            raise ValidationError(found)
+        return spec
+
+
+def _function_violations(num_actions: int, num_z: int, prior) -> List[str]:
+    """What is wrong with a function class's prior: each function that is not
+    one z index in range(num_z) per action and each negative weight, named by
+    the function's table, and weights that do not sum to 1."""
+    found = []
+    for f, p in prior:
+        key = " ".join(map(str, f))
+        if len(f) != num_actions:
+            found.append(f"function '{key}' has {len(f)} entries, not {num_actions} (one per action)")
+        if any(not 0 <= zi < num_z for zi in f):
+            found.append(f"function '{key}' has a z index outside range({num_z})")
+        if p < 0:
+            found.append(f"function '{key}' has prior {p}, below 0")
+    if sum((p for _, p in prior), Fraction(0)) != 1:
+        found.append("function prior must sum to 1")
+    return found
 
 
 def uniform_function_class(

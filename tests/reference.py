@@ -11,11 +11,14 @@ table and tree built on them.
 each judged by ``validate_claim`` here, for the round on plain values
 (``bestvote.best_vote_cycle``).  That ``validate_claim`` walks every positive
 claim, with no bound U to spare a walk, so the library's verdicts without
-one (``bestvote.claim_verdict``) are checked against the walk itself."""
+one (``bestvote.claim_verdict``) are checked against the walk itself.
+``parse_args`` is the command line parsed by one parser with a subparser for
+every command, for the parser of the running command alone (``cli.parse_args``)."""
 
 from fractions import Fraction
 
 from unimix.bestvote import SelectionRow, candidate_value, run_candidate_cycle
+from unimix.cli import _Parser
 from unimix.core import Percept
 from unimix.models import UndefinedConditionalError
 from unimix.planner import env_node
@@ -148,3 +151,31 @@ def best_vote_cycle(candidates, h, envs, budget, alphabet, m_k, horizon=None):
         for c, claim, valid, _ in entries
     ]
     return best[1].y, rows
+
+
+def parse_args(argv):
+    """``argv`` parsed by the whole CLI's parser: the top-level parser and a
+    subparser for each of the four commands, all built on every call."""
+    parser = _Parser(
+        prog="unimix", description="universal-mixture agent scenario runner"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_run = sub.add_parser("run", help="run a scenario config")
+    p_run.add_argument("--config", required=True)
+    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("--seed", type=int, default=None, help="override config seed")
+
+    p_verify = sub.add_parser("verify", help="re-check invariant suites")
+    p_verify.add_argument("--l", type=int, default=10, dest="l_max")
+    p_verify.add_argument("--strict", action="store_true")
+    p_verify.add_argument("--out", default=None)
+
+    p_enum = sub.add_parser("enumerate", help="dump a program pool")
+    p_enum.add_argument("--l", type=int, required=True, dest="l_max")
+    p_enum.add_argument("--out", default=None)
+
+    p_dis = sub.add_parser("disasm", help="disassemble a hex-coded program")
+    p_dis.add_argument("program", help="program in <bits>:<hex> form")
+
+    return parser.parse_args(argv)

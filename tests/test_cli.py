@@ -1,3 +1,7 @@
+import argparse
+import contextlib
+import io
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +38,8 @@ from unimix.evaluate import BoundReport, CapacityError
 from unimix.models import build_mixture, posterior
 from unimix.planner import PLAN_MEMO_CAP, ValueQuery, value_opt
 from unimix.vm import RunBudget, decode, enumerate_programs
+
+import reference
 
 HEAVEN = "scenario=heavenhell\nagent=informed\nlifetime=5\ni=1\n"
 
@@ -639,3 +645,88 @@ class TestMain:
         monkeypatch.setattr(cli, "verify_invariants", lambda l: failing)
         assert main(["verify", "--strict"]) == EXIT_BOUND
         assert main(["verify"]) == EXIT_OK  # advisory without --strict
+
+
+# --- The command line: one parser per run, the same output as the whole CLI's --
+
+
+def parsed(parse, argv):
+    """(exit code or None, stdout, stderr, vars of the namespace or None)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = args = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parse(argv))
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
+_HEX = decode((0, 1, 0, 0, 0, 1, 0, 0, 0)).to_hex()
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["-h"], ["--help"], ["bogus"], ["run"], ["run", "-h"], ["run", "--config"],
+        ["run", "--seed", "x"], ["run", "--config", "c", "--threads", "2"], ["-x", "run"],
+        ["verify", "-h"], ["verify", "--l", "x"], ["enumerate"], ["enumerate", "-h"],
+        ["disasm"], ["disasm", "-h"], ["disasm", "a", "b"],
+    ],
+    ids=" ".join,
+)
+def test_usage_help_and_errors_equal_the_whole_cli_parser(argv, columns, monkeypatch):
+    """Each argv exits while it is parsed, with the code, stdout and stderr of
+    the parser of the whole CLI."""
+    monkeypatch.setenv("COLUMNS", columns)
+
+    def run_main(argv):
+        main(argv)
+        raise AssertionError("main returned")
+
+    got = parsed(run_main, argv)
+    assert got[0] is not None
+    assert got == parsed(reference.parse_args, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--co", "c"], ["run", "--config=c", "--seed", "-5"],
+        ["run", "--config", "c", "--out", "o"], ["verify"], ["verify", "--strict"],
+        ["enumerate", "--l", "4"], ["disasm", _HEX],
+    ],
+    ids=" ".join,
+)
+def test_a_valid_argv_parses_as_the_whole_cli_parses_it(argv):
+    got = parsed(cli.parse_args, argv)
+    assert got[0] is None
+    assert got == parsed(reference.parse_args, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--config", "cfg.txt"], ["verify", "--l", "4"], ["enumerate", "--l", "4"],
+     ["disasm", _HEX]],
+    ids=lambda argv: argv[0],
+)
+def test_a_valid_command_builds_one_parser(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.txt").write_text("scenario=heavenhell\nlifetime=2\n")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == EXIT_OK
+    assert built == [f"unimix {argv[0]}"]
+
+
+def test_main_without_argv_reads_the_process_arguments(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["unimix", "disasm", _HEX])
+    assert main() == EXIT_OK
+    assert capsys.readouterr().out == decode((0, 1, 0, 0, 0, 1, 0, 0, 0)).disassemble() + "\n"

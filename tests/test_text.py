@@ -282,11 +282,59 @@ def test_a_game_file_counts_its_leaves_only_when_every_line_reads():
     header = "rounds=1\nmoves=2\nreplies=1\n0 0 | 1\n"
     with pytest.raises(ValidationError) as e:
         GameSpec.loads(header)
-    assert e.value.violations == ["1 leaves, not 2^1"]
+    assert e.value.violations == ["1 leaves, not 2^1: leaf '1 0' is missing"]
     with pytest.raises(ValidationError) as e:
         GameSpec.loads(header + "1 0 | x\n")
     (violation,) = e.value.violations
     assert violation.startswith("line 5: bad row '1 0': ")
+
+
+@pytest.mark.parametrize(
+    "header, leaves, expected",
+    [
+        ("rounds=1\nmoves=2\nreplies=2\n", ["0 0", "0 1", "1 0"], "3 leaves, not 4^1: leaf '1 1'"),
+        ("rounds=1\nmoves=2\nreplies=2\n", ["1 1"], "1 leaves, not 4^1: leaf '0 0'"),
+        ("rounds=2\nmoves=1\nreplies=2\n", ["0 0 0 0", "0 1 0 1"], "2 leaves, not 2^2: leaf '0 0 0 1'"),
+        (f"rounds=1\nmoves={2**60}\nreplies={2**60}\n", ["0 0", "0 1"],
+         f"2 leaves, not {2**120}^1: leaf '0 2'"),
+    ],
+    ids=["last", "first", "two-rounds", "huge-game"],
+)
+def test_a_game_with_too_few_leaves_names_the_first_missing_one(header, leaves, expected):
+    with pytest.raises(ValidationError) as e:
+        GameSpec.loads(header + "".join(f"{seq} | 1\n" for seq in leaves))
+    assert e.value.violations == [f"{expected} is missing"]
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        (
+            "junk\n0 5 | 1/2\n0 0 0 | 1/4\n",
+            [
+                "line 3: expected key=value or <key> | <values>, got 'junk'",
+                "function '0 5' has a z index outside range(2)",
+                "function '0 0 0' has 3 entries, not 2 (one per action)",
+                "function prior must sum to 1",
+            ],
+        ),
+        (
+            "0 5 | 1/2\n0 0 0 | 1/4\n",
+            [
+                "function '0 5' has a z index outside range(2)",
+                "function '0 0 0' has 3 entries, not 2 (one per action)",
+                "function prior must sum to 1",
+            ],
+        ),
+        ("0 0 | 2\n1 1 | -1\n", ["function '1 1' has prior -1, below 0"]),
+        ("junk\n0 0 | 1\n", ["line 3: expected key=value or <key> | <values>, got 'junk'"]),
+    ],
+    ids=["junk-line-and-bad-rows", "bad-rows", "negative-prior", "junk-line-only"],
+)
+def test_a_function_class_file_lists_its_row_violations_with_its_line_violations(rows, expected):
+    with pytest.raises(ValidationError) as e:
+        FunctionClassSpec.loads("actions=2\nz=0,1\n" + rows)
+    assert e.value.violations == expected
 
 
 def test_an_alphabet_past_the_percept_cap_is_a_capacity_error():
