@@ -9,7 +9,6 @@ together.  Exit codes: 0 success, 1 validation error, 2 capacity error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +17,7 @@ from typing import Dict, List, Optional
 from . import __version__
 from .bestvote import run_best_vote, selection_log_csv
 from .core import (
+    CapacityError,
     FixedHorizon,
     GeometricDiscount,
     History,
@@ -43,7 +43,6 @@ from .domains import (
     make_sp_env,
     uniform_function_class,
 )
-from .evaluate import BoundReport, CapacityError, summary_block
 from .models import (
     TabularModel,
     UndefinedConditionalError,
@@ -57,6 +56,17 @@ from .planner import (
     run_interaction,
 )
 from .vm import DecodeError, Program, RunBudget, decode, enumerate_programs, kraft_sum
+
+# SHA-256 from the interpreter's builtin module: hashlib would load OpenSSL's
+# libcrypto, which costs more at start-up than a typical run, to digest one
+# config.  The module is picked by version so that no import is tried in vain.
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:  # an interpreter built without it
+    from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -111,7 +121,7 @@ class ScenarioConfig:
         self.extras = {} if extras is None else extras
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
+        return sha256(self.canonical().encode()).hexdigest()
 
     def canonical(self) -> str:
         pairs = {
@@ -182,6 +192,12 @@ def parse_config(text: str) -> ScenarioConfig:
                 violations.append(
                     f"unknown key {key!r} for scenario={scenario} agent={agent}"
                 )
+    if scenario == "fm":
+        kind = pairs.get("class")
+        if kind not in (None, "uniform16"):
+            violations.append(f"unknown class {kind!r} for scenario=fm (choose from ('uniform16',))")
+        if (kind is None) == ("env_file" not in pairs):
+            violations.append("scenario=fm takes exactly one of class=uniform16 and env_file")
 
     def to_int(name: str, s: str, lo: int, hi: int) -> int:
         try:
@@ -379,6 +395,9 @@ def emit_report(art: RunArtifacts) -> str:
 
 
 def verify_invariants(l_max: int) -> List[BoundReport]:
+    # Only verify needs evaluate; a run does not load it.
+    from .evaluate import BoundReport
+
     reports: List[BoundReport] = []
     pool = enumerate_programs(l_max)
     ks = kraft_sum(pool)
@@ -510,6 +529,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "verify":
+        from .evaluate import summary_block
+
         reports = verify_invariants(args.l_max)
         text = summary_block(reports)
         sys.stdout.write(text)

@@ -254,6 +254,8 @@ class FunctionClassSpec(Value):
         prior = tuple((tuple(f), Fraction(p)) for f, p in prior)
         r_max = Fraction(r_max)
         violations = _function_violations(num_actions, len(zs), prior)
+        if r_max < 0:
+            violations.append(f"rmax {r_max} is below 0")
         if violations:
             raise ValidationError(violations)
         set_field(self, "num_actions", num_actions)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import sys
 import time
@@ -103,6 +104,47 @@ class TestParseConfig:
         a = parse_config(HEAVEN)
         b = parse_config(HEAVEN.replace("lifetime=5", "lifetime=6"))
         assert a.config_hash() != b.config_hash()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            HEAVEN,
+            "scenario=fm\nagent=greedy\nlifetime=5\nclass=uniform16\nseed=3\n",
+            "scenario=heavenhell\nagent=mixture\nlifetime=3\nl=12\nt=4096\ni=0\n",
+            "scenario=sp\nlifetime=2\nsequences=0:1/2;1:1/2\nhorizon=geometric:9/10:4\n",
+            "scenario=onlyone\nagent=program\nlifetime=2\nn=3\nprogram=9:088\n",
+        ],
+        ids=["heavenhell", "fm", "mixture", "sp-geometric", "program"],
+    )
+    def test_the_hash_is_the_sha256_of_the_canonical_config(self, text):
+        cfg = parse_config(text)
+        assert cfg.config_hash() == hashlib.sha256(cfg.canonical().encode()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "extras, expected",
+        [
+            ("class=bogus\nenv_file=env.txt\n", [
+                "unknown class 'bogus' for scenario=fm (choose from ('uniform16',))",
+                "scenario=fm takes exactly one of class=uniform16 and env_file",
+            ]),
+            ("class=bogus\n", [
+                "unknown class 'bogus' for scenario=fm (choose from ('uniform16',))",
+            ]),
+            ("class=uniform16\nenv_file=env.txt\n", [
+                "scenario=fm takes exactly one of class=uniform16 and env_file",
+            ]),
+            ("", ["scenario=fm takes exactly one of class=uniform16 and env_file"]),
+            ("class=Uniform16\nt=x\n", [
+                "unknown class 'Uniform16' for scenario=fm (choose from ('uniform16',))",
+                "t must be an integer, got 'x'",
+            ]),
+        ],
+        ids=["unknown-class-and-file", "unknown-class", "both", "neither", "with-others"],
+    )
+    def test_an_fm_config_gives_one_known_class_or_an_env_file(self, extras, expected):
+        with pytest.raises(ValidationError) as e:
+            parse_config("scenario=fm\nlifetime=2\n" + extras)
+        assert e.value.violations == expected
 
 
 class TestParseHorizon:
@@ -414,6 +456,27 @@ class TestMain:
         assert err.count("validation error: env.txt: line ") == 2
         for n in lines:
             assert f"env.txt: line {n}: " in err
+
+    def test_an_fm_config_with_an_unknown_class_does_not_run_its_env_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "env.txt").write_text("actions=2\nz=0,1\n0 0 | 1/2\n1 1 | 1/2\n")
+        (tmp_path / "cfg.txt").write_text("scenario=fm\nlifetime=2\nenv_file=env.txt\n")
+        assert main(["run", "--config", "cfg.txt"]) == EXIT_OK
+        capsys.readouterr()
+        (tmp_path / "cfg.txt").write_text("scenario=fm\nlifetime=2\nenv_file=env.txt\nclass=bogus\n")
+        assert main(["run", "--config", "cfg.txt"]) == EXIT_VALIDATION
+        assert "unknown class 'bogus'" in capsys.readouterr().err
+
+    def test_a_function_class_file_with_a_negative_rmax_names_the_file_and_rmax(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "env.txt").write_text("actions=2\nz=0,1\nrmax=-1\n0 0 | 1/2\n1 1 | 1/2\n")
+        (tmp_path / "cfg.txt").write_text("scenario=fm\nlifetime=2\nenv_file=env.txt\n")
+        assert main(["run", "--config", "cfg.txt"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "validation error: env.txt: rmax -1 is below 0\n"
 
     @pytest.mark.parametrize(
         "config, env_file, violation",

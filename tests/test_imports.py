@@ -1,13 +1,17 @@
 """Every name a library module imports is used in that module, and the
-command-line entry point imports no code-generation machinery."""
+command-line entry point imports no code-generation machinery, no OpenSSL
+and no more of the library than a run executes."""
 
 import ast
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from unimix.cli import parse_config
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "unimix"
 # The package root's imports are its public re-exports.
@@ -55,23 +59,53 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
 
 
-def test_importing_the_cli_loads_no_code_generation_modules():
-    # dataclasses builds methods from source text through these modules; at
-    # start-up they cost more than a typical run.
-    code = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import unimix.cli\n"
-        "print(*sorted(set(sys.modules) - before))\n"
-    )
+def _python(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports unimix
+    from the source tree."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    loaded = set(out.split())
+
+
+def _loaded_by_the_cli() -> set:
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import unimix.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    loaded = set(_python(code).split())
     assert "unimix.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    return loaded
+
+
+def test_importing_the_cli_loads_no_code_generation_modules():
+    # dataclasses builds methods from source text through these modules; at
+    # start-up they cost more than a typical run.
+    assert not _loaded_by_the_cli() & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_importing_the_cli_loads_neither_openssl_nor_evaluate():
+    # hashlib loads OpenSSL's libcrypto, about 4.5 ms of start-up, to digest
+    # one config; evaluate serves verify alone.
+    assert not _loaded_by_the_cli() & {"hashlib", "_hashlib", "_ssl", "unimix.evaluate"}
+
+
+def test_without_a_builtin_sha256_the_config_hash_falls_back_to_hashlib():
+    text = "scenario=heavenhell\nagent=informed\nlifetime=5\ni=1\n"
+    code = (
+        "import sys\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        "from unimix.cli import parse_config\n"
+        f"cfg = parse_config({text!r})\n"
+        "print('hashlib' in sys.modules, cfg.config_hash(), cfg.canonical().encode().hex())\n"
+    )
+    loaded, digest, canonical = _python(code).split()
+    assert loaded == "True"
+    assert digest == hashlib.sha256(bytes.fromhex(canonical)).hexdigest()
+    assert digest == parse_config(text).config_hash()

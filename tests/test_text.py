@@ -337,6 +337,17 @@ def test_a_function_class_file_lists_its_row_violations_with_its_line_violations
     assert e.value.violations == expected
 
 
+def test_a_function_class_refuses_a_negative_rmax_with_its_other_violations():
+    with pytest.raises(ValidationError) as e:
+        FunctionClassSpec.loads("actions=2\nz=0,1\nrmax=-1/2\njunk\n0 5 | 1\n")
+    assert e.value.violations == [
+        "line 4: expected key=value or <key> | <values>, got 'junk'",
+        "function '0 5' has a z index outside range(2)",
+        "rmax -1/2 is below 0",
+    ]
+    assert FunctionClassSpec.loads("actions=2\nz=0,1\nrmax=0\n0 1 | 1\n").r_max == 0
+
+
 def test_an_alphabet_past_the_percept_cap_is_a_capacity_error():
     text = f"actions=2\nobservations={PERCEPT_CAP}\nrewards=0,1\ndepth=0\n"
     with pytest.raises(CapacityError):
