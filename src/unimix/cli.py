@@ -86,7 +86,7 @@ _SCENARIO_KEYS = {
     "onlyone": ("n", "y_star"),
     "lazy": (),
     "sp": ("sequences",),
-    "sg": ("env_file", "episodes"),
+    "sg": ("env_file",),
     "fm": ("class", "env_file"),
     "tabular": ("env_file",),
 }
@@ -264,8 +264,7 @@ def _build_env(cfg: ScenarioConfig):
             raise ValidationError(["sp scenario needs sequences=<bits:prob;...>"])
         return make_sp_env({tuple(map(int, bits)): rational(p) for bits, _, p in items})
     if cfg.scenario == "sg":
-        spec = _load(GameSpec.loads, ex["env_file"])
-        return make_sg_env(spec, episodes=int(ex.get("episodes", "1")))
+        return make_sg_env(_load(GameSpec.loads, ex["env_file"]))
     if cfg.scenario == "fm":
         if ex.get("class") == "uniform16":
             spec = uniform_function_class(2, tuple(Fraction(z) for z in (1, 2, 3, 4)))

@@ -10,7 +10,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 Action = int
 
@@ -325,6 +325,25 @@ def append_cycle(h: History, y: Action, x: Percept) -> History:
     if h.pending_action is not None:
         raise AlternationError("cannot append a cycle while an action is pending")
     return History(h.cycles + ((y, x),), None)
+
+
+def contexts(
+    alphabet: Alphabet,
+    depth: int,
+    follow: Optional[Callable[[History, Action], Iterable[Percept]]] = None,
+    h: History = EMPTY_HISTORY,
+) -> Iterator[Tuple[History, Action]]:
+    """Every (history, action) context of fewer than ``depth`` completed
+    cycles that extends h, depth first: (h, y), then the contexts under each
+    h·y·x, and only then (h, y + 1).  ``follow(h, y)`` lists the percepts to
+    descend into, in the alphabet's order; by default all of them."""
+    if len(h) >= depth:
+        return
+    for y in alphabet.actions():
+        yield h, y
+        if len(h) + 1 < depth:
+            for x in alphabet.percepts() if follow is None else follow(h, y):
+                yield from contexts(alphabet, depth, follow, append_cycle(h, y, x))
 
 
 def encode_history(h: History) -> str:

@@ -7,6 +7,7 @@ demonstration environments heaven-hell, only-one, and the lazy-rest world.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -48,6 +49,15 @@ def make_sp_env(mu_sp: Dict[Tuple[int, ...], Fraction]) -> MixtureModel:
     lengths = {len(z) for z in mu_sp}
     if len(lengths) != 1:
         raise ValueError("all sequences must share one length")
+    violations = []
+    for z, p in sorted(mu_sp.items()):
+        name = "".join(map(str, z))
+        if set(z) - {0, 1}:
+            violations.append(f"sp sequence {name!r}: symbols must be 0 or 1")
+        if p < 0:
+            violations.append(f"sp sequence {name!r}: probability {p} is negative")
+    if violations:
+        raise ValidationError(violations)
     if sum(mu_sp.values(), Fraction(0)) != 1:
         raise ValueError("sequence distribution must sum to 1")
     alphabet = Alphabet(num_actions=2, num_observations=1, rewards=(Fraction(0), Fraction(1)))
@@ -319,17 +329,7 @@ def uniform_function_class(
     num_actions: int, z_values: Sequence[Fraction]
 ) -> FunctionClassSpec:
     """All |Z|^|Y| functions, uniformly weighted."""
-    nz = len(z_values)
-    tables = []
-
-    def walk(f: Tuple[int, ...]) -> None:
-        if len(f) == num_actions:
-            tables.append(f)
-            return
-        for zi in range(nz):
-            walk(f + (zi,))
-
-    walk(())
+    tables = list(itertools.product(range(len(z_values)), repeat=num_actions))
     p = Fraction(1, len(tables))
     return FunctionClassSpec(
         num_actions=num_actions,

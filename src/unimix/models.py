@@ -24,6 +24,7 @@ from .core import (
     Percept,
     ValidationError,
     append_cycle,
+    contexts,
     decode_history,
     encode_history,
     input_errors,
@@ -115,27 +116,21 @@ def evidence_gap(rho: ChronologicalModel, h: History, y: Action) -> Fraction:
 def check_chronological(rho: ChronologicalModel, depth: int) -> bool:
     """True iff the next-percept marginal never depends on the pending action.
 
-    Exhaustive over every context of up to ``depth`` cycles.
+    Exhaustive over every context of fewer than ``depth`` >= 1 completed
+    cycles that the model can reach.
     """
+    if depth < 1:
+        raise ValueError("depth >= 1 required")
     a = rho.alphabet
 
     def marginal(h: History, y: Action) -> Fraction:
         return sum(rho.cond_map(h, y).values(), Fraction(0))
 
-    def walk(h: History, d: int) -> bool:
-        sums = [marginal(h, y) for y in a.actions()]
-        if any(s != sums[0] for s in sums):
-            return False
-        if d < depth:
-            for y in a.actions():
-                row = rho.cond_map(h, y)
-                for x in a.percepts():
-                    if row.get(x, Fraction(0)) > 0:
-                        if not walk(append_cycle(h, y, x), d + 1):
-                            return False
-        return True
+    def possible(h: History, y: Action) -> List[Percept]:
+        row = rho.cond_map(h, y)
+        return [x for x in a.percepts() if row.get(x, 0) > 0]
 
-    return walk(EMPTY_HISTORY, 1)
+    return all(marginal(h, y) == marginal(h, 0) for h, y in contexts(a, depth, possible))
 
 
 # --- Concrete environment kinds --------------------------------------------
@@ -237,7 +232,6 @@ def _unreachable(a: Alphabet, depth: int, key: str) -> Optional[str]:
 
 def random_tabular(alphabet: Alphabet, depth: int, rng: random.Random) -> TabularModel:
     """A full random tabular environment: every context up to depth gets a row."""
-    rows: Dict[str, List[Fraction]] = {}
 
     def row() -> List[Fraction]:
         weights = [rng.randint(0, 8) for _ in range(alphabet.num_percepts)]
@@ -246,15 +240,7 @@ def random_tabular(alphabet: Alphabet, depth: int, rng: random.Random) -> Tabula
         total = sum(weights)
         return [Fraction(w, total) for w in weights]
 
-    def walk(h: History, d: int) -> None:
-        if d >= depth:
-            return
-        for y in alphabet.actions():
-            rows[encode_history(h.with_pending(y))] = row()
-            for x in alphabet.percepts():
-                walk(append_cycle(h, y, x), d + 1)
-
-    walk(EMPTY_HISTORY, 0)
+    rows = {encode_history(h.with_pending(y)): row() for h, y in contexts(alphabet, depth)}
     return TabularModel(alphabet, depth, rows)
 
 

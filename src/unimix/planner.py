@@ -26,6 +26,7 @@ from .core import (
     HorizonPolicy,
     Percept,
     append_cycle,
+    contexts,
     discounted_reward,
     horizon_end,
 )
@@ -459,20 +460,11 @@ def dominance_walk(
     geq: Callable[[History, int], bool], alphabet, depth: int, lifetime: Optional[int] = None
 ) -> bool:
     """True iff geq(h, lifetime) holds on every history of fewer than `depth`
-    cycles; depth-first, stopping at the first failure.  The lifetime
+    >= 1 cycles; depth-first, stopping at the first failure.  The lifetime
     defaults to `depth` and may not be shorter."""
+    if depth < 1:
+        raise ValueError("depth >= 1 required")
     life = lifetime if lifetime is not None else depth
     if life < depth:
         raise ValueError(f"lifetime {life} is shorter than the depth {depth}")
-
-    def walk(h: History) -> bool:
-        return geq(h, life) and (
-            len(h) >= depth - 1
-            or all(
-                walk(append_cycle(h, y, x))
-                for y in alphabet.actions()
-                for x in alphabet.percepts()
-            )
-        )
-
-    return walk(EMPTY_HISTORY)
+    return all(geq(h, life) for h, y in contexts(alphabet, depth) if y == 0)

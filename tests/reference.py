@@ -13,14 +13,19 @@ each judged by ``validate_claim`` here, for the round on plain values
 claim, with no bound U to spare a walk, so the library's verdicts without
 one (``bestvote.claim_verdict``) are checked against the walk itself.
 ``parse_args`` is the command line parsed by one parser with a subparser for
-every command, for the parser of the running command alone (``cli.parse_args``)."""
+every command, for the parser of the running command alone (``cli.parse_args``).
+``check_chronological``, ``random_tabular`` and ``dominance_walk`` are the
+history walks written out as their own recursions, for the library's forms on
+the one context enumerator (``core.contexts``)."""
+
+from __future__ import annotations
 
 from fractions import Fraction
 
 from unimix.bestvote import SelectionRow, candidate_value, run_candidate_cycle
 from unimix.cli import _Parser
-from unimix.core import Percept
-from unimix.models import UndefinedConditionalError
+from unimix.core import EMPTY_HISTORY, Percept, append_cycle, encode_history
+from unimix.models import TabularModel, UndefinedConditionalError
 from unimix.planner import env_node
 
 
@@ -179,3 +184,75 @@ def parse_args(argv):
     p_dis.add_argument("program", help="program in <bits>:<hex> form")
 
     return parser.parse_args(argv)
+
+
+def check_chronological(rho: ChronologicalModel, depth: int) -> bool:
+    """True iff the next-percept marginal never depends on the pending action.
+
+    Exhaustive over every context of up to ``depth`` cycles.
+    """
+    a = rho.alphabet
+
+    def marginal(h: History, y: Action) -> Fraction:
+        return sum(rho.cond_map(h, y).values(), Fraction(0))
+
+    def walk(h: History, d: int) -> bool:
+        sums = [marginal(h, y) for y in a.actions()]
+        if any(s != sums[0] for s in sums):
+            return False
+        if d < depth:
+            for y in a.actions():
+                row = rho.cond_map(h, y)
+                for x in a.percepts():
+                    if row.get(x, Fraction(0)) > 0:
+                        if not walk(append_cycle(h, y, x), d + 1):
+                            return False
+        return True
+
+    return walk(EMPTY_HISTORY, 1)
+
+
+def random_tabular(alphabet: Alphabet, depth: int, rng: random.Random) -> TabularModel:
+    """A full random tabular environment: every context up to depth gets a row."""
+    rows: Dict[str, List[Fraction]] = {}
+
+    def row() -> List[Fraction]:
+        weights = [rng.randint(0, 8) for _ in range(alphabet.num_percepts)]
+        if sum(weights) == 0:
+            weights[rng.randrange(alphabet.num_percepts)] = 1
+        total = sum(weights)
+        return [Fraction(w, total) for w in weights]
+
+    def walk(h: History, d: int) -> None:
+        if d >= depth:
+            return
+        for y in alphabet.actions():
+            rows[encode_history(h.with_pending(y))] = row()
+            for x in alphabet.percepts():
+                walk(append_cycle(h, y, x), d + 1)
+
+    walk(EMPTY_HISTORY, 0)
+    return TabularModel(alphabet, depth, rows)
+
+
+def dominance_walk(
+    geq: Callable[[History, int], bool], alphabet, depth: int, lifetime: Optional[int] = None
+) -> bool:
+    """True iff geq(h, lifetime) holds on every history of fewer than `depth`
+    cycles; depth-first, stopping at the first failure.  The lifetime
+    defaults to `depth` and may not be shorter."""
+    life = lifetime if lifetime is not None else depth
+    if life < depth:
+        raise ValueError(f"lifetime {life} is shorter than the depth {depth}")
+
+    def walk(h: History) -> bool:
+        return geq(h, life) and (
+            len(h) >= depth - 1
+            or all(
+                walk(append_cycle(h, y, x))
+                for y in alphabet.actions()
+                for x in alphabet.percepts()
+            )
+        )
+
+    return walk(EMPTY_HISTORY)

@@ -535,6 +535,50 @@ class TestMain:
             "gamma^64 would have more than 4300 digits\n"
         )
 
+    @pytest.mark.parametrize(
+        "sequences, violations",
+        [
+            ("012:1", ["sp sequence '012': symbols must be 0 or 1"]),
+            (
+                "01:3/2;10:-1/2",
+                ["sp sequence '10': probability -1/2 is negative"],
+            ),
+            (
+                "02:1/2;11:1/4;30:1/4;00:-1/4",
+                [
+                    "sp sequence '00': probability -1/4 is negative",
+                    "sp sequence '02': symbols must be 0 or 1",
+                    "sp sequence '30': symbols must be 0 or 1",
+                ],
+            ),
+        ],
+        ids=["not-a-bit", "negative", "each-listed"],
+    )
+    def test_each_bad_sp_sequence_is_its_own_violation(
+        self, sequences, violations, tmp_path, capsys
+    ):
+        # a symbol other than 0/1 once ran (no action matches it), and a
+        # negative probability was reported as an overweight mixture
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"scenario=sp\nlifetime=2\nsequences={sequences}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "".join(f"validation error: {v}\n" for v in violations)
+
+    def test_an_sg_episodes_key_is_an_unknown_key(self, tmp_path, capsys):
+        # episodes set only an attribute no run read
+        (tmp_path / "game.txt").write_text(
+            "rounds=1\nmoves=2\nreplies=2\n0 0 | 1\n0 1 | 1\n1 0 | 1\n1 1 | 0\n"
+        )
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"scenario=sg\nlifetime=2\nenv_file={tmp_path / 'game.txt'}\nepisodes=2\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "validation error: unknown key 'episodes' for scenario=sg agent=informed\n"
+        cfg.write_text(f"scenario=sg\nlifetime=2\nenv_file={tmp_path / 'game.txt'}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+
     @pytest.mark.parametrize("program", ["zz", "5", "x:1f", "5:zz"])
     def test_a_malformed_program_exits_1_without_a_traceback(self, program, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

@@ -16,6 +16,7 @@ from unimix.core import (
     Percept,
     ProportionalHorizon,
     append_cycle,
+    contexts,
     decode_history,
     discounted_reward,
     encode_history,
@@ -82,6 +83,52 @@ class TestHistory:
     def test_answer_without_pending_is_an_error(self):
         with pytest.raises(AlternationError):
             EMPTY_HISTORY.answer(Percept(Fraction(0), 0))
+
+
+class TestContexts:
+    A = Alphabet(num_actions=2, num_observations=1, rewards=(Fraction(0), Fraction(1)))
+
+    def keys(self, depth, follow=None):
+        return [encode_history(h.with_pending(y)) for h, y in contexts(self.A, depth, follow)]
+
+    def test_a_context_comes_before_its_subtree_and_its_subtree_before_the_next_action(self):
+        assert self.keys(2) == [
+            "y:0",
+            "y:0 r:0/1 o:0 y:0",
+            "y:0 r:0/1 o:0 y:1",
+            "y:0 r:1/1 o:0 y:0",
+            "y:0 r:1/1 o:0 y:1",
+            "y:1",
+            "y:1 r:0/1 o:0 y:0",
+            "y:1 r:0/1 o:0 y:1",
+            "y:1 r:1/1 o:0 y:0",
+            "y:1 r:1/1 o:0 y:1",
+        ]
+
+    @pytest.mark.parametrize("depth", range(5))
+    def test_every_context_of_fewer_than_depth_cycles_comes_once(self, depth):
+        got = list(contexts(self.A, depth))
+        assert len(set(got)) == len(got) == sum(2 * 4**k for k in range(depth))
+        assert all(len(h) < depth for h, _ in got)
+
+    def test_follow_picks_the_percepts_to_descend_into(self):
+        hit = self.A.percepts()[1]
+        asked = []
+
+        def follow(h, y):
+            asked.append(encode_history(h.with_pending(y)))
+            return [hit] if y == 0 else []
+
+        assert self.keys(3, follow) == [
+            "y:0",
+            "y:0 r:1/1 o:0 y:0",
+            "y:0 r:1/1 o:0 y:0 r:1/1 o:0 y:0",
+            "y:0 r:1/1 o:0 y:0 r:1/1 o:0 y:1",
+            "y:0 r:1/1 o:0 y:1",
+            "y:1",
+        ]
+        # asked only where a child is still within the depth
+        assert asked == ["y:0", "y:0 r:1/1 o:0 y:0", "y:0 r:1/1 o:0 y:1", "y:1"]
 
 
 def test_horizon_end_fixed_is_the_lifetime_case():

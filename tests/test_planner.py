@@ -50,6 +50,7 @@ from unimix.planner import (
     ValueQuery,
     _decide,
     best_action,
+    dominance_walk,
     episode_cutoff,
     forced_policy,
     planning_policy,
@@ -62,6 +63,7 @@ from unimix.planner import (
 )
 from unimix.vm import OP_IN, RunBudget, decode, enumerate_programs
 
+import reference
 from reference import MachineState, env_cycle, freeze
 
 R0, R1 = Fraction(0), Fraction(1)
@@ -697,3 +699,42 @@ def test_decisions_taken_from_a_kept_plan_cost_nothing(monkeypatch):
     monkeypatch.setattr(planner, "PLAN_MEMO_CAP", 30)
     with pytest.raises(CapacityError, match="one decision solved more than 30 "):
         run_interaction(planning_policy(env, FixedHorizon(5), 8), env, 8)
+
+
+# --- The dominance walk on core.contexts against its own recursion ---------
+
+
+@st.composite
+def dominance_walks(draw):
+    """An alphabet, a depth (at most 2 for the 18 branches a cycle of the
+    larger alphabet), a lifetime or none, and the odds against geq."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    depth = draw(st.integers(1, 4 if alphabet is BINARY else 2))
+    lifetime = draw(st.none() | st.integers(depth, depth + 2))
+    return alphabet, depth, lifetime, draw(st.sampled_from((1, 2, 10, 100, 10**9)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dominance_walks(), st.integers(0, 2**16))
+def test_the_dominance_walk_asks_geq_what_its_recursion_asks(walk, seed):
+    # geq fails on a random set of histories, so each walk stops at its
+    # first failure, if any: the logs must agree up to and including it.
+    alphabet, depth, lifetime, odds = walk
+
+    def geq_logging_into(log):
+        def geq(h, m_k):
+            log.append((encode_history(h), m_k))
+            return random.Random(f"{seed} {encode_history(h)}").randrange(odds) != 0
+
+        return geq
+
+    new, old = [], []
+    verdict = dominance_walk(geq_logging_into(new), alphabet, depth, lifetime)
+    assert verdict == reference.dominance_walk(geq_logging_into(old), alphabet, depth, lifetime)
+    assert [(a, b) for a, b in itertools.zip_longest(new, old) if a != b][:1] == []
+
+
+def test_the_dominance_walk_refuses_a_depth_below_one():
+    # the walk once asked geq about the empty history at depth 0
+    with pytest.raises(ValueError, match="depth >= 1"):
+        dominance_walk(lambda h, m_k: True, BINARY, 0)
