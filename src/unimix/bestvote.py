@@ -8,7 +8,6 @@ and the action of the highest surviving claim is played.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -20,7 +19,6 @@ from .core import (
     History,
     HorizonPolicy,
     Value,
-    append_cycle,
     discounted_reward,
     horizon_end,
     set_field,
@@ -28,11 +26,12 @@ from .core import (
 from .models import ChronologicalModel, UndefinedConditionalError
 from .planner import (
     Envs,
+    PolicyOracle,
     dominance_walk,
-    draw_percept,
     env_node,
     functional_value,
     program_inputs,
+    run_interaction,
 )
 from .vm import FRESH, Program, RunBudget
 
@@ -89,11 +88,9 @@ class ExtendedCandidate:
         return cls(p.to_hex(), (0, p.code), program=p)
 
     @classmethod
-    def from_oracle(
-        cls, label: str, fn: Callable[[History], Claim], rank: int = 0
-    ) -> "ExtendedCandidate":
-        # oracles sort after all bytecode candidates, then by rank
-        return cls(label, (1, rank), oracle=fn)
+    def from_oracle(cls, label: str, fn: Callable[[History], Claim]) -> "ExtendedCandidate":
+        # oracles sort after all bytecode candidates
+        return cls(label, (1, 0), oracle=fn)
 
     def fresh(self) -> "ExtendedCandidate":
         return ExtendedCandidate(
@@ -369,6 +366,47 @@ def selection_log_csv(rows: Sequence[SelectionRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def best_vote_policy(
+    pool: Sequence[Program],
+    budget: RunBudget,
+    alphabet,
+    lifetime: int,
+    horizon: Optional[HorizonPolicy] = None,
+) -> PolicyOracle:
+    """The best-vote agent, with the pool's programs as both the candidates
+    and the environment pool, as a policy that ``run_interaction`` calls
+    once per cycle, in order; each call steps the consistent-environment
+    tree's node down the cycle the previous call's history was extended by.
+
+    ``policy.log`` gets each cycle's selection rows and ``policy.tops`` the
+    posterior leader before each cycle (``MixtureNode.top`` of the node),
+    None once no program is left."""
+    candidates = [ExtendedCandidate.from_program(p) for p in pool]
+    hpol = horizon if horizon is not None else FixedHorizon(lifetime)
+    log: List[SelectionRow] = []
+    tops: List[Optional[str]] = []
+    node = env_node(pool, EMPTY_HISTORY, budget, alphabet)
+    last: Optional[History] = None  # the history of the previous call
+
+    def policy(h: History) -> Action:
+        nonlocal node, last
+        if last is not None:
+            y, x = h.cycles[-1]
+            node = node.child(last, y, x)
+        last = h
+        k = len(h) + 1
+        tops.append(node.top())
+        y, rows = best_vote_cycle(
+            candidates, h, node, budget, alphabet, horizon_end(hpol, k, lifetime), horizon
+        )
+        log.extend(rows)
+        return y
+
+    policy.log = log
+    policy.tops = tops
+    return policy
+
+
 def run_best_vote(
     pool: Sequence[Program],
     budget: RunBudget,
@@ -376,37 +414,11 @@ def run_best_vote(
     lifetime: int,
     horizon: Optional[HorizonPolicy] = None,
     seed: int = 0,
-    extra_candidates: Sequence[ExtendedCandidate] = (),
-    leaders: Optional[List[Optional[str]]] = None,
 ) -> Tuple[History, List[SelectionRow]]:
-    """Full best-vote run with the pool's programs as both the candidates and
-    the environment pool: interact with env for `lifetime` cycles.  The
-    consistent-environment tree and the world's state are carried from
-    cycle to cycle.
-
-    ``leaders``, when given, gets the label of the posterior leader before
-    each cycle (``MixtureNode.top`` of the tree's node), None once no
-    program is left."""
-    candidates = [ExtendedCandidate.from_program(p) for p in pool] + [
-        c.fresh() for c in extra_candidates
-    ]
-    alphabet = env.alphabet
-    hpol = horizon if horizon is not None else FixedHorizon(lifetime)
-    rng = random.Random(seed)
-    h = EMPTY_HISTORY
-    log: List[SelectionRow] = []
-    node = env_node(pool, h, budget, alphabet)
-    state = env.state(h)
-    for k in range(1, lifetime + 1):
-        m_k = horizon_end(hpol, k, lifetime)
-        if leaders is not None:
-            leaders.append(node.top())
-        y, rows = best_vote_cycle(candidates, h, node, budget, alphabet, m_k, horizon)
-        log.extend(rows)
-        x, state = draw_percept(rng, env, state, h, y)
-        node = node.child(h, y, x)
-        h = append_cycle(h, y, x)
-    return h, log
+    """Full best-vote run (``best_vote_policy``) against env for `lifetime`
+    cycles: the history and the selection rows."""
+    policy = best_vote_policy(pool, budget, env.alphabet, lifetime, horizon)
+    return run_interaction(policy, env, lifetime, seed), policy.log
 
 
 def make_composite(

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import __version__
-from .bestvote import run_best_vote, selection_log_csv
+from .bestvote import best_vote_policy, selection_log_csv
 from .core import (
     CapacityError,
     FixedHorizon,
@@ -50,11 +50,7 @@ from .models import (
     build_mixture,
     check_chronological,
 )
-from .planner import (
-    planning_policy,
-    program_policy,
-    run_interaction,
-)
+from .planner import ProgramStepper, planning_policy, run_interaction
 from .vm import DecodeError, Program, RunBudget, decode, enumerate_programs, kraft_sum
 
 # SHA-256 from the interpreter's builtin module: hashlib would load OpenSSL's
@@ -262,7 +258,7 @@ def _build_env(cfg: ScenarioConfig):
         items = [item.partition(":") for item in ex.get("sequences", "").split(";") if item]
         if not items:
             raise ValidationError(["sp scenario needs sequences=<bits:prob;...>"])
-        return make_sp_env({tuple(map(int, bits)): rational(p) for bits, _, p in items})
+        return make_sp_env([(tuple(map(int, bits)), rational(p)) for bits, _, p in items])
     if cfg.scenario == "sg":
         return make_sg_env(_load(GameSpec.loads, ex["env_file"]))
     if cfg.scenario == "fm":
@@ -277,12 +273,14 @@ def _build_env(cfg: ScenarioConfig):
 
 
 def _build_agent(cfg: ScenarioConfig, env):
-    """Returns (policy, planning_model or None, mixture or None)."""
+    """Returns (policy, the program mixture it plans with or None).  A
+    planning agent's policy records its ``values``, best vote's its ``log``
+    and ``tops``."""
     budget = RunBudget(cfg.steps)
     if cfg.agent == "informed":
-        return planning_policy(env, cfg.horizon, cfg.lifetime), env, None
+        return planning_policy(env, cfg.horizon, cfg.lifetime), None
     if cfg.agent == "greedy":
-        return planning_policy(env, MovingHorizon(1), cfg.lifetime), env, None
+        return planning_policy(env, MovingHorizon(1), cfg.lifetime), None
     if cfg.agent == "mixture":
         pool = enumerate_programs(cfg.l_max)
         # When the first plan reaches the lifetime it steps every program on
@@ -294,13 +292,15 @@ def _build_agent(cfg: ScenarioConfig, env):
             xi = build_class_mixture(pool, budget, env.alphabet, cfg.lifetime)
         else:
             xi = build_mixture(pool, budget, env.alphabet)
-        return planning_policy(xi, cfg.horizon, cfg.lifetime), xi, xi
+        return planning_policy(xi, cfg.horizon, cfg.lifetime), xi
+    if cfg.agent == "best-vote":
+        pool = enumerate_programs(cfg.l_max)
+        return best_vote_policy(pool, budget, env.alphabet, cfg.lifetime, cfg.horizon), None
     if cfg.agent == "program":
         hexcode = cfg.extras.get("program")
         if not hexcode:
             raise ValidationError(["agent=program needs program=<hex>"])
-        p = Program.from_hex(hexcode)
-        return program_policy(p, budget, env.alphabet), None, None
+        return ProgramStepper(Program.from_hex(hexcode), budget, env.alphabet), None
     raise ValidationError([f"agent kind {cfg.agent!r} not wired here"])
 
 
@@ -323,46 +323,36 @@ class RunArtifacts:
 def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     with input_errors(f"scenario={cfg.scenario}"):
         env = _build_env(cfg)
-    budget = RunBudget(cfg.steps)
-    selection_csv = None
+    with input_errors(f"agent={cfg.agent}"):
+        policy, mixture = _build_agent(cfg, env)
+    try:
+        h = run_interaction(policy, env, cfg.lifetime, cfg.seed)
+    except UndefinedConditionalError:
+        if mixture is None:
+            raise
+        # Decisions 1..k found survivors, so no program reproduces cycle k.
+        raise CapacityError(
+            f"no program of at most {cfg.l_max} bits reproduces the history "
+            f"at cycle {len(policy.values)}"
+        ) from None
 
     # tops[k-1]: the label of the posterior leader of the agent's program
     # mixture before cycle k; blank where no program is left, or for an agent
     # without a mixture.
-    if cfg.agent == "best-vote":
-        pool = enumerate_programs(cfg.l_max)
-        leaders: List[Optional[str]] = []
-        h, log = run_best_vote(
-            pool, budget, env, cfg.lifetime, cfg.horizon, cfg.seed, leaders=leaders
-        )
-        selection_csv = selection_log_csv(log)
-        model = None
-        tops = [top or "" for top in leaders]
-    else:
-        with input_errors(f"agent={cfg.agent}"):
-            policy, model, mixture = _build_agent(cfg, env)
-        try:
-            h = run_interaction(policy, env, cfg.lifetime, cfg.seed)
-        except UndefinedConditionalError:
-            if mixture is None:
-                raise
-            # Decisions 1..k found survivors, so no program reproduces cycle k.
-            raise CapacityError(
-                f"no program of at most {cfg.l_max} bits reproduces the history "
-                f"at cycle {len(policy.values)}"
-            ) from None
-        if mixture is None:
-            tops = [""] * len(h)
-        else:
+    tops = getattr(policy, "tops", None)
+    if tops is None:
+        tops = [None] * len(h)
+        if mixture is not None:
             # The node before each cycle, carried one cycle at a time.
-            nodes = mixture.states(History(h.cycles[:-1]))
-            tops = [node.top() or "" for node in nodes]
+            tops = [node.top() for node in mixture.states(History(h.cycles[:-1]))]
+    # A planning agent decided cycle k on exactly the prefix before it.
+    values = getattr(policy, "values", {})
+    log = getattr(policy, "log", None)
+    selection_csv = None if log is None else selection_log_csv(log)
 
     rows = ["cycle,action,observation,reward,planner_value,posterior_top"]
     for k, ((y, x), top) in enumerate(zip(h.cycles, tops), start=1):
-        # A planning agent decided cycle k on exactly the prefix before it.
-        value_s = str(policy.values[k]) if model is not None else ""
-        rows.append(f"{k},{y},{x.observation},{x.reward},{value_s},{top}")
+        rows.append(f"{k},{y},{x.observation},{x.reward},{values.get(k, '')},{top or ''}")
     trace_csv = "\n".join(rows) + "\n"
 
     total_reward = sum(h.rewards(), Fraction(0))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     Action, Alphabet, History, Percept, ValidationError, Value, input_errors, rational,
@@ -37,27 +37,37 @@ def _no_memory(h: History) -> Tuple:
 # --- Sequence prediction ----------------------------------------------------
 
 
-def make_sp_env(mu_sp: Dict[Tuple[int, ...], Fraction]) -> MixtureModel:
+def make_sp_env(
+    mu_sp: Union[Dict[Tuple[int, ...], Fraction], Sequence[Tuple[Tuple[int, ...], Fraction]]],
+) -> MixtureModel:
     """Prediction environment: reward 1 iff the action matches the next bit.
 
-    ``mu_sp`` is a proper distribution over equal-length bit sequences; the
-    percept carries no observation (the reward already reveals the bit).
-    Beyond the sequence length the bit is fixed to 0.
+    ``mu_sp`` is a proper distribution over equal-length bit sequences, as a
+    dict or as a list of (sequence, probability) pairs in which no sequence
+    repeats; the percept carries no observation (the reward already reveals
+    the bit).  Beyond the sequence length the bit is fixed to 0.
     """
-    if not mu_sp:
+    listed: Dict[Tuple[int, ...], List[Fraction]] = {}
+    for z, p in mu_sp.items() if isinstance(mu_sp, dict) else mu_sp:
+        listed.setdefault(z, []).append(p)
+    if not listed:
         raise ValueError("empty sequence distribution")
-    lengths = {len(z) for z in mu_sp}
+    lengths = {len(z) for z in listed}
     if len(lengths) != 1:
         raise ValueError("all sequences must share one length")
     violations = []
-    for z, p in sorted(mu_sp.items()):
+    for z, ps in sorted(listed.items()):
         name = "".join(map(str, z))
+        if len(ps) > 1:
+            violations.append(f"sp sequence {name!r}: listed {len(ps)} times")
         if set(z) - {0, 1}:
             violations.append(f"sp sequence {name!r}: symbols must be 0 or 1")
-        if p < 0:
-            violations.append(f"sp sequence {name!r}: probability {p} is negative")
+        for p in ps:
+            if p < 0:
+                violations.append(f"sp sequence {name!r}: probability {p} is negative")
     if violations:
         raise ValidationError(violations)
+    mu_sp = {z: ps[0] for z, ps in listed.items()}
     if sum(mu_sp.values(), Fraction(0)) != 1:
         raise ValueError("sequence distribution must sum to 1")
     alphabet = Alphabet(num_actions=2, num_observations=1, rewards=(Fraction(0), Fraction(1)))
@@ -205,12 +215,12 @@ def minimax_move(g: GameSpec, prefix: Sequence[int]) -> int:
     return values.index(pick(values))
 
 
-def make_sg_env(g: GameSpec, episodes: int = 1) -> FunctionalEnv:
+def make_sg_env(g: GameSpec) -> FunctionalEnv:
     """The game as an environment: a deterministic minimax opponent.
 
     Rewards are 0 except at the last round of each episode, where the shifted
-    leaf value is paid.  With episodes > 1 the same game repeats, giving a
-    factorizable environment with boundaries at multiples of ``rounds``.
+    leaf value is paid.  The game repeats every ``rounds`` cycles, from a
+    fresh board each time.
     """
     values = sorted(set(g.leaf_values.values()) | {Fraction(0)})
     alphabet = Alphabet(
@@ -238,9 +248,7 @@ def make_sg_env(g: GameSpec, episodes: int = 1) -> FunctionalEnv:
         k = len(h)
         return h.cycles[k - k % g.rounds :]
 
-    env = FunctionalEnv(alphabet, rule, memory)
-    env.episode_boundaries = tuple(g.rounds * i for i in range(episodes + 1))
-    return env
+    return FunctionalEnv(alphabet, rule, memory)
 
 
 # --- Function minimization --------------------------------------------------

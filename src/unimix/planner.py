@@ -216,28 +216,19 @@ def planning_policy(
     return policy
 
 
-def program_policy(p: Program, budget: RunBudget, alphabet) -> PolicyOracle:
-    """A bytecode program as a policy oracle: a fresh ``ProgramStepper`` fed
-    the history on every call.
-
-    Historical actions are taken from the history itself (the program's own
-    past outputs are discarded), so the oracle is defined on any history.
-    """
-    return lambda h: _fed(ProgramStepper(p, budget, alphabet), h)
-
-
 def forced_policy(p: Program, h0: History, budget: RunBudget, alphabet) -> PolicyOracle:
     """The history-forcing modification of a program policy.
 
     On prefixes of h0 it replays h0's recorded actions; past h0 it defers to
-    the program.  By construction the result is consistent with h0.
+    the program, fed the history from the empty one on (its own past outputs
+    are discarded), so the oracle is defined on any history.  By
+    construction the result is consistent with h0.
     """
-    base = program_policy(p, budget, alphabet)
 
     def policy(h: History) -> Action:
         if len(h) < len(h0.cycles) and h.cycles == h0.cycles[: len(h)]:
             return h0.cycles[len(h)][0]
-        return base(h)
+        return _fed(ProgramStepper(p, budget, alphabet), h)
 
     return policy
 
@@ -260,26 +251,19 @@ def sample_percept(rng: random.Random, row: Dict[Percept, Fraction], alphabet) -
     raise AssertionError("unreachable")
 
 
-def draw_percept(
-    rng: random.Random, env: ChronologicalModel, state: Any, h: History, y: Action
-) -> Tuple[Percept, Any]:
-    """The world's percept after h and action y, drawn by ``sample_percept``
-    from the row of ``env.step`` (``state`` is ``env.state(h)``), which is
-    ``cond_map``'s; and the world's state after it."""
-    row = env.step(state, h, y)
-    x = sample_percept(rng, {x: p for x, (p, _) in row.items()}, env.alphabet)
-    return x, row[x][1]
-
-
 def run_interaction(
     agent: PolicyOracle,
     env: ChronologicalModel,
     lifetime: int,
     seed: int = 0,
 ) -> History:
-    """Interleave agent and environment for `lifetime` cycles.
+    """Interleave agent and environment for `lifetime` cycles: the agent is
+    called once per cycle, in order, on the history so far (a stateful
+    policy such as a ``ProgramStepper`` or ``bestvote.best_vote_policy``
+    carries what it has seen), and the world answers its action.
 
-    Stochastic percepts are drawn by exact inverse-CDF sampling from a seeded
+    The world's percept is drawn by ``sample_percept`` from its ``step`` row
+    (the same row, and so the same draw, as ``cond_map``'s) with a seeded
     generator, so runs are deterministic given (agent, env, seed).  The
     world's state is carried from cycle to cycle, so no history is replayed.
     """
@@ -288,7 +272,9 @@ def run_interaction(
     state = env.state(h)
     for _ in range(lifetime):
         y = agent(h)
-        x, state = draw_percept(rng, env, state, h, y)
+        row = env.step(state, h, y)
+        x = sample_percept(rng, {x: p for x, (p, _) in row.items()}, env.alphabet)
+        state = row[x][1]
         h = append_cycle(h, y, x)
     return h
 

@@ -16,17 +16,26 @@ one (``bestvote.claim_verdict``) are checked against the walk itself.
 every command, for the parser of the running command alone (``cli.parse_args``).
 ``check_chronological``, ``random_tabular`` and ``dominance_walk`` are the
 history walks written out as their own recursions, for the library's forms on
-the one context enumerator (``core.contexts``)."""
+the one context enumerator (``core.contexts``).
+``run_best_vote`` is the best-vote run as its own interaction loop, with its
+own generator, percept draw, world state and tree node, for the best-vote
+policy that ``planner.run_interaction`` steps (``bestvote.best_vote_policy``)."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
-from unimix.bestvote import SelectionRow, candidate_value, run_candidate_cycle
+from unimix import bestvote
+from unimix.bestvote import (
+    ExtendedCandidate, SelectionRow, candidate_value, run_candidate_cycle,
+)
 from unimix.cli import _Parser
-from unimix.core import EMPTY_HISTORY, Percept, append_cycle, encode_history
+from unimix.core import (
+    EMPTY_HISTORY, FixedHorizon, Percept, append_cycle, encode_history, horizon_end,
+)
 from unimix.models import TabularModel, UndefinedConditionalError
-from unimix.planner import env_node
+from unimix.planner import env_node, sample_percept
 
 
 class MachineState:
@@ -156,6 +165,35 @@ def best_vote_cycle(candidates, h, envs, budget, alphabet, m_k, horizon=None):
         for c, claim, valid, _ in entries
     ]
     return best[1].y, rows
+
+
+def run_best_vote(pool, budget, env, lifetime, horizon=None, seed=0, leaders=None):
+    """Full best-vote run with the pool's programs as both the candidates and
+    the environment pool, in its own loop: each cycle a round
+    (``bestvote.best_vote_cycle``) on the carried tree node, a percept drawn
+    from the world's ``step`` row, then the node and the world's state
+    stepped on it.  ``leaders``, when given, gets the node's ``top()``
+    before each cycle.  Returns (history, selection rows)."""
+    candidates = [ExtendedCandidate.from_program(p) for p in pool]
+    alphabet = env.alphabet
+    hpol = horizon if horizon is not None else FixedHorizon(lifetime)
+    rng = random.Random(seed)
+    h = EMPTY_HISTORY
+    log = []
+    node = env_node(pool, h, budget, alphabet)
+    state = env.state(h)
+    for k in range(1, lifetime + 1):
+        m_k = horizon_end(hpol, k, lifetime)
+        if leaders is not None:
+            leaders.append(node.top())
+        y, rows = bestvote.best_vote_cycle(candidates, h, node, budget, alphabet, m_k, horizon)
+        log.extend(rows)
+        row = env.step(state, h, y)
+        x = sample_percept(rng, {x: p for x, (p, _) in row.items()}, alphabet)
+        state = row[x][1]
+        node = node.child(h, y, x)
+        h = append_cycle(h, y, x)
+    return h, log
 
 
 def parse_args(argv):

@@ -361,7 +361,7 @@ def test_criterion_12_every_model_is_chronological():
     r = even_odd_relation()
     models = [
         biased_sp(),
-        make_sg_env(tiny_game(), episodes=3),
+        make_sg_env(tiny_game()),
         make_fm_env(quadratic_class()),
         make_ex_env(r),
         make_relation_mixture([(r, F(1))]),

@@ -12,6 +12,7 @@ from unimix.bestvote import (
     Claim,
     ExtendedCandidate,
     best_vote_cycle,
+    best_vote_policy,
     candidate_value,
     eff_intel_geq,
     make_composite,
@@ -36,8 +37,10 @@ from unimix.core import (
     horizon_end,
 )
 from unimix.domains import make_heavenhell
-from unimix.models import UndefinedConditionalError, build_mixture, posterior
-from unimix.planner import env_node, functional_value, policy_value_functional
+from unimix.models import TabularModel, UndefinedConditionalError, build_mixture, posterior
+from unimix.planner import (
+    env_node, functional_value, policy_value_functional, run_interaction,
+)
 from unimix.vm import (
     RunBudget,
     consistent_envs,
@@ -498,9 +501,7 @@ ROUND_HORIZONS = (None, MovingHorizon(2), GeometricDiscount(F(1, 2), 3))
 
 def _oracle(ws, y, rank):
     """An oracle candidate claiming ws[k-1] with action y at cycle k."""
-    return ExtendedCandidate.from_oracle(
-        f"oracle-{rank}", lambda h: Claim(ws[len(h)], y), rank
-    )
+    return ExtendedCandidate.from_oracle(f"oracle-{rank}", lambda h: Claim(ws[len(h)], y))
 
 
 @st.composite
@@ -575,3 +576,54 @@ def test_the_round_on_plain_values_equals_the_reference_round(case):
         if x is None:
             x = a.percepts()[0] if out is None else a.percept_of(out[0])
         h = append_cycle(h, y, x)
+
+
+# --- The best-vote policy against the reference loop ------------------------
+
+
+@st.composite
+def run_cases(draw):
+    """A random sub-pool of candidates, which is also the environment pool, a
+    budget small enough that programs time out, a horizon, a world, and a
+    seed.  The world mixes a few programs (so the seed picks its percepts),
+    which the pool may hold, or draws every percept uniformly (so the
+    percepts vary and programs drop out)."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    programs = st.sampled_from(enumerate_programs(draw(st.integers(6, 11))))
+    pool = draw(st.lists(programs, min_size=1, max_size=10, unique=True))
+    budget = RunBudget(draw(st.integers(1, 8)))
+    if draw(st.booleans()):
+        world = TabularModel(alphabet, 0, {})
+    else:
+        programs = draw(st.lists(programs, min_size=1, max_size=3, unique=True))
+        if draw(st.booleans()):
+            pool += [p for p in programs if p not in pool]
+        world = build_mixture(programs, budget, alphabet)
+    lifetime = draw(st.integers(1, 4))
+    horizon = draw(
+        st.sampled_from(
+            (None, FixedHorizon(lifetime), MovingHorizon(2), GeometricDiscount(F(1, 2), 3))
+        )
+    )
+    seed = draw(st.integers(0, 2**16))
+    return alphabet, pool, world, budget, lifetime, horizon, seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(run_cases())
+def test_the_best_vote_policy_runs_as_the_reference_loop(case):
+    a, pool, world, budget, lifetime, horizon, seed = case
+    leaders = []
+    try:
+        old = reference.run_best_vote(pool, budget, world, lifetime, horizon, seed, leaders)
+    except UndefinedConditionalError:  # every world program timed out
+        old = None
+    policy = best_vote_policy(pool, budget, a, lifetime, horizon)
+    try:
+        new = run_interaction(policy, world, lifetime, seed), policy.log
+    except UndefinedConditionalError:
+        new = None
+    assert new == old
+    assert policy.tops == leaders
+    if old is not None:
+        assert run_best_vote(pool, budget, world, lifetime, horizon, seed) == old

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from unimix import cli, models
+from unimix import cli, models, vm
 from unimix.cli import (
     EXIT_BOUND,
     EXIT_CAPACITY,
@@ -216,6 +216,29 @@ class TestRunScenario:
         rows = trace_rows(run_scenario(cfg).trace_csv)
         assert all(r[4] == "" for r in rows)
 
+    def test_the_program_agent_runs_one_machine_cycle_per_cycle(self, tmp_path, monkeypatch):
+        # A stepper carried from cycle to cycle; a fresh one fed the whole
+        # history on every call made 1 + 2 + ... + 64 = 2,080 cycles, for
+        # the same trace.
+        calls = []
+        run_machine = vm.run_machine
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return run_machine(*args, **kwargs)
+
+        monkeypatch.setattr(vm, "run_machine", counting)
+        cfg = tmp_path / "cfg.txt"  # INC OUT END: plays 1, 0, 1, ...
+        cfg.write_text("scenario=heavenhell\nagent=program\nprogram=9:188\nlifetime=64\ni=1\n")
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 64
+        trace = (out / "trace.csv").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == (
+            "9faa22dcde6530bcb7a0b7e0e6843574f151834e4bcea94de9c40227a5e21795"
+        )
+
     def test_program_agent_without_a_program_is_a_validation_error(self):
         cfg = parse_config(HEAVEN.replace("agent=informed", "agent=program"))
         with pytest.raises(ValidationError):
@@ -297,7 +320,7 @@ class TestRunScenario:
         self, horizon, components
     ):
         cfg = parse_config(f"scenario=heavenhell\nagent=mixture\nlifetime=3\nl=12\n{horizon}")
-        assert len(cli._build_agent(cfg, cli._build_env(cfg))[2].components) == components
+        assert len(cli._build_agent(cfg, cli._build_env(cfg))[1].components) == components
 
     def test_a_many_action_mixture_run_with_a_short_horizon_finishes(self):
         # Classes over 64 cycles of 16 actions would pass CLASS_CAP; the
@@ -551,14 +574,25 @@ class TestMain:
                     "sp sequence '30': symbols must be 0 or 1",
                 ],
             ),
+            ("0:1/2;0:1/2;1:1/2", ["sp sequence '0': listed 2 times"]),
+            (
+                "02:1/2;11:1/4;02:-1/4;11:1/2;11:0",
+                [
+                    "sp sequence '02': listed 2 times",
+                    "sp sequence '02': symbols must be 0 or 1",
+                    "sp sequence '02': probability -1/4 is negative",
+                    "sp sequence '11': listed 3 times",
+                ],
+            ),
         ],
-        ids=["not-a-bit", "negative", "each-listed"],
+        ids=["not-a-bit", "negative", "each-listed", "repeated", "repeated-and-bad"],
     )
     def test_each_bad_sp_sequence_is_its_own_violation(
         self, sequences, violations, tmp_path, capsys
     ):
-        # a symbol other than 0/1 once ran (no action matches it), and a
-        # negative probability was reported as an overweight mixture
+        # a symbol other than 0/1 once ran (no action matches it), a
+        # negative probability was reported as an overweight mixture, and a
+        # repeated sequence silently replaced the earlier one
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"scenario=sp\nlifetime=2\nsequences={sequences}\n")
         out = tmp_path / "out"
@@ -696,9 +730,9 @@ class TestMain:
         # heavenhell at l=12 and lifetime 3 needs 1,298 signature entries
         cfg = parse_config("scenario=heavenhell\nagent=mixture\nlifetime=3\nl=12\n")
         classed = run_scenario(cfg)
-        assert len(cli._build_agent(cfg, cli._build_env(cfg))[2].components) == 7
+        assert len(cli._build_agent(cfg, cli._build_env(cfg))[1].components) == 7
         monkeypatch.setattr(models, "CLASS_CAP", 100)
-        assert len(cli._build_agent(cfg, cli._build_env(cfg))[2].components) == 193
+        assert len(cli._build_agent(cfg, cli._build_env(cfg))[1].components) == 193
         capped = run_scenario(cfg)
         assert capped.trace_csv == classed.trace_csv
         assert capped.results == classed.results

@@ -123,8 +123,7 @@ def test_sg_planner_agrees_with_direct_minimax():
 
 def test_sg_repeated_episodes_pay_at_each_boundary():
     g = tiny_game()
-    env = make_sg_env(g, episodes=3)
-    assert env.episode_boundaries == (0, 1, 2, 3)
+    env = make_sg_env(g)
     h = EMPTY_HISTORY
     for _ in range(3):
         (x,) = env.cond_map(h, 1)
@@ -379,7 +378,7 @@ class TestLazyWorld:
 def test_every_constructor_yields_a_chronological_model():
     models = [
         biased_sp(),
-        make_sg_env(tiny_game(), episodes=3),
+        make_sg_env(tiny_game()),
         make_fm_env(quadratic_class()),
         make_ex_env(even_odd_relation()),
         make_heavenhell(1),
@@ -397,8 +396,8 @@ def two_round_game():
 
 RULE_WORLDS = {
     "sp": biased_sp,
-    "sg": lambda: make_sg_env(tiny_game(), episodes=3),
-    "sg-two-rounds": lambda: make_sg_env(two_round_game(), episodes=2),
+    "sg": lambda: make_sg_env(tiny_game()),
+    "sg-two-rounds": lambda: make_sg_env(two_round_game()),
     "fm": lambda: make_fm_env(quadratic_class()),
     "ex": lambda: make_ex_env(even_odd_relation()),
     "relation-mixture": relation_pair_mixture,
