@@ -6,6 +6,7 @@ downstream expectimax values compare bit-exactly."""
 
 from __future__ import annotations
 
+import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -218,6 +219,7 @@ class Alphabet(Value):
 
     __slots__ = (
         "num_actions", "num_observations", "rewards", "_percept_table", "_reward_index",
+        "_reward_scale",
     )
 
     def __init__(
@@ -244,10 +246,25 @@ class Alphabet(Value):
         table = tuple(Percept(r, o) for r in rewards for o in range(num_observations))
         set_field(self, "_percept_table", table)
         set_field(self, "_reward_index", {r: i for i, r in enumerate(rewards)})
+        set_field(self, "_reward_scale", math.lcm(*(r.denominator for r in rewards)))
 
     @property
     def r_max(self) -> Fraction:
         return self.rewards[-1]
+
+    @property
+    def reward_scale(self) -> int:
+        """The lcm of the rewards' denominators: each reward times it is an int."""
+        return self._reward_scale
+
+    def scaled_reward(self, x: Percept) -> int:
+        """x's reward times ``reward_scale``; ``ValueError`` for a reward
+        whose denominator does not divide it."""
+        r = x.reward
+        n, rest = divmod(self._reward_scale, r.denominator)
+        if rest:
+            raise ValueError(f"reward {r} is not in the alphabet")
+        return r.numerator * n
 
     @property
     def num_percepts(self) -> int:
@@ -451,12 +468,15 @@ def horizon_end(policy: HorizonPolicy, k: int, lifetime: int) -> int:
     return max(k, min(m, lifetime))
 
 
-def discounted_reward(policy: Optional[HorizonPolicy], k: int, r: Fraction) -> Fraction:
+def discounted_reward(
+    policy: Optional[HorizonPolicy], k: int, r: Union[int, Fraction]
+) -> Union[int, Fraction]:
     """Reward as it enters the value sum: gamma^k damping, identity otherwise.
 
-    A ``None`` policy means no discounting: a ``Fraction`` reward is returned
-    as it is (not copied), any other rational as ``Fraction(r)``.
+    Without a geometric discount (a ``None`` policy included) the reward is
+    returned as it is, not copied: an int reward (a reward times the
+    alphabet's ``reward_scale``) stays an int.
     """
     if isinstance(policy, GeometricDiscount):
         return r * policy.gamma ** k
-    return r if isinstance(r, Fraction) else Fraction(r)
+    return r

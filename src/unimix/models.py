@@ -13,7 +13,7 @@ import math
 import random
 from fractions import Fraction
 from typing import (
-    Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from .core import (
@@ -48,7 +48,9 @@ class ChronologicalModel:
 
     A model that can extend a history more cheaply when it remembers how it
     got there overrides ``state`` and ``step`` together.  A model whose
-    future depends on less than the whole history overrides ``key``.
+    future depends on less than the whole history overrides ``key``.  A
+    model that keeps unnormalized masses overrides ``mass`` and ``weights``
+    together, so a planner can sum them and divide once.
     """
 
     alphabet: Alphabet
@@ -68,6 +70,18 @@ class ChronologicalModel:
         """``cond_map(h, y)`` with each percept's probability paired with the
         state of the extended history; ``state`` is ``self.state(h)``."""
         return {x: (p, None) for x, p in self.cond_map(h, y).items()}
+
+    def mass(self, state: Any) -> Union[int, Fraction]:
+        """T, the mass of the history whose state this is; 1 for a model
+        whose ``step`` rows are probabilities."""
+        return 1
+
+    def weights(self, state: Any, h: History, y: Action) -> Dict[Percept, Tuple[Any, Any]]:
+        """The ``step`` row with each percept's probability p replaced by its
+        weight w = T * p, T = ``mass(state)``.  A model that overrides
+        ``mass`` gives each extended history the mass w; by default every
+        mass is 1 and w is p."""
+        return self.step(state, h, y)
 
     def key(self, state: Any, h: History) -> Hashable:
         """What fixes every future conditional after h: two histories of the
@@ -453,8 +467,10 @@ class MixtureModel(ChronologicalModel):
     component joint of h times ``_scale``, the lcm of the root masses'
     denominators (2^l_max for a program class).  So the masses of
     deterministic components stay integers, and they sum to the mixture
-    joint of h times ``_scale``.  ``step`` steps each survivor one cycle, so
-    a planner that carries the state never replays a history.
+    joint of h times ``_scale``: the node's ``mass``.  ``weights`` steps each
+    survivor one cycle and gives each percept its child's mass, so a planner
+    that carries the state never replays a history; ``step`` divides those
+    masses by the node's.
 
     ``leads``, when given, is the weight of each component's leader, the
     heaviest of the programs it stands for (``build_class_mixture``):
@@ -525,11 +541,15 @@ class MixtureModel(ChronologicalModel):
             ctx = append_cycle(ctx, y, x)
             yield node
 
-    def step(
+    def mass(self, state: MixtureNode) -> Union[int, Fraction]:
+        return state.mass
+
+    def weights(
         self, state: MixtureNode, h: History, y: Action
-    ) -> Dict[Percept, Tuple[Fraction, MixtureNode]]:
-        total = state.mass
-        if total == 0:
+    ) -> Dict[Percept, Tuple[Union[int, Fraction], MixtureNode]]:
+        """Each child's mass and node: the weight of a percept is the mass
+        of the history it extends h to."""
+        if state.mass == 0:
             raise UndefinedConditionalError(
                 "mixture conditional on a zero-mass history"
             )
@@ -537,7 +557,13 @@ class MixtureModel(ChronologicalModel):
         if len(children) > 1:  # the row lists its percepts in alphabet order
             rank = self._rank
             children = sorted(children, key=lambda xc: rank[xc[0]])
-        return {x: (Fraction(c.mass, total), c) for x, c in children}
+        return {x: (c.mass, c) for x, c in children}
+
+    def step(
+        self, state: MixtureNode, h: History, y: Action
+    ) -> Dict[Percept, Tuple[Fraction, MixtureNode]]:
+        total = state.mass
+        return {x: (Fraction(w, total), c) for x, (w, c) in self.weights(state, h, y).items()}
 
     def key(self, state: MixtureNode, h: History) -> Hashable:
         """The survivors' indices, masses and component keys."""

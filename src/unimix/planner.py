@@ -72,12 +72,17 @@ class ValueQuery:
         self.horizon = horizon
 
 
-# One expectimax decision: the smallest optimal action y*, the optimal value,
-# and the plan of each child reached by a percept under y* (none at m_k).  The
-# nested plans are the agent's own policy subtree down to m_k.
-Plan = Tuple[Action, Fraction, Dict[Percept, "Plan"]]
+# One expectimax decision: the smallest optimal action y*, U, T and the plan
+# of each child reached by a percept under y* (none at m_k).  T is the model's
+# mass at the node (1 for probability rows) and U = D * T * V, where V is the
+# optimal value and D the alphabet's reward scale, so the value is
+# ``Fraction(U, D * T)``.  The nested plans are the agent's own policy subtree
+# down to m_k.
+Plan = Tuple[Action, Union[int, Fraction], Union[int, Fraction], Dict[Percept, "Plan"]]
 
-_ZERO = Fraction(0)
+# The sum over an action's percepts before its first term.  A sum that is
+# ``is _ZERO`` (any int 0) takes its next term as it is: no 0 + Fraction.
+_ZERO = 0
 
 # The most distinct (key, t) nodes one decision may solve, and all the
 # decisions of one ``planning_policy`` together.  A decision of the tests or
@@ -100,8 +105,13 @@ def _plan(
 ) -> Plan:
     """Expectimax from cycle t (history h, model state ``state``) to m_k over
     ``actions`` (all of them by default).  A later action replaces the best
-    only when its value is strictly greater, so ties go to the smaller one;
-    the plans under every other action are dropped as soon as it loses.
+    only when its U is strictly greater, so ties go to the smaller one; the
+    plans under every other action are dropped as soon as it loses.
+
+    The sum is carried on the model's weights, with no division: U is the
+    max over y of the sum over x of w * D * r + (w / T_x) * U_x, where T_x
+    and U_x are the child's.  A child's mass is its weight (T_x = w) or 1,
+    so that term is U_x or w * U_x.
 
     Every node is solved once per decision: ``memo`` maps the model's key
     and t to the plan of every node solved so far, so histories that leave
@@ -118,23 +128,24 @@ def _plan(
         if plan is not None:
             return plan
     last = t == q.m_k
+    scaled, mass = model.alphabet.scaled_reward, model.mass(state)
     best: Optional[Plan] = None
     for y in model.alphabet.actions() if actions is None else actions:
-        v, plans = _ZERO, {}
-        for x, (p, child) in model.step(state, h, y).items():
-            if p == 0:
+        u, plans = _ZERO, {}
+        for x, (w, child) in model.weights(state, h, y).items():
+            if not w:
                 continue
-            r = discounted_reward(horizon, t, x.reward)
+            term = discounted_reward(horizon, t, scaled(x))
+            if w != 1:
+                term *= w
             if not last:
                 plans[x] = sub = _plan(
                     q, append_cycle(h, y, x), t + 1, child, memo=memo, cap=cap
                 )
-                r += sub[1]
-            if p != 1:
-                r *= p
-            v = r if v is _ZERO else v + r  # no 0 + r on the first term
-        if best is None or v > best[1]:
-            best = (y, v, plans)
+                term += sub[1] if sub[2] == w else w * sub[1]
+            u = term if u is _ZERO else u + term
+        if best is None or u > best[1]:
+            best = (y, u, mass, plans)
     if actions is None:
         if len(memo) >= cap:
             raise CapacityError(
@@ -144,15 +155,21 @@ def _plan(
     return best
 
 
+def _plan_value(plan: Plan, alphabet) -> Fraction:
+    """The optimal value V of a plan: its U over D * T."""
+    return Fraction(plan[1], alphabet.reward_scale * plan[2])
+
+
 def _decide(q: ValueQuery) -> Tuple[Action, Fraction]:
     """The lexicographically smallest optimal action and the optimal value."""
-    y, v, _ = _plan(q, q.history, q.k, q.model.state(q.history))
-    return y, v
+    plan = _plan(q, q.history, q.k, q.model.state(q.history))
+    return plan[0], _plan_value(plan, q.model.alphabet)
 
 
 def value_given_action(q: ValueQuery, y: Action) -> Fraction:
     """Expected reward sum over cycles k..m_k after committing to action y now."""
-    return _plan(q, q.history, q.k, q.model.state(q.history), (y,))[1]
+    plan = _plan(q, q.history, q.k, q.model.state(q.history), (y,))
+    return _plan_value(plan, q.model.alphabet)
 
 
 def value_opt(q: ValueQuery) -> Fraction:
@@ -206,7 +223,8 @@ def planning_policy(
                     "distinct belief states"
                 ) from None
             spent += len(memo)
-        y, values[k], plans = plan
+        y, _, _, plans = plan
+        values[k] = _plan_value(plan, model.alphabet)
         carried.clear()
         for x, sub in plans.items():
             carried[append_cycle(h, y, x), m_k] = sub
@@ -234,18 +252,25 @@ def forced_policy(p: Program, h0: History, budget: RunBudget, alphabet) -> Polic
 
 
 def sample_percept(rng: random.Random, row: Dict[Percept, Fraction], alphabet) -> Percept:
-    """Exact inverse-CDF draw from a (possibly sub-normalized) percept row."""
-    total = sum(row.values(), Fraction(0))
-    if total == 0:
+    """Exact inverse-CDF draw from a (possibly sub-normalized) percept row.
+
+    The row is scaled to ints W_x by the lcm of its denominators.  The draw
+    d is ``randrange(sum(W) // g)``, g = gcd(W), and the percept is the
+    first, in the alphabet's order, whose running sum of W_x passes d * g.
+    sum(W) // g is the lcm of the normalized row's denominators, so this is
+    the draw on the normalized row, with the same use of ``rng``."""
+    scale = math.lcm(*[p.denominator for p in row.values()])
+    weights = {x: p.numerator * (scale // p.denominator) for x, p in row.items()}
+    g = math.gcd(*weights.values())
+    if not g:
         raise UndefinedConditionalError("environment assigns no mass to any percept")
-    denom = math.lcm(*[(p / total).denominator for p in row.values()])
-    draw = rng.randrange(denom)
-    acc = Fraction(0)
+    draw = rng.randrange(sum(weights.values()) // g) * g
+    acc = 0
     for x in alphabet.percepts():
-        p = row.get(x)
-        if p is None:
+        w = weights.get(x)
+        if w is None:
             continue
-        acc += (p / total) * denom
+        acc += w
         if draw < acc:
             return x
     raise AssertionError("unreachable")
@@ -392,23 +417,27 @@ def functional_value(
     then following ``act``, a stepper that has been called on h and its
     prefixes.
 
-    The walk adds up child mass times discounted reward over the nodes the
-    policy reaches, so each environment is stepped once per distinct action
-    prefix; the stepper is forked at each percept branch.  An environment
-    that exhausts its budget contributes no further rewards from that cycle
-    on.
+    The walk adds up child mass times discounted reward, the reward times
+    the alphabet's ``reward_scale`` D, over the nodes the policy reaches, so
+    each environment is stepped once per distinct action prefix; the
+    stepper is forked at each percept branch.  The sum is divided once, by
+    the node's mass times D.  An environment that exhausts its budget
+    contributes no further rewards from that cycle on.
     """
     if len(h) != k - 1:
         raise ValueError("history length must be k-1 cycles")
     if not node.survivors:
         raise UndefinedConditionalError("no pool program is consistent with the history")
+    alphabet = node.mixture.alphabet
 
-    def walk(node: MixtureNode, y: Action, act: PolicyStepper, t: int, h: History) -> Fraction:
-        total = Fraction(0)
+    def walk(
+        node: MixtureNode, y: Action, act: PolicyStepper, t: int, h: History
+    ) -> Union[int, Fraction]:
+        total = 0
         children = node.step(h, y)
         last = len(children) - 1
         for i, (x, child) in enumerate(children.items()):
-            total += child.mass * discounted_reward(horizon, t, x.reward)
+            total += child.mass * discounted_reward(horizon, t, alphabet.scaled_reward(x))
             if t < m:
                 a = act if i == last else act.fork()
                 hx = append_cycle(h, y, x)
@@ -417,7 +446,7 @@ def functional_value(
 
     if m < k:
         return Fraction(0)
-    return walk(node, y, act, k, h) / node.mass
+    return Fraction(walk(node, y, act, k, h), node.mass * alphabet.reward_scale)
 
 
 def policy_value_functional(

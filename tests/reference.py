@@ -19,10 +19,16 @@ history walks written out as their own recursions, for the library's forms on
 the one context enumerator (``core.contexts``).
 ``run_best_vote`` is the best-vote run as its own interaction loop, with its
 own generator, percept draw, world state and tree node, for the best-vote
-policy that ``planner.run_interaction`` steps (``bestvote.best_vote_policy``)."""
+policy that ``planner.run_interaction`` steps (``bestvote.best_vote_policy``).
+``fraction_plan``, ``sample_percept`` and ``functional_value`` are the
+expectimax, the percept draw and the rollout value on normalized ``Fraction``
+probabilities, for the library's forms that sum integer masses and scaled
+rewards and divide once (``planner._plan``, ``planner.sample_percept``,
+``planner.functional_value``)."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -32,10 +38,11 @@ from unimix.bestvote import (
 )
 from unimix.cli import _Parser
 from unimix.core import (
-    EMPTY_HISTORY, FixedHorizon, Percept, append_cycle, encode_history, horizon_end,
+    EMPTY_HISTORY, CapacityError, FixedHorizon, Percept, append_cycle, discounted_reward,
+    encode_history, horizon_end,
 )
 from unimix.models import TabularModel, UndefinedConditionalError
-from unimix.planner import env_node, sample_percept
+from unimix.planner import PLAN_MEMO_CAP, env_node
 
 
 class MachineState:
@@ -294,3 +301,85 @@ def dominance_walk(
         )
 
     return walk(EMPTY_HISTORY)
+
+
+def fraction_plan(q, h, t, state, actions=None, memo=None, cap=PLAN_MEMO_CAP):
+    """The expectimax on the model's ``step`` probabilities: (y*, V, plans),
+    V the sum over x of p * (discounted reward + the child's V), with the
+    same memo on (key, t), cap and tie-breaking as ``planner._plan``."""
+    if memo is None:
+        memo = {}
+    model, horizon = q.model, q.horizon
+    if actions is None:
+        node = (model.key(state, h), t)
+        plan = memo.get(node)
+        if plan is not None:
+            return plan
+    last = t == q.m_k
+    best = None
+    for y in model.alphabet.actions() if actions is None else actions:
+        v, plans = Fraction(0), {}
+        for x, (p, child) in model.step(state, h, y).items():
+            if p == 0:
+                continue
+            r = discounted_reward(horizon, t, x.reward)
+            if not last:
+                plans[x] = sub = fraction_plan(
+                    q, append_cycle(h, y, x), t + 1, child, memo=memo, cap=cap
+                )
+                r += sub[1]
+            v += p * r
+        if best is None or v > best[1]:
+            best = (y, v, plans)
+    if actions is None:
+        if len(memo) >= cap:
+            raise CapacityError(
+                f"one decision solved more than {cap} distinct belief states"
+            )
+        memo[node] = best
+    return best
+
+
+def sample_percept(rng, row, alphabet):
+    """Inverse-CDF draw on the normalized row: ``randrange`` of the lcm of
+    the normalized probabilities' denominators, against their running sums
+    times it, in the alphabet's order."""
+    total = sum(row.values(), Fraction(0))
+    if total == 0:
+        raise UndefinedConditionalError("environment assigns no mass to any percept")
+    denom = math.lcm(*[(p / total).denominator for p in row.values()])
+    draw = rng.randrange(denom)
+    acc = Fraction(0)
+    for x in alphabet.percepts():
+        p = row.get(x)
+        if p is None:
+            continue
+        acc += (p / total) * denom
+        if draw < acc:
+            return x
+    raise AssertionError("unreachable")
+
+
+def functional_value(node, y, act, k, m, h, horizon=None):
+    """The rollout value as a ``Fraction`` sum: child mass times discounted
+    reward over the nodes the policy reaches, divided by the node's mass."""
+    if len(h) != k - 1:
+        raise ValueError("history length must be k-1 cycles")
+    if not node.survivors:
+        raise UndefinedConditionalError("no pool program is consistent with the history")
+
+    def walk(node, y, act, t, h):
+        total = Fraction(0)
+        children = node.step(h, y)
+        last = len(children) - 1
+        for i, (x, child) in enumerate(children.items()):
+            total += child.mass * discounted_reward(horizon, t, x.reward)
+            if t < m:
+                a = act if i == last else act.fork()
+                hx = append_cycle(h, y, x)
+                total += walk(child, a(hx), a, t + 1, hx)
+        return total
+
+    if m < k:
+        return Fraction(0)
+    return walk(node, y, act, k, h) / node.mass
