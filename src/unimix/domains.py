@@ -272,6 +272,8 @@ class FunctionClassSpec(Value):
         prior = tuple((tuple(f), Fraction(p)) for f, p in prior)
         r_max = Fraction(r_max)
         violations = _function_violations(num_actions, len(zs), prior)
+        if num_actions < 1:
+            violations.append(f"actions {num_actions} is below 1")
         if r_max < 0:
             violations.append(f"rmax {r_max} is below 0")
         if violations:
@@ -537,8 +539,11 @@ def make_heavenhell(i: int) -> FunctionalEnv:
 
 def make_onlyone(n: int, y_star: Action) -> FunctionalEnv:
     """Reward 1 exactly for the single correct action among n."""
-    if not (0 <= y_star < n):
-        raise ValueError("y_star must lie in [0, n)")
+    violations = [f"n={n} is below 1"] if n < 1 else []
+    if y_star < 0 or 1 <= n <= y_star:
+        violations.append(f"y_star={y_star} outside [0, n)")
+    if violations:
+        raise ValidationError(violations)
     alphabet = Alphabet(num_actions=n, num_observations=1, rewards=(Fraction(0), Fraction(1)))
     miss, hit = alphabet.percepts()
 

@@ -44,13 +44,10 @@ class UndefinedConditionalError(ValueError):
 
 
 class ChronologicalModel:
-    """Base class: subclasses supply ``alphabet`` and ``cond_map``.
-
-    A model that can extend a history more cheaply when it remembers how it
-    got there overrides ``state`` and ``step`` together.  A model whose
-    future depends on less than the whole history overrides ``key``.  A
-    model that keeps unnormalized masses overrides ``mass`` and ``weights``
-    together, so a planner can sum them and divide once.
+    """Base class: subclasses supply ``alphabet`` and ``cond_map``, or
+    ``state`` and ``weights``, plus ``mass`` when their weights are not
+    probabilities.  A model whose future depends on less than the whole
+    history overrides ``key``.
     """
 
     alphabet: Alphabet
@@ -63,29 +60,25 @@ class ChronologicalModel:
         raise NotImplementedError
 
     def state(self, h: History) -> Any:
-        """What ``step`` needs besides h to extend the complete history h."""
+        """What ``weights`` needs besides h to extend the complete history h."""
         return None
-
-    def step(self, state: Any, h: History, y: Action) -> Dict[Percept, Tuple[Fraction, Any]]:
-        """``cond_map(h, y)`` with each percept's probability paired with the
-        state of the extended history; ``state`` is ``self.state(h)``."""
-        return {x: (p, None) for x, p in self.cond_map(h, y).items()}
 
     def mass(self, state: Any) -> Union[int, Fraction]:
         """T, the mass of the history whose state this is; 1 for a model
-        whose ``step`` rows are probabilities."""
+        whose ``weights`` are probabilities."""
         return 1
 
     def weights(self, state: Any, h: History, y: Action) -> Dict[Percept, Tuple[Any, Any]]:
-        """The ``step`` row with each percept's probability p replaced by its
-        weight w = T * p, T = ``mass(state)``.  A model that overrides
+        """Each percept's weight w = T * p, p its probability given h and y
+        and T = ``mass(state)``, paired with the state of the extended
+        history; ``state`` is ``self.state(h)``.  A model that overrides
         ``mass`` gives each extended history the mass w; by default every
-        mass is 1 and w is p."""
-        return self.step(state, h, y)
+        mass is 1 and the row is ``cond_map(h, y)``'s."""
+        return {x: (p, None) for x, p in self.cond_map(h, y).items()}
 
     def key(self, state: Any, h: History) -> Hashable:
         """What fixes every future conditional after h: two histories of the
-        same length whose keys are equal get equal ``step`` rows for every
+        same length whose keys are equal get equal ``weights`` rows for every
         continuation, so a planner may solve them once.  ``state`` is
         ``self.state(h)``.  The default, h itself, merges nothing."""
         return h
@@ -309,7 +302,7 @@ class ProgramEnv(ChronologicalModel):
     state is the machine's ``vm.FrozenState`` after the history's actions, or
     None once a cycle has timed out; the state is also its key.
 
-    ``step`` runs each (state, action) pair on the machine once per model:
+    ``weights`` runs each (state, action) pair on the machine once per model:
     it keeps every row it computes in a transition table and answers a
     repeat from there, so the planner, the ``posterior_top`` column and
     best vote, which share their mixture's components for a run, share its
@@ -317,7 +310,7 @@ class ProgramEnv(ChronologicalModel):
     action (its other input, the reward channel, is always 0 for an
     environment), so it keys its rows by (state, None): one cycle answers
     every action.  The table holds at most one row per machine cycle run,
-    never more than the cycles a ``step`` without it would run, and it lives
+    never more than the cycles a ``weights`` without it would run, and it lives
     as long as the model.  ``build_class_mixture`` hands each env it makes
     the rows its build ran for the program.  Rows are shared: callers must
     not mutate them.
@@ -328,7 +321,7 @@ class ProgramEnv(ChronologicalModel):
         self.budget = budget
         self.alphabet = alphabet
         self._reads_action = program._reads_input
-        # (state, action, or None for a program that never reads it) -> step's row
+        # (state, action, or None for a program that never reads it) -> its row
         self._table: Dict[Tuple[FrozenState, Optional[Action]], Dict[Percept, tuple]] = {}
 
     def state(self, h: History) -> Optional[FrozenState]:
@@ -336,13 +329,13 @@ class ProgramEnv(ChronologicalModel):
         machine; h's percepts are not checked."""
         s = FRESH
         for y in h.actions():
-            row = self.step(s, h, y)
+            row = self.weights(s, h, y)
             if not row:
                 return None
             ((_, s),) = row.values()
         return s
 
-    def step(
+    def weights(
         self, state: Optional[FrozenState], h: History, y: Action
     ) -> Dict[Percept, Tuple[Fraction, FrozenState]]:
         k = (state, y if self._reads_action else None)
@@ -360,7 +353,7 @@ class ProgramEnv(ChronologicalModel):
         return state
 
     def cond_map(self, h: History, y: Action) -> Dict[Percept, Fraction]:
-        return {x: p for x, (p, _) in self.step(self.state(h), h, y).items()}
+        return {x: p for x, (p, _) in self.weights(self.state(h), h, y).items()}
 
     def joint(self, h: History) -> Fraction:
         percepts, ok, _ = replay_env(self.program, h.actions(), self.budget, self.alphabet)
@@ -431,12 +424,15 @@ class MixtureNode:
         comps = self.mixture.components
         split: Dict[Percept, list] = {}
         for i, mass, s in self.survivors:
-            for x, (p, child) in comps[i][2].step(s, h, y).items():
+            model = comps[i][2]
+            for x, (w, child) in model.weights(s, h, y).items():
                 # A program's row carries the shared _ONE: no Fraction compare.
-                if p is _ONE:
+                if w is _ONE:
                     split.setdefault(x, []).append((i, mass, child))
-                elif p:
-                    split.setdefault(x, []).append((i, mass if p == 1 else mass * p, child))
+                elif w:
+                    t = model.mass(s)  # not 1 only for a nested mixture
+                    m = mass if w == t else mass * w if t == 1 else Fraction(mass * w, t)
+                    split.setdefault(x, []).append((i, m, child))
         return {x: MixtureNode(self.mixture, tuple(v)) for x, v in split.items()}
 
     def child(self, h: History, y: Action, x: Percept) -> "MixtureNode":
@@ -462,15 +458,15 @@ class MixtureModel(ChronologicalModel):
     program pool (``build_mixture``), or any such semimeasure-class weights.
 
     The state after a history h is the consistent-environment tree's node
-    after h (``MixtureNode``), a fresh tree per ``state`` call; ``step``
+    after h (``MixtureNode``), a fresh tree per ``state`` call; ``weights``
     splits it without keeping the children.  A survivor's mass is weight *
     component joint of h times ``_scale``, the lcm of the root masses'
     denominators (2^l_max for a program class).  So the masses of
     deterministic components stay integers, and they sum to the mixture
     joint of h times ``_scale``: the node's ``mass``.  ``weights`` steps each
     survivor one cycle and gives each percept its child's mass, so a planner
-    that carries the state never replays a history; ``step`` divides those
-    masses by the node's.
+    that carries the state never replays a history; ``cond_map`` divides
+    those masses by the node's.
 
     ``leads``, when given, is the weight of each component's leader, the
     heaviest of the programs it stands for (``build_class_mixture``):
@@ -559,12 +555,6 @@ class MixtureModel(ChronologicalModel):
             children = sorted(children, key=lambda xc: rank[xc[0]])
         return {x: (c.mass, c) for x, c in children}
 
-    def step(
-        self, state: MixtureNode, h: History, y: Action
-    ) -> Dict[Percept, Tuple[Fraction, MixtureNode]]:
-        total = state.mass
-        return {x: (Fraction(w, total), c) for x, (w, c) in self.weights(state, h, y).items()}
-
     def key(self, state: MixtureNode, h: History) -> Hashable:
         """The survivors' indices, masses and component keys."""
         comps = self.components
@@ -574,7 +564,8 @@ class MixtureModel(ChronologicalModel):
         return Fraction(self.state(h).mass, self._scale)
 
     def cond_map(self, h: History, y: Action) -> Dict[Percept, Fraction]:
-        return {x: p for x, (p, _) in self.step(self.state(h), h, y).items()}
+        node = self.state(h)
+        return {x: Fraction(w, node.mass) for x, (w, _) in self.weights(node, h, y).items()}
 
 
 def build_mixture(
@@ -767,18 +758,20 @@ def expected_sum(
     h_t runs over the mu-possible extensions of h by t-1-len(h) cycles, with
     actions y_t = feed(h_t) and percept row row_t = mu.cond_map(h_t, y_t);
     zero-probability percepts are not followed.  The walk carries mu's
-    state, so it takes each row from ``mu.step`` and replays no history.
+    state, so it takes each row from ``mu.weights``, each weight over
+    ``mu.mass``, and replays no history.
     """
 
     def walk(h: History, state: Any) -> Fraction:
         t = len(h) + 1
         y = feed(h)
-        step = mu.step(state, h, y)
-        total = score(h, t, y, {x: p for x, (p, _) in step.items()})
+        weights, mass = mu.weights(state, h, y), mu.mass(state)
+        row = {x: w if mass == 1 else Fraction(w, mass) for x, (w, _) in weights.items()}
+        total = score(h, t, y, row)
         if t < n:
-            for x, (p, child) in step.items():
+            for x, p in row.items():
                 if p:
-                    total += p * walk(append_cycle(h, y, x), child)
+                    total += p * walk(append_cycle(h, y, x), weights[x][1])
         return total
 
     if len(h) >= n:

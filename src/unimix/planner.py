@@ -252,7 +252,7 @@ def forced_policy(p: Program, h0: History, budget: RunBudget, alphabet) -> Polic
 
 
 def sample_percept(rng: random.Random, row: Dict[Percept, Fraction], alphabet) -> Percept:
-    """Exact inverse-CDF draw from a (possibly sub-normalized) percept row.
+    """Exact inverse-CDF draw from a percept row of int or ``Fraction`` weights.
 
     The row is scaled to ints W_x by the lcm of its denominators.  The draw
     d is ``randrange(sum(W) // g)``, g = gcd(W), and the percept is the
@@ -287,8 +287,8 @@ def run_interaction(
     policy such as a ``ProgramStepper`` or ``bestvote.best_vote_policy``
     carries what it has seen), and the world answers its action.
 
-    The world's percept is drawn by ``sample_percept`` from its ``step`` row
-    (the same row, and so the same draw, as ``cond_map``'s) with a seeded
+    The world's percept is drawn by ``sample_percept`` from its ``weights``
+    row (``cond_map``'s times its mass: the same draw) with a seeded
     generator, so runs are deterministic given (agent, env, seed).  The
     world's state is carried from cycle to cycle, so no history is replayed.
     """
@@ -297,8 +297,8 @@ def run_interaction(
     state = env.state(h)
     for _ in range(lifetime):
         y = agent(h)
-        row = env.step(state, h, y)
-        x = sample_percept(rng, {x: p for x, (p, _) in row.items()}, env.alphabet)
+        row = env.weights(state, h, y)
+        x = sample_percept(rng, {x: w for x, (w, _) in row.items()}, env.alphabet)
         state = row[x][1]
         h = append_cycle(h, y, x)
     return h

@@ -178,9 +178,9 @@ def run_best_vote(pool, budget, env, lifetime, horizon=None, seed=0, leaders=Non
     """Full best-vote run with the pool's programs as both the candidates and
     the environment pool, in its own loop: each cycle a round
     (``bestvote.best_vote_cycle``) on the carried tree node, a percept drawn
-    from the world's ``step`` row, then the node and the world's state
-    stepped on it.  ``leaders``, when given, gets the node's ``top()``
-    before each cycle.  Returns (history, selection rows)."""
+    from the world's normalized ``weights`` row, then the node and the
+    world's state stepped on it.  ``leaders``, when given, gets the node's
+    ``top()`` before each cycle.  Returns (history, selection rows)."""
     candidates = [ExtendedCandidate.from_program(p) for p in pool]
     alphabet = env.alphabet
     hpol = horizon if horizon is not None else FixedHorizon(lifetime)
@@ -195,8 +195,8 @@ def run_best_vote(pool, budget, env, lifetime, horizon=None, seed=0, leaders=Non
             leaders.append(node.top())
         y, rows = bestvote.best_vote_cycle(candidates, h, node, budget, alphabet, m_k, horizon)
         log.extend(rows)
-        row = env.step(state, h, y)
-        x = sample_percept(rng, {x: p for x, (p, _) in row.items()}, alphabet)
+        row, mass = env.weights(state, h, y), env.mass(state)
+        x = sample_percept(rng, {x: Fraction(w, mass) for x, (w, _) in row.items()}, alphabet)
         state = row[x][1]
         node = node.child(h, y, x)
         h = append_cycle(h, y, x)
@@ -304,9 +304,10 @@ def dominance_walk(
 
 
 def fraction_plan(q, h, t, state, actions=None, memo=None, cap=PLAN_MEMO_CAP):
-    """The expectimax on the model's ``step`` probabilities: (y*, V, plans),
-    V the sum over x of p * (discounted reward + the child's V), with the
-    same memo on (key, t), cap and tie-breaking as ``planner._plan``."""
+    """The expectimax on the model's probabilities, its ``weights`` over its
+    ``mass``: (y*, V, plans), V the sum over x of p * (discounted reward +
+    the child's V), with the same memo on (key, t), cap and tie-breaking as
+    ``planner._plan``."""
     if memo is None:
         memo = {}
     model, horizon = q.model, q.horizon
@@ -316,10 +317,11 @@ def fraction_plan(q, h, t, state, actions=None, memo=None, cap=PLAN_MEMO_CAP):
         if plan is not None:
             return plan
     last = t == q.m_k
-    best = None
+    best, mass = None, model.mass(state)
     for y in model.alphabet.actions() if actions is None else actions:
         v, plans = Fraction(0), {}
-        for x, (p, child) in model.step(state, h, y).items():
+        for x, (w, child) in model.weights(state, h, y).items():
+            p = Fraction(w, mass)
             if p == 0:
                 continue
             r = discounted_reward(horizon, t, x.reward)

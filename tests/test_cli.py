@@ -408,31 +408,41 @@ class TestMain:
         assert err.count("validation error:") == 3
 
     @pytest.mark.parametrize(
-        "extras",
+        "extras, named",
         [
-            "scenario=onlyone\nn=x\n",
-            "scenario=sg\n",
-            "scenario=tabular\nenv_file=no-such-file.txt\n",
-            "scenario=sp\nsequences=0:1/2;1:1/4\n",
-            "scenario=heavenhell\ni=5\n",
-            "scenario=tabular\nenv_file=truncated.txt\n",
+            ("scenario=onlyone\nn=x\n", "scenario=onlyone: "),
+            ("scenario=sg\n", "'env_file'"),
+            ("scenario=tabular\nenv_file=no-such-file.txt\n", "no-such-file.txt"),
+            ("scenario=sp\nsequences=0:1/2;1:1/4\n", "scenario=sp: "),
+            ("scenario=heavenhell\ni=5\n", "i must be 0 or 1"),
+            ("scenario=tabular\nenv_file=truncated.txt\n", "truncated.txt: line 5: "),
+            ("scenario=onlyone\nn=0\n", "validation error: n=0 is below 1\n"),
+            ("scenario=onlyone\nn=-1\n", "validation error: n=-1 is below 1\n"),
+            ("scenario=onlyone\nn=4\ny_star=4\n", "validation error: y_star=4 outside [0, n)\n"),
+            (
+                "scenario=fm\nenv_file=no-actions.txt\n",
+                "validation error: no-actions.txt: actions 0 is below 1\n",
+            ),
         ],
         ids=[
             "n-not-int", "sg-no-env-file", "missing-env-file",
-            "sp-mass", "i-5", "truncated-key",
+            "sp-mass", "i-5", "truncated-key", "n-0", "n-negative", "y-star-n",
+            "fm-no-actions",
         ],
     )
     def test_bad_scenario_extras_exit_1_without_a_traceback(
-        self, extras, tmp_path, monkeypatch, capsys
+        self, extras, named, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "truncated.txt").write_text(
             "actions=2\nobservations=1\nrewards=0,1\ndepth=1\ny:0 r:1/1 | 1/2 1/2\n"
         )
+        (tmp_path / "no-actions.txt").write_text("actions=0\nz=0,1\n | 1\n")
         (tmp_path / "cfg.txt").write_text(extras + "lifetime=2\n")
         assert main(["run", "--config", "cfg.txt"]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("validation error: ")
+        assert named in err
         assert "Traceback" not in err
 
     def test_the_readme_config_example_runs(self, tmp_path, capsys):

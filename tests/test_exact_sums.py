@@ -10,7 +10,9 @@ or divides."""
 
 import ast
 import inspect
+import os
 import random
+import sys
 import textwrap
 from fractions import Fraction
 
@@ -32,7 +34,7 @@ from unimix.core import (
 )
 from unimix.domains import FunctionClassSpec, make_fm_env, uniform_function_class
 from unimix.models import (
-    MixtureModel,
+    MixtureNode,
     UndefinedConditionalError,
     build_class_mixture,
     build_mixture,
@@ -109,6 +111,10 @@ def test_the_integer_sums_build_no_fraction_and_divide_nowhere():
         _function(planner.sample_percept),
     ):
         assert list(_fractions_and_divisions(fn)) == [], fn.name
+    # A split may build a Fraction for a nested mixture's mass, but never
+    # divides: ``/`` on two ints is a float.
+    split = _function(MixtureNode.split)
+    assert [op for _, op in _fractions_and_divisions(split)] in ([], ["Fraction(...)"])
 
 
 # --- The expectimax ----------------------------------------------------------
@@ -199,23 +205,26 @@ def test_the_integer_expectimax_equals_the_fraction_expectimax(case):
         assert new == old
 
 
-def test_an_informed_fm_run_steps_the_mixture_only_for_the_worlds_draws(monkeypatch):
-    """The planner reads the mixture's integer weights; only the world's
-    percept draws, one a cycle, ask ``MixtureModel.step`` for probabilities."""
-    calls = []
-    step = MixtureModel.step
+def test_an_informed_fm_run_builds_fractions_only_for_its_reported_values(monkeypatch):
+    """The planner and the world's percept draws read the mixture's integer
+    weights; ``planner.py`` and ``models.py`` build a ``Fraction`` only to
+    report each decision's value, one a cycle."""
+    built = []
+    new = Fraction.__new__
 
-    def counting(self, *args):
-        calls.append(len(args[1]))
-        return step(self, *args)
+    def counting(cls, *args, **kwargs):
+        caller = sys._getframe(1).f_code
+        if os.path.basename(caller.co_filename) in ("planner.py", "models.py"):
+            built.append(caller.co_name)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(MixtureModel, "step", counting)
+    monkeypatch.setattr(Fraction, "__new__", counting)
     for seed in (0, 1):
-        calls.clear()
+        built.clear()
         run_scenario(parse_config(
             f"scenario=fm\nagent=informed\nclass=uniform16\nlifetime=3\nseed={seed}\n"
         ))
-        assert calls == [0, 1, 2]
+        assert built == ["_plan_value"] * 3
 
 
 # --- The percept draw --------------------------------------------------------

@@ -123,17 +123,17 @@ def test_a_node_keeps_what_it_steps_and_not_what_it_splits(
     binary_alphabet, budget, pool8, monkeypatch
 ):
     steps = []
-    program_step = ProgramEnv.step
+    program_weights = ProgramEnv.weights
 
     def counting(self, *args):
         steps.append(self)
-        return program_step(self, *args)
+        return program_weights(self, *args)
 
-    monkeypatch.setattr(ProgramEnv, "step", counting)
+    monkeypatch.setattr(ProgramEnv, "weights", counting)
     m = build_mixture(pool8, budget, binary_alphabet)
     node = m.state(EMPTY_HISTORY)
     n = len(node.survivors)
-    m.step(node, EMPTY_HISTORY, 0)  # the expectimax's split keeps no children
+    m.weights(node, EMPTY_HISTORY, 0)  # the expectimax's split keeps no children
     node.split(EMPTY_HISTORY, 0)
     assert len(steps) == 2 * n
     children = node.step(EMPTY_HISTORY, 0)  # a shared walk's step keeps them
@@ -491,7 +491,7 @@ def mixtures_and_histories(draw):
         alphabet,
     )
     nested = MixtureModel(
-        [("inner", Fraction(1, 2), inner)]
+        [("inner", Fraction(1, 3), inner)]
         + [(q.to_hex(), q.weight / 2, ProgramEnv(q, budget, alphabet)) for q in pool[1::2]],
         alphabet,
     )
@@ -532,8 +532,8 @@ def test_stepped_state_equals_from_scratch_sums(case):
                 if jx:
                     expected[x] = jx / jh
             assert m.cond_map(h, y) == expected
-            stepped = m.step(state, h, y)
-            assert {x: p for x, (p, _) in stepped.items()} == expected
+            stepped = m.weights(state, h, y)
+            assert {x: Fraction(w, m.mass(state)) for x, (w, _) in stepped.items()} == expected
             for x, (_, child) in stepped.items():
                 assert child == m.state(append_cycle(h, y, x))
 
@@ -576,9 +576,9 @@ def test_the_class_mixture_equals_the_program_mixture_up_to_its_depth(case):
         assert classes.joint(h) == plain.joint(h) > 0
         assert plan(classes, h, depth) == plan(plain, h, depth)
         for y in alphabet.actions():
-            c_row, p_row = classes.step(cs, h, y), plain.step(ps, h, y)
-            assert {x: p for x, (p, _) in c_row.items()} == {
-                x: p for x, (p, _) in p_row.items()
+            c_row, p_row = classes.weights(cs, h, y), plain.weights(ps, h, y)
+            assert {x: Fraction(w, classes.mass(cs)) for x, (w, _) in c_row.items()} == {
+                x: Fraction(w, plain.mass(ps)) for x, (w, _) in p_row.items()
             }
             if len(h) + 1 < depth:
                 for x, (_, child) in c_row.items():

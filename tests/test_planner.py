@@ -232,8 +232,11 @@ class Unmerged(ChronologicalModel):
     def state(self, h):
         return self.model.state(h)
 
-    def step(self, state, h, y):
-        return self.model.step(state, h, y)
+    def weights(self, state, h, y):
+        return self.model.weights(state, h, y)
+
+    def mass(self, state):
+        return self.model.mass(state)
 
     def cond_map(self, h, y):
         return self.model.cond_map(h, y)
@@ -365,7 +368,7 @@ def test_informed_onlyone_solves_one_node_per_cycle():
 
 def test_a_heavenhell_mixture_solves_each_belief_state_once(pool12):
     xi = build_mixture(pool12, RunBudget(64), make_heavenhell(0).alphabet)
-    calls = count_calls(xi, "step")
+    calls = count_calls(xi, "weights")
     first_decision(xi, 8)
     assert len(calls) <= 250  # 2,458 on the whole history tree
 
@@ -408,7 +411,7 @@ PROGRAMS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(PROGRAMS, st.integers(1, 8), st.sampled_from(ALPHABETS), st.data())
 def test_a_tabled_program_steps_as_a_copied_machine(q, steps, alphabet, data):
-    """``ProgramEnv.step`` answers from its table what copying the machine
+    """``ProgramEnv.weights`` answers from its table what copying the machine
     and running one ``env_cycle`` gives, on states and actions visited in
     any order, and against a fresh model whose table is empty."""
     budget = RunBudget(steps)  # below 6, TAPE always times out
@@ -426,7 +429,7 @@ def test_a_tabled_program_steps_as_a_copied_machine(q, steps, alphabet, data):
         # env.state(h') below walks env's table through this pair too.
         if state is not None:
             pairs.add((state, y if reads_action else None))
-        row = model.step(state, h, y)
+        row = model.weights(state, h, y)
         if machine is None:
             assert state is None and row == {}
             continue

@@ -13,7 +13,10 @@ ALLOWED = {
     "evaluate._policy_count": "counts the policies first, to refuse an oversized enumeration",
     "evaluate.all_policy_values.values": "every deterministic policy's value, by brute force",
     "models.build_class_mixture.signature": "a machine state's behaviour, memoized per depth",
-    "models.expected_sum.walk": "an expectation under a policy; one fold with the rollout waits",
+    "models.expected_sum.walk": (
+        "an expectation over any model's rows: it keeps no children, and the"
+        " rollout, which does, is checked against it"
+    ),
     "planner._plan": "the expectimax: a max over actions of sums over percepts",
     "planner.functional_value.walk": "a rollout that reuses the mixture tree's cached children",
     "vm.enumerate_programs.walk": "the prefix-free codes, in lexicographic order",
