@@ -9,6 +9,7 @@ and the action of the highest surviving claim is played.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from . import vm
@@ -58,6 +59,8 @@ class ExtendedCandidate:
     cycle: the claim, then the action) or a pure oracle function of the
     history.  Runtime state is incremental across cycles: a program's is its
     frozen machine state, which a copy shares."""
+
+    __slots__ = ("label", "sort_key", "program", "oracle", "state", "cycles_run", "last")
 
     def __init__(
         self,
@@ -272,13 +275,23 @@ def validate_claim(
     return claim.w <= v
 
 
-class SelectionRow(Value):
-    __slots__ = (
-        "cycle", "candidate", "claimed_w", "valid", "selected", "action", "steps_used",
-    )
+class SelectionRow(tuple):
+    """One candidate's line of a best-vote round, its fields in the column
+    order of ``selection.csv``: cycle, candidate, claimed_w, valid,
+    selected, action and steps_used.
 
-    def __init__(
-        self,
+    A tuple, not a ``core.Value``: a round makes one per candidate, and a
+    tuple is built in one call where a ``Value`` sets each field with its
+    own call.  It keeps the ``Value`` contract: a row equals only a row,
+    never a plain tuple; hash and repr go over the fields; and no attribute
+    can be assigned or deleted.
+    """
+
+    __slots__ = ()
+    _fields = ("cycle", "candidate", "claimed_w", "valid", "selected", "action", "steps_used")
+
+    def __new__(
+        cls,
         cycle: int,
         candidate: str,
         claimed_w: Union[int, Fraction],
@@ -287,13 +300,31 @@ class SelectionRow(Value):
         action: Action,
         steps_used: int,
     ):
-        set_field(self, "cycle", cycle)
-        set_field(self, "candidate", candidate)
-        set_field(self, "claimed_w", claimed_w)
-        set_field(self, "valid", valid)
-        set_field(self, "selected", selected)
-        set_field(self, "action", action)
-        set_field(self, "steps_used", steps_used)
+        return tuple.__new__(
+            cls, (cycle, candidate, claimed_w, valid, selected, action, steps_used)
+        )
+
+    cycle = property(itemgetter(0))
+    candidate = property(itemgetter(1))
+    claimed_w = property(itemgetter(2))
+    valid = property(itemgetter(3))
+    selected = property(itemgetter(4))
+    action = property(itemgetter(5))
+    steps_used = property(itemgetter(6))
+
+    # A tuple compares equal to any tuple of the same items, a subclass's
+    # too, so both answers are given here rather than left to tuple.
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self))
+        return f"SelectionRow({body})"
 
 
 def selection_first(candidates: Sequence[ExtendedCandidate]) -> int:
@@ -318,9 +349,10 @@ def best_vote_cycle(
     when no claim is both positive and valid that is ``selection_first``.
 
     A program candidate's claim stays plain values.  The node, the previous
-    percept's inputs and U are found once for the round, ``claim_verdict``
-    judges every claim, and only a claim in (0, U] becomes a ``Claim`` and
-    is walked by ``validate_claim``.
+    percept's inputs and U are found once for the round, and
+    ``claim_verdict`` judges every claim against that U.  Only a claim in
+    (0, U] becomes a ``Claim`` and is walked by ``validate_claim``, which
+    finds U again for each claim it walks.
     """
     if not candidates:
         raise ValueError("no candidates")
@@ -351,18 +383,15 @@ def best_vote_cycle(
         rows.append(SelectionRow(k, c.label, w, valid, False, y, steps))
     if best is None:
         best = selection_first(candidates)
-    r = rows[best]
-    rows[best] = SelectionRow(k, r.candidate, r.claimed_w, r.valid, True, r.action, r.steps_used)
-    return r.action, rows
+    cycle, label, w, valid, _, y, steps = rows[best]
+    rows[best] = SelectionRow(cycle, label, w, valid, True, y, steps)
+    return y, rows
 
 
 def selection_log_csv(rows: Sequence[SelectionRow]) -> str:
-    lines = ["cycle,candidate,claimed_w,valid,selected,action,steps_used"]
-    for r in rows:
-        lines.append(
-            f"{r.cycle},{r.candidate},{r.claimed_w},{int(r.valid)},"
-            f"{int(r.selected)},{r.action},{r.steps_used}"
-        )
+    # A row formats as the tuple it is: %d writes valid and selected as 1 or 0.
+    lines = [",".join(SelectionRow._fields)]
+    lines += ["%d,%s,%s,%d,%d,%d,%d" % row for row in rows]
     return "\n".join(lines) + "\n"
 
 

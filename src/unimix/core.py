@@ -228,8 +228,13 @@ class Alphabet(Value):
         num_observations: int = 1,
         rewards: tuple = (Fraction(0), Fraction(1)),
     ):
-        if num_actions < 1 or num_observations < 1:
-            raise ValueError("alphabet sizes must be >= 1")
+        small = [
+            f"{name} {n} is below 1"
+            for name, n in (("actions", num_actions), ("observations", num_observations))
+            if n < 1
+        ]
+        if small:
+            raise ValidationError(small)
         if num_actions > ACTION_CAP:
             raise CapacityError(f"more than {ACTION_CAP} actions in an alphabet")
         rewards = tuple(Fraction(r) for r in rewards)

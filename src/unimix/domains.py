@@ -154,12 +154,14 @@ class GameSpec(Value):
 def _game_violations(
     rounds: int, num_moves: int, num_replies: int, leaves: dict, counted: bool
 ) -> List[str]:
-    """What is wrong with a game: each leaf no play reaches and each leaf of
-    negative value, named by its move sequence, and, when ``counted`` and
-    every leaf is in range, a leaf count other than (moves * replies)^rounds,
-    with the first missing leaf."""
-    if rounds < 1 or num_moves < 1 or num_replies < 1:
-        return ["rounds and move counts must be >= 1"]
+    """What is wrong with a game: each of its counts below 1, and otherwise
+    each leaf no play reaches and each leaf of negative value, named by its
+    move sequence, and, when ``counted`` and every leaf is in range, a leaf
+    count other than (moves * replies)^rounds, with the first missing leaf."""
+    counts = (("rounds", rounds), ("moves", num_moves), ("replies", num_replies))
+    small = [f"{name} {n} is below 1" for name, n in counts if n < 1]
+    if small:
+        return small
     sizes = (num_moves, num_replies)
     found, in_range = [], True
     for k, v in leaves.items():

@@ -464,9 +464,12 @@ class MixtureModel(ChronologicalModel):
     denominators (2^l_max for a program class).  So the masses of
     deterministic components stay integers, and they sum to the mixture
     joint of h times ``_scale``: the node's ``mass``.  ``weights`` steps each
-    survivor one cycle and gives each percept its child's mass, so a planner
-    that carries the state never replays a history; ``cond_map`` divides
-    those masses by the node's.
+    survivor one cycle and gives each percept its child's mass, so a caller
+    that carries the node from cycle to cycle (``MixtureNode.child``, as best
+    vote does) never replays a history.  ``planning_policy`` does not carry
+    it: each decision it solves afresh calls ``state``, which replays the
+    history on a fresh tree.  ``cond_map`` divides those masses by the
+    node's.
 
     ``leads``, when given, is the weight of each component's leader, the
     heaviest of the programs it stands for (``build_class_mixture``):
@@ -491,8 +494,12 @@ class MixtureModel(ChronologicalModel):
         if sum(w.numerator * (d // w.denominator) for w in weights) > d:
             raise ValueError("component weights must sum to <= 1")
         # The rows are ordered by the alphabet's percepts, so every component
-        # must answer in that alphabet.
-        if any(m.alphabet != alphabet for _, _, m in self.components):
+        # must answer in that alphabet; most share the mixture's own object,
+        # and the identity check spares them a field-by-field compare.
+        if any(
+            m.alphabet is not alphabet and m.alphabet != alphabet
+            for _, _, m in self.components
+        ):
             raise ValueError("every component must have the mixture's alphabet")
         self.alphabet = alphabet
         self._rank = {x: i for i, x in enumerate(alphabet.percepts())}
@@ -510,7 +517,7 @@ class MixtureModel(ChronologicalModel):
         masses = []
         for _, w, m in self.components:
             b = m.base_mass()
-            masses.append(w if b == 1 else w * b)
+            masses.append(w if b is _ONE or b == 1 else w * b)
         self._scale = math.lcm(*(r.denominator for r in masses))
         self._root = tuple(
             (i, r.numerator * (self._scale // r.denominator), m.state(EMPTY_HISTORY))

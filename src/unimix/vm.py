@@ -18,6 +18,7 @@ state it forks.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import Action, Alphabet, History, Value, set_field
@@ -67,6 +68,14 @@ class Instruction(Value):
         set_field(self, "arg", arg)
 
 
+@lru_cache(maxsize=64)
+def _weight(length_bits: int) -> Fraction:
+    """2^-length_bits, one shared object per length: a pool's programs have
+    at most l_max lengths, so a mixture or best-vote build over the pool
+    makes that many ``Fraction``s, not one per program."""
+    return Fraction(1, 2**length_bits)
+
+
 # Bits 0 and 1 as the ASCII digits ``int(..., 2)`` reads.
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -95,7 +104,7 @@ class Program(Value):
 
     @property
     def weight(self) -> Fraction:
-        return Fraction(1, 2 ** self.length_bits)
+        return _weight(self.length_bits)
 
     def to_hex(self) -> str:
         if self._hex is None:

@@ -20,6 +20,9 @@ the one context enumerator (``core.contexts``).
 ``run_best_vote`` is the best-vote run as its own interaction loop, with its
 own generator, percept draw, world state and tree node, for the best-vote
 policy that ``planner.run_interaction`` steps (``bestvote.best_vote_policy``).
+``selection_log_csv`` is the selection log written by reading each row's
+fields by name, for the library's writer that formats each row as the tuple
+it is (``bestvote.selection_log_csv``).
 ``fraction_plan``, ``sample_percept`` and ``functional_value`` are the
 expectimax, the percept draw and the rollout value on normalized ``Fraction``
 probabilities, for the library's forms that sum integer masses and scaled
@@ -172,6 +175,16 @@ def best_vote_cycle(candidates, h, envs, budget, alphabet, m_k, horizon=None):
         for c, claim, valid, _ in entries
     ]
     return best[1].y, rows
+
+
+def selection_log_csv(rows):
+    lines = ["cycle,candidate,claimed_w,valid,selected,action,steps_used"]
+    for r in rows:
+        lines.append(
+            f"{r.cycle},{r.candidate},{r.claimed_w},{int(r.valid)},"
+            f"{int(r.selected)},{r.action},{r.steps_used}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def run_best_vote(pool, budget, env, lifetime, horizon=None, seed=0, leaders=None):

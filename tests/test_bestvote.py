@@ -198,6 +198,27 @@ class TestBestVoteCycle:
         assert lines[1].startswith("1,")
 
 
+_ROWS = st.builds(
+    bestvote.SelectionRow,
+    st.integers(1, 64),
+    st.sampled_from(["9:088", "13:0a1c", "best-vote", "honest"]),
+    st.one_of(
+        st.integers(0, 2**70),
+        st.fractions(min_value=0, max_value=10, max_denominator=10**6),
+    ),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 15),
+    st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ROWS, max_size=8))
+def test_the_log_writer_writes_what_the_field_reading_one_wrote(rows):
+    assert selection_log_csv(rows) == reference.selection_log_csv(rows)
+
+
 class TestRunBestVote:
     def test_run_is_deterministic(self, budget, pool6):
         env = make_heavenhell(1)

@@ -423,11 +423,22 @@ class TestMain:
                 "scenario=fm\nenv_file=no-actions.txt\n",
                 "validation error: no-actions.txt: actions 0 is below 1\n",
             ),
+            (
+                "scenario=tabular\nenv_file=zero-tabular.txt\n",
+                "validation error: zero-tabular.txt: actions 0 is below 1\n"
+                "validation error: zero-tabular.txt: observations 0 is below 1\n",
+            ),
+            (
+                "scenario=sg\nenv_file=zero-game.txt\n",
+                "validation error: zero-game.txt: rounds 0 is below 1\n"
+                "validation error: zero-game.txt: moves 0 is below 1\n"
+                "validation error: zero-game.txt: replies 0 is below 1\n",
+            ),
         ],
         ids=[
             "n-not-int", "sg-no-env-file", "missing-env-file",
             "sp-mass", "i-5", "truncated-key", "n-0", "n-negative", "y-star-n",
-            "fm-no-actions",
+            "fm-no-actions", "tabular-zero-counts", "sg-zero-counts",
         ],
     )
     def test_bad_scenario_extras_exit_1_without_a_traceback(
@@ -438,6 +449,10 @@ class TestMain:
             "actions=2\nobservations=1\nrewards=0,1\ndepth=1\ny:0 r:1/1 | 1/2 1/2\n"
         )
         (tmp_path / "no-actions.txt").write_text("actions=0\nz=0,1\n | 1\n")
+        (tmp_path / "zero-tabular.txt").write_text(
+            "actions=0\nobservations=0\nrewards=0,1\ndepth=0\n"
+        )
+        (tmp_path / "zero-game.txt").write_text("rounds=0\nmoves=0\nreplies=0\n0 0 | 1\n")
         (tmp_path / "cfg.txt").write_text(extras + "lifetime=2\n")
         assert main(["run", "--config", "cfg.txt"]) == EXIT_VALIDATION
         err = capsys.readouterr().err

@@ -245,6 +245,37 @@ def test_a_tabular_file_lists_its_line_and_row_violations_together():
     ]
 
 
+def test_a_tabular_file_names_each_zero_count_with_its_line_violations():
+    text = "actions=0\nobservations=0\nrewards=0,1\ndepth=0\njunk\n"
+    with pytest.raises(ValidationError) as e:
+        TabularModel.loads(text)
+    assert e.value.violations == [
+        "line 5: expected key=value or <key> | <values>, got 'junk'",
+        "actions 0 is below 1",
+        "observations 0 is below 1",
+    ]
+    with pytest.raises(ValidationError) as e:
+        TabularModel.loads("actions=2\nobservations=-1\nrewards=0,1\ndepth=0\n")
+    assert e.value.violations == ["observations -1 is below 1"]
+
+
+@pytest.mark.parametrize(
+    "header, expected",
+    [
+        ("rounds=0\nmoves=0\nreplies=0\n", ["rounds 0 is below 1", "moves 0 is below 1",
+                                              "replies 0 is below 1"]),
+        ("rounds=1\nmoves=0\nreplies=2\n", ["moves 0 is below 1"]),
+        ("rounds=-1\nmoves=2\nreplies=0\n", ["rounds -1 is below 1", "replies 0 is below 1"]),
+    ],
+    ids=["all-zero", "no-moves", "negative-rounds-no-replies"],
+)
+def test_a_game_file_names_each_count_below_1_with_its_line_violations(header, expected):
+    junk = "line 4: expected key=value or <key> | <values>, got 'junk'"
+    with pytest.raises(ValidationError) as e:
+        GameSpec.loads(header + "junk\n0 0 | 1\n")
+    assert e.value.violations == [junk] + expected
+
+
 @pytest.mark.parametrize(
     "leaves, expected",
     [

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from unimix.bestvote import Claim, SelectionRow
+from unimix.bestvote import Claim, ExtendedCandidate, SelectionRow
 from unimix.cli import ScenarioConfig
 from unimix.core import (
     Alphabet,
@@ -80,12 +80,29 @@ def test_objects_of_different_classes_are_never_equal():
     assert FixedHorizon(3) != 3
     assert Percept(F(1), 0) != (F(1), 0)
     assert len({FixedHorizon(3), MovingHorizon(3)}) == 2
+    row = SelectionRow(1, "9:088", F(1), True, True, 0, 4)
+    assert row != tuple(row) and tuple(row) != row
+    assert not row == tuple(row) and not tuple(row) == row
+    assert row != Claim(F(1), 0)
+    assert len({row, tuple(row)}) == 2
 
 
 def test_repr_names_the_class_and_its_fields():
     assert repr(FixedHorizon(3)) == "FixedHorizon(m=3)"
     assert repr(Percept(F(1, 2), 1)) == "Percept(reward=Fraction(1, 2), observation=1)"
     assert repr(EMPTY_HISTORY) == "History(cycles=(), pending_action=None)"
+    assert repr(SelectionRow(2, "9:088", F(1, 2), True, False, 1, 4)) == (
+        "SelectionRow(cycle=2, candidate='9:088', claimed_w=Fraction(1, 2), valid=True, "
+        "selected=False, action=1, steps_used=4)"
+    )
+
+
+def test_an_extended_candidate_refuses_a_new_attribute():
+    c = ExtendedCandidate.from_oracle("silent", lambda h: Claim(0, 0))
+    with pytest.raises(AttributeError):
+        c.extra = 1
+    c.cycles_run = 1  # its own attributes stay assignable
+    assert c.copy().cycles_run == 1
 
 
 def test_percept_keeps_its_cached_hash():
