@@ -20,7 +20,6 @@ from .core import (
     CapacityError,
     FixedHorizon,
     GeometricDiscount,
-    History,
     HorizonPolicy,
     MovingHorizon,
     ProportionalHorizon,
@@ -171,7 +170,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     scenario = take("scenario") or ""
     agent = take("agent", "informed")
-    lifetime_s = take("lifetime") or "0"
+    lifetime_s = take("lifetime")
     horizon_s = take("horizon", "")
     l_s = take("l", "6")
     t_s = take("t", "64")
@@ -195,7 +194,9 @@ def parse_config(text: str) -> ScenarioConfig:
         if (kind is None) == ("env_file" not in pairs):
             violations.append("scenario=fm takes exactly one of class=uniform16 and env_file")
 
-    def to_int(name: str, s: str, lo: int, hi: int) -> int:
+    def to_int(name: str, s: Optional[str], lo: int, hi: int) -> int:
+        if s is None:  # missing, and listed as such
+            return lo
         try:
             v = int(s)
         except ValueError:
@@ -337,14 +338,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         ) from None
 
     # tops[k-1]: the label of the posterior leader of the agent's program
-    # mixture before cycle k; blank where no program is left, or for an agent
-    # without a mixture.
+    # mixture before cycle k, read from the node its decision planned from;
+    # blank for an agent without a mixture.
     tops = getattr(policy, "tops", None)
     if tops is None:
         tops = [None] * len(h)
         if mixture is not None:
-            # The node before each cycle, carried one cycle at a time.
-            tops = [node.top() for node in mixture.states(History(h.cycles[:-1]))]
+            tops = [policy.beliefs[k].top() for k in range(1, len(h) + 1)]
     # A planning agent decided cycle k on exactly the prefix before it.
     values = getattr(policy, "values", {})
     log = getattr(policy, "log", None)

@@ -13,7 +13,7 @@ import math
 import random
 from fractions import Fraction
 from typing import (
-    Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union,
 )
 
 from .core import (
@@ -304,8 +304,8 @@ class ProgramEnv(ChronologicalModel):
 
     ``weights`` runs each (state, action) pair on the machine once per model:
     it keeps every row it computes in a transition table and answers a
-    repeat from there, so the planner, the ``posterior_top`` column and
-    best vote, which share their mixture's components for a run, share its
+    repeat from there, so the planner's solves and belief steps, and best
+    vote, which share their mixture's components for a run, share its
     cycles too.  A program with no ``IN`` instruction never reads the
     action (its other input, the reward channel, is always 0 for an
     environment), so it keys its rows by (state, None): one cycle answers
@@ -328,7 +328,7 @@ class ProgramEnv(ChronologicalModel):
         """Walks h's actions through the transition table from the fresh
         machine; h's percepts are not checked."""
         s = FRESH
-        for y in h.actions():
+        for y, _ in h.cycles:
             row = self.weights(s, h, y)
             if not row:
                 return None
@@ -466,10 +466,9 @@ class MixtureModel(ChronologicalModel):
     joint of h times ``_scale``: the node's ``mass``.  ``weights`` steps each
     survivor one cycle and gives each percept its child's mass, so a caller
     that carries the node from cycle to cycle (``MixtureNode.child``, as best
-    vote does) never replays a history.  ``planning_policy`` does not carry
-    it: each decision it solves afresh calls ``state``, which replays the
-    history on a fresh tree.  ``cond_map`` divides those masses by the
-    node's.
+    vote does, or the ``weights`` row, as ``planning_policy`` does) never
+    replays a history; ``state`` replays it on a fresh tree.  ``cond_map``
+    divides those masses by the node's.
 
     ``leads``, when given, is the weight of each component's leader, the
     heaviest of the programs it stands for (``build_class_mixture``):
@@ -528,21 +527,15 @@ class MixtureModel(ChronologicalModel):
         return sum((w for _, w, _ in self.components), Fraction(0))
 
     def state(self, h: History) -> MixtureNode:
+        """The node after h: one survivor step per cycle, on a fresh tree."""
         if h.pending_action is not None:
             raise ValueError("mixture state of a history with a pending action")
-        *_, node = self.states(h)
-        return node
-
-    def states(self, h: History) -> Iterator[MixtureNode]:
-        """The node after each prefix of h, the empty one first: one
-        survivor step per cycle, on one fresh tree."""
         node = MixtureNode(self, self._root)
-        yield node
         ctx = EMPTY_HISTORY
         for y, x in h.cycles:
             node = node.child(ctx, y, x)
             ctx = append_cycle(ctx, y, x)
-            yield node
+        return node
 
     def mass(self, state: MixtureNode) -> Union[int, Fraction]:
         return state.mass

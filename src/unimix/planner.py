@@ -6,7 +6,9 @@ fixed policies come in two equivalent forms: the iterative expectation under a
 model's conditionals, and the functional weighted average of deterministic
 rollouts over the environment programs consistent with the history, walked
 on the program mixture's consistent-environment tree (``MixtureNode``), which
-any number of policies can share.
+any number of policies can share.  The expectimax agent (``planning_policy``)
+steps its belief one cycle per decision and solves every decision of its run
+on one memo.
 """
 
 from __future__ import annotations
@@ -72,25 +74,23 @@ class ValueQuery:
         self.horizon = horizon
 
 
-# One expectimax decision: the smallest optimal action y*, U, T and the plan
-# of each child reached by a percept under y* (none at m_k).  T is the model's
-# mass at the node (1 for probability rows) and U = D * T * V, where V is the
-# optimal value and D the alphabet's reward scale, so the value is
-# ``Fraction(U, D * T)``.  The nested plans are the agent's own policy subtree
-# down to m_k.
-Plan = Tuple[Action, Union[int, Fraction], Union[int, Fraction], Dict[Percept, "Plan"]]
+# One expectimax decision: the smallest optimal action y*, U and T.  T is the
+# model's mass at the node (1 for probability rows) and U = D * T * V, where V
+# is the optimal value and D the alphabet's reward scale, so the value is
+# ``Fraction(U, D * T)``.
+Plan = Tuple[Action, Union[int, Fraction], Union[int, Fraction]]
 
 # The sum over an action's percepts before its first term.  A sum that is
 # ``is _ZERO`` (any int 0) takes its next term as it is: no 0 + Fraction.
 _ZERO = 0
 
-# The most distinct (key, t) nodes one decision may solve, and all the
-# decisions of one ``planning_policy`` together.  A decision of the tests or
-# the pinned configs solves at most 127.  A model whose key merges nothing
-# solves one node per history, 2^m - 1 for lazy at lifetime m, so lazy runs
-# up to lifetime 15 and past it exits with a capacity error instead of
-# running for hours; a moving horizon that re-solves such a tree every cycle
-# exits the same way once the run has spent the budget.
+# The most distinct (key, t, m_k) nodes one memo may hold: one decision's,
+# or all the decisions of one ``planning_policy`` together.  A decision of
+# the tests or the pinned configs solves at most 127.  A model whose key
+# merges nothing solves one node per history, 2^m - 1 for lazy at lifetime
+# m, so lazy runs up to lifetime 15 and past it exits with a capacity error
+# instead of running for hours; a moving horizon that solves such a tree
+# for every cycle's horizon end exits the same way once its memo is full.
 PLAN_MEMO_CAP = 2**15
 
 
@@ -100,30 +100,29 @@ def _plan(
     t: int,
     state: Any,
     actions: Optional[Sequence[Action]] = None,
-    memo: Optional[Dict[Tuple[Hashable, int], Plan]] = None,
-    cap: int = PLAN_MEMO_CAP,
+    memo: Optional[Dict[Tuple[Hashable, int, int], Plan]] = None,
 ) -> Plan:
     """Expectimax from cycle t (history h, model state ``state``) to m_k over
     ``actions`` (all of them by default).  A later action replaces the best
-    only when its U is strictly greater, so ties go to the smaller one; the
-    plans under every other action are dropped as soon as it loses.
+    only when its U is strictly greater, so ties go to the smaller one.
 
     The sum is carried on the model's weights, with no division: U is the
     max over y of the sum over x of w * D * r + (w / T_x) * U_x, where T_x
     and U_x are the child's.  A child's mass is its weight (T_x = w) or 1,
     so that term is U_x or w * U_x.
 
-    Every node is solved once per decision: ``memo`` maps the model's key
-    and t to the plan of every node solved so far, so histories that leave
-    the model in equal states share one plan.  The top-level call creates
-    it, and it is gone when the decision returns.  A node restricted to
-    some ``actions`` is neither looked up nor stored.  Storing more than
-    ``cap`` nodes raises ``CapacityError``."""
+    ``memo`` maps the model's key, t and m_k to the plan of every node
+    solved so far, so histories that leave the model in equal states share
+    one plan, and a caller that passes the same memo to later decisions
+    (``planning_policy``) never solves a node twice.  By default each call
+    has its own.  A node restricted to some ``actions`` is neither looked up
+    nor stored.  Storing more than ``PLAN_MEMO_CAP`` nodes raises
+    ``CapacityError``."""
     if memo is None:
         memo = {}
     model, horizon = q.model, q.horizon
     if actions is None:
-        node = (model.key(state, h), t)
+        node = (model.key(state, h), t, q.m_k)
         plan = memo.get(node)
         if plan is not None:
             return plan
@@ -131,7 +130,7 @@ def _plan(
     scaled, mass = model.alphabet.scaled_reward, model.mass(state)
     best: Optional[Plan] = None
     for y in model.alphabet.actions() if actions is None else actions:
-        u, plans = _ZERO, {}
+        u = _ZERO
         for x, (w, child) in model.weights(state, h, y).items():
             if not w:
                 continue
@@ -139,17 +138,16 @@ def _plan(
             if w != 1:
                 term *= w
             if not last:
-                plans[x] = sub = _plan(
-                    q, append_cycle(h, y, x), t + 1, child, memo=memo, cap=cap
-                )
+                sub = _plan(q, append_cycle(h, y, x), t + 1, child, memo=memo)
                 term += sub[1] if sub[2] == w else w * sub[1]
             u = term if u is _ZERO else u + term
         if best is None or u > best[1]:
-            best = (y, u, mass, plans)
+            best = (y, u, mass)
     if actions is None:
-        if len(memo) >= cap:
+        if len(memo) >= PLAN_MEMO_CAP:
             raise CapacityError(
-                f"one decision solved more than {cap} distinct belief states"
+                f"the decisions up to cycle {q.k} solved more than {PLAN_MEMO_CAP} "
+                "distinct belief states"
             )
         memo[node] = best
     return best
@@ -190,47 +188,39 @@ def planning_policy(
     """The expectimax agent for a model as a reusable policy oracle.
 
     ``policy.values[k]`` holds the optimal value found by the latest decision
-    at cycle k, so a caller can report it without solving again.
+    at cycle k, and ``policy.beliefs[k]`` the model state it planned from,
+    so a caller can report them without solving or replaying again.
 
-    The latest decision's child plans are kept, keyed by the history after
-    (y*, x) and by m_k.  While m_k stays the same, the search at the next
-    cycle is exactly one of them, so a call on that history and horizon end
-    takes its decision from it; any other call solves afresh.  At most |X|
-    plans are kept, with |X|^(m_k - k) leaves at most.
-
-    The decisions solved afresh share one budget of ``PLAN_MEMO_CAP`` nodes;
-    a decision taken from a kept plan costs nothing.  A decision that would
-    pass what is left of it raises ``CapacityError``.
+    The policy steps its model state one cycle per call: when h extends the
+    previous call's history by one cycle (y, x), the state is the ``weights``
+    row of that call's state at x.  Any other call (a jump back, a sibling
+    branch), or a row that gives x no weight, calls ``model.state(h)``.
+    Every decision is one ``_plan`` on one memo for the whole run, so a
+    decision with an earlier one's horizon end (every later cycle of a fixed
+    horizon) solves no node twice, and the run's decisions share its
+    ``PLAN_MEMO_CAP``.
     """
     values: Dict[int, Fraction] = {}
-    carried: Dict[Tuple[History, int], Plan] = {}
-    spent = 0
+    beliefs: Dict[int, Any] = {}
+    memo: Dict[Tuple[Hashable, int, int], Plan] = {}
+    last: Optional[History] = None
 
     def policy(h: History) -> Action:
-        nonlocal spent
-        k = len(h) + 1
-        m_k = horizon_end(horizon, k, lifetime)
-        plan = carried.get((h, m_k))
-        if plan is None:
-            q, memo = ValueQuery(model, h, k, m_k, horizon), {}
-            try:
-                plan = _plan(q, h, k, model.state(h), memo=memo, cap=PLAN_MEMO_CAP - spent)
-            except CapacityError:
-                if not spent:
-                    raise
-                raise CapacityError(
-                    f"the decisions up to cycle {k} solved more than {PLAN_MEMO_CAP} "
-                    "distinct belief states"
-                ) from None
-            spent += len(memo)
-        y, _, _, plans = plan
+        nonlocal last
+        k, w = len(h) + 1, 0
+        if last is not None and len(h) == len(last) + 1 and h.cycles[:-1] == last.cycles:
+            y, x = h.cycles[-1]
+            w, state = model.weights(beliefs[k - 1], last, y).get(x, (0, None))
+        if not w:
+            state = model.state(h)
+        last, beliefs[k] = h, state
+        q = ValueQuery(model, h, k, horizon_end(horizon, k, lifetime), horizon)
+        plan = _plan(q, h, k, state, memo=memo)
         values[k] = _plan_value(plan, model.alphabet)
-        carried.clear()
-        for x, sub in plans.items():
-            carried[append_cycle(h, y, x), m_k] = sub
-        return y
+        return plan[0]
 
     policy.values = values
+    policy.beliefs = beliefs
     return policy
 
 

@@ -35,7 +35,7 @@ import math
 import random
 from fractions import Fraction
 
-from unimix import bestvote
+from unimix import bestvote, planner
 from unimix.bestvote import (
     ExtendedCandidate, SelectionRow, candidate_value, run_candidate_cycle,
 )
@@ -45,7 +45,7 @@ from unimix.core import (
     encode_history, horizon_end,
 )
 from unimix.models import TabularModel, UndefinedConditionalError
-from unimix.planner import PLAN_MEMO_CAP, env_node
+from unimix.planner import env_node
 
 
 class MachineState:
@@ -316,40 +316,38 @@ def dominance_walk(
     return walk(EMPTY_HISTORY)
 
 
-def fraction_plan(q, h, t, state, actions=None, memo=None, cap=PLAN_MEMO_CAP):
+def fraction_plan(q, h, t, state, actions=None, memo=None):
     """The expectimax on the model's probabilities, its ``weights`` over its
-    ``mass``: (y*, V, plans), V the sum over x of p * (discounted reward +
-    the child's V), with the same memo on (key, t), cap and tie-breaking as
-    ``planner._plan``."""
+    ``mass``: (y*, V), V the max over y of the sum over x of p *
+    (discounted reward + the child's V), with the same memo on
+    (key, t, m_k), cap and tie-breaking as ``planner._plan``."""
     if memo is None:
         memo = {}
     model, horizon = q.model, q.horizon
     if actions is None:
-        node = (model.key(state, h), t)
+        node = (model.key(state, h), t, q.m_k)
         plan = memo.get(node)
         if plan is not None:
             return plan
     last = t == q.m_k
     best, mass = None, model.mass(state)
     for y in model.alphabet.actions() if actions is None else actions:
-        v, plans = Fraction(0), {}
+        v = Fraction(0)
         for x, (w, child) in model.weights(state, h, y).items():
             p = Fraction(w, mass)
             if p == 0:
                 continue
             r = discounted_reward(horizon, t, x.reward)
             if not last:
-                plans[x] = sub = fraction_plan(
-                    q, append_cycle(h, y, x), t + 1, child, memo=memo, cap=cap
-                )
-                r += sub[1]
+                r += fraction_plan(q, append_cycle(h, y, x), t + 1, child, memo=memo)[1]
             v += p * r
         if best is None or v > best[1]:
-            best = (y, v, plans)
+            best = (y, v)
     if actions is None:
-        if len(memo) >= cap:
+        if len(memo) >= planner.PLAN_MEMO_CAP:
             raise CapacityError(
-                f"one decision solved more than {cap} distinct belief states"
+                f"the decisions up to cycle {q.k} solved more than "
+                f"{planner.PLAN_MEMO_CAP} distinct belief states"
             )
         memo[node] = best
     return best

@@ -95,6 +95,11 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config("agent=informed\nlifetime=3\n")
 
+    def test_a_missing_lifetime_is_listed_once_and_not_range_checked(self):
+        with pytest.raises(ValidationError) as e:
+            parse_config("scenario=heavenhell\nagent=informed\n")
+        assert e.value.violations == ["missing required key 'lifetime'"]
+
     def test_hash_ignores_formatting_noise(self):
         a = parse_config(HEAVEN)
         b = parse_config("# noise\n" + HEAVEN + "\n")
@@ -785,7 +790,7 @@ class TestMain:
         cfg.write_text("scenario=lazy\nagent=informed\nlifetime=64\n")
         assert main(["run", "--config", str(cfg)]) == EXIT_CAPACITY
         assert capsys.readouterr().err == (
-            f"capacity error: one decision solved more than {PLAN_MEMO_CAP} "
+            f"capacity error: the decisions up to cycle 1 solved more than {PLAN_MEMO_CAP} "
             "distinct belief states\n"
         )
 
@@ -800,7 +805,7 @@ class TestMain:
         )
 
     def test_a_fixed_horizon_decision_just_under_the_memo_cap_runs(self, tmp_path, capsys):
-        # 2^15 - 1 nodes in the first decision; the other 14 are carried.
+        # 2^15 - 1 nodes in the first decision; the other 14 find theirs in its memo.
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("scenario=lazy\nagent=informed\nlifetime=15\n")
         assert main(["run", "--config", str(cfg)]) == EXIT_OK

@@ -15,6 +15,7 @@ import random
 import sys
 import textwrap
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,34 +176,33 @@ def _outcome(f):
         return type(e), str(e)
 
 
-def _new(plan, scale):
-    """A ``_plan`` plan as (y*, V, plans), V = U / (D * T), down to m_k."""
-    y, u, t, plans = plan
-    return y, F(u, scale * t), {x: _new(sub, scale) for x, sub in plans.items()}
-
-
-def _old(plan):
-    y, v, plans = plan
-    return y, v, {x: _old(sub) for x, sub in plans.items()}
+def _value(plan, scale):
+    """A ``_plan`` plan as (y*, V), V = U / (D * T)."""
+    y, u, t = plan
+    return y, F(u, scale * t)
 
 
 @settings(max_examples=250, deadline=None)
 @given(planning_cases())
 def test_the_integer_expectimax_equals_the_fraction_expectimax(case):
-    """Every decision, value and carried plan, and every error, is the
-    ``Fraction`` expectimax's, for each action alone and for all of them."""
+    """Every decision and value, at the top and at every solved node, and
+    every error, is the ``Fraction`` expectimax's, for all actions and for
+    each action alone, each side on one memo."""
     model, horizon, lifetime, h, cap = case
     k = len(h) + 1
     q = ValueQuery(model, h, k, horizon_end(horizon, k, lifetime), horizon)
     scale = model.alphabet.reward_scale
-    for actions in [None] + [(y,) for y in model.alphabet.actions()]:
-        new = _outcome(
-            lambda: _new(_plan(q, h, k, model.state(h), actions, cap=cap), scale)
-        )
-        old = _outcome(
-            lambda: _old(reference.fraction_plan(q, h, k, model.state(h), actions, cap=cap))
-        )
-        assert new == old
+    new_memo, old_memo = {}, {}
+    with mock.patch.object(planner, "PLAN_MEMO_CAP", cap):
+        for actions in [None] + [(y,) for y in model.alphabet.actions()]:
+            new = _outcome(
+                lambda: _value(_plan(q, h, k, model.state(h), actions, new_memo), scale)
+            )
+            old = _outcome(
+                lambda: reference.fraction_plan(q, h, k, model.state(h), actions, old_memo)
+            )
+            assert new == old
+            assert {node: _value(p, scale) for node, p in new_memo.items()} == old_memo
 
 
 def test_an_informed_fm_run_builds_fractions_only_for_its_reported_values(monkeypatch):

@@ -27,7 +27,7 @@ WORKLOADS = {
 
 
 # The planner workloads' lifetimes in the benchmark, where a decision's
-# plan is carried over many cycles.
+# memo answers the decisions of many later cycles.
 BENCHMARK_LIFETIMES = {
     "mixture-heavenhell": 3,
     "informed-fm": 3,

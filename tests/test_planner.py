@@ -164,12 +164,14 @@ HORIZONS = st.one_of(
 @st.composite
 def planning_runs(draw):
     """A model, a horizon policy and a lifetime for one planning agent."""
-    kind = draw(st.sampled_from(("tabular", "heavenhell", "programs")))
+    kind = draw(st.sampled_from(("tabular", "heavenhell", "fm", "programs")))
     if kind == "tabular":
         seed = draw(st.integers(0, 2**16))
         model = random_tabular(BINARY, draw(st.integers(2, 3)), random.Random(seed))
     elif kind == "heavenhell":
         model = make_heavenhell(draw(st.integers(0, 1)))
+    elif kind == "fm":  # a mixture whose rows split on every percept
+        model = draw(fm_classes())
     else:
         alphabet = draw(st.sampled_from(ALPHABETS))
         pool = enumerate_programs(draw(st.integers(6, 8)))
@@ -181,18 +183,34 @@ def planning_runs(draw):
 @settings(max_examples=80, deadline=None)
 @given(planning_runs(), st.data())
 def test_a_carried_plan_equals_a_fresh_solve(case, data):
-    """One agent through a run whose history follows its action (the carried
-    plan applies) or takes another one (it does not), with any percept of
-    positive mass: each decision and value equals a fresh solve."""
+    """One agent called on a history that extends its last call's by the
+    action it took (the memo answers) or by another one, with any percept of
+    positive mass, or that jumps back to a prefix or over to a sibling
+    branch: each decision and value equals a fresh solve, and the belief it
+    planned from is ``model.state(h)``'s."""
     model, horizon, lifetime = case
     policy = planning_policy(model, horizon, lifetime)
     actions = list(model.alphabet.actions())
     h = EMPTY_HISTORY
-    for k in range(1, lifetime + 1):
+    for _ in range(2 * lifetime):
+        k = len(h) + 1
         y = policy(h)
         m_k = horizon_end(horizon, k, lifetime)
         assert (y, policy.values[k]) == _decide(ValueQuery(model, h, k, m_k, horizon))
-        if data.draw(st.booleans(), label="deviate"):
+        assert policy.beliefs[k] == model.state(h)
+        moves = ["follow", "deviate"][: len(actions)] if k < lifetime else []
+        if h.cycles:
+            moves += ["back", "sibling"]
+        if not moves:
+            break
+        move = data.draw(st.sampled_from(moves), label="move")
+        if move == "back":
+            h = History(h.cycles[: data.draw(st.integers(0, len(h) - 1), label="prefix")])
+            continue
+        if move == "sibling":
+            h = History(h.cycles[:-1])
+            y = data.draw(st.sampled_from(actions), label="action")
+        elif move == "deviate":
             y = data.draw(st.sampled_from([a for a in actions if a != y]), label="action")
         reachable = [x for x, p in model.cond_map(h, y).items() if p > 0]
         if not reachable:  # every program timed out
@@ -215,7 +233,9 @@ def test_a_fixed_horizon_run_solves_only_at_the_first_cycle():
             # first action) at cycles 2..6: one solve per (key, t)
             assert solved == 2 + 2 * 2 * 5
         h = append_cycle(h, y, rule(h, y))
-    assert len(calls) == solved
+    # then one belief step per later cycle, from the previous history, and
+    # no solve: 27 calls in all
+    assert calls[solved:] == [0, 1, 2, 3, 4]
     assert h.rewards() == (R1,) * 6
 
 
@@ -341,6 +361,22 @@ def test_a_merged_solve_equals_the_whole_tree(case):
     )
 
 
+def count_method_calls(monkeypatch, calls):
+    """A function that makes each later call of ``cls.<name>`` add one to
+    ``calls[name]``, undone at the test's end."""
+
+    def count(cls, name):
+        f = getattr(cls, name)
+
+        def counting(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+
+    return count
+
+
 def count_calls(obj, name):
     """A list that grows by one on each later call of ``obj.<name>``."""
     calls, f = [], getattr(obj, name)
@@ -375,9 +411,9 @@ def test_a_heavenhell_mixture_solves_each_belief_state_once(pool12):
 
 @pytest.mark.parametrize("config_seed", [0, 1])
 def test_a_mixture_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeypatch):
-    # The planner, the posterior_top column and the carried plans share each
-    # program's transition table, so a (state, action) pair runs once a run;
-    # without the table the run makes 2,949 (seed 0) and 2,795 (seed 1).  A
+    # The planner's solves and belief steps share each program's transition
+    # table, so a (state, action) pair runs once a run; without the table
+    # the run makes 2,949 (seed 0) and 2,795 (seed 1).  A
     # program that never reads the action runs once per state, not once per
     # (state, action) pair: keyed by the action too, the run makes 688.
     calls = []
@@ -400,6 +436,27 @@ def test_a_mixture_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeypat
     monkeypatch.setattr(models, "CLASS_CAP", 100)
     run_scenario(cfg)
     assert len(calls) == 484
+
+
+@pytest.mark.parametrize(
+    "horizon, lifetime, splits",
+    [("moving:1", 64, 191), ("moving:6", 64, 2421), ("", 3, 34)],
+)
+def test_a_mixture_run_steps_its_belief_once_a_cycle(horizon, lifetime, splits, monkeypatch):
+    # The policy builds one belief from the empty history and steps it one
+    # cycle per decision, and the posterior_top column reads the beliefs it
+    # stepped.  Replaying the history for each decision, and once more for
+    # the column, made 2,207 splits (moving:1) and 4,132 (moving:6), with 64
+    # and 59 MixtureModel.state calls.
+    calls = {}
+    count = count_method_calls(monkeypatch, calls)
+    count(MixtureNode, "split")
+    count(MixtureModel, "state")
+    cfg = parse_config(
+        f"scenario=heavenhell\nagent=mixture\nl=12\nlifetime={lifetime}\nhorizon={horizon}\n"
+    )
+    run_scenario(cfg)
+    assert calls == {"split": splits, "state": 1}
 
 
 POOLS = {n: enumerate_programs(n) for n in range(6, 10)}
@@ -481,28 +538,20 @@ def test_an_informed_fm_run_builds_no_percept_and_splits_once_a_cycle(
     # The fm rules answer with the percepts made with the world, and the
     # world's own draw steps its carried tree: replaying the history for
     # each draw made 72 splits, and the rules built 252 percepts (seed 0),
-    # each with a reward_of call.
+    # each with a reward_of call.  The policy steps its belief once at each
+    # later cycle (2 splits) and takes those decisions from its memo.
     cfg = parse_config(
         f"scenario=fm\nagent=informed\nclass=uniform16\nlifetime=3\nseed={config_seed}\n"
     )
     env = make_fm_env(uniform_function_class(2, tuple(map(Fraction, (1, 2, 3, 4)))))
     policy = planning_policy(env, cfg.horizon, cfg.lifetime)
     calls = {}
-
-    def count(cls, name):
-        f = getattr(cls, name)
-
-        def counting(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return f(*args, **kwargs)
-
-        monkeypatch.setattr(cls, name, counting)
-
+    count = count_method_calls(monkeypatch, calls)
     count(Percept, "__init__")
     count(FunctionClassSpec, "reward_of")
     count(MixtureNode, "split")
     run_interaction(policy, env, cfg.lifetime, cfg.seed)
-    assert calls == {"split": 69}
+    assert calls == {"split": 71}
 
 
 def replayed_run(agent, env, lifetime, seed):
@@ -690,7 +739,7 @@ def test_the_decisions_of_one_policy_share_the_memo_cap(monkeypatch):
 
 
 def test_decisions_taken_from_a_kept_plan_cost_nothing(monkeypatch):
-    # Cycle 1 solves 2^5 - 1 = 31 nodes, cycles 2-5 take theirs from its plan,
+    # Cycle 1 solves 2^5 - 1 = 31 nodes, cycles 2-5 find theirs in its memo,
     # and cycles 6-8 (m_k = k) solve one node each: 34 in all.
     env = make_lazy(8)
     monkeypatch.setattr(planner, "PLAN_MEMO_CAP", 34)
@@ -700,7 +749,7 @@ def test_decisions_taken_from_a_kept_plan_cost_nothing(monkeypatch):
     with pytest.raises(CapacityError, match="the decisions up to cycle 8 solved more than 33 "):
         run_interaction(planning_policy(env, FixedHorizon(5), 8), env, 8)
     monkeypatch.setattr(planner, "PLAN_MEMO_CAP", 30)
-    with pytest.raises(CapacityError, match="one decision solved more than 30 "):
+    with pytest.raises(CapacityError, match="the decisions up to cycle 1 solved more than 30 "):
         run_interaction(planning_policy(env, FixedHorizon(5), 8), env, 8)
 
 
