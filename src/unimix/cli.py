@@ -9,6 +9,7 @@ together.  Exit codes: 0 success, 1 validation error, 2 capacity error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -210,6 +211,9 @@ def parse_config(text: str) -> ScenarioConfig:
     l_max = to_int("l", l_s, 1, 12)
     steps = to_int("t", t_s, 1, 4096)
     seed = to_int("seed", seed_s, 0, SEED_MAX)
+    for key in ("i", "n", "y_star"):  # read by _build_env; their worlds check the range
+        if key in pairs and key in _SCENARIO_KEYS.get(scenario, ()):
+            to_int(key, pairs[key], -math.inf, math.inf)
 
     horizon = FixedHorizon(max(1, lifetime))
     if horizon_s:
@@ -259,7 +263,15 @@ def _build_env(cfg: ScenarioConfig):
         items = [item.partition(":") for item in ex.get("sequences", "").split(";") if item]
         if not items:
             raise ValidationError(["sp scenario needs sequences=<bits:prob;...>"])
-        return make_sp_env([(tuple(map(int, bits)), rational(p)) for bits, _, p in items])
+        pairs, violations = [], []
+        for bits, colon, p in items:
+            try:  # a symbol other than 0 or 1 stays a character, for make_sp_env to name
+                pairs.append((tuple({"0": 0, "1": 1}.get(c, c) for c in bits), rational(p)))
+            except (ValueError, ZeroDivisionError) as e:
+                violations.append(f"sp sequence {bits!r}: {e if colon else 'no probability'}")
+        if violations:
+            raise ValidationError(violations)
+        return make_sp_env(pairs)
     if cfg.scenario == "sg":
         return make_sg_env(_load(GameSpec.loads, ex["env_file"]))
     if cfg.scenario == "fm":
@@ -505,13 +517,14 @@ def _dispatch(args) -> int:
             cfg.seed = args.seed
         art = run_scenario(cfg)
         if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "trace.csv").write_text(art.trace_csv)
-            (out / "manifest.txt").write_text(art.manifest)
-            (out / "results.txt").write_text(art.results)
-            if art.selection_csv is not None:
-                (out / "selection.csv").write_text(art.selection_csv)
+            with input_errors("--out"):
+                out = Path(args.out)
+                out.mkdir(parents=True, exist_ok=True)
+                (out / "trace.csv").write_text(art.trace_csv)
+                (out / "manifest.txt").write_text(art.manifest)
+                (out / "results.txt").write_text(art.results)
+                if art.selection_csv is not None:
+                    (out / "selection.csv").write_text(art.selection_csv)
         else:
             sys.stdout.write(art.trace_csv)
         sys.stdout.write(emit_report(art))
@@ -522,9 +535,10 @@ def _dispatch(args) -> int:
 
         reports = verify_invariants(args.l_max)
         text = summary_block(reports)
-        sys.stdout.write(text)
         if args.out:
-            Path(args.out).write_text(text)
+            with input_errors("--out"):
+                Path(args.out).write_text(text)
+        sys.stdout.write(text)
         if args.strict and any(not r.holds for r in reports):
             return EXIT_BOUND
         return EXIT_OK
@@ -534,7 +548,8 @@ def _dispatch(args) -> int:
         lines = [f"{p.to_hex()}  # {p.length_bits} bits" for p in pool]
         text = "\n".join(lines) + "\n"
         if args.out:
-            Path(args.out).write_text(text)
+            with input_errors("--out"):
+                Path(args.out).write_text(text)
         else:
             sys.stdout.write(text)
         return EXIT_OK

@@ -16,10 +16,6 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 Action = int
 
 
-class AlternationError(ValueError):
-    """Raised when the strict action/percept alternation of a history is violated."""
-
-
 class CapacityError(RuntimeError):
     """An exact enumeration was requested beyond the configured caps."""
 
@@ -308,13 +304,14 @@ class Alphabet(Value):
 
 
 class History(Value):
-    """Alternating record y1 x1 y2 x2 ... with an optional not-yet-answered action."""
+    """The completed cycles y1 x1 ... y(k-1) x(k-1), as (action, percept)
+    pairs.  The pending action y_k of a context is not part of it: a
+    conditional takes it beside h, and ``encode_history`` writes it after h."""
 
-    __slots__ = ("cycles", "pending_action")
+    __slots__ = ("cycles",)
 
-    def __init__(self, cycles: tuple = (), pending_action: Optional[Action] = None):
+    def __init__(self, cycles: tuple = ()):
         set_field(self, "cycles", cycles)
-        set_field(self, "pending_action", pending_action)
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -328,25 +325,13 @@ class History(Value):
     def rewards(self) -> tuple:
         return tuple(x.reward for _, x in self.cycles)
 
-    def with_pending(self, y: Action) -> "History":
-        if self.pending_action is not None:
-            raise AlternationError("history already has a pending action")
-        return History(self.cycles, y)
-
-    def answer(self, x: Percept) -> "History":
-        if self.pending_action is None:
-            raise AlternationError("no pending action to answer")
-        return History(self.cycles + ((self.pending_action, x),), None)
-
 
 EMPTY_HISTORY = History()
 
 
 def append_cycle(h: History, y: Action, x: Percept) -> History:
-    """Extend a complete history by one full (action, percept) cycle."""
-    if h.pending_action is not None:
-        raise AlternationError("cannot append a cycle while an action is pending")
-    return History(h.cycles + ((y, x),), None)
+    """h followed by the completed cycle (y, x)."""
+    return History(h.cycles + ((y, x),))
 
 
 def contexts(
@@ -368,19 +353,22 @@ def contexts(
                 yield from contexts(alphabet, depth, follow, append_cycle(h, y, x))
 
 
-def encode_history(h: History) -> str:
-    """Canonical textual encoding: ``y:<int> r:<p>/<q> o:<int>`` per cycle."""
+def encode_history(h: History, pending: Optional[Action] = None) -> str:
+    """Canonical textual encoding: ``y:<int> r:<p>/<q> o:<int>`` per cycle,
+    then ``y:<pending>`` when a pending action is given (a context's text)."""
     parts = [
         f"y:{y} r:{x.reward.numerator}/{x.reward.denominator} o:{x.observation}"
         for y, x in h.cycles
     ]
-    if h.pending_action is not None:
-        parts.append(f"y:{h.pending_action}")
+    if pending is not None:
+        parts.append(f"y:{pending}")
     return " ".join(parts)
 
 
-def decode_history(text: str) -> History:
-    """Inverse of ``encode_history``; raises ``ValueError`` on other text."""
+def decode_history(text: str) -> Tuple[History, Optional[Action]]:
+    """Inverse of ``encode_history``: the history and its pending action,
+    None when the text ends with a whole cycle; raises ``ValueError`` on
+    other text."""
     tokens = text.split()
     h = EMPTY_HISTORY
     for i in range(0, len(tokens), 3):
@@ -391,10 +379,10 @@ def decode_history(text: str) -> History:
             raise ValueError(f"malformed cycle {' '.join(cycle)!r}")
         y = int(cycle[0][2:])
         if len(cycle) == 1:
-            return h.with_pending(y)
+            return h, y
         num, den = cycle[1][2:].split("/")
         h = append_cycle(h, y, Percept(Fraction(int(num), int(den)), int(cycle[2][2:])))
-    return h
+    return h, None
 
 
 # --- Horizon policies -------------------------------------------------------

@@ -56,7 +56,8 @@ def make_sp_env(
     if len(lengths) != 1:
         raise ValueError("all sequences must share one length")
     violations = []
-    for z, ps in sorted(listed.items()):
+    # by name: a symbol other than 0 or 1, of any type, is named below
+    for z, ps in sorted(listed.items(), key=lambda item: list(map(str, item[0]))):
         name = "".join(map(str, z))
         if len(ps) > 1:
             violations.append(f"sp sequence {name!r}: listed {len(ps)} times")

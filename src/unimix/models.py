@@ -89,8 +89,6 @@ class ChronologicalModel:
 
     def joint(self, h: History) -> Fraction:
         """Chain-rule joint of a complete history."""
-        if h.pending_action is not None:
-            raise ValueError("joint of a history with a pending action")
         total = self.base_mass()
         ctx = EMPTY_HISTORY
         for y, x in h.cycles:
@@ -175,7 +173,7 @@ class TabularModel(ChronologicalModel):
     def cond_map(self, h: History, y: Action) -> Dict[Percept, Fraction]:
         a = self.alphabet
         if len(h) < self.depth:
-            key = encode_history(h.with_pending(y))
+            key = encode_history(h, y)
             row = self.rows.get(key)
             if row is not None:
                 return {x: p for x, p in zip(a.percepts(), row) if p > 0}
@@ -201,7 +199,7 @@ class TabularModel(ChronologicalModel):
         fields = {"actions": int, "observations": int, "depth": int}
         fields["rewards"] = lambda v: tuple(map(rational, v.split(",")))
         row = (
-            lambda k: encode_history(decode_history(k)),  # each context in one spelling
+            lambda k: encode_history(*decode_history(k)),  # each context in one spelling
             lambda v: tuple(map(rational, v.split())),
         )
         found: List[str] = []
@@ -222,19 +220,19 @@ class TabularModel(ChronologicalModel):
 def _unreachable(a: Alphabet, depth: int, key: str) -> Optional[str]:
     """Why ``TabularModel.cond_map`` never looks up a row keyed ``key``, or None."""
     try:
-        h = decode_history(key)
+        h, y = decode_history(key)
         for x in h.percepts():
             a.percept(x.reward, x.observation)  # raises outside the alphabet
     except (ValueError, ArithmeticError) as e:
         return str(e)
-    if h.pending_action is None:
+    if y is None:
         return "no pending action"
-    if not all(0 <= y < a.num_actions for y in h.actions() + (h.pending_action,)):
+    if not all(0 <= z < a.num_actions for z in h.actions() + (y,)):
         return f"an action outside range({a.num_actions})"
     if len(h) >= depth:
         return f"{len(h)} completed cycles, not fewer than depth {depth}"
-    if encode_history(h) != key:
-        return f"the context is written {encode_history(h)!r}"
+    if encode_history(h, y) != key:
+        return f"the context is written {encode_history(h, y)!r}"
 
 
 def random_tabular(alphabet: Alphabet, depth: int, rng: random.Random) -> TabularModel:
@@ -247,7 +245,7 @@ def random_tabular(alphabet: Alphabet, depth: int, rng: random.Random) -> Tabula
         total = sum(weights)
         return [Fraction(w, total) for w in weights]
 
-    rows = {encode_history(h.with_pending(y)): row() for h, y in contexts(alphabet, depth)}
+    rows = {encode_history(h, y): row() for h, y in contexts(alphabet, depth)}
     return TabularModel(alphabet, depth, rows)
 
 
@@ -528,8 +526,6 @@ class MixtureModel(ChronologicalModel):
 
     def state(self, h: History) -> MixtureNode:
         """The node after h: one survivor step per cycle, on a fresh tree."""
-        if h.pending_action is not None:
-            raise ValueError("mixture state of a history with a pending action")
         node = MixtureNode(self, self._root)
         ctx = EMPTY_HISTORY
         for y, x in h.cycles:

@@ -58,8 +58,6 @@ class ValueQuery:
         m_k: int,
         horizon: Optional[HorizonPolicy] = None,
     ):
-        if history.pending_action is not None:
-            raise ValueError("planning from a history with a pending action")
         if len(history) != k - 1:
             raise ValueError(
                 f"history has {len(history)} cycles; cycle index k={k} "

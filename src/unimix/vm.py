@@ -360,8 +360,6 @@ def consistent_envs(
     alphabet: Alphabet,
 ) -> List[Program]:
     """Programs whose replay on h's actions reproduces h's percepts without timeout."""
-    if h.pending_action is not None:
-        raise ValueError("history has a pending action")
     actions, expected = h.actions(), h.percepts()
     # A timed-out replay returns fewer percepts than h has.
     return [q for q in pool if replay_env(q, actions, budget, alphabet)[0] == expected]

@@ -285,7 +285,7 @@ def random_tabular(alphabet: Alphabet, depth: int, rng: random.Random) -> Tabula
         if d >= depth:
             return
         for y in alphabet.actions():
-            rows[encode_history(h.with_pending(y))] = row()
+            rows[encode_history(h, y)] = row()
             for x in alphabet.percepts():
                 walk(append_cycle(h, y, x), d + 1)
 

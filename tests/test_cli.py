@@ -415,7 +415,27 @@ class TestMain:
     @pytest.mark.parametrize(
         "extras, named",
         [
-            ("scenario=onlyone\nn=x\n", "scenario=onlyone: "),
+            ("scenario=onlyone\nn=x\n", "validation error: n must be an integer, got 'x'\n"),
+            ("scenario=heavenhell\ni=x\n", "validation error: i must be an integer, got 'x'\n"),
+            ("scenario=heavenhell\ni=\n", "validation error: i must be an integer, got ''\n"),
+            ("scenario=onlyone\nn=abc\n", "validation error: n must be an integer, got 'abc'\n"),
+            (
+                "scenario=onlyone\ny_star=z\n",
+                "validation error: y_star must be an integer, got 'z'\n",
+            ),
+            (
+                "scenario=onlyone\nn=abc\ny_star=z\n",
+                "validation error: n must be an integer, got 'abc'\n"
+                "validation error: y_star must be an integer, got 'z'\n",
+            ),
+            (
+                "scenario=sp\nsequences=01:1/2;1x:1/2\n",
+                "validation error: sp sequence '1x': symbols must be 0 or 1\n",
+            ),
+            (
+                "scenario=sp\nsequences=01\n",
+                "validation error: sp sequence '01': no probability\n",
+            ),
             ("scenario=sg\n", "'env_file'"),
             ("scenario=tabular\nenv_file=no-such-file.txt\n", "no-such-file.txt"),
             ("scenario=sp\nsequences=0:1/2;1:1/4\n", "scenario=sp: "),
@@ -441,7 +461,8 @@ class TestMain:
             ),
         ],
         ids=[
-            "n-not-int", "sg-no-env-file", "missing-env-file",
+            "n-not-int", "i-not-int", "i-empty", "n-abc", "y-star-not-int", "n-and-y-star",
+            "sp-not-a-bit", "sp-no-probability", "sg-no-env-file", "missing-env-file",
             "sp-mass", "i-5", "truncated-key", "n-0", "n-negative", "y-star-n",
             "fm-no-actions", "tabular-zero-counts", "sg-zero-counts",
         ],
@@ -668,6 +689,27 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("validation error: --config: ")
         assert str(path) in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", "ok.txt", "--out", "ok.txt/sub"],
+            ["verify", "--l", "4", "--out", "ok.txt/x"],
+            ["enumerate", "--l", "4", "--out", "ok.txt/x"],
+        ],
+        ids=["run", "verify", "enumerate"],
+    )
+    def test_an_out_path_that_cannot_be_written_exits_1_without_a_traceback(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ok.txt").write_text("scenario=heavenhell\nlifetime=2\n")
+        assert main(argv) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("validation error: --out: ")
+        assert f"{argv[-1]!r}" in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("seed", ["-5", str(2**31 + 1)])

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from unimix.core import (
     Alphabet,
-    AlternationError,
     EMPTY_HISTORY,
     FixedHorizon,
     GeometricDiscount,
@@ -75,21 +74,12 @@ class TestHistory:
         h2 = append_cycle(h, 1, Percept(Fraction(1), 0))
         assert len(h2) == 4
 
-    def test_append_with_pending_is_an_error(self):
-        h = EMPTY_HISTORY.with_pending(1)
-        with pytest.raises(AlternationError):
-            append_cycle(h, 0, Percept(Fraction(0), 0))
-
-    def test_answer_without_pending_is_an_error(self):
-        with pytest.raises(AlternationError):
-            EMPTY_HISTORY.answer(Percept(Fraction(0), 0))
-
 
 class TestContexts:
     A = Alphabet(num_actions=2, num_observations=1, rewards=(Fraction(0), Fraction(1)))
 
     def keys(self, depth, follow=None):
-        return [encode_history(h.with_pending(y)) for h, y in contexts(self.A, depth, follow)]
+        return [encode_history(h, y) for h, y in contexts(self.A, depth, follow)]
 
     def test_a_context_comes_before_its_subtree_and_its_subtree_before_the_next_action(self):
         assert self.keys(2) == [
@@ -116,7 +106,7 @@ class TestContexts:
         asked = []
 
         def follow(h, y):
-            asked.append(encode_history(h.with_pending(y)))
+            asked.append(encode_history(h, y))
             return [hit] if y == 0 else []
 
         assert self.keys(3, follow) == [
@@ -174,13 +164,12 @@ _histories = st.builds(
     cycles=st.lists(
         st.tuples(st.integers(min_value=0, max_value=3), _percepts), max_size=6
     ).map(tuple),
-    pending_action=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
 )
 
 
-@given(_histories)
-def test_history_serialization_round_trips_bit_exactly(h):
-    assert decode_history(encode_history(h)) == h
+@given(_histories, st.one_of(st.none(), st.integers(min_value=0, max_value=3)))
+def test_history_serialization_round_trips_bit_exactly(h, y):
+    assert decode_history(encode_history(h, y)) == (h, y)
 
 
 def test_decode_history_rejects_malformed_text():

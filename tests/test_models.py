@@ -59,7 +59,7 @@ def two_cycle_tabular(binary_alphabet):
         for x1 in (R0, R1):
             h = append_cycle(EMPTY_HISTORY, y1, Percept(x1, 0))
             for y2 in (0, 1):
-                rows[encode_history(h.with_pending(y2))] = (Fraction(1, 4), Fraction(3, 4))
+                rows[encode_history(h, y2)] = (Fraction(1, 4), Fraction(3, 4))
     return TabularModel(binary_alphabet, 2, rows)
 
 
@@ -653,7 +653,7 @@ class HalfRow(ChronologicalModel):
 
     def cond_map(self, h, y):
         row = self.base.cond_map(h, y)
-        if encode_history(h.with_pending(y)) == self.leak:
+        if encode_history(h, y) == self.leak:
             return {x: p / 2 for x, p in row.items()}
         return row
 

@@ -30,7 +30,7 @@ X = Percept(F(1, 2), 1)
 VALUES = [
     ("Percept", lambda: Percept(F(1, 2), 1), "reward"),
     ("Alphabet", lambda: Alphabet(3, 2, (0, F(1, 2), 1)), "rewards"),
-    ("History", lambda: History(((0, X), (1, X)), 1), "cycles"),
+    ("History", lambda: History(((0, X), (1, X))), "cycles"),
     ("FixedHorizon", lambda: FixedHorizon(3), "m"),
     ("MovingHorizon", lambda: MovingHorizon(3), "h"),
     ("ProportionalHorizon", lambda: ProportionalHorizon(F(1, 2)), "beta"),
@@ -69,7 +69,7 @@ def test_fields_are_read_only(make, field):
 
 def test_a_different_field_gives_an_unequal_object():
     assert Percept(F(1, 2), 1) != Percept(F(1, 2), 0)
-    assert History(((0, X),)) != History(((0, X),), 1)
+    assert History(((0, X),)) != History(((1, X),))
     assert FixedHorizon(3) != FixedHorizon(4)
     assert GeometricDiscount(F(1, 2), 4) != GeometricDiscount(F(1, 3), 4)
 
@@ -90,7 +90,7 @@ def test_objects_of_different_classes_are_never_equal():
 def test_repr_names_the_class_and_its_fields():
     assert repr(FixedHorizon(3)) == "FixedHorizon(m=3)"
     assert repr(Percept(F(1, 2), 1)) == "Percept(reward=Fraction(1, 2), observation=1)"
-    assert repr(EMPTY_HISTORY) == "History(cycles=(), pending_action=None)"
+    assert repr(EMPTY_HISTORY) == "History(cycles=())"
     assert repr(SelectionRow(2, "9:088", F(1, 2), True, False, 1, 4)) == (
         "SelectionRow(cycle=2, candidate='9:088', claimed_w=Fraction(1, 2), valid=True, "
         "selected=False, action=1, steps_used=4)"
@@ -150,7 +150,6 @@ def test_specs_compare_by_value():
         lambda: RunBudget(0),
         lambda: Claim(-1, 0),
         lambda: ValueQuery(make_heavenhell(0), EMPTY_HISTORY, 2, 3),
-        lambda: ValueQuery(make_heavenhell(0), EMPTY_HISTORY.with_pending(0), 1, 3),
         lambda: ValueQuery(make_heavenhell(0), EMPTY_HISTORY, 1, 0),
         lambda: GameSpec(0, 1, 1, {}),
         lambda: GameSpec(1, 1, 1, {}),
