@@ -219,7 +219,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if horizon_s:
         try:
             horizon = parse_horizon(horizon_s)
-        except (ValueError, ZeroDivisionError) as e:
+        except ValueError as e:
             violations.append(f"bad horizon {horizon_s!r}: {e}")
     if isinstance(horizon, GeometricDiscount):
         # Values carry gamma^k up to k = min(m_cap, lifetime); its denominator,
@@ -267,7 +267,7 @@ def _build_env(cfg: ScenarioConfig):
         for bits, colon, p in items:
             try:  # a symbol other than 0 or 1 stays a character, for make_sp_env to name
                 pairs.append((tuple({"0": 0, "1": 1}.get(c, c) for c in bits), rational(p)))
-            except (ValueError, ZeroDivisionError) as e:
+            except ValueError as e:
                 violations.append(f"sp sequence {bits!r}: {e if colon else 'no probability'}")
         if violations:
             raise ValidationError(violations)

@@ -116,6 +116,7 @@ def rational(text: str) -> Fraction:
     its exponent counted as that many more characters, is longer than
     ``rational_digits()``: neither its numerator nor its denominator could
     then be written back as text, and a large exponent takes long to apply.
+    A zero denominator is refused with a ``ValueError`` that quotes the text.
     """
     cap = rational_digits()
     size = len(text)
@@ -127,7 +128,10 @@ def rational(text: str) -> Fraction:
             pass
     if size > cap:
         raise ValueError(f"a rational of more than {cap} digits, its exponent counted")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def write_text(header: Iterable[Tuple[str, Any]], rows: Iterable[Tuple[str, str]] = ()) -> str:

@@ -585,6 +585,17 @@ CLASS_CAP = 2**20
 # A build row, and a signature's entry, for a cycle that runs out of steps.
 _TIMEOUT = -1
 
+# The instructions that can emit (OUT) or run again in the same cycle (a JZ
+# back to itself or before it).
+_LOUD_OR_LOOPING = frozenset({(vm.OP_OUT, 0), (vm.OP_JZ, 0), (vm.OP_JZ, 1)})
+
+
+def _silent(ops: tuple, limit: int) -> bool:
+    """Whether code ``ops`` emits symbol 0 and never times out on every
+    cycle from every state: without ``_LOUD_OR_LOOPING`` instructions each
+    instruction runs at most once a cycle, so ``len(ops)`` steps end it."""
+    return len(ops) <= limit and _LOUD_OR_LOOPING.isdisjoint(ops)
+
 
 class _PastClassCap(Exception):
     """The class build needs more than ``CLASS_CAP`` signature entries."""
@@ -619,10 +630,15 @@ def build_class_mixture(
     percepts, next state), or the timeout mark, so a state signed at
     several depths runs each cycle once.  The symbol stands for the percept
     ``Alphabet.percept_of`` gives it, so the partition is the one percepts
-    would give.  A class's component is its leader's ``ProgramEnv`` (the
-    heaviest member, the lowest pool index on ties, which gives its label),
-    handed the rows the build ran for it, with the summed weight of its
-    members; no other program gets a ``ProgramEnv``.  So the mixture equals
+    would give.  A program whose code is silent (``_silent``: no ``OUT``, no
+    ``JZ`` back or in place, and no more instructions than the step limit)
+    emits symbol 0 and finishes every cycle, so it gets that signature from
+    its code alone: the build runs no cycle for it, charges it no entries
+    and leaves its table empty.  A class's component is its leader's
+    ``ProgramEnv`` (the heaviest member, the lowest pool index on ties,
+    which gives its label), handed the rows the build ran for it, with the
+    summed weight of its members; no other program gets a ``ProgramEnv``.
+    A silent leader's env runs its rows on demand.  So the mixture equals
     ``build_mixture`` on every history of at most ``depth`` cycles: equal
     joints and equal conditionals.  ``MixtureNode.top`` still names the
     heaviest surviving program, since it ranks classes by their leaders'
@@ -679,6 +695,11 @@ def build_class_mixture(
             got = memo[s, d] = ids.setdefault(tuple(sig), len(ids))
         return got
 
+    # The signature of a program that emits symbol 0 on every cycle, interned
+    # as ``signature`` would intern it.
+    silent = 0
+    for _ in range(depth):
+        silent = ids.setdefault(((0, silent),) * n_actions, len(ids))
     # Each program's rows: (state, action or None) -> (symbol, next state) or _TIMEOUT.
     tables: List[dict] = [{} for _ in pool]
     # The weights are summed as integers over 2^l_max.
@@ -686,11 +707,14 @@ def build_class_mixture(
     classes: Dict[int, list] = {}  # class -> [leader's pool index, mass]
     try:
         for i, (q, rows) in enumerate(zip(pool, tables)):
-            ops, memo = q._ops, {}
-            # A program that never reads the action is stepped once per
-            # state, on None (input 0), for every action.
-            inputs = actions if q._reads_input else (None,)
-            c = classes.setdefault(signature(FRESH, depth), [i, 0])
+            if _silent(q._ops, limit):
+                c = classes.setdefault(silent, [i, 0])
+            else:
+                ops, memo = q._ops, {}
+                # A program that never reads the action is stepped once per
+                # state, on None (input 0), for every action.
+                inputs = actions if q._reads_input else (None,)
+                c = classes.setdefault(signature(FRESH, depth), [i, 0])
             if q.length_bits < pool[c[0]].length_bits:
                 c[0] = i
             c[1] += 1 << (l_max - q.length_bits)

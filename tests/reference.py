@@ -23,6 +23,9 @@ policy that ``planner.run_interaction`` steps (``bestvote.best_vote_policy``).
 ``selection_log_csv`` is the selection log written by reading each row's
 fields by name, for the library's writer that formats each row as the tuple
 it is (``bestvote.selection_log_csv``).
+``class_partition`` is the class build with every program run on the
+machine, on every action, for the build that signs silent programs from
+their code (``models.build_class_mixture``).
 ``fraction_plan``, ``sample_percept`` and ``functional_value`` are the
 expectimax, the percept draw and the rollout value on normalized ``Fraction``
 probabilities, for the library's forms that sum integer masses and scaled
@@ -46,6 +49,7 @@ from unimix.core import (
 )
 from unimix.models import TabularModel, UndefinedConditionalError
 from unimix.planner import env_node
+from unimix.vm import FRESH, run_machine
 
 
 class MachineState:
@@ -396,3 +400,37 @@ def functional_value(node, y, act, k, m, h, horizon=None):
     if m < k:
         return Fraction(0)
     return walk(node, y, act, k, h) / node.mass
+
+
+def class_partition(pool, budget, alphabet, depth):
+    """The behaviour classes of ``pool`` up to ``depth`` cycles, as
+    (label, weight, lead) per class in the order of its leader's pool index:
+    the leader (the heaviest member, the first on ties) gives the label and
+    the lead, and the weight sums the members'.  A program's class is its
+    signature from the fresh machine: for each action, the output symbol
+    modulo the alphabet's percepts and the next state's signature one cycle
+    shallower, or None for a timeout."""
+    ids, classes = {}, {}
+
+    def signature(ops, s, d, memo):
+        got = memo.get((s, d))
+        if got is None:
+            sig = []
+            for y in alphabet.actions():
+                outputs, _, timed_out, child = run_machine(
+                    ops, s, y, 0, budget.steps_per_cycle, 1
+                )
+                if timed_out:
+                    sig.append(None)
+                else:
+                    x = (outputs[0] if outputs else 0) % alphabet.num_percepts
+                    sig.append((x, signature(ops, child, d - 1, memo) if d > 1 else 0))
+            got = memo[s, d] = ids.setdefault(tuple(sig), len(ids))
+        return got
+
+    for i, q in enumerate(pool):
+        c = classes.setdefault(signature(q._ops, FRESH, depth, {}), [i, Fraction(0)])
+        if q.length_bits < pool[c[0]].length_bits:
+            c[0] = i
+        c[1] += q.weight
+    return [(pool[i].to_hex(), w, pool[i].weight) for i, w in sorted(classes.values())]

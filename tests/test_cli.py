@@ -592,6 +592,40 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == f"validation error: {violation}, its exponent counted\n"
 
+    @pytest.mark.parametrize(
+        "config, env_file, violation",
+        [
+            (
+                "scenario=heavenhell\nlifetime=2\nhorizon=proportional:1/0\n",
+                None,
+                "bad horizon 'proportional:1/0'",
+            ),
+            (
+                "scenario=heavenhell\nlifetime=2\nhorizon=geometric:1/0:3\n",
+                None,
+                "bad horizon 'geometric:1/0:3'",
+            ),
+            ("scenario=sp\nlifetime=2\nsequences=01:1/0\n", None, "sp sequence '01'"),
+            (
+                "scenario=tabular\nlifetime=1\nenv_file=env.txt\n",
+                "actions=2\nobservations=1\nrewards=0,1/0\ndepth=1\n",
+                "env.txt: line 3: bad value of 'rewards'",
+            ),
+        ],
+        ids=["proportional", "geometric", "sp", "tabular-rewards"],
+    )
+    def test_a_zero_denominator_is_named_and_exits_1(
+        self, config, env_file, violation, tmp_path, monkeypatch, capsys
+    ):
+        # the error once read only "Fraction(1, 0)"
+        monkeypatch.chdir(tmp_path)
+        if env_file is not None:
+            (tmp_path / "env.txt").write_text(env_file)
+        (tmp_path / "cfg.txt").write_text(config)
+        assert main(["run", "--config", "cfg.txt", "--out", "out"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"validation error: {violation}: zero denominator in '1/0'\n"
+
     def test_a_geometric_gamma_whose_power_is_too_long_to_write_exits_1(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -799,7 +833,7 @@ class TestMain:
         assert "validation error" in capsys.readouterr().err
 
     def test_a_class_build_past_its_cap_runs_the_per_program_mixture(self, monkeypatch):
-        # heavenhell at l=12 and lifetime 3 needs 1,298 signature entries
+        # heavenhell at l=12 and lifetime 3 needs 506 signature entries
         cfg = parse_config("scenario=heavenhell\nagent=mixture\nlifetime=3\nl=12\n")
         classed = run_scenario(cfg)
         assert len(cli._build_agent(cfg, cli._build_env(cfg))[1].components) == 7

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from unimix import vm
@@ -17,7 +17,9 @@ from unimix.core import (
     append_cycle,
     encode_history,
 )
-from unimix.domains import make_fm_env, make_heavenhell, uniform_function_class
+from unimix.domains import (
+    make_fm_env, make_heavenhell, make_lazy, make_onlyone, uniform_function_class,
+)
 from unimix.models import (
     ChronologicalModel,
     FunctionalEnv,
@@ -26,6 +28,7 @@ from unimix.models import (
     ProgramEnv,
     TabularModel,
     UndefinedConditionalError,
+    _silent,
     build_class_mixture,
     build_mixture,
     check_chronological,
@@ -596,10 +599,11 @@ def test_the_12_bit_pool_falls_into_7_classes_in_heavenhells_alphabet(pool12, de
     assert xi.base_mass() == build_mixture(pool12, RunBudget(64), a).base_mass()
 
 
-@pytest.mark.parametrize("depth,cycles", [(3, 484), (8, 709), (64, 3229)])
+@pytest.mark.parametrize("depth,cycles", [(3, 158), (8, 213), (64, 829)])
 def test_a_class_build_runs_each_row_of_each_program_once(pool12, depth, cycles, monkeypatch):
     # One machine cycle per (program, state, action or None) row the build
-    # reaches; a program that never reads the action has one row per state.
+    # reaches; a program that never reads the action has one row per state,
+    # and one whose code is silent has none.
     calls = []
     run_machine = vm.run_machine
 
@@ -610,6 +614,72 @@ def test_a_class_build_runs_each_row_of_each_program_once(pool12, depth, cycles,
     monkeypatch.setattr(vm, "run_machine", counting)
     build_class_mixture(pool12, RunBudget(64), make_heavenhell(0).alphabet, depth)
     assert len(calls) == cycles
+
+
+PARTITION_ALPHABETS = [make_heavenhell(0).alphabet] + [
+    make_onlyone(n, 0).alphabet for n in (4, 3)
+]
+
+
+def partition(m):
+    """(label, weight, lead) per component of a class mixture."""
+    return [(label, w, w * share) for (label, w, _), share in zip(m.components, m._lead_share)]
+
+
+@pytest.mark.parametrize("l_max", range(3, 15))
+def test_the_class_build_partitions_the_pool_as_the_build_that_runs_every_program(l_max):
+    assert make_lazy(2).alphabet is PARTITION_ALPHABETS[0]  # lazy adds no case of its own
+    pool = enumerate_programs(l_max)
+    for alphabet, steps, depth in itertools.product(
+        PARTITION_ALPHABETS, (1, 2, 3, 4, 64), (1, 2, 3, 8)
+    ):
+        budget = RunBudget(steps)
+        assert partition(build_class_mixture(pool, budget, alphabet, depth)) == (
+            reference.class_partition(pool, budget, alphabet, depth)
+        ), (alphabet, steps, depth)
+
+
+# Every instruction word but END, which ends a program.
+WORDS = [(op, arg) for op in range(1, 8) for arg in range(2 ** vm.OPERAND_BITS[op])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(WORDS), max_size=10),
+    st.integers(0, 5),
+    st.dictionaries(st.integers(-3, 3), st.integers(0, 5), max_size=3),
+    st.integers(-3, 3),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 4),
+)
+def test_silent_code_emits_nothing_and_finishes_every_cycle(
+    words, acc, tape, head, primary, secondary, spare
+):
+    ops = tuple(words) + ((vm.OP_END, 0),)
+    limit = len(ops) + spare
+    assume(_silent(ops, limit))
+    state = (acc, tuple(sorted(tape.items())), head)
+    outputs, steps, timed_out, _ = vm.run_machine(ops, state, primary, secondary, limit, 1)
+    assert (outputs, timed_out) == ([], False)
+    assert steps <= len(ops)
+
+
+@pytest.mark.parametrize("steps, silent", [(64, 110), (3, 83), (1, 1)])
+def test_a_class_build_runs_no_program_its_code_shows_silent(pool12, steps, silent, monkeypatch):
+    run = []
+    run_machine = vm.run_machine
+
+    def recording(ops, *args):
+        run.append(ops)
+        return run_machine(ops, *args)
+
+    monkeypatch.setattr(vm, "run_machine", recording)
+    build_class_mixture(pool12, RunBudget(steps), make_heavenhell(0).alphabet, 3)
+    admitted = {q._ops for q in pool12 if _silent(q._ops, steps)}
+    assert len(admitted) == silent
+    assert admitted.isdisjoint(run)
+    assert {q._ops for q in pool12} - admitted <= set(run)
 
 
 OUT, INR, INC, END, LDC2 = (0, 0, 1), (0, 1, 1), (1, 1, 0), (0, 0, 0), (1, 0, 0, 1, 0)

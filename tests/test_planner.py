@@ -413,9 +413,11 @@ def test_a_heavenhell_mixture_solves_each_belief_state_once(pool12):
 def test_a_mixture_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeypatch):
     # The planner's solves and belief steps share each program's transition
     # table, so a (state, action) pair runs once a run; without the table
-    # the run makes 2,949 (seed 0) and 2,795 (seed 1).  A
-    # program that never reads the action runs once per state, not once per
-    # (state, action) pair: keyed by the action too, the run makes 688.
+    # the run makes 240.  A program that never reads the action runs once
+    # per state, not once per (state, action) pair: keyed by the action too,
+    # the run makes 172.  The class build signs silent programs from their
+    # code: it makes 158 cycles, and the run one more, for the silent class's
+    # leader (3:0), whose table the build left empty.
     calls = []
     run_machine = vm.run_machine
 
@@ -429,9 +431,10 @@ def test_a_mixture_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeypat
         f"seed={config_seed}\ni={config_seed % 2}\n"
     )
     run_scenario(cfg)
-    assert len(calls) == 484
+    assert len(calls) == 159
     # Past the class cap, each program's env starts with the rows the build
-    # ran for it: built fresh instead, the run makes 508.
+    # ran for it: built fresh instead, the run makes 508, and without the
+    # tables 2,973 (seed 0) and 2,819 (seed 1).
     calls.clear()
     monkeypatch.setattr(models, "CLASS_CAP", 100)
     run_scenario(cfg)
