@@ -8,11 +8,11 @@ together.  Exit codes: 0 success, 1 validation error, 2 capacity error,
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from . import __version__
@@ -428,7 +428,7 @@ def verify_invariants(l_max: int) -> List[BoundReport]:
     return reports
 
 
-# --- argparse wiring ---------------------------------------------------------
+# --- The command line -------------------------------------------------------
 
 
 # The CLI's surface: each command's help and its (flag, add_argument keywords).
@@ -453,36 +453,82 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Exits 1 on a usage error, like any other invalid input; argparse's own
-    code, 2, is the capacity-error exit."""
+def _read(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The namespace the whole CLI's parser makes of ``argv``, read from
+    ``COMMANDS``: argv is a command, then only that command's exact flags
+    (a switch alone, any other flag with its value) and its positionals.
+    None for any other argv, and for a value that starts with ``-``, a
+    ``type`` that fails, a missing required argument or an extra positional;
+    argparse reads those."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    args, options, positionals, required = {"command": argv[0]}, {}, [], set()
+    for flag, keywords in COMMANDS[argv[0]][1]:
+        convert = keywords.get("type", str)
+        if flag[0] != "-":
+            positionals.append((flag, convert))
+            continue
+        dest = keywords.get("dest", flag.lstrip("-").replace("-", "_"))
+        switch = keywords.get("action") == "store_true"
+        options[flag] = dest, switch, convert
+        args[dest] = keywords.get("default", False if switch else None)
+        if keywords.get("required"):
+            required.add(dest)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":  # argparse takes '' for a positional too
+            if not positionals:
+                return None
+            dest, convert = positionals.pop(0)
+            value = token
+        else:
+            if token not in options:
+                return None
+            dest, switch, convert = options[token]
+            required.discard(dest)
+            if switch:
+                args[dest] = True
+                continue
+            value = next(tokens, None)
+            if value is None or value[:1] == "-":
+                return None
+        try:
+            args[dest] = convert(value)
+        except (TypeError, ValueError):
+            return None
+    if required or positionals:
+        return None
+    return SimpleNamespace(**args)
 
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+def _parser(**keywords):
+    """An argparse parser that exits 1 on a usage error, like any other
+    invalid input; argparse's own code, 2, is the capacity-error exit.  Only
+    a command line that prints, or that ``_read`` leaves, imports argparse."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+    return _Parser(**keywords)
 
 
-def _filled(parser: _Parser, arguments) -> _Parser:
-    for flag, keywords in arguments:
-        parser.add_argument(flag, **keywords)
-    return parser
-
-
-def parse_args(argv: List[str]) -> argparse.Namespace:
-    """The parsed ``argv``, from the parser of its command alone.  The parser
-    of the whole CLI, which prints the top-level usage and help, is built only
-    when ``argv`` does not start with a command or has arguments that command
-    does not take; it then exits as it would have parsed the whole ``argv``."""
-    if argv and argv[0] in COMMANDS:
-        name = argv[0]
-        parser = _filled(_Parser(prog=f"unimix {name}"), COMMANDS[name][1])
-        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
-        if not extra:
-            return args
-    parser = _Parser(prog="unimix", description="universal-mixture agent scenario runner")
+def parse_args(argv: List[str]):
+    """The parsed ``argv``: read from ``COMMANDS`` when ``_read`` can read it
+    in full, otherwise parsed by the whole CLI's parser (a top-level parser
+    with a subparser per command), which prints the usage, help or error and
+    exits, or returns its namespace."""
+    args = _read(argv)
+    if args is not None:
+        return args
+    parser = _parser(prog="unimix", description="universal-mixture agent scenario runner")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_, arguments) in COMMANDS.items():
-        _filled(sub.add_parser(name, help=help_), arguments)
+        command = sub.add_parser(name, help=help_)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
     return parser.parse_args(argv)
 
 

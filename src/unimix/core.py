@@ -385,7 +385,10 @@ def decode_history(text: str) -> Tuple[History, Optional[Action]]:
         if len(cycle) == 1:
             return h, y
         num, den = cycle[1][2:].split("/")
-        h = append_cycle(h, y, Percept(Fraction(int(num), int(den)), int(cycle[2][2:])))
+        num, den = int(num), int(den)
+        if not den:
+            raise ValueError(f"zero denominator in {cycle[1][2:]!r}")
+        h = append_cycle(h, y, Percept(Fraction(num, den), int(cycle[2][2:])))
     return h, None
 
 

@@ -13,7 +13,8 @@ each judged by ``validate_claim`` here, for the round on plain values
 claim, with no bound U to spare a walk, so the library's verdicts without
 one (``bestvote.claim_verdict``) are checked against the walk itself.
 ``parse_args`` is the command line parsed by one parser with a subparser for
-every command, for the parser of the running command alone (``cli.parse_args``).
+every command, for the command line read from the command table without
+argparse (``cli.parse_args``).
 ``check_chronological``, ``random_tabular`` and ``dominance_walk`` are the
 history walks written out as their own recursions, for the library's forms on
 the one context enumerator (``core.contexts``).
@@ -42,7 +43,7 @@ from unimix import bestvote, planner
 from unimix.bestvote import (
     ExtendedCandidate, SelectionRow, candidate_value, run_candidate_cycle,
 )
-from unimix.cli import _Parser
+from unimix.cli import _parser
 from unimix.core import (
     EMPTY_HISTORY, CapacityError, FixedHorizon, Percept, append_cycle, discounted_reward,
     encode_history, horizon_end,
@@ -223,7 +224,7 @@ def run_best_vote(pool, budget, env, lifetime, horizon=None, seed=0, leaders=Non
 def parse_args(argv):
     """``argv`` parsed by the whole CLI's parser: the top-level parser and a
     subparser for each of the four commands, all built on every call."""
-    parser = _Parser(
+    parser = _parser(
         prog="unimix", description="universal-mixture agent scenario runner"
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,12 +2,15 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unimix import cli, models, vm
 from unimix.cli import (
@@ -894,7 +897,7 @@ class TestMain:
         assert main(["verify"]) == EXIT_OK  # advisory without --strict
 
 
-# --- The command line: one parser per run, the same output as the whole CLI's --
+# --- The command line: read without argparse, the same output as the whole CLI's
 
 
 def parsed(parse, argv):
@@ -952,13 +955,49 @@ def test_a_valid_argv_parses_as_the_whole_cli_parses_it(argv):
     assert got == parsed(reference.parse_args, argv)
 
 
+# Every command and flag, abbreviations, the spellings argparse reads on its
+# own (--flag=value, -h, --help, --), values that start with "-", and values
+# that int reads, fails on or reads after a strip.
+_TOKENS = (
+    *cli.COMMANDS, "bogus",
+    *sorted({flag for _, arguments in cli.COMMANDS.values() for flag, _ in arguments
+             if flag[0] == "-"}),
+    "--co", "--o", "--s", "--st", "--config=c", "-h", "--help", "--", "-5", "-", "",
+    "x", "4", " 7", "--threads",
+)
+
+
+@st.composite
+def _argvs(draw):
+    """0-6 of ``_TOKENS``.  Half of them are a command and then words, each
+    a token or one of that command's flags and a token, so that some are
+    read without argparse (few argvs drawn token by token are)."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(_TOKENS), max_size=6))
+    command = draw(st.sampled_from(tuple(cli.COMMANDS)))
+    flags = [flag for flag, _ in cli.COMMANDS[command][1] if flag[0] == "-"]
+    token = st.sampled_from(_TOKENS)
+    word = token.map(lambda t: [t])
+    if flags:
+        word = st.one_of(word, st.tuples(st.sampled_from(flags), token).map(list))
+    words = draw(st.lists(word, max_size=5))
+    return ([command] + [t for w in words for t in w])[:6]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_every_argv_parses_as_the_whole_cli_parses_it(argv):
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        assert parsed(cli.parse_args, argv) == parsed(reference.parse_args, argv)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["run", "--config", "cfg.txt"], ["verify", "--l", "4"], ["enumerate", "--l", "4"],
      ["disasm", _HEX]],
     ids=lambda argv: argv[0],
 )
-def test_a_valid_command_builds_one_parser(argv, tmp_path, monkeypatch, capsys):
+def test_a_valid_command_builds_no_parser(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.txt").write_text("scenario=heavenhell\nlifetime=2\n")
     built = []
@@ -970,7 +1009,7 @@ def test_a_valid_command_builds_one_parser(argv, tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert main(argv) == EXIT_OK
-    assert built == [f"unimix {argv[0]}"]
+    assert built == []
 
 
 def test_main_without_argv_reads_the_process_arguments(monkeypatch, capsys):

@@ -96,6 +96,43 @@ def test_importing_the_cli_loads_neither_openssl_nor_evaluate():
     assert not _loaded_by_the_cli() & {"hashlib", "_hashlib", "_ssl", "unimix.evaluate"}
 
 
+def test_importing_the_cli_loads_no_argparse():
+    # argparse (with gettext, and the locale that gettext loads on first
+    # use) serves only a command line that prints.
+    assert not _loaded_by_the_cli() & {"argparse", "gettext", "locale"}
+
+
+def _main_in_a_fresh_interpreter(argv) -> list:
+    """Lines of stdout and stderr of ``main(argv)`` in a fresh interpreter,
+    then its exit code and whether argparse was loaded."""
+    code = (
+        "import sys\n"
+        "sys.stderr = sys.stdout\n"
+        "from unimix.cli import main\n"
+        "try:\n"
+        f"    rc = main({argv!r})\n"
+        "except SystemExit as e:\n"
+        "    rc = e.code\n"
+        "print(rc, 'argparse' in sys.modules)\n"
+    )
+    return _python(code).splitlines()
+
+
+def test_a_valid_command_line_runs_without_argparse(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("scenario=heavenhell\nlifetime=2\n")
+    hexcode = "9:088"  # IN, OUT, END
+    assert _main_in_a_fresh_interpreter(["disasm", hexcode])[-1] == "0 False"
+    lines = _main_in_a_fresh_interpreter(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert lines[-2:] == ["trace_total_reward=2", "0 False"]
+
+
+def test_a_usage_error_still_prints_the_usage():
+    lines = _main_in_a_fresh_interpreter(["run", "--threads", "2"])
+    assert lines[0].startswith("usage: unimix")
+    assert lines[-1] == "1 True"
+
+
 def test_without_a_builtin_sha256_the_config_hash_falls_back_to_hashlib():
     text = "scenario=heavenhell\nagent=informed\nlifetime=5\ni=1\n"
     code = (
