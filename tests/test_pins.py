@@ -2,7 +2,8 @@
 
 perfbench/pins.json holds the sha256 of each workload config's artifacts;
 the configs here are written the way perfbench/run.py writes them.  The
-test only reads the pins.
+test only reads the pins.  ``PATH_PINS`` holds, in this file, the digests of
+run paths the workloads do not take.
 """
 
 import hashlib
@@ -67,3 +68,151 @@ def test_artifacts_match_the_pinned_digests(workload, lifetime, config_seed, tmp
     }
     pins = json.loads(PINS.read_text())
     assert got == pins[f"{workload}/lifetime={lifetime}"][str(config_seed)]
+
+
+# Run paths off the benchmark's workloads, pinned the same way: the mixture
+# on moving, proportional and geometric horizons, and best vote on
+# many-action and horizon-bound worlds, each at config seeds 0 and 1.
+PATH_CONFIGS = {
+    "mixture-heavenhell-moving1": "scenario=heavenhell\nagent=mixture\nl=12\nlifetime=16\nhorizon=moving:1\ni=0\n",
+    "mixture-heavenhell-moving6": "scenario=heavenhell\nagent=mixture\nl=12\nlifetime=16\nhorizon=moving:6\ni=1\n",
+    "mixture-heavenhell-proportional": "scenario=heavenhell\nagent=mixture\nl=12\nlifetime=16\nhorizon=proportional:1/2\ni=0\n",
+    "mixture-heavenhell-geometric": "scenario=heavenhell\nagent=mixture\nl=12\nlifetime=12\nhorizon=geometric:1/2:4\ni=0\n",
+    "mixture-onlyone16-moving1": "scenario=onlyone\nagent=mixture\nl=12\nlifetime=16\nhorizon=moving:1\nn=16\n",
+    "mixture-lazy-moving3": "scenario=lazy\nagent=mixture\nl=12\nlifetime=16\nhorizon=moving:3\n",
+    "bestvote-onlyone16": "scenario=onlyone\nagent=best-vote\nl=12\nlifetime=8\nn=16\n",
+    "bestvote-onlyone256": "scenario=onlyone\nagent=best-vote\nl=12\nlifetime=4\nn=256\n",
+    "bestvote-lazy": "scenario=lazy\nagent=best-vote\nl=12\nlifetime=8\n",
+    "bestvote-heavenhell-moving2": "scenario=heavenhell\nagent=best-vote\nl=12\nlifetime=8\nhorizon=moving:2\ni=1\n",
+}
+
+# config -> seed -> artifact -> sha256
+PATH_PINS = {
+    "bestvote-heavenhell-moving2": {
+        0: {
+            "trace.csv": "9b34a36777fde9882cb376a6a15ff5bee33168963c0b284c69f938a087a93e5b",
+            "results.txt": "3e249ab3d96eecf327489a3a790621ff7552364ed124458993900e7b12326e2e",
+            "selection.csv": "b00c9e3351cd6ec7b738ff8307372692ddd16888dbae76fce11e20977587c5e2",
+        },
+        1: {
+            "trace.csv": "9b34a36777fde9882cb376a6a15ff5bee33168963c0b284c69f938a087a93e5b",
+            "results.txt": "3e249ab3d96eecf327489a3a790621ff7552364ed124458993900e7b12326e2e",
+            "selection.csv": "b00c9e3351cd6ec7b738ff8307372692ddd16888dbae76fce11e20977587c5e2",
+        },
+    },
+    "bestvote-lazy": {
+        0: {
+            "trace.csv": "9b34a36777fde9882cb376a6a15ff5bee33168963c0b284c69f938a087a93e5b",
+            "results.txt": "df44083fb27737cc3fd9188bfb65420696e01fd9ae2da31737b7bdcb37da9d3a",
+            "selection.csv": "b00c9e3351cd6ec7b738ff8307372692ddd16888dbae76fce11e20977587c5e2",
+        },
+        1: {
+            "trace.csv": "9b34a36777fde9882cb376a6a15ff5bee33168963c0b284c69f938a087a93e5b",
+            "results.txt": "df44083fb27737cc3fd9188bfb65420696e01fd9ae2da31737b7bdcb37da9d3a",
+            "selection.csv": "b00c9e3351cd6ec7b738ff8307372692ddd16888dbae76fce11e20977587c5e2",
+        },
+    },
+    "bestvote-onlyone16": {
+        0: {
+            "trace.csv": "eb8e3a428641a0530490d7f8b907ca04cb9feb5627fa857fd0ae9f587ff5f384",
+            "results.txt": "7be929facc272747d1821954cd63d33ac87332ab51dc1335a58c246a0973b0a5",
+            "selection.csv": "ec2094854a52671d399f10440002bdbef9803cea959d6726c4beb6506dbc8085",
+        },
+        1: {
+            "trace.csv": "eb8e3a428641a0530490d7f8b907ca04cb9feb5627fa857fd0ae9f587ff5f384",
+            "results.txt": "7be929facc272747d1821954cd63d33ac87332ab51dc1335a58c246a0973b0a5",
+            "selection.csv": "ec2094854a52671d399f10440002bdbef9803cea959d6726c4beb6506dbc8085",
+        },
+    },
+    "bestvote-onlyone256": {
+        0: {
+            "trace.csv": "5e9fc2fbd4fb07636635c46ea6fe1dd169b8aa89890a3fafa5a9eb868a311a54",
+            "results.txt": "ba19efeb618bc9e449b2d95d97873b2dc4c26e4fd4b7551626522b579973b64a",
+            "selection.csv": "85557cf9ac58f72f8a6e4ea47b79c8a31912f43442dc4a58aae2885786e2bfa0",
+        },
+        1: {
+            "trace.csv": "5e9fc2fbd4fb07636635c46ea6fe1dd169b8aa89890a3fafa5a9eb868a311a54",
+            "results.txt": "ba19efeb618bc9e449b2d95d97873b2dc4c26e4fd4b7551626522b579973b64a",
+            "selection.csv": "85557cf9ac58f72f8a6e4ea47b79c8a31912f43442dc4a58aae2885786e2bfa0",
+        },
+    },
+    "mixture-heavenhell-geometric": {
+        0: {
+            "trace.csv": "9d8f5ac29b912f7d6dfe7884a20b6e436d450222348ddd173c68a7c7289c495e",
+            "results.txt": "994201853957aad39185c7d9f6cf1f372b74851c72ec4d481b07ff34d6858905",
+        },
+        1: {
+            "trace.csv": "9d8f5ac29b912f7d6dfe7884a20b6e436d450222348ddd173c68a7c7289c495e",
+            "results.txt": "994201853957aad39185c7d9f6cf1f372b74851c72ec4d481b07ff34d6858905",
+        },
+    },
+    "mixture-heavenhell-moving1": {
+        0: {
+            "trace.csv": "a0f40a027c2a0f2295aaea5248034dfaac54a25ab2fe5e711cebabe4847fa887",
+            "results.txt": "17ed759ace9cba4b71b5d3538c698922c7f51faadba82c61cee20338c4f1fe00",
+        },
+        1: {
+            "trace.csv": "a0f40a027c2a0f2295aaea5248034dfaac54a25ab2fe5e711cebabe4847fa887",
+            "results.txt": "17ed759ace9cba4b71b5d3538c698922c7f51faadba82c61cee20338c4f1fe00",
+        },
+    },
+    "mixture-heavenhell-moving6": {
+        0: {
+            "trace.csv": "15a97e9a8f90b8ead7561384b2ca5189547b2c4a62b1b3dcc752827c6db0c981",
+            "results.txt": "317eb66ea31da07eaf30707d0170b90adfd6671d2ba21a7d761c5cf5f9323274",
+        },
+        1: {
+            "trace.csv": "15a97e9a8f90b8ead7561384b2ca5189547b2c4a62b1b3dcc752827c6db0c981",
+            "results.txt": "317eb66ea31da07eaf30707d0170b90adfd6671d2ba21a7d761c5cf5f9323274",
+        },
+    },
+    "mixture-heavenhell-proportional": {
+        0: {
+            "trace.csv": "a0f40a027c2a0f2295aaea5248034dfaac54a25ab2fe5e711cebabe4847fa887",
+            "results.txt": "17ed759ace9cba4b71b5d3538c698922c7f51faadba82c61cee20338c4f1fe00",
+        },
+        1: {
+            "trace.csv": "a0f40a027c2a0f2295aaea5248034dfaac54a25ab2fe5e711cebabe4847fa887",
+            "results.txt": "17ed759ace9cba4b71b5d3538c698922c7f51faadba82c61cee20338c4f1fe00",
+        },
+    },
+    "mixture-lazy-moving3": {
+        0: {
+            "trace.csv": "7f16b2059c1376914eeed879acd1d1914bb41a3ca801f98252096c9250079a3e",
+            "results.txt": "3a73a67cdf3eb31e05ca06527800475753baf07b8ddefd3fa50ed3158fb923b1",
+        },
+        1: {
+            "trace.csv": "7f16b2059c1376914eeed879acd1d1914bb41a3ca801f98252096c9250079a3e",
+            "results.txt": "3a73a67cdf3eb31e05ca06527800475753baf07b8ddefd3fa50ed3158fb923b1",
+        },
+    },
+    "mixture-onlyone16-moving1": {
+        0: {
+            "trace.csv": "94fd051ca1dc174378b5ce2749a782f36abe6d80cb08bc87595ae8d574df3c1f",
+            "results.txt": "49964c4ccde1924637c4ddb4df49f2d828502132408e9a3c02d53f0ef24bc842",
+        },
+        1: {
+            "trace.csv": "94fd051ca1dc174378b5ce2749a782f36abe6d80cb08bc87595ae8d574df3c1f",
+            "results.txt": "49964c4ccde1924637c4ddb4df49f2d828502132408e9a3c02d53f0ef24bc842",
+        },
+    },
+}
+
+
+def run_digests(text, tmp_path):
+    config = tmp_path / "config.txt"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ARTIFACTS
+        if (out / name).exists()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PATH_CONFIGS))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_run_paths_off_the_workloads_match_their_pinned_digests(name, seed, tmp_path, capsys):
+    text = PATH_CONFIGS[name] + f"seed={seed}\n"
+    assert run_digests(text, tmp_path) == PATH_PINS[name][seed]
