@@ -24,7 +24,7 @@ from .core import (
     horizon_end,
     set_field,
 )
-from .models import ChronologicalModel, UndefinedConditionalError
+from .models import ChronologicalModel, UndefinedConditionalError, build_class_mixture
 from .planner import (
     Envs,
     PolicyOracle,
@@ -407,14 +407,20 @@ def best_vote_policy(
     once per cycle, in order; each call steps the consistent-environment
     tree's node down the cycle the previous call's history was extended by.
 
+    The tree is rooted on the pool's behaviour classes to the lifetime
+    (``build_class_mixture``), which every walk is clamped to; the walks
+    step only the actions they take, so a program that reads the action is
+    not signed but kept as its own class.  The candidates stay one per
+    program.
+
     ``policy.log`` gets each cycle's selection rows and ``policy.tops`` the
-    posterior leader before each cycle (``MixtureNode.top`` of the node),
-    None once no program is left."""
+    posterior leader before each cycle (``MixtureNode.top`` of the node: the
+    heaviest surviving program), None once no program is left."""
     candidates = [ExtendedCandidate.from_program(p) for p in pool]
     hpol = horizon if horizon is not None else FixedHorizon(lifetime)
     log: List[SelectionRow] = []
     tops: List[Optional[str]] = []
-    node = env_node(pool, EMPTY_HISTORY, budget, alphabet)
+    node = build_class_mixture(pool, budget, alphabet, lifetime, False).state(EMPTY_HISTORY)
     last: Optional[History] = None  # the history of the previous call
 
     def policy(h: History) -> Action:

@@ -47,7 +47,6 @@ from .models import (
     TabularModel,
     UndefinedConditionalError,
     build_class_mixture,
-    build_mixture,
     check_chronological,
 )
 from .planner import ProgramStepper, planning_policy, run_interaction
@@ -296,15 +295,14 @@ def _build_agent(cfg: ScenarioConfig, env):
         return planning_policy(env, MovingHorizon(1), cfg.lifetime), None
     if cfg.agent == "mixture":
         pool = enumerate_programs(cfg.l_max)
-        # When the first plan reaches the lifetime it steps every program on
-        # every action sequence to it, so the class build runs no machine
-        # cycle that plan would not; a shorter first plan visits only part of
-        # the build's walk.  horizon_end clamps every plan to the lifetime,
-        # so the classes need only agree for that many cycles.
-        if horizon_end(cfg.horizon, 1, cfg.lifetime) == cfg.lifetime:
-            xi = build_class_mixture(pool, budget, env.alphabet, cfg.lifetime)
-        else:
-            xi = build_mixture(pool, budget, env.alphabet)
+        # horizon_end clamps every plan to the lifetime, so the classes need
+        # only agree for that many cycles.  A first plan that reaches the
+        # lifetime steps every program on every action sequence to it, so
+        # signing the programs that read the action runs no machine cycle
+        # that plan would not; a shorter first plan visits only part of that
+        # walk, and such a program stays its own class.
+        every_action = horizon_end(cfg.horizon, 1, cfg.lifetime) == cfg.lifetime
+        xi = build_class_mixture(pool, budget, env.alphabet, cfg.lifetime, every_action)
         return planning_policy(xi, cfg.horizon, cfg.lifetime), xi
     if cfg.agent == "best-vote":
         pool = enumerate_programs(cfg.l_max)

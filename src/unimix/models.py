@@ -577,9 +577,9 @@ def build_mixture(
 
 
 # The most signature entries one ``build_class_mixture`` computes before it
-# gives up on classes: one per action of each (program, machine state,
-# remaining depth) signature, so the cap bounds the table rows read whatever
-# the number of actions.
+# gives up on classes: a signature has one entry per action where the build
+# signs the programs that read the action, else one, so the cap bounds the
+# table rows read whatever the number of actions.
 CLASS_CAP = 2**20
 
 # A build row, and a signature's entry, for a cycle that runs out of steps.
@@ -615,7 +615,11 @@ def _tabled_env(
 
 
 def build_class_mixture(
-    pool: Sequence[Program], budget: RunBudget, alphabet: Alphabet, depth: int
+    pool: Sequence[Program],
+    budget: RunBudget,
+    alphabet: Alphabet,
+    depth: int,
+    every_action: bool,
 ) -> MixtureModel:
     """``build_mixture`` with one component per behaviour class: the
     programs that, on every action sequence of at most ``depth`` actions,
@@ -630,19 +634,33 @@ def build_class_mixture(
     percepts, next state), or the timeout mark, so a state signed at
     several depths runs each cycle once.  The symbol stands for the percept
     ``Alphabet.percept_of`` gives it, so the partition is the one percepts
-    would give.  A program whose code is silent (``_silent``: no ``OUT``, no
-    ``JZ`` back or in place, and no more instructions than the step limit)
-    emits symbol 0 and finishes every cycle, so it gets that signature from
-    its code alone: the build runs no cycle for it, charges it no entries
-    and leaves its table empty.  A class's component is its leader's
-    ``ProgramEnv`` (the heaviest member, the lowest pool index on ties,
-    which gives its label), handed the rows the build ran for it, with the
-    summed weight of its members; no other program gets a ``ProgramEnv``.
-    A silent leader's env runs its rows on demand.  So the mixture equals
-    ``build_mixture`` on every history of at most ``depth`` cycles: equal
-    joints and equal conditionals.  ``MixtureNode.top`` still names the
-    heaviest surviving program, since it ranks classes by their leaders'
-    masses.
+    would give.  A state that steps to itself on each input it is stepped
+    on emits one symbol on every cycle left, so its signature is that
+    symbol's chain, interned once a build for every depth: the state is
+    signed once, not once per remaining depth.  A program whose code is
+    silent (``_silent``: no ``OUT``, no ``JZ`` back or in place, and no
+    more instructions than the step limit) emits symbol 0 and finishes
+    every cycle, so it gets symbol 0's chain from its code alone: the build
+    runs no cycle for it, charges it no entries and leaves its table empty.
+
+    ``every_action`` is whether the caller's first walk visits every action
+    sequence to ``depth``.  Only then does the build sign a program that
+    reads the action (``Program._reads_input``) on every action, which runs
+    no machine cycle that walk would not.  Without it, such a program whose
+    code is not silent is its own class, unsigned, and its env runs its
+    rows on demand, as the walks reach them.  Every program the build then
+    runs ignores the action, so a signature holds one entry, not one per
+    action: the build's machine cycles and entries do not depend on the
+    number of actions.
+
+    A class's component is its leader's ``ProgramEnv`` (the heaviest
+    member, the lowest pool index on ties, which gives its label), handed
+    the rows the build ran for it, with the summed weight of its members;
+    no other program gets a ``ProgramEnv``.  A silent leader's env runs its
+    rows on demand.  So the mixture equals ``build_mixture`` on every
+    history of at most ``depth`` cycles: equal joints and equal
+    conditionals.  ``MixtureNode.top`` still names the heaviest surviving
+    program, since it ranks classes by their leaders' masses.
 
     A build that would compute more than ``CLASS_CAP`` signature entries
     returns ``build_mixture``'s per-program mixture instead, each
@@ -653,7 +671,8 @@ def build_class_mixture(
     if depth < 1:
         raise ValueError("depth >= 1 required")
     actions = alphabet.actions()
-    n_actions, n_percepts = len(actions), alphabet.num_percepts
+    width = len(actions) if every_action else 1  # a signature's entries
+    n_percepts = alphabet.num_percepts
     limit = budget.steps_per_cycle
     ids: Dict[tuple, int] = {}  # signature -> its interned int
     entries = 0
@@ -668,7 +687,7 @@ def build_class_mixture(
         nonlocal entries
         got = memo.get((s, d))
         if got is None:
-            entries += n_actions
+            entries += width
             if entries > CLASS_CAP:
                 raise _PastClassCap
             sig = []
@@ -685,39 +704,54 @@ def build_class_mixture(
                     )
                 if row is _TIMEOUT:
                     sig.append(_TIMEOUT)
-                else:
-                    # Signatures are compared at equal depths only, so the
-                    # depth-0 signature may share its int with any other.
-                    x, child = row
-                    sig.append((x, signature(child, d - 1) if d > 1 else 0))
-            if len(inputs) < n_actions:  # one row for every action
-                sig *= n_actions
+                    continue
+                x, child = row
+                if child == s and len(inputs) == 1:
+                    # The state steps to itself on every action: it emits x
+                    # on every cycle left, which is x's chain.
+                    got = memo[s, d] = chain(x, d)
+                    return got
+                # Signatures are compared at equal depths only, so the
+                # depth-0 signature may share its int with any other.
+                sig.append((x, signature(child, d - 1) if d > 1 else 0))
+            if len(inputs) < width:  # one row for every action
+                sig *= width
             got = memo[s, d] = ids.setdefault(tuple(sig), len(ids))
         return got
 
-    # The signature of a program that emits symbol 0 on every cycle, interned
-    # as ``signature`` would intern it.
-    silent = 0
-    for _ in range(depth):
-        silent = ids.setdefault(((0, silent),) * n_actions, len(ids))
+    # symbol x -> the signatures, d cycles deep at index d - 1, of a state
+    # that emits x on every cycle, interned as ``signature`` would intern them.
+    chains: Dict[int, List[int]] = {}
+
+    def chain(x: int, d: int) -> int:
+        ints = chains.setdefault(x, [])
+        while len(ints) < d:
+            ints.append(ids.setdefault(((x, ints[-1] if ints else 0),) * width, len(ids)))
+        return ints[d - 1]
+
+    silent = chain(0, depth)
     # Each program's rows: (state, action or None) -> (symbol, next state) or _TIMEOUT.
     tables: List[dict] = [{} for _ in pool]
     # The weights are summed as integers over 2^l_max.
-    l_max = max(q.length_bits for q in pool)
-    classes: Dict[int, list] = {}  # class -> [leader's pool index, mass]
+    bits = [len(q.code) for q in pool]
+    l_max = max(bits)
+    classes: Dict[Hashable, list] = {}  # class -> [leader's pool index, mass]
     try:
         for i, (q, rows) in enumerate(zip(pool, tables)):
             if _silent(q._ops, limit):
                 c = classes.setdefault(silent, [i, 0])
+            elif q._reads_input and not every_action:
+                # Unsigned, alone: a key that no interned int equals.
+                c = classes[(i,)] = [i, 0]
             else:
                 ops, memo = q._ops, {}
                 # A program that never reads the action is stepped once per
                 # state, on None (input 0), for every action.
                 inputs = actions if q._reads_input else (None,)
                 c = classes.setdefault(signature(FRESH, depth), [i, 0])
-            if q.length_bits < pool[c[0]].length_bits:
+            if bits[i] < bits[c[0]]:
                 c[0] = i
-            c[1] += 1 << (l_max - q.length_bits)
+            c[1] += 1 << (l_max - bits[i])
     except _PastClassCap:
         return MixtureModel(
             [

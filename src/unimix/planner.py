@@ -339,8 +339,9 @@ Envs = Union[Sequence[Program], MixtureNode]
 
 def env_node(envs: Envs, h: History, budget: RunBudget, alphabet) -> MixtureNode:
     """The consistent-environment tree's node after h: a node is taken as it
-    is (it must be the node after h), a pool is rooted as its program-class
-    mixture and walked down h."""
+    is (it must be the node after h), a pool is rooted as its per-program
+    mixture (``build_mixture``, one component per program) and walked down
+    h."""
     if isinstance(envs, MixtureNode):
         return envs
     return build_mixture(envs, budget, alphabet).state(h)

@@ -24,9 +24,11 @@ policy that ``planner.run_interaction`` steps (``bestvote.best_vote_policy``).
 ``selection_log_csv`` is the selection log written by reading each row's
 fields by name, for the library's writer that formats each row as the tuple
 it is (``bestvote.selection_log_csv``).
-``class_partition`` is the class build with every program run on the
-machine, on every action, for the build that signs silent programs from
-their code (``models.build_class_mixture``).
+``class_partition`` is the class build with every program it signs run on
+the machine, on every action, to every depth, for the build that signs
+silent programs from their code, action-blind programs on one input, and a
+state that steps to itself once for every depth
+(``models.build_class_mixture``).
 ``fraction_plan``, ``sample_percept`` and ``functional_value`` are the
 expectimax, the percept draw and the rollout value on normalized ``Fraction``
 probabilities, for the library's forms that sum integer masses and scaled
@@ -48,7 +50,7 @@ from unimix.core import (
     EMPTY_HISTORY, CapacityError, FixedHorizon, Percept, append_cycle, discounted_reward,
     encode_history, horizon_end,
 )
-from unimix.models import TabularModel, UndefinedConditionalError
+from unimix.models import TabularModel, UndefinedConditionalError, _silent
 from unimix.planner import env_node
 from unimix.vm import FRESH, run_machine
 
@@ -403,14 +405,16 @@ def functional_value(node, y, act, k, m, h, horizon=None):
     return walk(node, y, act, k, h) / node.mass
 
 
-def class_partition(pool, budget, alphabet, depth):
+def class_partition(pool, budget, alphabet, depth, every_action):
     """The behaviour classes of ``pool`` up to ``depth`` cycles, as
     (label, weight, lead) per class in the order of its leader's pool index:
     the leader (the heaviest member, the first on ties) gives the label and
     the lead, and the weight sums the members'.  A program's class is its
     signature from the fresh machine: for each action, the output symbol
     modulo the alphabet's percepts and the next state's signature one cycle
-    shallower, or None for a timeout."""
+    shallower, or None for a timeout.  Without ``every_action``, a program
+    that reads the action is alone in its class unless its code is silent
+    (``models._silent``), which the signature run here checks."""
     ids, classes = {}, {}
 
     def signature(ops, s, d, memo):
@@ -430,7 +434,10 @@ def class_partition(pool, budget, alphabet, depth):
         return got
 
     for i, q in enumerate(pool):
-        c = classes.setdefault(signature(q._ops, FRESH, depth, {}), [i, Fraction(0)])
+        if q._reads_input and not every_action and not _silent(q._ops, budget.steps_per_cycle):
+            c = classes[("alone", i)] = [i, Fraction(0)]
+        else:
+            c = classes.setdefault(signature(q._ops, FRESH, depth, {}), [i, Fraction(0)])
         if q.length_bits < pool[c[0]].length_bits:
             c[0] = i
         c[1] += q.weight

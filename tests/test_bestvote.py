@@ -470,10 +470,10 @@ def test_a_best_vote_run_walks_only_claims_inside_the_value_bounds(config_seed, 
 
 @pytest.mark.parametrize("config_seed", [0, 1])
 def test_a_best_vote_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeypatch):
-    # Every VM cycle of the run: candidates' claims and environment steps on
-    # the shared tree.  A tree that stepped a node twice, was not shared by
-    # the candidates' walks, or ran a program's (state, action) pair twice
-    # would make more.
+    # Every VM cycle of the run: candidates' claims, the class build's rows
+    # and environment steps on the shared tree.  A tree that stepped a node
+    # twice, was not shared by the candidates' walks, ran a program's (state,
+    # action) pair twice or stepped a program of each class would make more.
     calls = []
     callers = []
     run_machine = vm.run_machine
@@ -489,9 +489,32 @@ def test_a_best_vote_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeyp
         f"seed={config_seed}\ni={config_seed % 2}\n"
     )
     run_scenario(cfg)
-    assert len(calls) == 447
-    # Candidates' cycles (claims and the walks' steps) and environment cycles.
-    assert Counter(callers) == {"_program_claim": 264, "env_step": 183}
+    assert len(calls) == 320
+    # Candidates' cycles (claims and the walks' steps), the build's rows, and
+    # environment cycles the build left to be run on demand.
+    assert Counter(callers) == {"_program_claim": 264, "signature": 49, "env_step": 7}
+
+
+@pytest.mark.parametrize("y_star, cycles", [(0, 2938), (1, 2525)])
+def test_a_many_action_best_vote_run_makes_a_pinned_number_of_vm_cycles(
+    y_star, cycles, monkeypatch
+):
+    # The walks step only the actions they take, of 1,024, so the tree's
+    # build signs no program that reads the action.  On a tree of one
+    # component per program the run made 3,593 (y_star=0) and 3,312
+    # (y_star=1).
+    calls = []
+    run_machine = vm.run_machine
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return run_machine(*args, **kwargs)
+
+    monkeypatch.setattr(vm, "run_machine", counting)
+    run_scenario(parse_config(
+        f"scenario=onlyone\nagent=best-vote\nl=12\nlifetime=8\nn=1024\ny_star={y_star}\n"
+    ))
+    assert len(calls) == cycles
 
 
 def test_a_carried_tree_equals_one_rebuilt_after_the_history(budget, pool8):

@@ -322,7 +322,7 @@ class TestRunScenario:
 
     @pytest.mark.parametrize(
         "horizon, components",
-        [("", 7), ("horizon=moving:3\n", 7), ("horizon=moving:2\n", 193)],
+        [("", 7), ("horizon=moving:3\n", 7), ("horizon=moving:2\n", 28)],
     )
     def test_the_mixture_agent_has_classes_when_its_first_plan_reaches_the_lifetime(
         self, horizon, components
@@ -331,8 +331,10 @@ class TestRunScenario:
         assert len(cli._build_agent(cfg, cli._build_env(cfg))[1].components) == components
 
     def test_a_many_action_mixture_run_with_a_short_horizon_finishes(self):
-        # Classes over 64 cycles of 16 actions would pass CLASS_CAP; the
-        # one-cycle plans step the per-program mixture instead.
+        # Signing the programs that read the action over 64 cycles of 16
+        # actions would pass CLASS_CAP; the one-cycle plans do not walk every
+        # action sequence, so the build leaves each such program its own
+        # class and signs the rest on one input.
         cfg = parse_config(
             "scenario=onlyone\nagent=mixture\nl=12\nlifetime=64\nn=16\nhorizon=moving:1\n"
         )

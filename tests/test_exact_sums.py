@@ -156,7 +156,7 @@ def planning_cases(draw):
         if kind == "programs":
             model = build_mixture(pool, budget, alphabet)
         else:
-            model = build_class_mixture(pool, budget, alphabet, lifetime)
+            model = build_class_mixture(pool, budget, alphabet, lifetime, draw(st.booleans()))
     h = EMPTY_HISTORY
     for _ in range(draw(st.integers(0, lifetime - 1))):
         y = draw(st.sampled_from(model.alphabet.actions()))

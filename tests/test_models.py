@@ -549,13 +549,14 @@ CLASS_POOLS = {n: enumerate_programs(n) for n in range(6, 13)}
 @st.composite
 def class_cases(draw):
     """A random sub-pool (l 6-12), an alphabet, a budget small enough that
-    some programs time out, and a depth."""
+    some programs time out, a depth, and whether readers are signed."""
     alphabet = draw(st.sampled_from(ALPHABETS))
     full = CLASS_POOLS[draw(st.sampled_from(sorted(CLASS_POOLS)))]
     rng = random.Random(draw(st.integers(0, 2**32)))
     keep = draw(st.sampled_from((1, 1, 2, 3)))  # every program, or about 1 in keep
     pool = [q for q in full if rng.randrange(keep) == 0] or full[:1]
-    return pool, RunBudget(draw(st.integers(1, 8))), alphabet, draw(st.integers(1, 4))
+    budget, depth = RunBudget(draw(st.integers(1, 8))), draw(st.integers(1, 4))
+    return pool, budget, alphabet, depth, draw(st.booleans())
 
 
 def plan(m, h, depth):
@@ -565,13 +566,14 @@ def plan(m, h, depth):
 
 @settings(max_examples=100, deadline=None)
 @given(class_cases())
-# Two fixed cases on the whole 12-bit pool: from 11 bits on, some classes
-# split only on the second cycle, and at 3 steps some programs time out.
-@example((CLASS_POOLS[12], RunBudget(8), ALPHABETS[0], 2))
-@example((CLASS_POOLS[12], RunBudget(3), ALPHABETS[1], 3))
+# Fixed cases on the whole 12-bit pool: from 11 bits on, some classes split
+# only on the second cycle, and at 3 steps some programs time out.
+@example((CLASS_POOLS[12], RunBudget(8), ALPHABETS[0], 2, True))
+@example((CLASS_POOLS[12], RunBudget(3), ALPHABETS[1], 3, True))
+@example((CLASS_POOLS[12], RunBudget(3), ALPHABETS[1], 3, False))
 def test_the_class_mixture_equals_the_program_mixture_up_to_its_depth(case):
-    pool, budget, alphabet, depth = case
-    classes = build_class_mixture(pool, budget, alphabet, depth)
+    pool, budget, alphabet, depth, every_action = case
+    classes = build_class_mixture(pool, budget, alphabet, depth, every_action)
     plain = build_mixture(pool, budget, alphabet)
 
     def walk(h, cs, ps):
@@ -593,7 +595,7 @@ def test_the_class_mixture_equals_the_program_mixture_up_to_its_depth(case):
 @pytest.mark.parametrize("depth", [3, 8])
 def test_the_12_bit_pool_falls_into_7_classes_in_heavenhells_alphabet(pool12, depth):
     a = make_heavenhell(0).alphabet
-    xi = build_class_mixture(pool12, RunBudget(64), a, depth)
+    xi = build_class_mixture(pool12, RunBudget(64), a, depth, True)
     assert len(pool12) == 193
     assert len(xi.components) == 7
     assert xi.base_mass() == build_mixture(pool12, RunBudget(64), a).base_mass()
@@ -612,8 +614,34 @@ def test_a_class_build_runs_each_row_of_each_program_once(pool12, depth, cycles,
         return run_machine(*args, **kwargs)
 
     monkeypatch.setattr(vm, "run_machine", counting)
-    build_class_mixture(pool12, RunBudget(64), make_heavenhell(0).alphabet, depth)
+    build_class_mixture(pool12, RunBudget(64), make_heavenhell(0).alphabet, depth, True)
     assert len(calls) == cycles
+
+
+@pytest.mark.parametrize("n", [2, 1024])
+def test_a_build_that_signs_no_reader_costs_the_same_for_any_action_count(pool12, n, monkeypatch):
+    # Without every_action the build runs each action-blind program once per
+    # state, on one input, and charges each signature one entry: 127 machine
+    # cycles and 127 entries at depth 8, whatever the number of actions;
+    # with every_action, each signature is charged one entry per action.
+    # Signing a state that steps to itself once per remaining depth took
+    # 430 entries.
+    alphabet = make_onlyone(n, 0).alphabet
+    calls = []
+    run_machine = vm.run_machine
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return run_machine(*args, **kwargs)
+
+    monkeypatch.setattr(vm, "run_machine", counting)
+    xi = build_class_mixture(pool12, RunBudget(64), alphabet, 8, False)
+    assert len(calls) == 127
+    assert len(xi.components) == 28
+    monkeypatch.setattr("unimix.models.CLASS_CAP", 127)
+    assert len(build_class_mixture(pool12, RunBudget(64), alphabet, 8, False).components) == 28
+    monkeypatch.setattr("unimix.models.CLASS_CAP", 126)  # one entry short: one component per program
+    assert len(build_class_mixture(pool12, RunBudget(64), alphabet, 8, False).components) == 193
 
 
 PARTITION_ALPHABETS = [make_heavenhell(0).alphabet] + [
@@ -630,13 +658,13 @@ def partition(m):
 def test_the_class_build_partitions_the_pool_as_the_build_that_runs_every_program(l_max):
     assert make_lazy(2).alphabet is PARTITION_ALPHABETS[0]  # lazy adds no case of its own
     pool = enumerate_programs(l_max)
-    for alphabet, steps, depth in itertools.product(
-        PARTITION_ALPHABETS, (1, 2, 3, 4, 64), (1, 2, 3, 8)
+    for alphabet, steps, depth, every_action in itertools.product(
+        PARTITION_ALPHABETS, (1, 2, 3, 4, 64), (1, 2, 3, 8), (True, False)
     ):
         budget = RunBudget(steps)
-        assert partition(build_class_mixture(pool, budget, alphabet, depth)) == (
-            reference.class_partition(pool, budget, alphabet, depth)
-        ), (alphabet, steps, depth)
+        assert partition(build_class_mixture(pool, budget, alphabet, depth, every_action)) == (
+            reference.class_partition(pool, budget, alphabet, depth, every_action)
+        ), (alphabet, steps, depth, every_action)
 
 
 # Every instruction word but END, which ends a program.
@@ -675,7 +703,7 @@ def test_a_class_build_runs_no_program_its_code_shows_silent(pool12, steps, sile
         return run_machine(ops, *args)
 
     monkeypatch.setattr(vm, "run_machine", recording)
-    build_class_mixture(pool12, RunBudget(steps), make_heavenhell(0).alphabet, 3)
+    build_class_mixture(pool12, RunBudget(steps), make_heavenhell(0).alphabet, 3, True)
     admitted = {q._ops for q in pool12 if _silent(q._ops, steps)}
     assert len(admitted) == silent
     assert admitted.isdisjoint(run)
@@ -695,7 +723,7 @@ def test_top_names_the_heaviest_program_not_the_heaviest_class(binary_alphabet, 
     ]
     heavy = decode(LDC2 + OUT + END)
     pool = lights + [heavy]
-    xi = build_class_mixture(pool, budget, binary_alphabet, 1)
+    xi = build_class_mixture(pool, budget, binary_alphabet, 1, True)
     assert [w for _, w, _ in xi.components] == [Fraction(3, 2**12), Fraction(1, 2**11)]
     assert xi.state(EMPTY_HISTORY).top() == heavy.to_hex()
     plain = build_mixture(pool, budget, binary_alphabet)
@@ -704,9 +732,9 @@ def test_top_names_the_heaviest_program_not_the_heaviest_class(binary_alphabet, 
 
 def test_a_class_build_needs_a_depth_and_a_pool(binary_alphabet, budget, pool6):
     with pytest.raises(ValueError):
-        build_class_mixture(pool6, budget, binary_alphabet, 0)
+        build_class_mixture(pool6, budget, binary_alphabet, 0, True)
     with pytest.raises(ValueError):
-        build_class_mixture([], budget, binary_alphabet, 1)
+        build_class_mixture([], budget, binary_alphabet, 1, True)
 
 
 # --- The walks on core.contexts against their own recursions ---------------

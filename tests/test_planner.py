@@ -443,14 +443,16 @@ def test_a_mixture_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeypat
 
 @pytest.mark.parametrize(
     "horizon, lifetime, splits",
-    [("moving:1", 64, 191), ("moving:6", 64, 2421), ("", 3, 34)],
+    [("moving:1", 64, 191), ("moving:6", 64, 897), ("", 3, 34)],
 )
 def test_a_mixture_run_steps_its_belief_once_a_cycle(horizon, lifetime, splits, monkeypatch):
     # The policy builds one belief from the empty history and steps it one
     # cycle per decision, and the posterior_top column reads the beliefs it
     # stepped.  Replaying the history for each decision, and once more for
     # the column, made 2,207 splits (moving:1) and 4,132 (moving:6), with 64
-    # and 59 MixtureModel.state calls.
+    # and 59 MixtureModel.state calls.  On the per-program mixture, which
+    # splits all 193 programs, moving:6 made 2,421: a moving horizon's
+    # build leaves only the programs that read the action unsigned.
     calls = {}
     count = count_method_calls(monkeypatch, calls)
     count(MixtureNode, "split")
