@@ -410,7 +410,7 @@ def best_vote_policy(
     The tree is rooted on the pool's behaviour classes to the lifetime
     (``build_class_mixture``), which every walk is clamped to; the walks
     step only the actions they take, so a program that reads the action is
-    not signed but kept as its own class.  The candidates stay one per
+    its own class unless its code is silent.  The candidates stay one per
     program.
 
     ``policy.log`` gets each cycle's selection rows and ``policy.tops`` the

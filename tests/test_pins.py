@@ -55,17 +55,22 @@ CASES = [(w, LIFETIME, s) for w in sorted(WORKLOADS) for s in SEEDS[w]] + [
 IDS = [f"{w}-{s}" if life == LIFETIME else f"{w}-lifetime{life}-{s}" for w, life, s in CASES]
 
 
-@pytest.mark.parametrize("workload,lifetime,config_seed", CASES, ids=IDS)
-def test_artifacts_match_the_pinned_digests(workload, lifetime, config_seed, tmp_path, capsys):
+def run_digests(text, tmp_path):
+    """The sha256 of each artifact `unimix run` writes for config text."""
     config = tmp_path / "config.txt"
-    config.write_text(config_text(workload, lifetime, config_seed))
+    config.write_text(text)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
-    got = {
+    return {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in ARTIFACTS
         if (out / name).exists()
     }
+
+
+@pytest.mark.parametrize("workload,lifetime,config_seed", CASES, ids=IDS)
+def test_artifacts_match_the_pinned_digests(workload, lifetime, config_seed, tmp_path, capsys):
+    got = run_digests(config_text(workload, lifetime, config_seed), tmp_path)
     pins = json.loads(PINS.read_text())
     assert got == pins[f"{workload}/lifetime={lifetime}"][str(config_seed)]
 
@@ -197,18 +202,6 @@ PATH_PINS = {
         },
     },
 }
-
-
-def run_digests(text, tmp_path):
-    config = tmp_path / "config.txt"
-    config.write_text(text)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
-    return {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ARTIFACTS
-        if (out / name).exists()
-    }
 
 
 @pytest.mark.parametrize("name", sorted(PATH_CONFIGS))
