@@ -9,9 +9,10 @@ together.  Exit codes: 0 success, 1 validation error, 2 capacity error,
 from __future__ import annotations
 
 import math
+import os
 import sys
+from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Dict, List, Optional
 
@@ -236,7 +237,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    return parse_config(Path(path).read_text())
+    with open(path) as f:
+        return parse_config(f.read())
 
 
 # --- Environment and agent wiring -------------------------------------------
@@ -245,7 +247,8 @@ def load_config(path: str) -> ScenarioConfig:
 def _load(loads, path: str):
     """The environment file at ``path``, read by ``loads``; its violations name it."""
     try:
-        return loads(Path(path).read_text())
+        with open(path) as f:
+            return loads(f.read())
     except ValidationError as e:
         raise ValidationError([f"{path}: {v}" for v in e.violations]) from None
 
@@ -365,12 +368,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         rows.append(f"{k},{y},{x.observation},{x.reward},{values.get(k, '')},{top or ''}")
     trace_csv = "\n".join(rows) + "\n"
 
-    total_reward = sum(h.rewards(), Fraction(0))
+    a = env.alphabet
+    total_reward = Fraction(sum(map(a.scaled_reward, h.percepts())), a.reward_scale)
+    canonical = cfg.canonical()
     manifest = (
-        f"config_hash={cfg.config_hash()}\n"
+        f"config_hash={sha256(canonical.encode()).hexdigest()}\n"
         f"seed={cfg.seed}\n"
         f"version={__version__}\n"
-        "config_begin\n" + cfg.canonical() + "config_end\n"
+        "config_begin\n" + canonical + "config_end\n"
     )
     results = (
         f"scenario={cfg.scenario}\n"
@@ -386,7 +391,8 @@ def emit_report(art: RunArtifacts) -> str:
     lines = [ln for ln in art.trace_csv.strip().splitlines()[1:]]
     if not lines:
         raise ValueError("empty trace")
-    total = sum(Fraction(ln.split(",")[3]) for ln in lines)
+    counts = Counter(ln.split(",")[3] for ln in lines)
+    total = sum(Fraction(r) * n for r, n in counts.items())
     return f"{art.results.rstrip()}\ntrace_total_reward={total}\n"
 
 
@@ -546,6 +552,35 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CAPACITY
 
 
+def _write_artifacts(out: str, art: RunArtifacts) -> None:
+    """Write ``art``'s files into the directory ``out``, made if missing.  A
+    file already there is overwritten; no other file is touched."""
+    # An error names ``out`` as given, or the missing parent that makedirs
+    # cannot make; makedirs alone would name a parent under a plain file.
+    try:
+        os.mkdir(out)
+    except FileNotFoundError:
+        os.makedirs(out, exist_ok=True)
+    except OSError:
+        if not os.path.isdir(out):
+            raise
+    for name, text in (
+        ("trace.csv", art.trace_csv),
+        ("manifest.txt", art.manifest),
+        ("results.txt", art.results),
+        ("selection.csv", art.selection_csv),
+    ):
+        if text is None:
+            continue
+        data = memoryview(text.encode())
+        fd = os.open(os.path.join(out, name), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+
+
 def _dispatch(args) -> int:
     if args.command in ("verify", "enumerate"):
         if args.l_max < 1:
@@ -562,13 +597,7 @@ def _dispatch(args) -> int:
         art = run_scenario(cfg)
         if args.out:
             with input_errors("--out"):
-                out = Path(args.out)
-                out.mkdir(parents=True, exist_ok=True)
-                (out / "trace.csv").write_text(art.trace_csv)
-                (out / "manifest.txt").write_text(art.manifest)
-                (out / "results.txt").write_text(art.results)
-                if art.selection_csv is not None:
-                    (out / "selection.csv").write_text(art.selection_csv)
+                _write_artifacts(args.out, art)
         else:
             sys.stdout.write(art.trace_csv)
         sys.stdout.write(emit_report(art))
@@ -581,7 +610,8 @@ def _dispatch(args) -> int:
         text = summary_block(reports)
         if args.out:
             with input_errors("--out"):
-                Path(args.out).write_text(text)
+                with open(args.out, "w") as f:
+                    f.write(text)
         sys.stdout.write(text)
         if args.strict and any(not r.holds for r in reports):
             return EXIT_BOUND
@@ -593,7 +623,8 @@ def _dispatch(args) -> int:
         text = "\n".join(lines) + "\n"
         if args.out:
             with input_errors("--out"):
-                Path(args.out).write_text(text)
+                with open(args.out, "w") as f:
+                    f.write(text)
         else:
             sys.stdout.write(text)
         return EXIT_OK

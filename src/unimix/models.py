@@ -273,6 +273,9 @@ class FunctionalEnv(ChronologicalModel):
     def cond_map(self, h: History, y: Action) -> Dict[Percept, Fraction]:
         return {self.rule(h, y): _ONE}
 
+    def weights(self, state: Any, h: History, y: Action) -> Dict[Percept, Tuple[Any, Any]]:
+        return {self.rule(h, y): (_ONE, None)}
+
     def key(self, state: Any, h: History) -> Hashable:
         return h if self.memory is None else self.memory(h)
 

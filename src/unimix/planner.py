@@ -246,7 +246,13 @@ def sample_percept(rng: random.Random, row: Dict[Percept, Fraction], alphabet) -
     d is ``randrange(sum(W) // g)``, g = gcd(W), and the percept is the
     first, in the alphabet's order, whose running sum of W_x passes d * g.
     sum(W) // g is the lcm of the normalized row's denominators, so this is
-    the draw on the normalized row, with the same use of ``rng``."""
+    the draw on the normalized row, with the same use of ``rng``.  A row of
+    one percept of positive weight makes that draw, ``randrange(1)``, directly."""
+    if len(row) == 1:
+        (x, p), = row.items()
+        if p > 0:
+            rng.randrange(1)
+            return x
     scale = math.lcm(*[p.denominator for p in row.values()])
     weights = {x: p.numerator * (scale // p.denominator) for x, p in row.items()}
     g = math.gcd(*weights.values())

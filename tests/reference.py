@@ -33,7 +33,10 @@ state that steps to itself once for every depth
 expectimax, the percept draw and the rollout value on normalized ``Fraction``
 probabilities, for the library's forms that sum integer masses and scaled
 rewards and divide once (``planner._plan``, ``planner.sample_percept``,
-``planner.functional_value``)."""
+``planner.functional_value``).
+``scaled_sample_percept`` is the draw on the row scaled to ints for every
+row, for the library's draw that takes a row of one percept directly
+(``planner.sample_percept``)."""
 
 from __future__ import annotations
 
@@ -375,6 +378,27 @@ def sample_percept(rng, row, alphabet):
         if p is None:
             continue
         acc += (p / total) * denom
+        if draw < acc:
+            return x
+    raise AssertionError("unreachable")
+
+
+def scaled_sample_percept(rng, row, alphabet):
+    """The draw on the row scaled to ints by the lcm of its denominators:
+    ``randrange`` of their sum over their gcd, times the gcd, against their
+    running sums in the alphabet's order."""
+    scale = math.lcm(*[p.denominator for p in row.values()])
+    weights = {x: p.numerator * (scale // p.denominator) for x, p in row.items()}
+    g = math.gcd(*weights.values())
+    if not g:
+        raise UndefinedConditionalError("environment assigns no mass to any percept")
+    draw = rng.randrange(sum(weights.values()) // g) * g
+    acc = 0
+    for x in alphabet.percepts():
+        w = weights.get(x)
+        if w is None:
+            continue
+        acc += w
         if draw < acc:
             return x
     raise AssertionError("unreachable")

@@ -367,9 +367,21 @@ class TestRunScenario:
 
 
 class TestEmitReport:
-    def test_totals_recomputed_from_the_trace(self):
-        art = run_scenario(parse_config(HEAVEN))
-        assert "trace_total_reward=5" in emit_report(art)
+    @pytest.mark.parametrize(
+        "text, total",
+        [
+            (HEAVEN, "5"),
+            ("scenario=heavenhell\nlifetime=12\n", "12"),
+            # fm's rewards are 0, 1/3, 2/3 and 1; these runs earn two of them
+            ("scenario=fm\nlifetime=6\nclass=uniform16\nseed=4\n", "11/3"),
+            ("scenario=fm\nlifetime=6\nclass=uniform16\nseed=21\n", "16/3"),
+        ],
+        ids=["heavenhell-5", "heavenhell-12", "fm-seed-4", "fm-seed-21"],
+    )
+    def test_totals_recomputed_from_the_trace(self, text, total):
+        art = run_scenario(parse_config(text))
+        assert f"\ntotal_reward={total}\n" in art.results
+        assert emit_report(art).endswith(f"\ntrace_total_reward={total}\n")
 
     def test_empty_trace_is_an_error(self):
         art = RunArtifacts(
@@ -402,6 +414,37 @@ class TestMain:
             outs.append(out)
         for fname in ("trace.csv", "manifest.txt", "results.txt"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("scenario=heavenhell\nlifetime=12\n", "scenario=heavenhell\nlifetime=2\n"),
+            (
+                "scenario=heavenhell\nagent=best-vote\nl=8\nlifetime=3\n",
+                "scenario=heavenhell\nagent=best-vote\nl=8\nlifetime=1\n",
+            ),
+        ],
+        ids=["informed", "best-vote"],
+    )
+    def test_a_rerun_into_an_existing_out_overwrites_every_artifact(
+        self, first, second, tmp_path, capsys
+    ):
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out"
+        for text in (first, second):
+            cfg.write_text(text)
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        art = run_scenario(parse_config(second))
+        expected = {
+            "trace.csv": art.trace_csv,
+            "manifest.txt": art.manifest,
+            "results.txt": art.results,
+        }
+        if art.selection_csv is not None:
+            expected["selection.csv"] = art.selection_csv
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            name: text.encode() for name, text in expected.items()
+        }
+        assert ("selection.csv" in expected) == ("best-vote" in second)
 
     def test_seed_flag_overrides_the_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -734,10 +777,11 @@ class TestMain:
         "argv",
         [
             ["run", "--config", "ok.txt", "--out", "ok.txt/sub"],
+            ["run", "--config", "ok.txt", "--out", "ok.txt/a/b"],
             ["verify", "--l", "4", "--out", "ok.txt/x"],
             ["enumerate", "--l", "4", "--out", "ok.txt/x"],
         ],
-        ids=["run", "verify", "enumerate"],
+        ids=["run", "run-nested", "verify", "enumerate"],
     )
     def test_an_out_path_that_cannot_be_written_exits_1_without_a_traceback(
         self, argv, tmp_path, monkeypatch, capsys

@@ -17,7 +17,7 @@ import textwrap
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unimix import planner
@@ -263,6 +263,32 @@ def test_the_integer_draw_is_the_fraction_draw(case, seed):
     ]
     assert draws[0] == draws[1]
     assert rngs[0].getstate() == rngs[1].getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(0, 15),
+    st.integers(0, 2**70) | st.builds(F, st.integers(0, 2**40), st.integers(1, 2**40)),
+    st.integers(0, 2**32),
+)
+@example(1, 0, 0, 0)
+@example(8, 15, F(0, 7), 1)
+def test_a_one_percept_draw_is_the_scaled_draw(observations, index, weight, seed):
+    """A row of one percept of any int or ``Fraction`` weight: the percept,
+    or for a zero weight the error, and the generator state of the draw on
+    the row scaled to ints."""
+    alphabet = Alphabet(num_actions=1, num_observations=observations, rewards=(F(0), F(1)))
+    row = {alphabet.percepts()[index % alphabet.num_percepts]: weight}
+    rngs = random.Random(seed), random.Random(seed)
+    draws = [
+        _outcome(lambda: draw(rng, row, alphabet))
+        for draw, rng in zip((sample_percept, reference.scaled_sample_percept), rngs)
+    ]
+    assert draws[0] == draws[1]
+    assert rngs[0].getstate() == rngs[1].getstate()
+    if not weight:
+        assert draws[0][0] is UndefinedConditionalError
 
 
 # --- The rollout value -------------------------------------------------------

@@ -61,10 +61,12 @@ def test_no_unused_imports(path):
 
 def _python(code: str) -> str:
     """The stdout of ``code`` run in a fresh interpreter that imports unimix
-    from the source tree."""
+    from the source tree.  It starts without the ``site`` module (``-S``), so
+    a ``.pth`` file in site-packages that imports modules at start-up cannot
+    hide which modules unimix loads."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -100,6 +102,13 @@ def test_importing_the_cli_loads_no_argparse():
     # argparse (with gettext, and the locale that gettext loads on first
     # use) serves only a command line that prints.
     assert not _loaded_by_the_cli() & {"argparse", "gettext", "locale"}
+
+
+def test_importing_the_cli_loads_no_pathlib():
+    # pathlib, with fnmatch, ipaddress, ntpath and urllib.parse, would serve
+    # only to read a config and write a run's files, which open() and os do.
+    forbidden = {"pathlib", "fnmatch", "ipaddress", "ntpath", "urllib.parse"}
+    assert not _loaded_by_the_cli() & forbidden
 
 
 def _main_in_a_fresh_interpreter(argv) -> list:
