@@ -19,6 +19,7 @@ from typing import (
 from .core import (
     Action,
     Alphabet,
+    CapacityError,
     EMPTY_HISTORY,
     History,
     Percept,
@@ -312,9 +313,9 @@ class ProgramEnv(ChronologicalModel):
     environment), so it keys its rows by (state, None): one cycle answers
     every action.  The table holds at most one row per machine cycle run,
     never more than the cycles a ``weights`` without it would run, and it lives
-    as long as the model.  ``build_class_mixture`` hands each env it makes
-    the rows its build ran for the program.  Rows are shared: callers must
-    not mutate them.
+    as long as the model.  ``build_class_mixture`` hands each leader's env
+    the ``env_step`` results its build ran for the program.  Rows are
+    shared: callers must not mutate them.
     """
 
     def __init__(self, program: Program, budget: RunBudget, alphabet: Alphabet):
@@ -344,11 +345,12 @@ class ProgramEnv(ChronologicalModel):
         if row is None:
             if state is None:
                 return {}
-            out = env_step(self.program, state, y, self.budget)
-            row = self._table[k] = (
-                {} if out is None else {self.alphabet.percept_of(out[0]): (_ONE, out[1])}
-            )
+            row = self._table[k] = self._row(env_step(self.program, state, y, self.budget))
         return row
+
+    def _row(self, out: Optional[Tuple[int, FrozenState]]) -> Dict[Percept, tuple]:
+        """The ``weights`` row of an ``env_step`` result."""
+        return {} if out is None else {self.alphabet.percept_of(out[0]): (_ONE, out[1])}
 
     def key(self, state: Optional[FrozenState], h: History) -> Hashable:
         return state
@@ -580,13 +582,12 @@ def build_mixture(
 
 
 # The most signature entries one ``build_class_mixture`` computes before it
-# gives up on classes: a signature has one entry per action where the build
-# signs the programs that read the action, else one, so the cap bounds the
-# table rows read whatever the number of actions.
+# gives up: a signature has one entry per action where the build signs the
+# programs that read the action, else one.  A build signing readers that
+# passes it signs again without them; a build without them charges at most
+# one entry per (program, depth), so no valid run (193 programs of at most 12
+# bits, a lifetime of at most 64) passes it.
 CLASS_CAP = 2**20
-
-# A build row, and a signature's entry, for a cycle that runs out of steps.
-_TIMEOUT = -1
 
 # The instructions that can emit (OUT) or run again in the same cycle (a JZ
 # back to itself or before it).
@@ -607,13 +608,10 @@ class _PastClassCap(Exception):
 def _tabled_env(
     q: Program, budget: RunBudget, alphabet: Alphabet, rows: dict
 ) -> ProgramEnv:
-    """q's ``ProgramEnv`` with the rows a class build ran for it in its table."""
+    """q's ``ProgramEnv`` with the ``env_step`` results a class build ran
+    for it in its table."""
     env = ProgramEnv(q, budget, alphabet)
-    percepts = alphabet.percepts()
-    env._table = {
-        k: {} if row is _TIMEOUT else {percepts[row[0]]: (_ONE, row[1])}
-        for k, row in rows.items()
-    }
+    env._table = {k: env._row(out) for k, out in rows.items()}
     return env
 
 
@@ -630,12 +628,12 @@ def build_class_mixture(
 
     A program's class is its signature from the fresh machine: for each
     action, the percept's symbol and the signature of the next machine
-    state one cycle shallower, or a timeout mark; it is interned to a small
-    int.  The build steps ``vm.run_machine`` itself, on plain values: each
-    program keeps a table of the rows it ran, (state, action, or None for a
-    program with no ``IN`` instruction) -> (symbol modulo the alphabet's
-    percepts, next state), or the timeout mark, so a state signed at
-    several depths runs each cycle once.  The symbol stands for the percept
+    state one cycle shallower, or None for a timeout; it is interned to a
+    small int.  The build steps programs through ``vm.env_step`` and keeps
+    a table of what it returns, (state, action, or None for a program with
+    no ``IN`` instruction) -> (symbol, next state) or None, so a state
+    signed at several depths runs each cycle once.  A signature holds the
+    symbol modulo the alphabet's percepts, the percept
     ``Alphabet.percept_of`` gives it, so the partition is the one percepts
     would give.  A state that steps to itself on each input it is stepped
     on emits one symbol on every cycle left, so its signature is that
@@ -644,49 +642,41 @@ def build_class_mixture(
     silent (``_silent``: no ``OUT``, no ``JZ`` back or in place, and no
     more instructions than the step limit) emits symbol 0 and finishes
     every cycle, so it gets symbol 0's chain from its code alone: the build
-    runs no cycle for it, charges it no entries and leaves its table empty.
+    runs no cycle for it and charges it no entries.
 
     ``every_action`` is whether the caller's first walk visits every action
     sequence to ``depth``.  Only then does the build sign a program that
     reads the action (``Program._reads_input``) on every action, which runs
-    no machine cycle that walk would not.  Without it, such a program whose
-    code is not silent is its own class, unsigned, and its env runs its
-    rows on demand, as the walks reach them.  Every program the build then
-    runs ignores the action, so a signature holds one entry, not one per
-    action: the build's machine cycles and entries do not depend on the
-    number of actions.
+    no machine cycle that walk would not.  Without it (the reader rule),
+    such a program whose code is not silent is its own class, unsigned,
+    and its env runs its rows on demand, as the walks reach them.  Every
+    program the build then runs ignores the action, so a signature holds
+    one entry, not one per action: the build's machine cycles and entries
+    do not depend on the number of actions.  A build signing readers that
+    would compute more than ``CLASS_CAP`` entries signs the pool again by
+    the reader rule; a reader-rule build past it raises ``CapacityError``.
 
-    A class's component is its leader's ``ProgramEnv`` (the heaviest
-    member, the lowest pool index on ties, which gives its label), handed
-    the rows the build ran for it, with the summed weight of its members;
-    no other program gets a ``ProgramEnv``.  A silent leader's env runs its
-    rows on demand.  So the mixture equals ``build_mixture`` on every
-    history of at most ``depth`` cycles: equal joints and equal
-    conditionals.  ``MixtureNode.top`` still names the heaviest surviving
-    program, since it ranks classes by their leaders' masses.
-
-    A build that would compute more than ``CLASS_CAP`` signature entries
-    returns ``build_mixture``'s per-program mixture instead, each
-    ``ProgramEnv`` handed the rows the build ran for its program.
+    The pool is signed heaviest first, the lowest pool index on ties, so a
+    class's first program is its leader, which gives its label.  A class's
+    component is its leader's ``ProgramEnv``, handed the rows the build ran
+    for it, with the summed weight of its members; no other program gets a
+    ``ProgramEnv``, and the components are in their leaders' pool order.
+    A silent leader's env runs its rows on demand.  So the mixture equals
+    ``build_mixture`` on every history of at most ``depth`` cycles: equal
+    joints and equal conditionals.  ``MixtureNode.top`` still names the
+    heaviest surviving program, since it ranks classes by their leaders'
+    masses.
     """
     if not pool:
         raise ValueError("empty program pool")
     if depth < 1:
         raise ValueError("depth >= 1 required")
     actions = alphabet.actions()
-    width = len(actions) if every_action else 1  # a signature's entries
     n_percepts = alphabet.num_percepts
-    limit = budget.steps_per_cycle
-    ids: Dict[tuple, int] = {}  # signature -> its interned int
-    entries = 0
-    # The program being signed: its ops, the inputs it is stepped on, its
-    # rows and its (state, depth) -> signature memo.
-    ops: tuple = ()
-    inputs: Sequence[Optional[Action]] = ()
-    rows: dict = {}
-    memo: dict = {}
 
     def signature(s: FrozenState, d: int) -> int:
+        """The signature of program q's state s, d cycles deep, stepped on
+        ``inputs``, with q's ``rows`` and its (state, depth) ``memo``."""
         nonlocal entries
         got = memo.get((s, d))
         if got is None:
@@ -695,20 +685,15 @@ def build_class_mixture(
                 raise _PastClassCap
             sig = []
             for y in inputs:
-                row = rows.get((s, y))
+                if (s, y) in rows:
+                    row = rows[s, y]
+                else:
+                    row = rows[s, y] = env_step(q, s, y, budget)
                 if row is None:
-                    # Through the module, so that a count of its calls sees these.
-                    outputs, _, timed_out, child = vm.run_machine(
-                        ops, s, y or 0, 0, limit, 1
-                    )
-                    row = rows[s, y] = (
-                        _TIMEOUT if timed_out
-                        else ((outputs[0] if outputs else 0) % n_percepts, child)
-                    )
-                if row is _TIMEOUT:
-                    sig.append(_TIMEOUT)
+                    sig.append(None)
                     continue
                 x, child = row
+                x %= n_percepts
                 if child == s and len(inputs) == 1:
                     # The state steps to itself on every action: it emits x
                     # on every cycle left, which is x's chain.
@@ -722,57 +707,54 @@ def build_class_mixture(
             got = memo[s, d] = ids.setdefault(tuple(sig), len(ids))
         return got
 
-    # symbol x -> the signatures, d cycles deep at index d - 1, of a state
-    # that emits x on every cycle, interned as ``signature`` would intern them.
-    chains: Dict[int, List[int]] = {}
-
     def chain(x: int, d: int) -> int:
         ints = chains.setdefault(x, [])
         while len(ints) < d:
             ints.append(ids.setdefault(((x, ints[-1] if ints else 0),) * width, len(ids)))
         return ints[d - 1]
 
-    silent = chain(0, depth)
-    # Each program's rows: (state, action or None) -> (symbol, next state) or _TIMEOUT.
-    tables: List[dict] = [{} for _ in pool]
+    # Heaviest first, stable on pool index: each class's first program leads it.
+    order = sorted(range(len(pool)), key=lambda i: len(pool[i].code))
     # The weights are summed as integers over 2^l_max.
-    bits = [len(q.code) for q in pool]
-    l_max = max(bits)
-    classes: Dict[Hashable, list] = {}  # class -> [leader's pool index, mass]
-    try:
-        for i, (q, rows) in enumerate(zip(pool, tables)):
-            if _silent(q._ops, limit):
-                c = classes.setdefault(silent, [i, 0])
-            elif q._reads_input and not every_action:
-                # Unsigned, alone: a key that no interned int equals.
-                c = classes[(i,)] = [i, 0]
-            else:
-                ops, memo = q._ops, {}
-                # A program that never reads the action is stepped once per
-                # state, on None (input 0), for every action.
-                inputs = actions if q._reads_input else (None,)
-                c = classes.setdefault(signature(FRESH, depth), [i, 0])
-            if bits[i] < bits[c[0]]:
-                c[0] = i
-            c[1] += 1 << (l_max - bits[i])
-    except _PastClassCap:
-        return MixtureModel(
-            [
-                (q.to_hex(), q.weight, _tabled_env(q, budget, alphabet, rows))
-                for q, rows in zip(pool, tables)
-            ],
-            alphabet,
-        )
+    l_max = len(pool[order[-1]].code)
+    while True:
+        width = len(actions) if every_action else 1  # a signature's entries
+        ids: Dict[tuple, int] = {}  # signature -> its interned int
+        # symbol x -> the signatures, d cycles deep at index d - 1, of a state
+        # that emits x on every cycle, interned as ``signature`` would intern them.
+        chains: Dict[int, List[int]] = {}
+        entries = 0
+        silent = chain(0, depth)
+        # class -> [leader's pool index, mass, leader's rows]
+        classes: Dict[Hashable, list] = {}
+        try:
+            for i in order:
+                q, rows = pool[i], {}
+                if _silent(q._ops, budget.steps_per_cycle):
+                    key = silent
+                elif q._reads_input and not every_action:
+                    key = (i,)  # unsigned, alone: a key that no interned int equals
+                else:
+                    memo = {}
+                    # A program that never reads the action is stepped once per
+                    # state, on None, for every action.
+                    inputs = actions if q._reads_input else (None,)
+                    key = signature(FRESH, depth)
+                c = classes.setdefault(key, [i, 0, rows])
+                c[1] += 1 << (l_max - len(q.code))
+            break
+        except _PastClassCap:
+            if not every_action:
+                raise CapacityError(
+                    f"the class build needs more than {CLASS_CAP} signature entries"
+                ) from None
+            every_action = False
     leaders = sorted(classes.values())
     components = [
-        (
-            pool[i].to_hex(),
-            Fraction(mass, 1 << l_max),
-            _tabled_env(pool[i], budget, alphabet, tables[i]),
-        )
-        for i, mass in leaders
+        (pool[i].to_hex(), Fraction(mass, 1 << l_max), _tabled_env(pool[i], budget, alphabet, rows))
+        for i, mass, rows in leaders
     ]
-    return MixtureModel(components, alphabet, [pool[i].weight for i, _ in leaders])
+    return MixtureModel(components, alphabet, [pool[i].weight for i, _, _ in leaders])
 
 
 def posterior(m: MixtureModel, h: History) -> PosteriorState:

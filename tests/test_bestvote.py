@@ -480,7 +480,10 @@ def test_a_best_vote_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeyp
 
     def counting(*args, **kwargs):
         calls.append(1)
-        callers.append(sys._getframe(1).f_code.co_name)
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "env_step":  # the build's and the envs' cycles
+            caller = caller.f_back
+        callers.append(caller.f_code.co_name)
         return run_machine(*args, **kwargs)
 
     monkeypatch.setattr(vm, "run_machine", counting)
@@ -492,7 +495,7 @@ def test_a_best_vote_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeyp
     assert len(calls) == 320
     # Candidates' cycles (claims and the walks' steps), the build's rows, and
     # environment cycles the build left to be run on demand.
-    assert Counter(callers) == {"_program_claim": 264, "signature": 49, "env_step": 7}
+    assert Counter(callers) == {"_program_claim": 264, "signature": 49, "weights": 7}
 
 
 @pytest.mark.parametrize("y_star, cycles", [(0, 2938), (1, 2525)])

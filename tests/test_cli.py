@@ -331,10 +331,9 @@ class TestRunScenario:
         assert len(cli._build_agent(cfg, cli._build_env(cfg))[1].components) == components
 
     def test_a_many_action_mixture_run_with_a_short_horizon_finishes(self):
-        # Signing the programs that read the action over 64 cycles of 16
-        # actions would pass CLASS_CAP; the one-cycle plans do not walk every
-        # action sequence, so the build leaves each such program its own
-        # class and signs the rest on one input.
+        # The one-cycle plans do not walk every action sequence, so the
+        # build leaves each program that reads the action its own class and
+        # signs the rest on one input.
         cfg = parse_config(
             "scenario=onlyone\nagent=mixture\nl=12\nlifetime=64\nn=16\nhorizon=moving:1\n"
         )
@@ -881,16 +880,28 @@ class TestMain:
         assert main(["disasm", "4:f"]) == EXIT_VALIDATION
         assert "validation error" in capsys.readouterr().err
 
-    def test_a_class_build_past_its_cap_runs_the_per_program_mixture(self, monkeypatch):
-        # heavenhell at l=12 and lifetime 3 needs 506 signature entries
+    def test_a_class_build_past_its_cap_runs_the_reader_rule_mixture(self, monkeypatch):
+        # heavenhell at l=12 and lifetime 3 needs 506 signature entries, and
+        # 82 without signing the programs that read the action
         cfg = parse_config("scenario=heavenhell\nagent=mixture\nlifetime=3\nl=12\n")
         classed = run_scenario(cfg)
         assert len(cli._build_agent(cfg, cli._build_env(cfg))[1].components) == 7
         monkeypatch.setattr(models, "CLASS_CAP", 100)
-        assert len(cli._build_agent(cfg, cli._build_env(cfg))[1].components) == 193
+        assert len(cli._build_agent(cfg, cli._build_env(cfg))[1].components) == 28
         capped = run_scenario(cfg)
         assert capped.trace_csv == classed.trace_csv
         assert capped.results == classed.results
+
+    def test_a_class_build_past_its_cap_without_readers_exits_2(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("scenario=heavenhell\nagent=mixture\nlifetime=3\nl=12\n")
+        monkeypatch.setattr(models, "CLASS_CAP", 81)  # one entry short of the reader rule's
+        assert main(["run", "--config", str(cfg)]) == EXIT_CAPACITY
+        assert capsys.readouterr().err == (
+            "capacity error: the class build needs more than 81 signature entries\n"
+        )
 
     def test_capacity_errors_exit_2(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "cfg.txt"

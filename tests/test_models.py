@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from unimix import vm
 from unimix.core import (
     Alphabet,
+    CapacityError,
     EMPTY_HISTORY,
     FixedHorizon,
     History,
@@ -640,8 +641,9 @@ def test_a_build_that_signs_no_reader_costs_the_same_for_any_action_count(pool12
     assert len(xi.components) == 28
     monkeypatch.setattr("unimix.models.CLASS_CAP", 127)
     assert len(build_class_mixture(pool12, RunBudget(64), alphabet, 8, False).components) == 28
-    monkeypatch.setattr("unimix.models.CLASS_CAP", 126)  # one entry short: one component per program
-    assert len(build_class_mixture(pool12, RunBudget(64), alphabet, 8, False).components) == 193
+    monkeypatch.setattr("unimix.models.CLASS_CAP", 126)  # one entry short: nothing to fall back on
+    with pytest.raises(CapacityError, match="more than 126 signature entries"):
+        build_class_mixture(pool12, RunBudget(64), alphabet, 8, False)
 
 
 PARTITION_ALPHABETS = [make_heavenhell(0).alphabet] + [
@@ -665,6 +667,31 @@ def test_the_class_build_partitions_the_pool_as_the_build_that_runs_every_progra
         assert partition(build_class_mixture(pool, budget, alphabet, depth, every_action)) == (
             reference.class_partition(pool, budget, alphabet, depth, every_action)
         ), (alphabet, steps, depth, every_action)
+
+
+@pytest.mark.parametrize("steps, depth, need", [(64, 1, 59), (64, 3, 82), (64, 8, 127), (3, 3, 90)])
+@pytest.mark.parametrize("alphabet", PARTITION_ALPHABETS)
+def test_a_build_past_its_cap_signs_the_pool_again_by_the_reader_rule(
+    pool12, alphabet, steps, depth, need, monkeypatch
+):
+    # ``need`` is the reader-rule build's signature entries, the same for
+    # every number of actions.  A build signing readers takes more, so under
+    # a cap of ``need`` it restarts and must charge only the second attempt.
+    budget = RunBudget(steps)
+    readers = partition(build_class_mixture(pool12, budget, alphabet, depth, False))
+    assert partition(build_class_mixture(pool12, budget, alphabet, depth, True)) != readers
+    monkeypatch.setattr("unimix.models.CLASS_CAP", need)
+    assert partition(build_class_mixture(pool12, budget, alphabet, depth, True)) == readers
+    monkeypatch.setattr("unimix.models.CLASS_CAP", need - 1)
+    with pytest.raises(CapacityError, match=f"more than {need - 1} signature entries"):
+        build_class_mixture(pool12, budget, alphabet, depth, True)
+
+
+def test_a_reader_rule_build_charges_at_most_one_entry_per_program_and_depth(pool12, monkeypatch):
+    # A signed program then ignores the action, so it reaches one state per
+    # cycle: no valid run (l <= 12, lifetime <= 64) passes the cap.
+    monkeypatch.setattr("unimix.models.CLASS_CAP", len(pool12) * 64)
+    build_class_mixture(pool12, RunBudget(64), make_onlyone(1024, 0).alphabet, 64, False)
 
 
 # Every instruction word but END, which ends a program.

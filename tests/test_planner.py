@@ -432,13 +432,14 @@ def test_a_mixture_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeypat
     )
     run_scenario(cfg)
     assert len(calls) == 159
-    # Past the class cap, each program's env starts with the rows the build
-    # ran for it: built fresh instead, the run makes 508, and without the
-    # tables 2,973 (seed 0) and 2,819 (seed 1).
+    # Past the class cap the build signs the pool again by the reader rule,
+    # to 28 components: 131 cycles over both attempts, and 77 on demand for
+    # the readers, each its own class.  Falling back to one component per
+    # program made 484.
     calls.clear()
     monkeypatch.setattr(models, "CLASS_CAP", 100)
     run_scenario(cfg)
-    assert len(calls) == 484
+    assert len(calls) == 208
 
 
 @pytest.mark.parametrize(
