@@ -88,7 +88,12 @@ class ExtendedCandidate:
 
     @classmethod
     def from_program(cls, p: Program) -> "ExtendedCandidate":
-        return cls(p.to_hex(), (0, p.code), program=p)
+        # The slots set directly: a pool makes one candidate per program,
+        # and a program candidate needs none of __init__'s checks.
+        c = cls.__new__(cls)
+        c.label, c.sort_key, c.program, c.oracle = p.to_hex(), (0, p.code), p, None
+        c.state, c.cycles_run, c.last = FRESH, 0, None
+        return c
 
     @classmethod
     def from_oracle(cls, label: str, fn: Callable[[History], Claim]) -> "ExtendedCandidate":
@@ -185,13 +190,19 @@ def replay_candidate(
 
 
 class CandidateStepper:
-    """A candidate as a policy stepper: its actions, with the claims dropped."""
+    """A candidate as a policy stepper: its actions, with the claims dropped
+    (a program candidate's are never made into a ``Claim``)."""
 
     def __init__(self, c: ExtendedCandidate, budget: RunBudget, alphabet):
         self.c, self.budget, self.alphabet = c, budget, alphabet
 
     def __call__(self, h: History) -> Action:
-        return run_candidate_cycle(self.c, h, self.budget, self.alphabet).y
+        c, alphabet = self.c, self.alphabet
+        if c.oracle is not None:
+            return run_candidate_cycle(c, h, self.budget, alphabet).y
+        _check_at(c, h)
+        obs, rew = program_inputs(h, alphabet)
+        return _program_claim(c, obs, rew, self.budget, alphabet.num_actions)[1]
 
     def fork(self) -> "CandidateStepper":
         return CandidateStepper(self.c.copy(), self.budget, self.alphabet)
@@ -217,7 +228,7 @@ def candidate_value(
     cc = claimed(c, h, budget, alphabet)
     node = env_node(envs, h, budget, alphabet)
     stepper = CandidateStepper(cc, budget, alphabet)
-    return functional_value(node, cc.last_claim.y, stepper, k, m, h, horizon)
+    return functional_value(node, cc.last[1], stepper, k, m, h, horizon)
 
 
 def claim_bound(
@@ -348,11 +359,12 @@ def best_vote_cycle(
     highest valid claim wins, the first in selection order among equal ones;
     when no claim is both positive and valid that is ``selection_first``.
 
-    A program candidate's claim stays plain values.  The node, the previous
-    percept's inputs and U are found once for the round, and
-    ``claim_verdict`` judges every claim against that U.  Only a claim in
-    (0, U] becomes a ``Claim`` and is walked by ``validate_claim``, which
-    finds U again for each claim it walks.
+    The node, the previous percept's inputs and U are found once for the
+    round.  A program candidate's claim is one machine cycle, kept as ints:
+    a claim of 0 is valid once some environment survives, a claim above
+    U (above its floor, for an int) is not, and only a claim in (0, U] is
+    walked, by ``candidate_value``.  An oracle's ``Claim`` is judged by
+    ``claim_verdict`` and, where that needs a walk, ``validate_claim``.
     """
     if not candidates:
         raise ValueError("no candidates")
@@ -360,27 +372,50 @@ def best_vote_cycle(
     node = env_node(envs, h, budget, alphabet)
     survived = bool(node.survivors)
     bound = claim_bound(horizon, k, m_k, alphabet)
+    floor_u = int(bound)  # U >= 0, so int() is its floor
     obs, rew = program_inputs(h, alphabet)
     num_actions = alphabet.num_actions
+    limit = budget.steps_per_cycle
+    run_machine = vm.run_machine
     rows = []
     best, best_w = None, 0
     for i, c in enumerate(candidates):
         if c.oracle is None:
-            _check_at(c, h)
-            w, y, _, steps = _program_claim(c, obs, rew, budget, num_actions)
+            if c.cycles_run != k - 1:
+                _check_at(c, h)
+            # _program_claim, with the claim left in locals
+            out, steps, timed_out, c.state = run_machine(
+                c.program._ops, c.state, obs, rew, limit, 2
+            )
+            if timed_out:
+                w = y = 0
+            else:
+                w = out[0] if out else 0
+                y = out[1] % num_actions if len(out) == 2 else 0
+            c.cycles_run = k
+            c.last = (w, y, timed_out, steps)
+            if not w:
+                valid = survived
+            elif not survived or w > floor_u:
+                valid = False
+            else:
+                try:
+                    valid = w <= candidate_value(
+                        c, node, k, m_k, h, budget, alphabet, horizon
+                    )
+                except UndefinedConditionalError:
+                    valid = False
         else:
             claim = run_candidate_cycle(c, h, budget, alphabet)
             w, y, steps = claim.w, claim.y, claim.steps_used
-        valid = claim_verdict(w, survived, bound)
-        if valid is None:
-            valid = validate_claim(
-                c, c.last_claim, h, node, budget, alphabet, m_k, horizon
-            )
+            valid = claim_verdict(w, survived, bound)
+            if valid is None:
+                valid = validate_claim(c, claim, h, node, budget, alphabet, m_k, horizon)
         if valid and w > 0 and (
             w > best_w or (w == best_w and c.sort_key < candidates[best].sort_key)
         ):
             best, best_w = i, w
-        rows.append(SelectionRow(k, c.label, w, valid, False, y, steps))
+        rows.append(tuple.__new__(SelectionRow, (k, c.label, w, valid, False, y, steps)))
     if best is None:
         best = selection_first(candidates)
     cycle, label, w, valid, _, y, steps = rows[best]

@@ -12,7 +12,9 @@ sorted work tape items, head), for environments, policies and best-vote
 candidates alike.  ``run_machine`` is the one loop, and the only code that
 turns a state into a working tape and back: ``run_cycle`` pads its outputs
 for a policy, ``env_step`` is the environment cycle, and a fork shares the
-state it forks.
+state it forks.  A cycle caught in a loop that returns to one state is
+charged its whole step budget, but ``run_machine`` runs only its first
+turns round the loop and adds the whole periods left.
 """
 
 from __future__ import annotations
@@ -247,6 +249,18 @@ def run_machine(
     the ``max_outputs``-th emit or ``limit`` steps.  Returns (outputs, steps
     used, timed out, next state); the outputs are not padded, and a cycle
     that times out still returns the state it reached.
+
+    A cycle that can never halt is not spun to the limit.  A jump goes back
+    at most one instruction, and only on acc == 0, so two taken back jumps
+    in a row that land on the same pc have run one instruction X between
+    them (or none, for ``JZ 1``).  When they also leave the head and the
+    output count as they were, X acted on a state with acc == 0 in a way
+    that repeating it changes nothing: a store writes the same 0, a load
+    or an input read that gave 0 gives 0 again.  So the machine is back in
+    the state it had one period ago, and stays in that loop; whole periods
+    are added to the steps at once, and the last steps before the limit are
+    run, so the steps, outputs and state at the timeout are the stepped
+    ones.  A loop that moves the head never repeats its mark and is spun.
     """
     acc, items, head = state
     tape = None  # the work tape as a dict, made at the first store or load
@@ -254,6 +268,7 @@ def run_machine(
     pc = steps = 0
     timed_out = False
     outputs: List[int] = []
+    mark = mark_steps = None  # the last taken back jump: (pc, head, outputs), steps
     while 0 <= pc < n:  # falling off the code ends the cycle as END does
         if steps >= limit:
             timed_out = True
@@ -261,7 +276,17 @@ def run_machine(
         op, arg = ops[pc]
         steps += 1
         if op == 5:  # JZ
-            pc += (arg - 1) if acc == 0 else 1
+            if acc:
+                pc += 1
+            elif arg > 1:
+                pc += arg - 1
+            else:  # a back jump, to pc - 1 or pc
+                pc += arg - 1
+                seen = (pc, head, len(outputs))
+                if seen == mark:
+                    period = steps - mark_steps
+                    steps += (limit - steps) // period * period
+                mark, mark_steps = seen, steps
         elif op == 0:  # END
             break
         elif op == 1:  # OUT

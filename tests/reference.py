@@ -7,6 +7,9 @@ library's machine loop (``vm.run_machine``).  ``env_cycle`` and
 ``policy_action`` are the environment and policy cycles on it, for the
 frozen-state cycles (``vm.env_step``, ``planner.ProgramStepper``) and every
 table and tree built on them.
+``run_machine_stepwise`` is the library's machine loop with every step run,
+for the loop that skips the whole periods of a cycle that never halts
+(``vm.run_machine``).
 ``best_vote_cycle`` is the best-vote round with one ``Claim`` per candidate,
 each judged by ``validate_claim`` here, for the round on plain values
 (``bestvote.best_vote_cycle``).  That ``validate_claim`` walks every positive
@@ -124,6 +127,62 @@ def reference_cycle(program, state, primary_in, secondary_in, budget, max_output
     while len(outputs) < max_outputs:
         outputs.append(0)
     return tuple(outputs), steps, timed_out
+
+
+def run_machine_stepwise(ops, state, primary_in, secondary_in, limit, max_outputs):
+    """One cycle of the program ``ops`` ((op, arg) pairs) from the frozen
+    ``state``, every step run until END, falling off the code, the
+    ``max_outputs``-th emit or ``limit`` steps.  Returns (outputs, steps used,
+    timed out, next state), as ``vm.run_machine`` does."""
+    acc, items, head = state
+    tape = None  # the work tape as a dict, made at the first store or load
+    n = len(ops)
+    pc = steps = 0
+    timed_out = False
+    outputs = []
+    while 0 <= pc < n:
+        if steps >= limit:
+            timed_out = True
+            break
+        op, arg = ops[pc]
+        steps += 1
+        if op == 5:  # JZ
+            pc += (arg - 1) if acc == 0 else 1
+        elif op == 0:  # END
+            break
+        elif op == 1:  # OUT
+            outputs.append(acc)
+            if len(outputs) >= max_outputs:
+                break
+            pc += 1
+        elif op == 2:  # IN
+            acc = primary_in
+            pc += 1
+        elif op == 3:  # INR
+            acc = secondary_in
+            pc += 1
+        elif op == 4:  # LDC
+            acc = arg
+            pc += 1
+        elif op == 6:  # INC
+            acc += 1
+            pc += 1
+        else:  # MOVT
+            if arg == 0:
+                head -= 1
+            elif arg == 1:
+                head += 1
+            else:
+                if tape is None:
+                    tape = dict(items)
+                if arg == 2:
+                    tape[head] = acc
+                else:
+                    acc = tape.get(head, 0)
+            pc += 1
+    if tape is not None:
+        items = tuple(sorted(tape.items()))
+    return outputs, steps, timed_out, (acc, items, head)
 
 
 def env_cycle(q, s, y, budget, alphabet):

@@ -76,8 +76,11 @@ def test_artifacts_match_the_pinned_digests(workload, lifetime, config_seed, tmp
 
 
 # Run paths off the benchmark's workloads, pinned the same way: the mixture
-# on moving, proportional and geometric horizons, and best vote on
-# many-action and horizon-bound worlds, each at config seeds 0 and 1.
+# on moving, proportional and geometric horizons, best vote on many-action
+# and horizon-bound worlds, and both on the workloads' worlds at the largest
+# step budget (where a program stuck in a loop would spin longest) and at
+# t=3 (which a two-step loop's period does not divide), each at config
+# seeds 0 and 1.
 PATH_CONFIGS = {
     "mixture-heavenhell-moving1": "scenario=heavenhell\nagent=mixture\nl=12\nlifetime=16\nhorizon=moving:1\ni=0\n",
     "mixture-heavenhell-moving6": "scenario=heavenhell\nagent=mixture\nl=12\nlifetime=16\nhorizon=moving:6\ni=1\n",
@@ -89,6 +92,10 @@ PATH_CONFIGS = {
     "bestvote-onlyone256": "scenario=onlyone\nagent=best-vote\nl=12\nlifetime=4\nn=256\n",
     "bestvote-lazy": "scenario=lazy\nagent=best-vote\nl=12\nlifetime=8\n",
     "bestvote-heavenhell-moving2": "scenario=heavenhell\nagent=best-vote\nl=12\nlifetime=8\nhorizon=moving:2\ni=1\n",
+    "bestvote-heavenhell-t4096": "scenario=heavenhell\nagent=best-vote\nl=11\nlifetime=2\nt=4096\ni=0\n",
+    "bestvote-heavenhell-t3": "scenario=heavenhell\nagent=best-vote\nl=11\nlifetime=2\nt=3\ni=1\n",
+    "mixture-heavenhell-t4096": "scenario=heavenhell\nagent=mixture\nl=12\nlifetime=3\nt=4096\ni=0\n",
+    "mixture-heavenhell-t3": "scenario=heavenhell\nagent=mixture\nl=12\nlifetime=3\nt=3\ni=1\n",
 }
 
 # config -> seed -> artifact -> sha256
@@ -103,6 +110,30 @@ PATH_PINS = {
             "trace.csv": "9b34a36777fde9882cb376a6a15ff5bee33168963c0b284c69f938a087a93e5b",
             "results.txt": "3e249ab3d96eecf327489a3a790621ff7552364ed124458993900e7b12326e2e",
             "selection.csv": "b00c9e3351cd6ec7b738ff8307372692ddd16888dbae76fce11e20977587c5e2",
+        },
+    },
+    "bestvote-heavenhell-t3": {
+        0: {
+            "trace.csv": "6f1f32e120fd81950dad964fe9c1eb8d4a8ab434944e1d0109eefe2e32d8efdc",
+            "results.txt": "27b18d7378c9aa1240965d3df29655dfe2388c58225cbcbc19da02ea900b7c5c",
+            "selection.csv": "320ff34a9a0966bb19b0c209e1e6debe92ed86b430dbb4fa74be902f5bc0e5dc",
+        },
+        1: {
+            "trace.csv": "6f1f32e120fd81950dad964fe9c1eb8d4a8ab434944e1d0109eefe2e32d8efdc",
+            "results.txt": "27b18d7378c9aa1240965d3df29655dfe2388c58225cbcbc19da02ea900b7c5c",
+            "selection.csv": "320ff34a9a0966bb19b0c209e1e6debe92ed86b430dbb4fa74be902f5bc0e5dc",
+        },
+    },
+    "bestvote-heavenhell-t4096": {
+        0: {
+            "trace.csv": "21f403083213313fa05ffdfa23f27308d6323380505e130380af1878f4a6dd63",
+            "results.txt": "578f7278022846d13dd7f9291a4c21f25fe1fc0a7a7d3f4576562db114355a2f",
+            "selection.csv": "39ab30213b580ea897c8996d1852b6dd047827937c743d62486cec39dc89a512",
+        },
+        1: {
+            "trace.csv": "21f403083213313fa05ffdfa23f27308d6323380505e130380af1878f4a6dd63",
+            "results.txt": "578f7278022846d13dd7f9291a4c21f25fe1fc0a7a7d3f4576562db114355a2f",
+            "selection.csv": "39ab30213b580ea897c8996d1852b6dd047827937c743d62486cec39dc89a512",
         },
     },
     "bestvote-lazy": {
@@ -149,6 +180,26 @@ PATH_PINS = {
         1: {
             "trace.csv": "9d8f5ac29b912f7d6dfe7884a20b6e436d450222348ddd173c68a7c7289c495e",
             "results.txt": "994201853957aad39185c7d9f6cf1f372b74851c72ec4d481b07ff34d6858905",
+        },
+    },
+    "mixture-heavenhell-t3": {
+        0: {
+            "trace.csv": "c966a66f65dd8923b9ecff4dc3cb8c36d40a84230b79dd6115ad53b1feff7fc5",
+            "results.txt": "81d94b343e082aa4a4e6df4d9d755a68a926e9407e86664197d20ad8433293dd",
+        },
+        1: {
+            "trace.csv": "c966a66f65dd8923b9ecff4dc3cb8c36d40a84230b79dd6115ad53b1feff7fc5",
+            "results.txt": "81d94b343e082aa4a4e6df4d9d755a68a926e9407e86664197d20ad8433293dd",
+        },
+    },
+    "mixture-heavenhell-t4096": {
+        0: {
+            "trace.csv": "a8540ec1eeec925b85003492ccbd625885c16c837ed2b17b4ea4bddd447adc3e",
+            "results.txt": "76456b7db2628553c4232d31596e4525edd2ce0dc3480811b4467cb0a1afa92a",
+        },
+        1: {
+            "trace.csv": "a8540ec1eeec925b85003492ccbd625885c16c837ed2b17b4ea4bddd447adc3e",
+            "results.txt": "76456b7db2628553c4232d31596e4525edd2ce0dc3480811b4467cb0a1afa92a",
         },
     },
     "mixture-heavenhell-moving1": {

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,10 @@ from unimix.vm import (
     kraft_sum,
     replay_env,
     run_cycle,
+    run_machine,
 )
 
-from reference import MachineState, env_cycle, freeze, reference_cycle
+from reference import MachineState, env_cycle, freeze, reference_cycle, run_machine_stepwise
 
 END = (0, 0, 0)
 OUT = (0, 0, 1)
@@ -327,3 +329,48 @@ def test_a_cycle_equals_the_stepped_reference(
     expected = reference_cycle(q, ref, primary_in, secondary_in, budget, max_outputs)
     assert (res.outputs, res.steps_used, res.timed_out, res.state) == (*expected, freeze(ref))
 
+
+# Loops a cycle can be caught in for good: a JZ 1 alone, or one instruction
+# and a JZ 0 that leaves acc at 0, and one that moves the head each time
+# round (MOVT 0) and so never repeats a state.  The last two halt: one
+# emits in its loop, which ends at the second emit, and one takes two back
+# jumps that land on different pcs, each time jumping on past its loop.
+SPINS = [
+    decode(bits(JZ(1), END)),
+    decode(bits(IN, JZ(0), END)),
+    decode(bits(LDC(0), JZ(0), END)),
+    decode(bits(MOVT(2), JZ(0), END)),
+    decode(bits(MOVT(3), JZ(0), END)),
+    decode(bits(MOVT(0), JZ(0), END)),
+    decode(bits(JZ(3), OUT, JZ(0), END)),
+    decode(bits(JZ(3), JZ(3), JZ(0), JZ(3), JZ(3), JZ(0), END)),
+]
+# Any bit string of up to 16 bits, with zeros after it so that it decodes.
+CODES = st.lists(st.integers(0, 1), max_size=16).map(lambda b: decode(tuple(b) + (0,) * 8))
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.one_of(st.sampled_from(SPINS), CODES),
+    st.integers(1, 4096),
+    SMALL,
+    SMALL,
+    st.one_of(st.just(0), SMALL),
+    st.dictionaries(st.integers(-3, 3), SMALL, max_size=4),
+    st.integers(-3, 3),
+    st.integers(1, 2),
+)
+def test_the_machine_loop_equals_the_stepwise_loop(
+    q, limit, primary_in, secondary_in, acc, tape, head, max_outputs
+):
+    state = (acc, tuple(sorted(tape.items())), head)
+    args = (q._ops, state, primary_in, secondary_in, limit, max_outputs)
+    assert run_machine(*args) == run_machine_stepwise(*args)
+
+
+def test_a_cycle_that_never_halts_costs_no_more_than_its_first_loops():
+    # Stepped, 10**7 steps take seconds; skipped, two are run.
+    start = time.perf_counter()
+    outputs, steps, timed_out, state = run_machine(LOOP._ops, FRESH, 0, 0, 10**7, 1)
+    assert time.perf_counter() - start < 0.5
+    assert (outputs, steps, timed_out, state) == ([], 10**7, True, FRESH)
