@@ -88,12 +88,7 @@ class ExtendedCandidate:
 
     @classmethod
     def from_program(cls, p: Program) -> "ExtendedCandidate":
-        # The slots set directly: a pool makes one candidate per program,
-        # and a program candidate needs none of __init__'s checks.
-        c = cls.__new__(cls)
-        c.label, c.sort_key, c.program, c.oracle = p.to_hex(), (0, p.code), p, None
-        c.state, c.cycles_run, c.last = FRESH, 0, None
-        return c
+        return cls(p.to_hex(), (0, p.code), program=p)
 
     @classmethod
     def from_oracle(cls, label: str, fn: Callable[[History], Claim]) -> "ExtendedCandidate":
@@ -149,14 +144,22 @@ def run_candidate_cycle(
     Incremental: the candidate must have been stepped on exactly the previous
     cycles.  A budget timeout yields the flagged (w=0, y=0) claim.
     """
+    return Claim(*_candidate_cycle(c, h, budget, alphabet))
+
+
+def _candidate_cycle(
+    c: ExtendedCandidate, h: History, budget: RunBudget, alphabet
+) -> tuple:
+    """``run_candidate_cycle``'s claim as the plain values (w, y, timed_out,
+    steps_used)."""
     _check_at(c, h)
     if c.oracle is None:
         obs, rew = program_inputs(h, alphabet)
-        return Claim(*_program_claim(c, obs, rew, budget, alphabet.num_actions))
+        return _program_claim(c, obs, rew, budget, alphabet.num_actions)
     claim = c.oracle(h)
     c.cycles_run += 1
     c.last = (claim.w, claim.y, claim.timed_out, claim.steps_used)
-    return claim
+    return c.last
 
 
 def _check_not_past(c: ExtendedCandidate, h: History) -> None:
@@ -178,7 +181,7 @@ def claimed(
     _check_not_past(c, h)
     cc = c.copy()
     while cc.cycles_run <= len(h):
-        run_candidate_cycle(cc, History(h.cycles[: cc.cycles_run]), budget, alphabet)
+        _candidate_cycle(cc, History(h.cycles[: cc.cycles_run]), budget, alphabet)
     return cc
 
 
@@ -190,19 +193,13 @@ def replay_candidate(
 
 
 class CandidateStepper:
-    """A candidate as a policy stepper: its actions, with the claims dropped
-    (a program candidate's are never made into a ``Claim``)."""
+    """A candidate as a policy stepper: its actions, with the claims dropped."""
 
     def __init__(self, c: ExtendedCandidate, budget: RunBudget, alphabet):
         self.c, self.budget, self.alphabet = c, budget, alphabet
 
     def __call__(self, h: History) -> Action:
-        c, alphabet = self.c, self.alphabet
-        if c.oracle is not None:
-            return run_candidate_cycle(c, h, self.budget, alphabet).y
-        _check_at(c, h)
-        obs, rew = program_inputs(h, alphabet)
-        return _program_claim(c, obs, rew, self.budget, alphabet.num_actions)[1]
+        return _candidate_cycle(self.c, h, self.budget, self.alphabet)[1]
 
     def fork(self) -> "CandidateStepper":
         return CandidateStepper(self.c.copy(), self.budget, self.alphabet)
@@ -243,7 +240,7 @@ def claim_bound(
 
 
 def claim_verdict(
-    w: Union[int, Fraction], survived: bool, bound: Fraction
+    w: Union[int, Fraction], survived: bool, bound: Union[int, Fraction]
 ) -> Optional[bool]:
     """``validate_claim``'s verdict on a claim of w where it needs no walk,
     None where it does.  The value lies in [0, U], U = ``claim_bound``:
@@ -279,11 +276,26 @@ def validate_claim(
     )
     if verdict is not None:
         return verdict
+    return _walked_verdict(c, claim.w, node, k, m_k, h, budget, alphabet, horizon)
+
+
+def _walked_verdict(
+    c: ExtendedCandidate,
+    w: Union[int, Fraction],
+    node: Envs,
+    k: int,
+    m_k: int,
+    h: History,
+    budget: RunBudget,
+    alphabet,
+    horizon: Optional[HorizonPolicy],
+) -> bool:
+    """The verdict on a claim of w that ``claim_verdict`` leaves to a walk:
+    w at most the candidate's value, False where that is undefined."""
     try:
-        v = candidate_value(c, node, k, m_k, h, budget, alphabet, horizon)
+        return w <= candidate_value(c, node, k, m_k, h, budget, alphabet, horizon)
     except UndefinedConditionalError:
         return False
-    return claim.w <= v
 
 
 class SelectionRow(tuple):
@@ -360,11 +372,10 @@ def best_vote_cycle(
     when no claim is both positive and valid that is ``selection_first``.
 
     The node, the previous percept's inputs and U are found once for the
-    round.  A program candidate's claim is one machine cycle, kept as ints:
-    a claim of 0 is valid once some environment survives, a claim above
-    U (above its floor, for an int) is not, and only a claim in (0, U] is
-    walked, by ``candidate_value``.  An oracle's ``Claim`` is judged by
-    ``claim_verdict`` and, where that needs a walk, ``validate_claim``.
+    round, and ``claim_verdict`` judges every claim against that U; only a
+    claim in (0, U] is walked, by ``candidate_value``.  A program
+    candidate's claim stays ints, judged against the floor of U: an int
+    is above U exactly when it is above U's floor.
     """
     if not candidates:
         raise ValueError("no candidates")
@@ -375,42 +386,19 @@ def best_vote_cycle(
     floor_u = int(bound)  # U >= 0, so int() is its floor
     obs, rew = program_inputs(h, alphabet)
     num_actions = alphabet.num_actions
-    limit = budget.steps_per_cycle
-    run_machine = vm.run_machine
     rows = []
     best, best_w = None, 0
     for i, c in enumerate(candidates):
         if c.oracle is None:
-            if c.cycles_run != k - 1:
-                _check_at(c, h)
-            # _program_claim, with the claim left in locals
-            out, steps, timed_out, c.state = run_machine(
-                c.program._ops, c.state, obs, rew, limit, 2
-            )
-            if timed_out:
-                w = y = 0
-            else:
-                w = out[0] if out else 0
-                y = out[1] % num_actions if len(out) == 2 else 0
-            c.cycles_run = k
-            c.last = (w, y, timed_out, steps)
-            if not w:
-                valid = survived
-            elif not survived or w > floor_u:
-                valid = False
-            else:
-                try:
-                    valid = w <= candidate_value(
-                        c, node, k, m_k, h, budget, alphabet, horizon
-                    )
-                except UndefinedConditionalError:
-                    valid = False
+            _check_at(c, h)
+            w, y, _, steps = _program_claim(c, obs, rew, budget, num_actions)
+            u = floor_u
         else:
-            claim = run_candidate_cycle(c, h, budget, alphabet)
-            w, y, steps = claim.w, claim.y, claim.steps_used
-            valid = claim_verdict(w, survived, bound)
-            if valid is None:
-                valid = validate_claim(c, claim, h, node, budget, alphabet, m_k, horizon)
+            w, y, _, steps = _candidate_cycle(c, h, budget, alphabet)
+            u = bound
+        valid = claim_verdict(w, survived, u)
+        if valid is None:
+            valid = _walked_verdict(c, w, node, k, m_k, h, budget, alphabet, horizon)
         if valid and w > 0 and (
             w > best_w or (w == best_w and c.sort_key < candidates[best].sort_key)
         ):

@@ -505,10 +505,7 @@ class MixtureModel(ChronologicalModel):
             raise ValueError("every component must have the mixture's alphabet")
         self.alphabet = alphabet
         self._rank = {x: i for i, x in enumerate(alphabet.percepts())}
-        # A survivor's mass times its share is its leader's mass times one
-        # positive constant, the lcm of the leader-to-weight ratios'
-        # denominators: the shares are ints, so ``top`` ranks an int mass
-        # with no Fraction multiply, in the leaders' order.
+        # A survivor's mass times its share is its leader's mass.
         if leads is None:
             self._lead_share = (1,) * len(weights)
         elif len(leads) != len(weights) or not all(
@@ -516,9 +513,7 @@ class MixtureModel(ChronologicalModel):
         ):
             raise ValueError("each component needs one lead in (0, its weight]")
         else:
-            shares = [Fraction(lead) / w for lead, w in zip(leads, weights)]
-            d = math.lcm(*(r.denominator for r in shares))
-            self._lead_share = tuple(r.numerator * (d // r.denominator) for r in shares)
+            self._lead_share = tuple(lead / w for lead, w in zip(leads, weights))
         # A component's mass starts at its weight times its own base mass,
         # which is not 1 when the component is itself a mixture.
         masses = []
