@@ -134,6 +134,20 @@ def rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def as_fraction(value) -> Fraction:
+    """``value`` as a ``Fraction``: a ``Fraction`` as it is, anything else
+    through ``Fraction(value)``, which runs its type checks even on one."""
+    return value if value.__class__ is Fraction else Fraction(value)
+
+
+def increasing(values: Tuple[Fraction, ...]) -> bool:
+    """Whether the ``Fraction`` values strictly increase, compared on ints."""
+    return all(
+        a.numerator * b.denominator < b.numerator * a.denominator
+        for a, b in zip(values, values[1:])
+    )
+
+
 def write_text(header: Iterable[Tuple[str, Any]], rows: Iterable[Tuple[str, str]] = ()) -> str:
     """The text ``read_text`` reads: ``key=value`` lines, then ``key | values`` rows."""
     lines = [f"{k}={v}" for k, v in header]
@@ -187,8 +201,8 @@ class Percept(Value):
     __slots__ = ("reward", "observation", "_hash")
 
     def __init__(self, reward: Fraction, observation: int = 0):
-        reward = Fraction(reward)
-        if reward < 0:
+        reward = as_fraction(reward)
+        if reward.numerator < 0:
             raise ValueError(f"negative reward {reward}")
         if observation < 0:
             raise ValueError(f"negative observation {observation}")
@@ -237,12 +251,12 @@ class Alphabet(Value):
             raise ValidationError(small)
         if num_actions > ACTION_CAP:
             raise CapacityError(f"more than {ACTION_CAP} actions in an alphabet")
-        rewards = tuple(Fraction(r) for r in rewards)
+        rewards = tuple(map(as_fraction, rewards))
         if len(rewards) * num_observations > PERCEPT_CAP:
             raise CapacityError(f"more than {PERCEPT_CAP} percepts in an alphabet")
-        if any(r < 0 for r in rewards):
+        if any(r.numerator < 0 for r in rewards):
             raise ValueError("rewards must be nonnegative")
-        if list(rewards) != sorted(set(rewards)):
+        if not increasing(rewards):
             raise ValueError("rewards must be strictly increasing")
         set_field(self, "num_actions", num_actions)
         set_field(self, "num_observations", num_observations)

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .core import (
-    Action, Alphabet, History, Percept, ValidationError, Value, input_errors, rational,
-    read_text, set_field, write_text,
+    Action, Alphabet, History, Percept, ValidationError, Value, as_fraction, increasing,
+    input_errors, rational, read_text, set_field, write_text,
 )
 from .models import (
     ChronologicalModel,
@@ -269,15 +269,15 @@ class FunctionClassSpec(Value):
         prior: Tuple[Tuple[Tuple[int, ...], Fraction], ...],  # (f as z-index tuple, prob)
         r_max: Fraction = Fraction(1),
     ):
-        zs = tuple(Fraction(z) for z in z_values)
-        if list(zs) != sorted(set(zs)):
+        zs = tuple(map(as_fraction, z_values))
+        if not increasing(zs):
             raise ValueError("z_values must be strictly increasing")
-        prior = tuple((tuple(f), Fraction(p)) for f, p in prior)
-        r_max = Fraction(r_max)
+        prior = tuple((tuple(f), as_fraction(p)) for f, p in prior)
+        r_max = as_fraction(r_max)
         violations = _function_violations(num_actions, len(zs), prior)
         if num_actions < 1:
             violations.append(f"actions {num_actions} is below 1")
-        if r_max < 0:
+        if r_max.numerator < 0:
             violations.append(f"rmax {r_max} is below 0")
         if violations:
             raise ValidationError(violations)
@@ -326,14 +326,19 @@ def _function_violations(num_actions: int, num_z: int, prior) -> List[str]:
     the function's table, and weights that do not sum to 1."""
     found = []
     for f, p in prior:
-        key = " ".join(map(str, f))
+        wrong = []
         if len(f) != num_actions:
-            found.append(f"function '{key}' has {len(f)} entries, not {num_actions} (one per action)")
+            wrong.append(f"has {len(f)} entries, not {num_actions} (one per action)")
         if any(not 0 <= zi < num_z for zi in f):
-            found.append(f"function '{key}' has a z index outside range({num_z})")
-        if p < 0:
-            found.append(f"function '{key}' has prior {p}, below 0")
-    if sum((p for _, p in prior), Fraction(0)) != 1:
+            wrong.append(f"has a z index outside range({num_z})")
+        if p.numerator < 0:
+            wrong.append(f"has prior {p}, below 0")
+        if wrong:
+            key = " ".join(map(str, f))
+            found += [f"function '{key}' {why}" for why in wrong]
+    # Summed on integers over the lcm of the denominators, as a mixture's weights are.
+    d = math.lcm(*(p.denominator for _, p in prior))
+    if sum(p.numerator * (d // p.denominator) for _, p in prior) != d:
         found.append("function prior must sum to 1")
     return found
 
@@ -372,7 +377,7 @@ def make_fm_env(c: FunctionClassSpec) -> MixtureModel:
         return FunctionalEnv(alphabet, rule, _no_memory)
 
     components = [
-        (f"f:{''.join(map(str, f))}", p, f_env(f)) for f, p in c.prior if p > 0
+        (f"f:{''.join(map(str, f))}", p, f_env(f)) for f, p in c.prior if p.numerator > 0
     ]
     return MixtureModel(components, alphabet)
 

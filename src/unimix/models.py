@@ -77,6 +77,13 @@ class ChronologicalModel:
         mass is 1 and the row is ``cond_map(h, y)``'s."""
         return {x: (p, None) for x, p in self.cond_map(h, y).items()}
 
+    def last_weights(self, state: Any, h: History, y: Action) -> Dict[Percept, Tuple[Any, Any]]:
+        """``weights(state, h, y)`` for a caller that reads no extended
+        history's state, such as the expectimax on its last cycle: a model
+        may pair each weight with None instead.  By default it is the
+        ``weights`` row itself."""
+        return self.weights(state, h, y)
+
     def key(self, state: Any, h: History) -> Hashable:
         """What fixes every future conditional after h: two histories of the
         same length whose keys are equal get equal ``weights`` rows for every
@@ -277,6 +284,9 @@ class FunctionalEnv(ChronologicalModel):
     def weights(self, state: Any, h: History, y: Action) -> Dict[Percept, Tuple[Any, Any]]:
         return {self.rule(h, y): (_ONE, None)}
 
+    # The row holds no state to leave out: the last cycle reads it directly.
+    last_weights = weights
+
     def key(self, state: Any, h: History) -> Hashable:
         return h if self.memory is None else self.memory(h)
 
@@ -386,6 +396,16 @@ class PosteriorState:
         return self.labels[best]
 
 
+def _child_mass(
+    model: ChronologicalModel, s: Any, mass: Union[int, Fraction], w
+) -> Union[int, Fraction]:
+    """The mass of a survivor of mass ``mass`` whose component ``model``, in
+    state s, gives a percept the nonzero weight w: mass times w over the
+    component's own mass, which is not 1 only for a nested mixture."""
+    t = model.mass(s)
+    return mass if w == t else mass * w if t == 1 else Fraction(mass * w, t)
+
+
 class MixtureNode:
     """A node of a mixture's consistent-environment tree.
 
@@ -433,9 +453,7 @@ class MixtureNode:
                 if w is _ONE:
                     split.setdefault(x, []).append((i, mass, child))
                 elif w:
-                    t = model.mass(s)  # not 1 only for a nested mixture
-                    m = mass if w == t else mass * w if t == 1 else Fraction(mass * w, t)
-                    split.setdefault(x, []).append((i, m, child))
+                    split.setdefault(x, []).append((i, _child_mass(model, s, mass, w), child))
         return {x: MixtureNode(self.mixture, tuple(v)) for x, v in split.items()}
 
     def child(self, h: History, y: Action, x: Percept) -> "MixtureNode":
@@ -470,7 +488,10 @@ class MixtureModel(ChronologicalModel):
     survivor one cycle and gives each percept its child's mass, so a caller
     that carries the node from cycle to cycle (``MixtureNode.child``, as best
     vote does, or the ``weights`` row, as ``planning_policy`` does) never
-    replays a history; ``state`` replays it on a fresh tree.  ``cond_map``
+    replays a history; ``state`` replays it on a fresh tree.
+    ``last_weights`` gives the same weights with no child node, for a
+    caller that reads none (the expectimax's last cycle): it steps each
+    survivor once and adds its mass to its percept's.  ``cond_map``
     divides those masses by the node's.
 
     ``leads``, when given, is the weight of each component's leader, the
@@ -555,6 +576,31 @@ class MixtureModel(ChronologicalModel):
             rank = self._rank
             children = sorted(children, key=lambda xc: rank[xc[0]])
         return {x: (c.mass, c) for x, c in children}
+
+    def last_weights(
+        self, state: MixtureNode, h: History, y: Action
+    ) -> Dict[Percept, Tuple[Union[int, Fraction], None]]:
+        """Each child's mass, paired with None: each survivor is stepped
+        once and its mass added to its percept's, with no child node built.
+        The percepts come in the order the survivors emit them."""
+        if state.mass == 0:
+            raise UndefinedConditionalError(
+                "mixture conditional on a zero-mass history"
+            )
+        comps = self.components
+        row: Dict[Percept, Tuple[Union[int, Fraction], None]] = {}
+        for i, mass, s in state.survivors:
+            model = comps[i][2]
+            for x, (w, _) in model.weights(s, h, y).items():
+                if w is _ONE:
+                    w = mass
+                elif w:
+                    w = _child_mass(model, s, mass, w)
+                else:
+                    continue
+                got = row.get(x)
+                row[x] = (w, None) if got is None else (got[0] + w, None)
+        return row
 
     def key(self, state: MixtureNode, h: History) -> Hashable:
         """The survivors' indices, masses and component keys."""

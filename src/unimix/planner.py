@@ -107,7 +107,9 @@ def _plan(
     The sum is carried on the model's weights, with no division: U is the
     max over y of the sum over x of w * D * r + (w / T_x) * U_x, where T_x
     and U_x are the child's.  A child's mass is its weight (T_x = w) or 1,
-    so that term is U_x or w * U_x.
+    so that term is U_x or w * U_x.  The last cycle (t = m_k) solves no
+    child, so it reads the model's ``last_weights`` row, which need not
+    build the children's states.
 
     ``memo`` maps the model's key, t and m_k to the plan of every node
     solved so far, so histories that leave the model in equal states share
@@ -125,11 +127,12 @@ def _plan(
         if plan is not None:
             return plan
     last = t == q.m_k
+    weights = model.last_weights if last else model.weights
     scaled, mass = model.alphabet.scaled_reward, model.mass(state)
     best: Optional[Plan] = None
     for y in model.alphabet.actions() if actions is None else actions:
         u = _ZERO
-        for x, (w, child) in model.weights(state, h, y).items():
+        for x, (w, child) in weights(state, h, y).items():
             if not w:
                 continue
             term = discounted_reward(horizon, t, scaled(x))

@@ -20,7 +20,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unimix import planner
+from unimix import models, planner
 from unimix.cli import parse_config, run_scenario
 from unimix.core import (
     Alphabet,
@@ -35,6 +35,7 @@ from unimix.core import (
 )
 from unimix.domains import FunctionClassSpec, make_fm_env, uniform_function_class
 from unimix.models import (
+    MixtureModel,
     MixtureNode,
     UndefinedConditionalError,
     build_class_mixture,
@@ -112,10 +113,12 @@ def test_the_integer_sums_build_no_fraction_and_divide_nowhere():
         _function(planner.sample_percept),
     ):
         assert list(_fractions_and_divisions(fn)) == [], fn.name
-    # A split may build a Fraction for a nested mixture's mass, but never
-    # divides: ``/`` on two ints is a float.
-    split = _function(MixtureNode.split)
-    assert [op for _, op in _fractions_and_divisions(split)] in ([], ["Fraction(...)"])
+    # A split and the last-cycle row may build a Fraction for a nested
+    # mixture's mass, in the ``_child_mass`` they share, but never divide:
+    # ``/`` on two ints is a float.
+    for fn in (MixtureNode.split, MixtureModel.last_weights, models._child_mass):
+        ops = [op for _, op in _fractions_and_divisions(_function(fn))]
+        assert ops in ([], ["Fraction(...)"]), fn.__name__
 
 
 # --- The expectimax ----------------------------------------------------------

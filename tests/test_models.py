@@ -593,6 +593,52 @@ def test_the_class_mixture_equals_the_program_mixture_up_to_its_depth(case):
     walk(EMPTY_HISTORY, classes.state(EMPTY_HISTORY), plain.state(EMPTY_HISTORY))
 
 
+@st.composite
+def mixture_states(draw):
+    """A class, per-program, nested or fm mixture, a history of positive
+    mass or not, and the mixture's state after it."""
+    kind = draw(st.sampled_from(("classes", "programs", "nested", "fm")))
+    if kind in ("programs", "nested"):
+        (flat, nested), h = draw(mixtures_and_histories())
+        m = flat if kind == "programs" else nested
+        return m, h, m.state(h)
+    if kind == "classes":
+        m = build_class_mixture(*draw(class_cases()))
+    else:
+        zs = sorted(draw(st.sets(st.integers(0, 5), min_size=1, max_size=3)))
+        m = make_fm_env(uniform_function_class(draw(st.integers(1, 2)), tuple(map(Fraction, zs))))
+    h, state = EMPTY_HISTORY, m.state(EMPTY_HISTORY)
+    for _ in range(draw(st.integers(0, 3))):
+        y = draw(st.sampled_from(m.alphabet.actions()))
+        emitted = list(m.weights(state, h, y)) if state.mass else []
+        anything = st.sampled_from(m.alphabet.percepts())
+        x = draw(st.sampled_from(emitted) | anything if emitted else anything)
+        h = append_cycle(h, y, x)
+        state = m.state(h)
+    return m, h, state
+
+
+def _row_or_error(row):
+    try:
+        return row()
+    except UndefinedConditionalError as e:
+        return UndefinedConditionalError, str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixture_states())
+def test_the_last_cycle_row_weighs_each_percept_as_the_row_does(case):
+    """Every action's last-cycle row gives each percept the weight that
+    ``weights`` does, with None for its state, or raises the same error on
+    a zero-mass node."""
+    m, h, state = case
+    for y in m.alphabet.actions():
+        row = _row_or_error(
+            lambda: {x: (w, None) for x, (w, _) in m.weights(state, h, y).items()}
+        )
+        assert _row_or_error(lambda: m.last_weights(state, h, y)) == row
+
+
 @pytest.mark.parametrize("depth", [3, 8])
 def test_the_12_bit_pool_falls_into_7_classes_in_heavenhells_alphabet(pool12, depth):
     a = make_heavenhell(0).alphabet

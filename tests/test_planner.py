@@ -443,26 +443,32 @@ def test_a_mixture_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeypat
 
 
 @pytest.mark.parametrize(
-    "horizon, lifetime, splits",
-    [("moving:1", 64, 191), ("moving:6", 64, 897), ("", 3, 34)],
+    "horizon, lifetime, splits, rows",
+    [("moving:1", 64, 63, 128), ("moving:6", 64, 749, 148), ("", 3, 12, 22)],
 )
-def test_a_mixture_run_steps_its_belief_once_a_cycle(horizon, lifetime, splits, monkeypatch):
+def test_a_mixture_run_steps_its_belief_once_a_cycle(
+    horizon, lifetime, splits, rows, monkeypatch
+):
     # The policy builds one belief from the empty history and steps it one
     # cycle per decision, and the posterior_top column reads the beliefs it
     # stepped.  Replaying the history for each decision, and once more for
     # the column, made 2,207 splits (moving:1) and 4,132 (moving:6), with 64
     # and 59 MixtureModel.state calls.  On the per-program mixture, which
     # splits all 193 programs, moving:6 made 2,421: a moving horizon's
-    # build leaves only the programs that read the action unsigned.
+    # build leaves only the programs that read the action unsigned.  A
+    # plan's last cycle reads the last-cycle row, which builds no node, in
+    # place of a split: each pair adds up to the splits made when it split
+    # there too (191, 897 and 34).
     calls = {}
     count = count_method_calls(monkeypatch, calls)
     count(MixtureNode, "split")
+    count(MixtureModel, "last_weights")
     count(MixtureModel, "state")
     cfg = parse_config(
         f"scenario=heavenhell\nagent=mixture\nl=12\nlifetime={lifetime}\nhorizon={horizon}\n"
     )
     run_scenario(cfg)
-    assert calls == {"split": splits, "state": 1}
+    assert calls == {"split": splits, "last_weights": rows, "state": 1}
 
 
 POOLS = {n: enumerate_programs(n) for n in range(6, 10)}
@@ -545,7 +551,9 @@ def test_an_informed_fm_run_builds_no_percept_and_splits_once_a_cycle(
     # world's own draw steps its carried tree: replaying the history for
     # each draw made 72 splits, and the rules built 252 percepts (seed 0),
     # each with a reward_of call.  The policy steps its belief once at each
-    # later cycle (2 splits) and takes those decisions from its memo.
+    # later cycle (2 splits) and takes those decisions from its memo.  The
+    # plan's last cycle reads 48 last-cycle rows, which build no node, where
+    # it made 48 of 71 splits.
     cfg = parse_config(
         f"scenario=fm\nagent=informed\nclass=uniform16\nlifetime=3\nseed={config_seed}\n"
     )
@@ -556,8 +564,9 @@ def test_an_informed_fm_run_builds_no_percept_and_splits_once_a_cycle(
     count(Percept, "__init__")
     count(FunctionClassSpec, "reward_of")
     count(MixtureNode, "split")
+    count(MixtureModel, "last_weights")
     run_interaction(policy, env, cfg.lifetime, cfg.seed)
-    assert calls == {"split": 71}
+    assert calls == {"split": 23, "last_weights": 48}
 
 
 def replayed_run(agent, env, lifetime, seed):
