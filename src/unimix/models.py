@@ -406,6 +406,10 @@ def _child_mass(
     return mass if w == t else mass * w if t == 1 else Fraction(mass * w, t)
 
 
+# A mixture node's row: each percept's child mass and child node.
+MixtureRow = Dict[Percept, Tuple[Union[int, Fraction], "MixtureNode"]]
+
+
 class MixtureNode:
     """A node of a mixture's consistent-environment tree.
 
@@ -414,8 +418,10 @@ class MixtureNode:
     scaled as in ``MixtureModel``, and their total ``mass``.  ``step(h, y)``,
     h the node's history, steps every survivor once on action y, once per
     action: the survivors split into children by the percept they emit, and
-    a component that gives the percept no mass drops out.  Any number of
-    walks can share the tree.
+    a component that gives the percept no mass drops out.  Its row is the
+    mixture's ``weights`` row, each percept's child mass and node, in the
+    order the survivors emit the percepts.  Any number of walks can share
+    the tree.
     """
 
     __slots__ = ("mixture", "survivors", "mass", "_children")
@@ -424,7 +430,7 @@ class MixtureNode:
         self.mixture = mixture
         self.survivors = survivors
         self.mass = sum(mass for _, mass, _ in survivors)
-        self._children: Dict[Action, Dict[Percept, "MixtureNode"]] = {}
+        self._children: Dict[Action, MixtureRow] = {}
 
     def __eq__(self, other):
         # By value, as the tuple states before it were: a nested mixture's
@@ -433,13 +439,13 @@ class MixtureNode:
             return self.survivors == other.survivors
         return NotImplemented
 
-    def step(self, h: History, y: Action) -> Dict[Percept, "MixtureNode"]:
+    def step(self, h: History, y: Action) -> MixtureRow:
         children = self._children.get(y)
         if children is None:
             children = self._children[y] = self.split(h, y)
         return children
 
-    def split(self, h: History, y: Action) -> Dict[Percept, "MixtureNode"]:
+    def split(self, h: History, y: Action) -> MixtureRow:
         """``step(h, y)`` without keeping the children: for a walk that asks
         each node once per action, such as the expectimax, whose memo
         already solves each belief state once.  The node then holds no
@@ -454,11 +460,16 @@ class MixtureNode:
                     split.setdefault(x, []).append((i, mass, child))
                 elif w:
                     split.setdefault(x, []).append((i, _child_mass(model, s, mass, w), child))
-        return {x: MixtureNode(self.mixture, tuple(v)) for x, v in split.items()}
+        row = {}
+        for x, v in split.items():
+            c = MixtureNode(self.mixture, tuple(v))
+            row[x] = (c.mass, c)
+        return row
 
     def child(self, h: History, y: Action, x: Percept) -> "MixtureNode":
         """The node one cycle (y, x) on; empty if no survivor emits x."""
-        return self.step(h, y).get(x) or MixtureNode(self.mixture, ())
+        got = self.step(h, y).get(x)
+        return got[1] if got else MixtureNode(self.mixture, ())
 
     def top(self) -> Optional[str]:
         """Label of the survivor whose leader is heaviest, the lowest index
@@ -480,12 +491,13 @@ class MixtureModel(ChronologicalModel):
 
     The state after a history h is the consistent-environment tree's node
     after h (``MixtureNode``), a fresh tree per ``state`` call; ``weights``
-    splits it without keeping the children.  A survivor's mass is weight *
-    component joint of h times ``_scale``, the lcm of the root masses'
-    denominators (2^l_max for a program class).  So the masses of
-    deterministic components stay integers, and they sum to the mixture
+    is the node's row, split without the node keeping it.  A survivor's
+    mass is weight * component joint of h times ``_scale``, the lcm of the
+    root masses' denominators (2^l_max for a program class).  So the masses
+    of deterministic components stay integers, and they sum to the mixture
     joint of h times ``_scale``: the node's ``mass``.  ``weights`` steps each
-    survivor one cycle and gives each percept its child's mass, so a caller
+    survivor one cycle and pairs each percept with its child's mass and
+    node, in the order the survivors emit the percepts, so a caller
     that carries the node from cycle to cycle (``MixtureNode.child``, as best
     vote does, or the ``weights`` row, as ``planning_policy`` does) never
     replays a history; ``state`` replays it on a fresh tree.
@@ -516,7 +528,7 @@ class MixtureModel(ChronologicalModel):
         d = math.lcm(*(w.denominator for w in weights))
         if sum(w.numerator * (d // w.denominator) for w in weights) > d:
             raise ValueError("component weights must sum to <= 1")
-        # The rows are ordered by the alphabet's percepts, so every component
+        # The rows are keyed by the alphabet's percepts, so every component
         # must answer in that alphabet; most share the mixture's own object,
         # and the identity check spares them a field-by-field compare.
         if any(
@@ -525,7 +537,6 @@ class MixtureModel(ChronologicalModel):
         ):
             raise ValueError("every component must have the mixture's alphabet")
         self.alphabet = alphabet
-        self._rank = {x: i for i, x in enumerate(alphabet.percepts())}
         # A survivor's mass times its share is its leader's mass.
         if leads is None:
             self._lead_share = (1,) * len(weights)
@@ -562,20 +573,14 @@ class MixtureModel(ChronologicalModel):
     def mass(self, state: MixtureNode) -> Union[int, Fraction]:
         return state.mass
 
-    def weights(
-        self, state: MixtureNode, h: History, y: Action
-    ) -> Dict[Percept, Tuple[Union[int, Fraction], MixtureNode]]:
-        """Each child's mass and node: the weight of a percept is the mass
-        of the history it extends h to."""
+    def weights(self, state: MixtureNode, h: History, y: Action) -> MixtureRow:
+        """The node's split: the weight of a percept is the mass of the
+        history it extends h to, paired with that history's node."""
         if state.mass == 0:
             raise UndefinedConditionalError(
                 "mixture conditional on a zero-mass history"
             )
-        children = state.split(h, y).items()
-        if len(children) > 1:  # the row lists its percepts in alphabet order
-            rank = self._rank
-            children = sorted(children, key=lambda xc: rank[xc[0]])
-        return {x: (c.mass, c) for x, c in children}
+        return state.split(h, y)
 
     def last_weights(
         self, state: MixtureNode, h: History, y: Action

@@ -434,8 +434,8 @@ def functional_value(
         total = 0
         children = node.step(h, y)
         last = len(children) - 1
-        for i, (x, child) in enumerate(children.items()):
-            total += child.mass * discounted_reward(horizon, t, alphabet.scaled_reward(x))
+        for i, (x, (mass, child)) in enumerate(children.items()):
+            total += mass * discounted_reward(horizon, t, alphabet.scaled_reward(x))
             if t < m:
                 a = act if i == last else act.fork()
                 hx = append_cycle(h, y, x)

@@ -62,14 +62,6 @@ class DecodeError(ValueError):
     """Bit string does not decode to a valid END-terminated program."""
 
 
-class Instruction(Value):
-    __slots__ = ("op", "arg")
-
-    def __init__(self, op: int, arg: int = 0):
-        set_field(self, "op", op)
-        set_field(self, "arg", arg)
-
-
 @lru_cache(maxsize=64)
 def _weight(length_bits: int) -> Fraction:
     """2^-length_bits, one shared object per length: a pool's programs have
@@ -83,15 +75,17 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class Program(Value):
-    """Prefix-free bytecode; ``code`` is exactly the consumed bit prefix."""
+    """Prefix-free bytecode; ``code`` is exactly the consumed bit prefix.
 
-    __slots__ = ("code", "instructions", "_ops", "_reads_input", "_hex")
+    ``_ops`` is the code decoded, as the machine loop reads it: one
+    (op, arg) pair per instruction.  The code fixes the pairs, so a
+    program's equality and hash read ``code`` alone."""
 
-    def __init__(self, code: tuple, instructions: tuple):
+    __slots__ = ("code", "_ops", "_reads_input", "_hex")
+
+    def __init__(self, code: tuple, ops: tuple):
         set_field(self, "code", code)
-        set_field(self, "instructions", instructions)
-        # The instructions as the machine loop reads them: (op, arg) pairs.
-        set_field(self, "_ops", tuple((ins.op, ins.arg) for ins in instructions))
+        set_field(self, "_ops", ops)
         # Whether the program has an IN instruction (it takes no operand):
         # one without it never reads its primary input, an environment's
         # action, so one cycle from a state answers every action.
@@ -132,15 +126,12 @@ class Program(Value):
 
     def disassemble(self) -> str:
         lines = []
-        for i, ins in enumerate(self.instructions):
-            if OPERAND_BITS[ins.op]:
-                lines.append(f"{i:3d}  {_MNEMONIC[ins.op]} {ins.arg}")
+        for i, (op, arg) in enumerate(self._ops):
+            if OPERAND_BITS[op]:
+                lines.append(f"{i:3d}  {_MNEMONIC[op]} {arg}")
             else:
-                lines.append(f"{i:3d}  {_MNEMONIC[ins.op]}")
+                lines.append(f"{i:3d}  {_MNEMONIC[op]}")
         return "\n".join(lines)
-
-    def __lt__(self, other: "Program") -> bool:
-        return self.code < other.code
 
 
 def _bits_to_int(bits: Sequence[int]) -> int:
@@ -156,7 +147,7 @@ def decode(bits: Sequence[int]) -> Program:
     if any(b not in (0, 1) for b in bits):
         raise DecodeError("non-binary input")
     pos = 0
-    instructions: List[Instruction] = []
+    ops = []
     while True:
         if pos + OPCODE_BITS > len(bits):
             raise DecodeError("truncated code: missing END")
@@ -167,16 +158,16 @@ def decode(bits: Sequence[int]) -> Program:
             raise DecodeError("truncated operand")
         arg = _bits_to_int(bits[pos : pos + width])
         pos += width
-        instructions.append(Instruction(op, arg))
+        ops.append((op, arg))
         if op == OP_END:
-            return Program(bits[:pos], tuple(instructions))
+            return Program(bits[:pos], tuple(ops))
 
 
 def enumerate_programs(l_max: int) -> List[Program]:
     """All valid programs with length_bits <= l_max, in lexicographic code order."""
     if l_max < 1:
         raise ValueError("l_max >= 1 required")
-    # Every instruction word once: its bits and its shared Instruction.  END
+    # Every instruction word once: its bits and its (op, arg) pair.  END
     # comes first and the rest follow in code order, so the depth-first walk
     # below visits codes in lexicographic order.
     words = []
@@ -186,16 +177,16 @@ def enumerate_programs(l_max: int) -> List[Program]:
         for arg in range(2 ** width):
             word = (op << width) | arg
             bits = tuple((word >> (n - 1 - i)) & 1 for i in range(n))
-            words.append((bits, Instruction(op, arg)))
-    (end_bits, end_ins), *words = words
+            words.append((bits, (op, arg)))
+    (end_bits, end), *words = words
     out: List[Program] = []
 
-    def walk(code: tuple, instrs: tuple) -> None:
-        out.append(Program(code + end_bits, instrs + (end_ins,)))
+    def walk(code: tuple, ops: tuple) -> None:
+        out.append(Program(code + end_bits, ops + (end,)))
         room = l_max - len(code) - OPCODE_BITS  # bits a word may take, END after it
-        for bits, ins in words:
+        for bits, pair in words:
             if len(bits) <= room:
-                walk(code + bits, instrs + (ins,))
+                walk(code + bits, ops + (pair,))
 
     if l_max >= OPCODE_BITS:
         walk((), ())

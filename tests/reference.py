@@ -1,9 +1,9 @@
 """Library steps written out on their own, the references that the library's
 faster forms are compared against.
 
-``reference_cycle`` is the machine cycle stepped on a program's
-``Instruction``s and a mutable ``MachineState``, sharing no code with the
-library's machine loop (``vm.run_machine``).  ``env_cycle`` and
+``reference_cycle`` is the machine cycle stepped on a program's (op, arg)
+pairs and a mutable ``MachineState``, sharing no code with the library's
+machine loop (``vm.run_machine``).  ``env_cycle`` and
 ``policy_action`` are the environment and policy cycles on it, for the
 frozen-state cycles (``vm.env_step``, ``planner.ProgramStepper``) and every
 table and tree built on them.
@@ -81,45 +81,45 @@ def freeze(s):
 
 def reference_cycle(program, state, primary_in, secondary_in, budget, max_outputs):
     """One cycle of program on the machine state (run in place), stepped on
-    the program's Instructions.  Returns (outputs padded with 0 to
+    the program's (op, arg) pairs.  Returns (outputs padded with 0 to
     max_outputs, steps used, timed out)."""
-    instrs = program.instructions
+    ops = program._ops
     pc = steps = 0
     outputs = []
     timed_out = False
-    while 0 <= pc < len(instrs):
+    while 0 <= pc < len(ops):
         if steps >= budget.steps_per_cycle:
             timed_out = True
             break
-        ins = instrs[pc]
+        op, arg = ops[pc]
         steps += 1
-        if ins.op == 0:  # END
+        if op == 0:  # END
             break
-        elif ins.op == 1:  # OUT
+        elif op == 1:  # OUT
             outputs.append(state.acc)
             if len(outputs) >= max_outputs:
                 break
             pc += 1
-        elif ins.op == 2:  # IN
+        elif op == 2:  # IN
             state.acc = primary_in
             pc += 1
-        elif ins.op == 3:  # INR
+        elif op == 3:  # INR
             state.acc = secondary_in
             pc += 1
-        elif ins.op == 4:  # LDC
-            state.acc = ins.arg
+        elif op == 4:  # LDC
+            state.acc = arg
             pc += 1
-        elif ins.op == 5:  # JZ
-            pc += (ins.arg - 1) if state.acc == 0 else 1
-        elif ins.op == 6:  # INC
+        elif op == 5:  # JZ
+            pc += (arg - 1) if state.acc == 0 else 1
+        elif op == 6:  # INC
             state.acc += 1
             pc += 1
         else:  # MOVT
-            if ins.arg == 0:
+            if arg == 0:
                 state.head -= 1
-            elif ins.arg == 1:
+            elif arg == 1:
                 state.head += 1
-            elif ins.arg == 2:
+            elif arg == 2:
                 state.work_tape[state.head] = state.acc
             else:
                 state.acc = state.work_tape.get(state.head, 0)
@@ -475,8 +475,8 @@ def functional_value(node, y, act, k, m, h, horizon=None):
         total = Fraction(0)
         children = node.step(h, y)
         last = len(children) - 1
-        for i, (x, child) in enumerate(children.items()):
-            total += child.mass * discounted_reward(horizon, t, x.reward)
+        for i, (x, (mass, child)) in enumerate(children.items()):
+            total += mass * discounted_reward(horizon, t, x.reward)
             if t < m:
                 a = act if i == last else act.fork()
                 hx = append_cycle(h, y, x)

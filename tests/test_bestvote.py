@@ -188,6 +188,10 @@ class TestBestVoteCycle:
         assert y == 1
         assert [r.candidate for r in rows if r.selected] == ["honest"]
 
+    def test_a_round_needs_a_candidate(self, binary_alphabet, budget, pool6):
+        with pytest.raises(ValueError, match="no candidates"):
+            best_vote_cycle([], EMPTY_HISTORY, pool6, budget, binary_alphabet, 1)
+
     def test_log_layout(self, binary_alphabet, budget, pool6):
         cands = [ExtendedCandidate.from_program(SILENT)]
         _, rows = best_vote_cycle(cands, EMPTY_HISTORY, pool6, budget, binary_alphabet, 1)

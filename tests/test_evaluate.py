@@ -81,6 +81,18 @@ def test_uniform_coin_costs_half_an_error_per_cycle(binary_alphabet):
     assert expected_loss(lambda_predictor(coin, loss), coin, loss, 4) == 2
 
 
+# No program of 8 bits or fewer emits a nonzero symbol (the shortest
+# emitters, INC; OUT; END and IN; OUT; END, take 9 bits), so on such a pool
+# every sequence is all zeros and the mixture never errs.  On the pools
+# below, the members the mixture errs on, by label, and how often in 5
+# cycles; each error is one unit of excess loss, since the informed
+# predictor of a deterministic sequence never errs.
+ERRING = {
+    9: {"9:188": 1},
+    11: {"9:188": 1, "11:448": 2, "11:4c8": 2},
+}
+
+
 class TestLossBound:
     def test_singleton_pool_has_zero_excess(self, binary_alphabet, budget, pool6):
         loss = LossMatrix.error_loss(binary_alphabet)
@@ -103,6 +115,18 @@ class TestLossBound:
         with pytest.raises(ValueError):
             check_loss_bound(outsider, pool6, loss, 2, budget, binary_alphabet)
 
+    @pytest.mark.parametrize("l_max", sorted(ERRING))
+    def test_measures_the_excess_where_the_mixture_errs(self, binary_alphabet, budget, l_max):
+        loss = LossMatrix.error_loss(binary_alphabet)
+        pool = enumerate_programs(l_max)
+        excess = {}
+        for q in proper_members(pool, budget, binary_alphabet, 5):
+            report = check_loss_bound(q, pool, loss, 5, budget, binary_alphabet)
+            assert report.holds, report
+            if report.lhs:
+                excess[q.to_hex()] = report.lhs
+        assert excess == ERRING[l_max]
+
 
 class TestSpErrorBound:
     def test_singleton_pool_never_errs(self, binary_alphabet, budget, pool6):
@@ -116,6 +140,19 @@ class TestSpErrorBound:
         for q in proper_members(pool8, budget, binary_alphabet, 5):
             report = check_sp_error_bound(q, pool8, 5, budget, binary_alphabet)
             assert report.holds, report
+
+    @pytest.mark.parametrize("l_max", sorted(ERRING))
+    def test_counts_the_errors_on_pools_with_nonzero_emitters(
+        self, binary_alphabet, budget, l_max
+    ):
+        pool = enumerate_programs(l_max)
+        errors = {}
+        for q in proper_members(pool, budget, binary_alphabet, 5):
+            report = check_sp_error_bound(q, pool, 5, budget, binary_alphabet)
+            assert report.holds and report.rhs == len(pool) - 1, report
+            if report.lhs:
+                errors[q.to_hex()] = report.lhs
+        assert errors == ERRING[l_max]
 
 
 class TestPolicyEnumeration:

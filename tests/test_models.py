@@ -143,7 +143,7 @@ def test_a_node_keeps_what_it_steps_and_not_what_it_splits(
     children = node.step(EMPTY_HISTORY, 0)  # a shared walk's step keeps them
     assert node.step(EMPTY_HISTORY, 0) is children
     x = next(iter(children))
-    assert node.child(EMPTY_HISTORY, 0, x) is children[x]
+    assert node.child(EMPTY_HISTORY, 0, x) is children[x][1]
     assert len(steps) == 3 * n
 
 
@@ -160,7 +160,7 @@ def test_mixture_of_two_deterministic_components(binary_alphabet):
 
 
 def test_a_mixture_rejects_a_component_of_another_alphabet(binary_alphabet):
-    # A row is ordered by the mixture's percepts, so a component answering in
+    # A row is keyed by the mixture's percepts, so a component answering in
     # another alphabet is refused when the mixture is made.
     wide = Alphabet(num_actions=2, num_observations=2, rewards=(R0, R1))
     up = FunctionalEnv(binary_alphabet, lambda h, y: Percept(R1, 0))
@@ -169,6 +169,22 @@ def test_a_mixture_rejects_a_component_of_another_alphabet(binary_alphabet):
         MixtureModel([("up", Fraction(1, 2), up), ("other", Fraction(1, 4), other)], binary_alphabet)
     with pytest.raises(ValueError, match="alphabet"):
         MixtureModel([("other", Fraction(1, 2), other)], binary_alphabet)
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([], "at least one component"),
+        ([Fraction(1, 2), Fraction(0)], "positive"),
+        ([Fraction(-1, 4)], "positive"),
+        ([Fraction(1, 2), Fraction(2, 3)], "sum to <= 1"),
+    ],
+)
+def test_a_mixture_rejects_weights_that_are_not_a_semimeasure(binary_alphabet, weights, message):
+    up = FunctionalEnv(binary_alphabet, lambda h, y: Percept(R1, 0))
+    with pytest.raises(ValueError, match=message):
+        MixtureModel([(str(i), w, up) for i, w in enumerate(weights)], binary_alphabet)
+    assert MixtureModel([("a", Fraction(1, 2), up), ("b", Fraction(1, 2), up)], binary_alphabet)
 
 
 @pytest.mark.parametrize(
@@ -339,6 +355,7 @@ class TestExpectedSum:
         assert expected_sum(mu, lambda h: len(h) % 2, one, 4) == 4
         h = append_cycle(EMPTY_HISTORY, 1, Percept(R1))
         assert expected_sum(mu, lambda h: 0, one, 4, h) == 3
+        assert expected_sum(mu, lambda h: 0, one, 1, h) == 0  # no cycle after h
 
     def test_scores_see_the_absolute_cycle_and_skip_zero_mass(self, binary_alphabet):
         class ZeroRowEntry(ChronologicalModel):

@@ -486,7 +486,7 @@ def test_a_tabled_program_steps_as_a_copied_machine(q, steps, alphabet, data):
     budget = RunBudget(steps)  # below 6, TAPE always times out
     env = ProgramEnv(q, budget, alphabet)
     # A program that never reads the action has one row per state.
-    reads_action = any(ins.op == OP_IN for ins in q.instructions)
+    reads_action = any(op == OP_IN for op, _ in q._ops)
     # Every history reached: (h, the model's state, a reference machine or
     # None once a cycle has timed out).
     reached = [(EMPTY_HISTORY, env.state(EMPTY_HISTORY), MachineState())]
@@ -738,6 +738,8 @@ class TestFunctionalValue:
         assert fp(EMPTY_HISTORY) == 1
         v = policy_value_functional(echo, pool12, 2, 3, h, budget, binary_alphabet)
         assert v >= 0  # defined despite any past inconsistency
+        # A horizon that ends before cycle k sums no cycle.
+        assert policy_value_functional(echo, pool12, 2, 1, h, budget, binary_alphabet) == 0
 
 
 # lazy merges no histories, so a decision to m_k solves 2^(m_k - k + 1) - 1 nodes.

@@ -22,7 +22,7 @@ from unimix.core import (
 )
 from unimix.domains import FunctionClassSpec, GameSpec, RelationSpec, make_heavenhell
 from unimix.planner import ValueQuery
-from unimix.vm import FRESH, CycleResult, Instruction, RunBudget, decode
+from unimix.vm import FRESH, CycleResult, RunBudget, decode
 
 X = Percept(F(1, 2), 1)
 
@@ -35,7 +35,6 @@ VALUES = [
     ("MovingHorizon", lambda: MovingHorizon(3), "h"),
     ("ProportionalHorizon", lambda: ProportionalHorizon(F(1, 2)), "beta"),
     ("GeometricDiscount", lambda: GeometricDiscount(F(1, 2), 4), "gamma"),
-    ("Instruction", lambda: Instruction(4, 1), "op"),
     ("Program", lambda: decode((1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0)), "code"),
     ("RunBudget", lambda: RunBudget(5), "steps_per_cycle"),
     ("CycleResult", lambda: CycleResult((1, 0), 3, False, FRESH), "outputs"),

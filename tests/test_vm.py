@@ -13,7 +13,6 @@ from unimix.vm import (
     OPCODE_BITS,
     OP_END,
     DecodeError,
-    Instruction,
     Program,
     RunBudget,
     consistent_envs,
@@ -53,7 +52,7 @@ CONST1 = decode(bits(LDC(1), OUT, END))
 def test_decode_minimal_end_program():
     p = decode(END)
     assert p.length_bits == 3
-    assert len(p.instructions) == 1
+    assert p._ops == ((OP_END, 0),)
 
 
 def test_decode_consumes_only_the_valid_prefix():
@@ -233,7 +232,8 @@ def test_hex_equals_the_bit_string_formula_on_every_program_up_to_12_bits():
         n = len(p.code)
         value = int("".join(map(str, p.code)), 2)
         assert p.to_hex() == f"{n}:{value:0{(n + 3) // 4}x}"
-        assert Program.from_hex(p.to_hex()) == p
+        back = Program.from_hex(p.to_hex())
+        assert back == p and back._ops == p._ops
 
 
 @given(st.integers(min_value=0, max_value=2**12 - 1), st.integers(min_value=3, max_value=12))
@@ -243,7 +243,8 @@ def test_hex_round_trip_on_arbitrary_decodable_strings(value, n):
         p = decode(raw)
     except DecodeError:
         return
-    assert Program.from_hex(p.to_hex()) == p
+    back = Program.from_hex(p.to_hex())
+    assert back == p and back._ops == p._ops
 
 
 
@@ -270,7 +271,7 @@ def reference_enumeration(l_max):
     """The enumeration as it was first written: lists per word, then a sort."""
     out = []
 
-    def walk(code, instrs):
+    def walk(code, ops):
         for op in range(8):
             width = OPERAND_BITS[op]
             if len(code) + OPCODE_BITS + width > l_max:
@@ -279,11 +280,11 @@ def reference_enumeration(l_max):
             for arg in range(2 ** width):
                 arg_bits = [(arg >> (width - 1 - i)) & 1 for i in range(width)]
                 new_code = code + op_bits + arg_bits
-                new_instrs = instrs + [Instruction(op, arg)]
+                new_ops = ops + [(op, arg)]
                 if op == OP_END:
-                    out.append((tuple(new_code), tuple(new_instrs)))
+                    out.append((tuple(new_code), tuple(new_ops)))
                 else:
-                    walk(new_code, new_instrs)
+                    walk(new_code, new_ops)
 
     walk([], [])
     out.sort()
@@ -293,7 +294,9 @@ def reference_enumeration(l_max):
 @pytest.mark.parametrize("l_max", range(1, 15))
 def test_enumeration_equals_the_reference(l_max):
     pool = enumerate_programs(l_max)
-    assert [(p.code, p.instructions) for p in pool] == reference_enumeration(l_max)
+    assert [(p.code, p._ops) for p in pool] == reference_enumeration(l_max)
+    # The two constructors agree: decoding a program's code gives its pairs.
+    assert all(decode(p.code)._ops == p._ops for p in pool)
 
 
 # Loops that run until the budget on acc = 0: a self-loop, a loop through IN
