@@ -291,11 +291,13 @@ def _walked_verdict(
     horizon: Optional[HorizonPolicy],
 ) -> bool:
     """The verdict on a claim of w that ``claim_verdict`` leaves to a walk:
-    w at most the candidate's value, False where that is undefined."""
+    w at most the candidate's value, False where that is undefined.  The
+    two are compared on ints, crossed over their denominators."""
     try:
-        return w <= candidate_value(c, node, k, m_k, h, budget, alphabet, horizon)
+        v = candidate_value(c, node, k, m_k, h, budget, alphabet, horizon)
     except UndefinedConditionalError:
         return False
+    return w.numerator * v.denominator <= v.numerator * w.denominator
 
 
 class SelectionRow(tuple):

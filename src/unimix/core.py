@@ -215,6 +215,21 @@ class Percept(Value):
         return self._hash
 
 
+def _percepts_of(reward: Fraction, num_observations: int) -> List[Percept]:
+    """The percepts of one checked reward, one per observation, the reward
+    hashed once for all of them: hash((r, o)) == hash((hash(r), o)), since
+    a ``Fraction``'s hash is an int that hashes to itself."""
+    h = hash(reward)
+    row = []
+    for o in range(num_observations):
+        x = object.__new__(Percept)
+        set_field(x, "reward", reward)
+        set_field(x, "observation", o)
+        set_field(x, "_hash", hash((h, o)))
+        row.append(x)
+    return row
+
+
 # The most percepts an alphabet holds; it builds all of them when it is made.
 PERCEPT_CAP = 2**16
 
@@ -262,7 +277,7 @@ class Alphabet(Value):
         set_field(self, "num_observations", num_observations)
         set_field(self, "rewards", rewards)
         # Not fields, so eq and hash never see them.
-        table = tuple(Percept(r, o) for r in rewards for o in range(num_observations))
+        table = tuple(x for r in rewards for x in _percepts_of(r, num_observations))
         set_field(self, "_percept_table", table)
         set_field(self, "_reward_index", {r: i for i, r in enumerate(rewards)})
         set_field(self, "_reward_scale", math.lcm(*(r.denominator for r in rewards)))

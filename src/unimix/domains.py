@@ -359,14 +359,22 @@ def uniform_function_class(
 def make_fm_env(c: FunctionClassSpec) -> MixtureModel:
     """Function minimization: query a point, observe its value, earn more for
     smaller values.  The latent function is drawn from the class prior."""
-    rewards = [c.reward_of(i) for i in range(len(c.z_values))]
+    n = len(c.z_values)
+    rewards = [c.reward_of(i) for i in range(n)]
+    # The reward levels, deduplicated and sorted on ints over the lcm of
+    # their denominators: ordering Fractions makes an abstract-base-class
+    # check per compare, and a set hashes each one.
+    d = math.lcm(*(r.denominator for r in rewards))
+    scaled = [r.numerator * (d // r.denominator) for r in rewards]
+    level = dict(zip(scaled, rewards))
+    levels = sorted(level)
     alphabet = Alphabet(
         num_actions=c.num_actions,
-        num_observations=len(c.z_values),
-        rewards=tuple(sorted(set(rewards))),
+        num_observations=n,
+        rewards=tuple(level[v] for v in levels),
     )
     # The percept of observing each z index, made once for every component.
-    percepts = [alphabet.percept(r, zi) for zi, r in enumerate(rewards)]
+    percepts = [alphabet.percept_of(levels.index(v) * n + zi) for zi, v in enumerate(scaled)]
 
     def f_env(f: Tuple[int, ...]) -> FunctionalEnv:
         row = [percepts[zi] for zi in f]

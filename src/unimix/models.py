@@ -318,21 +318,23 @@ class ProgramEnv(ChronologicalModel):
     it keeps every row it computes in a transition table and answers a
     repeat from there, so the planner's solves and belief steps, and best
     vote, which share their mixture's components for a run, share its
-    cycles too.  A program with no ``IN`` instruction never reads the
-    action (its other input, the reward channel, is always 0 for an
-    environment), so it keys its rows by (state, None): one cycle answers
-    every action.  The table holds at most one row per machine cycle run,
-    never more than the cycles a ``weights`` without it would run, and it lives
-    as long as the model.  ``build_class_mixture`` hands each leader's env
-    the ``env_step`` results its build ran for the program.  Rows are
-    shared: callers must not mutate them.
+    cycles too.  A program whose environment code (``vm.env_code``, the
+    code a cycle can run before its one output) has no ``IN`` instruction
+    never reads the action (its other input, the reward channel, is always
+    0 for an environment), so it keys its rows by (state, None): one cycle
+    answers every action.  The table holds at most one row per machine
+    cycle run, never more than the cycles a ``weights`` without it would
+    run, and it lives as long as the model.  ``build_class_mixture`` hands
+    each leader's env the ``env_step`` results its build ran for the
+    leader's environment code.  Rows are shared: callers must not mutate
+    them.
     """
 
     def __init__(self, program: Program, budget: RunBudget, alphabet: Alphabet):
         self.program = program
         self.budget = budget
         self.alphabet = alphabet
-        self._reads_action = program._reads_input
+        self._reads_action = (vm.OP_IN, 0) in vm.env_code(program._ops)
         # (state, action, or None for a program that never reads it) -> its row
         self._table: Dict[Tuple[FrozenState, Optional[Action]], Dict[Percept, tuple]] = {}
 
@@ -509,7 +511,11 @@ class MixtureModel(ChronologicalModel):
     ``leads``, when given, is the weight of each component's leader, the
     heaviest of the programs it stands for (``build_class_mixture``):
     ``MixtureNode.top`` ranks survivors by their leaders' masses.  By
-    default each component is its own leader.
+    default each component is its own leader.  A component's share, its
+    lead over its weight, is kept scaled by the lcm of the shares'
+    denominators, an int, so a deterministic survivor's rank is int x int
+    and the leads are checked on ints: a compare of a ``Fraction`` with an
+    int makes an abstract-base-class check.
     """
 
     def __init__(
@@ -537,15 +543,20 @@ class MixtureModel(ChronologicalModel):
         ):
             raise ValueError("every component must have the mixture's alphabet")
         self.alphabet = alphabet
-        # A survivor's mass times its share is its leader's mass.
+        # A survivor's mass times its share is its leader's mass, times the
+        # lcm of the shares' denominators: an int, checked and scaled on ints.
         if leads is None:
             self._lead_share = (1,) * len(weights)
         elif len(leads) != len(weights) or not all(
-            0 < lead <= w for lead, w in zip(leads, weights)
+            0 < lead.numerator
+            and lead.numerator * w.denominator <= w.numerator * lead.denominator
+            for lead, w in zip(leads, weights)
         ):
             raise ValueError("each component needs one lead in (0, its weight]")
         else:
-            self._lead_share = tuple(lead / w for lead, w in zip(leads, weights))
+            shares = [lead / w for lead, w in zip(leads, weights)]
+            d = math.lcm(*(r.denominator for r in shares))
+            self._lead_share = tuple(r.numerator * (d // r.denominator) for r in shares)
         # A component's mass starts at its weight times its own base mass,
         # which is not 1 when the component is itself a mixture.
         masses = []
@@ -636,8 +647,8 @@ def build_mixture(
 # gives up: a signature has one entry per action where the build signs the
 # programs that read the action, else one.  A build signing readers that
 # passes it signs again without them; a build without them charges at most
-# one entry per (program, depth), so no valid run (193 programs of at most 12
-# bits, a lifetime of at most 64) passes it.
+# one entry per (environment code, depth), so no valid run (193 programs of at
+# most 12 bits, a lifetime of at most 64) passes it.
 CLASS_CAP = 2**20
 
 # The instructions that can emit (OUT) or run again in the same cycle (a JZ
@@ -680,16 +691,21 @@ def build_class_mixture(
     A program's class is its signature from the fresh machine: for each
     action, the percept's symbol and the signature of the next machine
     state one cycle shallower, or None for a timeout; it is interned to a
-    small int.  The build steps programs through ``vm.env_step`` and keeps
-    a table of what it returns, (state, action, or None for a program with
-    no ``IN`` instruction) -> (symbol, next state) or None, so a state
-    signed at several depths runs each cycle once.  A signature holds the
-    symbol modulo the alphabet's percepts, the percept
-    ``Alphabet.percept_of`` gives it, so the partition is the one percepts
-    would give.  A state that steps to itself on each input it is stepped
-    on emits one symbol on every cycle left, so its signature is that
-    symbol's chain, interned once a build for every depth: the state is
-    signed once, not once per remaining depth.  A program whose code is
+    small int.  An environment cycle runs only the program's environment
+    code (``vm.env_code``: its instructions up to the first ``OUT`` that no
+    ``JZ`` can skip), so programs with equal codes are one environment, one
+    term of the paper's sum: the build signs each code once, found as it
+    goes, and its programs share the signature and the rows.  The build
+    steps a code's first program through ``vm.env_step`` and keeps a table
+    of what it returns, (state, action, or None for a code with no ``IN``)
+    -> (symbol, next state) or None, so a state signed at several depths
+    runs each cycle once.  A signature holds the symbol modulo the
+    alphabet's percepts, the percept ``Alphabet.percept_of`` gives it, so
+    the partition is the one percepts would give.  A state that steps to
+    itself on each input it is stepped on emits one symbol on every cycle
+    left, so its signature is that symbol's chain, interned once a build
+    for every depth: the state is signed once, not once per remaining
+    depth.  A program whose code is
     silent (``_silent``: no ``OUT``, no ``JZ`` back or in place, and no
     more instructions than the step limit) emits symbol 0 and finishes
     every cycle, so it gets symbol 0's chain from its code alone: the build
@@ -697,15 +713,16 @@ def build_class_mixture(
 
     ``every_action`` is whether the caller's first walk visits every action
     sequence to ``depth``.  Only then does the build sign a program that
-    reads the action (``Program._reads_input``) on every action, which runs
-    no machine cycle that walk would not.  Without it (the reader rule),
-    such a program whose code is not silent is its own class, unsigned,
-    and its env runs its rows on demand, as the walks reach them.  Every
-    program the build then runs ignores the action, so a signature holds
-    one entry, not one per action: the build's machine cycles and entries
-    do not depend on the number of actions.  A build signing readers that
-    would compute more than ``CLASS_CAP`` entries signs the pool again by
-    the reader rule; a reader-rule build past it raises ``CapacityError``.
+    reads the action (whose environment code holds an ``IN``) on every
+    action, which runs no machine cycle that walk would not.  Without it
+    (the reader rule), such a program whose code is not silent is unsigned,
+    in one class with the programs of its environment code, and its env
+    runs its rows on demand, as the walks reach them.  Every program the
+    build then runs ignores the action, so a signature holds one entry, not
+    one per action: the build's machine cycles and entries do not depend on
+    the number of actions.  A build signing readers that would compute
+    more than ``CLASS_CAP`` entries signs the pool again by the reader
+    rule; a reader-rule build past it raises ``CapacityError``.
 
     The pool is signed heaviest first, the lowest pool index on ties, so a
     class's first program is its leader, which gives its label.  A class's
@@ -716,7 +733,7 @@ def build_class_mixture(
     ``build_mixture`` on every history of at most ``depth`` cycles: equal
     joints and equal conditionals.  ``MixtureNode.top`` still names the
     heaviest surviving program, since it ranks classes by their leaders'
-    masses.
+    masses, as ints (``MixtureModel``).
     """
     if not pool:
         raise ValueError("empty program pool")
@@ -726,8 +743,9 @@ def build_class_mixture(
     n_percepts = alphabet.num_percepts
 
     def signature(s: FrozenState, d: int) -> int:
-        """The signature of program q's state s, d cycles deep, stepped on
-        ``inputs``, with q's ``rows`` and its (state, depth) ``memo``."""
+        """The signature of state s of q's environment code, d cycles deep,
+        stepped on ``inputs``, with the code's ``rows`` and its (state,
+        depth) ``memo``."""
         nonlocal entries
         got = memo.get((s, d))
         if got is None:
@@ -776,6 +794,7 @@ def build_class_mixture(
         chains: Dict[int, List[int]] = {}
         entries = 0
         silent = chain(0, depth)
+        signed: Dict[tuple, int] = {}  # environment code -> its signature
         # class -> [leader's pool index, mass, leader's rows]
         classes: Dict[Hashable, list] = {}
         try:
@@ -783,14 +802,19 @@ def build_class_mixture(
                 q, rows = pool[i], {}
                 if _silent(q._ops, budget.steps_per_cycle):
                     key = silent
-                elif q._reads_input and not every_action:
-                    key = (i,)  # unsigned, alone: a key that no interned int equals
                 else:
-                    memo = {}
-                    # A program that never reads the action is stepped once per
-                    # state, on None, for every action.
-                    inputs = actions if q._reads_input else (None,)
-                    key = signature(FRESH, depth)
+                    code = vm.env_code(q._ops)
+                    reads = (vm.OP_IN, 0) in code
+                    if reads and not every_action:
+                        key = code  # unsigned: a key that no interned int equals
+                    elif code in signed:
+                        key = signed[code]  # its class and the class's rows exist
+                    else:
+                        memo = {}
+                        # A program that never reads the action is stepped once
+                        # per state, on None, for every action.
+                        inputs = actions if reads else (None,)
+                        key = signed[code] = signature(FRESH, depth)
                 c = classes.setdefault(key, [i, 0, rows])
                 c[1] += 1 << (l_max - len(q.code))
             break

@@ -250,10 +250,12 @@ def sample_percept(rng: random.Random, row: Dict[Percept, Fraction], alphabet) -
     first, in the alphabet's order, whose running sum of W_x passes d * g.
     sum(W) // g is the lcm of the normalized row's denominators, so this is
     the draw on the normalized row, with the same use of ``rng``.  A row of
-    one percept of positive weight makes that draw, ``randrange(1)``, directly."""
+    one percept of positive weight makes that draw, ``randrange(1)``, directly,
+    its sign read off the numerator (a compare of a ``Fraction`` with an int
+    makes an abstract-base-class check)."""
     if len(row) == 1:
         (x, p), = row.items()
-        if p > 0:
+        if p.numerator > 0:
             rng.randrange(1)
             return x
     scale = math.lcm(*[p.denominator for p in row.values()])

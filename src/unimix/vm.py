@@ -81,15 +81,11 @@ class Program(Value):
     (op, arg) pair per instruction.  The code fixes the pairs, so a
     program's equality and hash read ``code`` alone."""
 
-    __slots__ = ("code", "_ops", "_reads_input", "_hex")
+    __slots__ = ("code", "_ops", "_hex")
 
     def __init__(self, code: tuple, ops: tuple):
         set_field(self, "code", code)
         set_field(self, "_ops", ops)
-        # Whether the program has an IN instruction (it takes no operand):
-        # one without it never reads its primary input, an environment's
-        # action, so one cycle from a state answers every action.
-        set_field(self, "_reads_input", (OP_IN, 0) in self._ops)
         # A program's hex is both its best-vote candidate label and its
         # mixture component label: made once, on first use.
         set_field(self, "_hex", None)
@@ -349,6 +345,21 @@ def env_step(
     if timed_out:
         return None
     return (outputs[0] if outputs else 0), state
+
+
+def env_code(ops: tuple) -> tuple:
+    """The part of code ``ops`` that an environment cycle can run: up to
+    and including the first ``OUT`` when no ``JZ`` comes before it, else
+    all of ``ops``.  pc runs straight to that ``OUT`` and the cycle ends
+    there, at its one output, so ``run_machine`` at ``max_outputs=1``
+    gives equal outputs, steps, timeout and state on either code, and
+    programs with equal environment codes are one environment."""
+    for i, (op, _) in enumerate(ops):
+        if op == OP_OUT:
+            return ops[: i + 1]
+        if op == OP_JZ:
+            break
+    return ops
 
 
 def replay_env(

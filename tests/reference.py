@@ -29,9 +29,10 @@ fields by name, for the library's writer that formats each row as the tuple
 it is (``bestvote.selection_log_csv``).
 ``class_partition`` is the class build with every program it signs run on
 the machine, on every action, to every depth, for the build that signs
-silent programs from their code, action-blind programs on one input, and a
-state that steps to itself once for every depth
-(``models.build_class_mixture``).
+silent programs from their code, action-blind programs on one input, each
+environment code once, and a state that steps to itself once for every
+depth (``models.build_class_mixture``).  ``environment_code`` is the code
+an environment cycle can run, found on its own, for ``vm.env_code``.
 ``fraction_plan``, ``sample_percept`` and ``functional_value`` are the
 expectimax, the percept draw and the rollout value on normalized ``Fraction``
 probabilities, for the library's forms that sum integer masses and scaled
@@ -56,9 +57,9 @@ from unimix.core import (
     EMPTY_HISTORY, CapacityError, FixedHorizon, Percept, append_cycle, discounted_reward,
     encode_history, horizon_end,
 )
-from unimix.models import TabularModel, UndefinedConditionalError, _silent
+from unimix.models import TabularModel, UndefinedConditionalError
 from unimix.planner import env_node
-from unimix.vm import FRESH, run_machine
+from unimix.vm import FRESH, OP_IN, OP_JZ, OP_OUT, run_machine
 
 
 class MachineState:
@@ -488,6 +489,16 @@ def functional_value(node, y, act, k, m, h, horizon=None):
     return walk(node, y, act, k, h) / node.mass
 
 
+def environment_code(ops):
+    """What an environment cycle of code ``ops`` can run: the instructions
+    up to its first ``OUT`` when no ``JZ`` can jump first, else all of them
+    (``vm.env_code``)."""
+    emits = [i for i, (op, _) in enumerate(ops) if op == OP_OUT]
+    if not emits or any(op == OP_JZ for op, _ in ops[: emits[0]]):
+        return ops
+    return ops[: emits[0] + 1]
+
+
 def class_partition(pool, budget, alphabet, depth, every_action):
     """The behaviour classes of ``pool`` up to ``depth`` cycles, as
     (label, weight, lead) per class in the order of its leader's pool index:
@@ -496,9 +507,16 @@ def class_partition(pool, budget, alphabet, depth, every_action):
     signature from the fresh machine: for each action, the output symbol
     modulo the alphabet's percepts and the next state's signature one cycle
     shallower, or None for a timeout.  Without ``every_action``, a program
-    that reads the action is alone in its class unless its code is silent
-    (``models._silent``), which the signature run here checks."""
+    that reads the action, one whose environment code holds an ``IN``, is
+    alone in its class with the programs of equal environment code, unless
+    its code is silent (no ``OUT``, no ``JZ`` back or in place, and at most
+    one instruction per step of the budget), which the signature run here
+    checks."""
     ids, classes = {}, {}
+
+    def silent(ops):
+        loud = any(op == OP_OUT or (op == OP_JZ and arg < 2) for op, arg in ops)
+        return not loud and len(ops) <= budget.steps_per_cycle
 
     def signature(ops, s, d, memo):
         got = memo.get((s, d))
@@ -517,8 +535,9 @@ def class_partition(pool, budget, alphabet, depth, every_action):
         return got
 
     for i, q in enumerate(pool):
-        if q._reads_input and not every_action and not _silent(q._ops, budget.steps_per_cycle):
-            c = classes[("alone", i)] = [i, Fraction(0)]
+        code = environment_code(q._ops)
+        if (OP_IN, 0) in code and not every_action and not silent(q._ops):
+            c = classes.setdefault(("alone", code), [i, Fraction(0)])
         else:
             c = classes.setdefault(signature(q._ops, FRESH, depth, {}), [i, Fraction(0)])
         if q.length_bits < pool[c[0]].length_bits:

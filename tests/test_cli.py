@@ -1,6 +1,8 @@
+import abc
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
 import sys
@@ -322,7 +324,7 @@ class TestRunScenario:
 
     @pytest.mark.parametrize(
         "horizon, components",
-        [("", 7), ("horizon=moving:3\n", 7), ("horizon=moving:2\n", 28)],
+        [("", 7), ("horizon=moving:3\n", 7), ("horizon=moving:2\n", 14)],
     )
     def test_the_mixture_agent_has_classes_when_its_first_plan_reaches_the_lifetime(
         self, horizon, components
@@ -332,8 +334,8 @@ class TestRunScenario:
 
     def test_a_many_action_mixture_run_with_a_short_horizon_finishes(self):
         # The one-cycle plans do not walk every action sequence, so the
-        # build leaves each program that reads the action its own class and
-        # signs the rest on one input.
+        # build leaves the programs that read the action one class per
+        # environment code and signs the rest on one input.
         cfg = parse_config(
             "scenario=onlyone\nagent=mixture\nl=12\nlifetime=64\nn=16\nhorizon=moving:1\n"
         )
@@ -381,6 +383,19 @@ class TestEmitReport:
         art = run_scenario(parse_config(text))
         assert f"\ntotal_reward={total}\n" in art.results
         assert emit_report(art).endswith(f"\ntrace_total_reward={total}\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.fractions(min_value=-8, max_value=8, max_denominator=12), min_size=1, max_size=70
+        )
+    )
+    def test_the_report_sums_the_reward_column_as_fractions_do(self, rewards):
+        rows = ["cycle,action,observation,reward,planner_value,posterior_top"]
+        rows += [f"{k},0,0,{r},,3:0" for k, r in enumerate(rewards, start=1)]
+        art = RunArtifacts("\n".join(rows) + "\n", "", "cycles=1\n")
+        total = sum((Fraction(row.split(",")[3]) for row in rows[1:]), Fraction(0))
+        assert emit_report(art) == f"cycles=1\ntrace_total_reward={total}\n"
 
     def test_empty_trace_is_an_error(self):
         art = RunArtifacts(
@@ -881,13 +896,14 @@ class TestMain:
         assert "validation error" in capsys.readouterr().err
 
     def test_a_class_build_past_its_cap_runs_the_reader_rule_mixture(self, monkeypatch):
-        # heavenhell at l=12 and lifetime 3 needs 506 signature entries, and
-        # 82 without signing the programs that read the action
+        # heavenhell at l=12 and lifetime 3 needs 168 signature entries, and
+        # 46 without signing the programs that read the action (506 and 82
+        # signing each program, not each environment code, once)
         cfg = parse_config("scenario=heavenhell\nagent=mixture\nlifetime=3\nl=12\n")
         classed = run_scenario(cfg)
         assert len(cli._build_agent(cfg, cli._build_env(cfg))[1].components) == 7
         monkeypatch.setattr(models, "CLASS_CAP", 100)
-        assert len(cli._build_agent(cfg, cli._build_env(cfg))[1].components) == 28
+        assert len(cli._build_agent(cfg, cli._build_env(cfg))[1].components) == 14
         capped = run_scenario(cfg)
         assert capped.trace_csv == classed.trace_csv
         assert capped.results == classed.results
@@ -897,10 +913,10 @@ class TestMain:
     ):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("scenario=heavenhell\nagent=mixture\nlifetime=3\nl=12\n")
-        monkeypatch.setattr(models, "CLASS_CAP", 81)  # one entry short of the reader rule's
+        monkeypatch.setattr(models, "CLASS_CAP", 45)  # one entry short of the reader rule's
         assert main(["run", "--config", str(cfg)]) == EXIT_CAPACITY
         assert capsys.readouterr().err == (
-            "capacity error: the class build needs more than 81 signature entries\n"
+            "capacity error: the class build needs more than 45 signature entries\n"
         )
 
     def test_capacity_errors_exit_2(self, tmp_path, monkeypatch, capsys):
@@ -1073,3 +1089,54 @@ def test_main_without_argv_reads_the_process_arguments(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["unimix", "disasm", _HEX])
     assert main() == EXIT_OK
     assert capsys.readouterr().out == decode((0, 1, 0, 0, 0, 1, 0, 0, 0)).disassemble() + "\n"
+
+
+def _benchmark_workloads():
+    """The config text of each benchmark workload at config seeds 0 and 1,
+    by workload and seed, read from ``perfbench/run.py``."""
+    here = Path(__file__).resolve().parent.parent / "perfbench"
+    modules = set(sys.modules)
+    sys.path.insert(0, str(here))  # run.py imports its sibling modules
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", here / "run.py")
+        bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+    finally:
+        sys.path.remove(str(here))
+        for name in set(sys.modules) - modules:
+            del sys.modules[name]
+    return {
+        f"{name}-{seed}": bench.config_text(name, lifetime, seed)
+        for name, (_, lifetime, _) in bench.WORKLOADS.items()
+        for seed in (0, 1)
+    }
+
+
+BENCHMARK_CONFIGS = _benchmark_workloads()
+
+
+@pytest.mark.parametrize("text", BENCHMARK_CONFIGS.values(), ids=BENCHMARK_CONFIGS.keys())
+def test_a_benchmark_run_makes_no_abstract_base_class_check(text, monkeypatch):
+    # The first isinstance or issubclass check against an abstract base
+    # class (numbers.Rational, collections.abc.Mapping), such as a compare
+    # of a Fraction with an int, a Counter built from a generator or
+    # Fraction(str), costs tens of microseconds in a fresh process; the
+    # benchmark runs each config in one.  So a run, and its report, makes
+    # none: its exact arithmetic is on ints or between Fractions.
+    checks = []
+
+    def recording(name):
+        check = getattr(abc.ABCMeta, name)
+
+        def recorded(cls, other):
+            checks.append((name, cls.__name__, type(other).__name__))
+            return check(cls, other)
+
+        return recorded
+
+    cfg = parse_config(text)
+    for name in ("__instancecheck__", "__subclasscheck__"):
+        monkeypatch.setattr(abc.ABCMeta, name, recording(name))
+    emit_report(run_scenario(cfg))
+    monkeypatch.undo()
+    assert checks == []

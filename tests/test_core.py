@@ -45,6 +45,20 @@ def test_alphabet_percept_is_its_own_object():
     assert a.percept(1, 2) is a.percepts()[-1]  # an int reward finds its Fraction
 
 
+@given(
+    st.lists(
+        st.fractions(min_value=0, max_denominator=10**30), min_size=1, max_size=5, unique=True
+    ),
+    st.integers(1, 4),
+)
+def test_an_alphabets_percepts_equal_and_hash_as_percepts_made_one_by_one(rewards, n):
+    # The alphabet hashes each reward once for all its observations.
+    a = Alphabet(num_actions=1, num_observations=n, rewards=tuple(sorted(rewards)))
+    made = [Percept(r, o) for r in sorted(rewards) for o in range(n)]
+    assert list(a.percepts()) == made
+    assert [hash(x) for x in a.percepts()] == [hash(x) for x in made]
+
+
 def test_alphabet_percept_rejects_what_lies_outside_the_alphabet():
     a = Alphabet(num_actions=2, num_observations=3, rewards=(Fraction(0), Fraction(1, 2), Fraction(1)))
     with pytest.raises(ValueError):

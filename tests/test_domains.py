@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unimix.core import EMPTY_HISTORY, FixedHorizon, Percept, append_cycle
 from unimix.domains import (
@@ -201,6 +202,41 @@ def test_observation_updates_only_the_queried_point():
     h = append_cycle(EMPTY_HISTORY, 0, Percept(c.reward_of(1), 1))
     assert fm_expected_z(env, c, h, 0) == 2
     assert fm_expected_z(env, c, h, 1) == F(5, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(0, 10, max_denominator=6), min_size=1, max_size=4, unique=True),
+    st.fractions(0, 3, max_denominator=4),
+)
+def test_an_fm_world_has_each_reward_level_once_and_in_order(zs, r_max):
+    # Its rewards are ranked on ints; with rmax 0 every z earns 0.
+    zs = tuple(sorted(zs))
+    prior = tuple(((zi,), F(1, len(zs))) for zi in range(len(zs)))
+    c = FunctionClassSpec(num_actions=1, z_values=zs, prior=prior, r_max=r_max)
+    env = make_fm_env(c)
+    rewards = [c.reward_of(zi) for zi in range(len(zs))]
+    assert env.alphabet.rewards == tuple(sorted(set(rewards)))
+    for zi, (_, _, f_env) in enumerate(env.components):
+        assert f_env.rule(EMPTY_HISTORY, 0) is env.alphabet.percept(rewards[zi], zi)
+
+
+def test_an_fm_world_hashes_each_reward_once_for_its_percepts(monkeypatch):
+    # uniform16's 4 rewards, each hashed once for its 4 percepts and once
+    # for the alphabet's reward index.  Hashing each reward again for each
+    # percept, a set of the rewards and a percept lookup per z made 28.
+    spec = uniform_function_class(2, tuple(F(z) for z in (1, 2, 3, 4)))
+    hashed = []
+    fraction_hash = F.__hash__
+
+    def counted(r):
+        hashed.append(r)
+        return fraction_hash(r)
+
+    monkeypatch.setattr(F, "__hash__", counted)
+    make_fm_env(spec)
+    monkeypatch.undo()
+    assert sorted(hashed) == [F(0), F(0), F(1, 3), F(1, 3), F(2, 3), F(2, 3), F(1), F(1)]
 
 
 def test_function_class_text_round_trip():

@@ -665,11 +665,13 @@ def test_the_12_bit_pool_falls_into_7_classes_in_heavenhells_alphabet(pool12, de
     assert xi.base_mass() == build_mixture(pool12, RunBudget(64), a).base_mass()
 
 
-@pytest.mark.parametrize("depth,cycles", [(3, 158), (8, 213), (64, 829)])
+@pytest.mark.parametrize("depth,cycles", [(3, 82), (8, 112), (64, 448)])
 def test_a_class_build_runs_each_row_of_each_program_once(pool12, depth, cycles, monkeypatch):
-    # One machine cycle per (program, state, action or None) row the build
-    # reaches; a program that never reads the action has one row per state,
-    # and one whose code is silent has none.
+    # One machine cycle per (environment code, state, action or None) row
+    # the build reaches; a code that never reads the action has one row per
+    # state, and a program whose code is silent has none.  Signing each
+    # program on its own, not each environment code once, made 158, 213
+    # and 829: the 83 programs the build runs have 39 environment codes.
     calls = []
     run_machine = vm.run_machine
 
@@ -684,12 +686,15 @@ def test_a_class_build_runs_each_row_of_each_program_once(pool12, depth, cycles,
 
 @pytest.mark.parametrize("n", [2, 1024])
 def test_a_build_that_signs_no_reader_costs_the_same_for_any_action_count(pool12, n, monkeypatch):
-    # Without every_action the build runs each action-blind program once per
-    # state, on one input, and charges each signature one entry: 127 machine
-    # cycles and 127 entries at depth 8, whatever the number of actions;
-    # with every_action, each signature is charged one entry per action.
-    # Signing a state that steps to itself once per remaining depth took
-    # 430 entries.
+    # Without every_action the build runs each action-blind environment
+    # code once per state, on one input, and charges each signature one
+    # entry: 76 machine cycles and 76 entries at depth 8, whatever the
+    # number of actions; with every_action, each signature is charged one
+    # entry per action.  Signing a state that steps to itself once per
+    # remaining depth took 430 entries, and signing each program rather
+    # than each environment code 127.  The 14 components are 10 classes of
+    # readers, one per environment code that holds an IN (24 programs,
+    # 28 components when each reader was its own class), and 4 signed.
     alphabet = make_onlyone(n, 0).alphabet
     calls = []
     run_machine = vm.run_machine
@@ -700,12 +705,12 @@ def test_a_build_that_signs_no_reader_costs_the_same_for_any_action_count(pool12
 
     monkeypatch.setattr(vm, "run_machine", counting)
     xi = build_class_mixture(pool12, RunBudget(64), alphabet, 8, False)
-    assert len(calls) == 127
-    assert len(xi.components) == 28
-    monkeypatch.setattr("unimix.models.CLASS_CAP", 127)
-    assert len(build_class_mixture(pool12, RunBudget(64), alphabet, 8, False).components) == 28
-    monkeypatch.setattr("unimix.models.CLASS_CAP", 126)  # one entry short: nothing to fall back on
-    with pytest.raises(CapacityError, match="more than 126 signature entries"):
+    assert len(calls) == 76
+    assert len(xi.components) == 14
+    monkeypatch.setattr("unimix.models.CLASS_CAP", 76)
+    assert len(build_class_mixture(pool12, RunBudget(64), alphabet, 8, False).components) == 14
+    monkeypatch.setattr("unimix.models.CLASS_CAP", 75)  # one entry short: nothing to fall back on
+    with pytest.raises(CapacityError, match="more than 75 signature entries"):
         build_class_mixture(pool12, RunBudget(64), alphabet, 8, False)
 
 
@@ -715,8 +720,13 @@ PARTITION_ALPHABETS = [make_heavenhell(0).alphabet] + [
 
 
 def partition(m):
-    """(label, weight, lead) per component of a class mixture."""
-    return [(label, w, w * share) for (label, w, _), share in zip(m.components, m._lead_share)]
+    """(label, weight, lead) per component of a class mixture: the lead is
+    the weight of the leader the label names, and ``_lead_share`` must scale
+    each component's weight to its lead by one common int factor."""
+    rows = [(label, w, vm.Program.from_hex(label).weight) for label, w, _ in m.components]
+    scales = {w * share / lead for (_, w, lead), share in zip(rows, m._lead_share)}
+    assert len(scales) == 1 and scales.pop().denominator == 1
+    return rows
 
 
 @pytest.mark.parametrize("l_max", range(3, 15))
@@ -732,14 +742,16 @@ def test_the_class_build_partitions_the_pool_as_the_build_that_runs_every_progra
         ), (alphabet, steps, depth, every_action)
 
 
-@pytest.mark.parametrize("steps, depth, need", [(64, 1, 59), (64, 3, 82), (64, 8, 127), (3, 3, 90)])
+@pytest.mark.parametrize("steps, depth, need", [(64, 1, 29), (64, 3, 46), (64, 8, 76), (3, 3, 54)])
 @pytest.mark.parametrize("alphabet", PARTITION_ALPHABETS)
 def test_a_build_past_its_cap_signs_the_pool_again_by_the_reader_rule(
     pool12, alphabet, steps, depth, need, monkeypatch
 ):
     # ``need`` is the reader-rule build's signature entries, the same for
-    # every number of actions.  A build signing readers takes more, so under
-    # a cap of ``need`` it restarts and must charge only the second attempt.
+    # every number of actions (59, 82, 127 and 90 when the build signed
+    # each program, not each environment code, once).  A build signing
+    # readers takes more, so under a cap of ``need`` it restarts and must
+    # charge only the second attempt.
     budget = RunBudget(steps)
     readers = partition(build_class_mixture(pool12, budget, alphabet, depth, False))
     assert partition(build_class_mixture(pool12, budget, alphabet, depth, True)) != readers
@@ -797,7 +809,10 @@ def test_a_class_build_runs_no_program_its_code_shows_silent(pool12, steps, sile
     admitted = {q._ops for q in pool12 if _silent(q._ops, steps)}
     assert len(admitted) == silent
     assert admitted.isdisjoint(run)
-    assert {q._ops for q in pool12} - admitted <= set(run)
+    # Each other program's environment code runs, once for every program
+    # that shares it.
+    codes = {vm.env_code(q._ops) for q in pool12 if q._ops not in admitted}
+    assert codes <= {vm.env_code(ops) for ops in run}
 
 
 OUT, INR, INC, END, LDC2 = (0, 0, 1), (0, 1, 1), (1, 1, 0), (0, 0, 0), (1, 0, 0, 1, 0)
@@ -818,6 +833,31 @@ def test_top_names_the_heaviest_program_not_the_heaviest_class(binary_alphabet, 
     assert xi.state(EMPTY_HISTORY).top() == heavy.to_hex()
     plain = build_mixture(pool, budget, binary_alphabet)
     assert posterior(plain, EMPTY_HISTORY).top() == heavy.to_hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(class_cases(), st.data())
+def test_top_names_the_heaviest_surviving_program_the_lowest_index_on_ties(case, data):
+    """On every history the walk reaches, up to the build's depth, the
+    node's ``top``, which ranks survivors by int mass times int share,
+    names the shortest program that replays the history, the lowest pool
+    index among the shortest."""
+    pool, budget, alphabet, depth, _ = case
+    xi = build_class_mixture(*case)
+    h, node = EMPTY_HISTORY, xi.state(EMPTY_HISTORY)
+    while True:
+        survivors = [
+            i for i, q in enumerate(pool)
+            if replay_env(q, h.actions(), budget, alphabet)[0] == h.percepts()
+        ]
+        heaviest = min(survivors, key=lambda i: (len(pool[i].code), i))
+        assert node.top() == pool[heaviest].to_hex()
+        y = data.draw(st.sampled_from(alphabet.actions()))
+        row = node.step(h, y)
+        if len(h) == depth or not row:
+            break
+        x = data.draw(st.sampled_from(sorted(row, key=alphabet.symbol_of)))
+        h, node = append_cycle(h, y, x), row[x][1]
 
 
 def test_a_class_build_needs_a_depth_and_a_pool(binary_alphabet, budget, pool6):

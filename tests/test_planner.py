@@ -416,8 +416,10 @@ def test_a_mixture_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeypat
     # the run makes 240.  A program that never reads the action runs once
     # per state, not once per (state, action) pair: keyed by the action too,
     # the run makes 172.  The class build signs silent programs from their
-    # code: it makes 158 cycles, and the run one more, for the silent class's
-    # leader (3:0), whose table the build left empty.
+    # code, and each environment code once for every program that shares
+    # it: it makes 82 cycles (158 signing each program), and the run one
+    # more, for the silent class's leader (3:0), whose table the build left
+    # empty.
     calls = []
     run_machine = vm.run_machine
 
@@ -431,15 +433,16 @@ def test_a_mixture_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeypat
         f"seed={config_seed}\ni={config_seed % 2}\n"
     )
     run_scenario(cfg)
-    assert len(calls) == 159
+    assert len(calls) == 83
     # Past the class cap the build signs the pool again by the reader rule,
-    # to 28 components: 131 cycles over both attempts, and 77 on demand for
-    # the readers, each its own class.  Falling back to one component per
+    # to 14 components: 97 cycles over both attempts, and 37 on demand for
+    # the readers, one class per environment code.  With each reader its
+    # own class, 28 components made 208; falling back to one component per
     # program made 484.
     calls.clear()
     monkeypatch.setattr(models, "CLASS_CAP", 100)
     run_scenario(cfg)
-    assert len(calls) == 208
+    assert len(calls) == 134
 
 
 @pytest.mark.parametrize(
@@ -485,8 +488,10 @@ def test_a_tabled_program_steps_as_a_copied_machine(q, steps, alphabet, data):
     any order, and against a fresh model whose table is empty."""
     budget = RunBudget(steps)  # below 6, TAPE always times out
     env = ProgramEnv(q, budget, alphabet)
-    # A program that never reads the action has one row per state.
-    reads_action = any(op == OP_IN for op, _ in q._ops)
+    # A program whose environment code (the instructions up to its first
+    # OUT, unless a JZ comes first) holds no IN never reads the action: it
+    # has one row per state.
+    reads_action = any(op == OP_IN for op, _ in reference.environment_code(q._ops))
     # Every history reached: (h, the model's state, a reference machine or
     # None once a cycle has timed out).
     reached = [(EMPTY_HISTORY, env.state(EMPTY_HISTORY), MachineState())]

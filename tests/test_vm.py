@@ -18,6 +18,7 @@ from unimix.vm import (
     consistent_envs,
     decode,
     enumerate_programs,
+    env_code,
     kraft_sum,
     replay_env,
     run_cycle,
@@ -377,3 +378,44 @@ def test_a_cycle_that_never_halts_costs_no_more_than_its_first_loops():
     outputs, steps, timed_out, state = run_machine(LOOP._ops, FRESH, 0, 0, 10**7, 1)
     assert time.perf_counter() - start < 0.5
     assert (outputs, steps, timed_out, state) == ([], 10**7, True, FRESH)
+
+
+POOL16 = enumerate_programs(16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40),
+    SMALL,
+    SMALL,
+    st.one_of(st.just(0), SMALL),
+    st.dictionaries(st.integers(-3, 3), SMALL, max_size=4),
+    st.integers(-3, 3),
+)
+def test_an_environment_cycle_runs_the_same_on_the_environment_code(
+    limit, primary_in, secondary_in, acc, tape, head
+):
+    # Every program of up to 16 bits: an environment cycle (one output)
+    # gives equal outputs, steps, timeout and state on either code.
+    state = (acc, tuple(sorted(tape.items())), head)
+    for q in POOL16:
+        code = env_code(q._ops)
+        assert run_machine(code, state, primary_in, secondary_in, limit, 1) == run_machine(
+            q._ops, state, primary_in, secondary_in, limit, 1
+        ), q.disassemble()
+
+
+@pytest.mark.parametrize(
+    "program, kept",
+    [
+        (bits(OUT, IN, END), 1),  # the IN after the output never runs
+        (bits(IN, OUT, END), 2),
+        (bits(INC, OUT, OUT, END), 2),
+        (bits(INC, END), 2),  # no output: all of it
+        (bits(JZ(3), OUT, OUT, END), 4),  # the JZ can skip the first OUT
+        (bits(OUT, JZ(3), OUT, END), 1),
+    ],
+)
+def test_the_environment_code_ends_at_the_first_output_no_jump_can_skip(program, kept):
+    q = decode(program)
+    assert env_code(q._ops) == q._ops[:kept]
