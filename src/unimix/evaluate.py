@@ -81,7 +81,9 @@ def _sqrt_upper(x: Fraction) -> Fraction:
     """A rational upper bound on sqrt(x) for nonnegative rational x."""
     if x < 0:
         raise ValueError("sqrt of negative value")
-    return Fraction(math.isqrt(x.numerator * x.denominator) + 1, x.denominator)
+    square = x.numerator * x.denominator
+    root = math.isqrt(square)
+    return Fraction(root if root * root == square else root + 1, x.denominator)
 
 
 # --- Losses -----------------------------------------------------------------
@@ -166,23 +168,12 @@ def proper_members(
     pi: Optional[PolicyOracle] = None,
 ) -> List[Program]:
     """Pool programs that behave as proper measures for n spectator cycles
-    (no budget timeout along the action feed)."""
+    (no budget timeout along the action feed): their row mass sums to n."""
     feed = pi if pi is not None else (lambda h: 0)
-    out = []
-    for q in pool:
-        env = ProgramEnv(q, budget, alphabet)
-        h = EMPTY_HISTORY
-        ok = True
-        for _ in range(n):
-            row = env.cond_map(h, feed(h))
-            if not row:
-                ok = False
-                break
-            (x,) = row.keys()
-            h = append_cycle(h, feed(h), x)
-        if ok:
-            out.append(q)
-    return out
+    mass = lambda h, t, y, row: sum(row.values())
+    return [
+        q for q in pool if expected_sum(ProgramEnv(q, budget, alphabet), feed, mass, n) == n
+    ]
 
 
 def check_loss_bound(
@@ -229,24 +220,19 @@ def check_sp_error_bound(
 ) -> BoundReport:
     """Error count of the mixture predictor on a deterministic pool sequence,
     against the size of the initially-consistent program set minus one (every
-    wrong prediction eliminates at least one program; the truth survives)."""
+    wrong prediction eliminates at least one program; the truth survives).
+    On a deterministic mu the error count is the mixture's mu-expected 0/1
+    loss."""
+    if not any(q.code == mu_program.code for q in pool):
+        raise ValueError("mu must be a pool component")
     mu = ProgramEnv(mu_program, budget, alphabet)
     xi = build_mixture(pool, budget, alphabet)
-    scheme = lambda_predictor(xi, LossMatrix.error_loss(alphabet))
-    errors = 0
-    h = EMPTY_HISTORY
-    for _ in range(n):
-        row = mu.cond_map(h, 0)
-        if not row:
-            break
-        (x,) = row.keys()
-        if scheme(h) != alphabet.symbol_of(x):
-            errors += 1
-        h = append_cycle(h, 0, x)
+    loss = LossMatrix.error_loss(alphabet)
+    errors = expected_loss(lambda_predictor(xi, loss), mu, loss, n)
     # Every program reproduces the empty history.
     initial = len(pool)
     return BoundReport(
-        lhs=Fraction(errors),
+        lhs=errors,
         rhs=Fraction(initial - 1),
         holds=errors <= initial - 1,
         context=f"sp error bound: n={n} pool={len(pool)}",
@@ -258,19 +244,6 @@ def check_sp_error_bound(
 _POLICY_ENUM_CAP = 200_000
 
 
-def _policy_count(env: ChronologicalModel, h: History, t: int, m: int) -> int:
-    if t > m:
-        return 1
-    total = 0
-    for y in env.alphabet.actions():
-        prod = 1
-        for x, p in env.cond_map(h, y).items():
-            if p > 0:
-                prod *= _policy_count(env, append_cycle(h, y, x), t + 1, m)
-        total += prod
-    return total
-
-
 def all_policy_values(
     env: ChronologicalModel,
     lifetime: int,
@@ -279,11 +252,10 @@ def all_policy_values(
     """Value of every deterministic percept-context policy, by brute force.
 
     Enumerates the full policy tree over reachable contexts; contains no
-    max-step, so it is an independent oracle for the expectimax value.
+    max-step, so it is an independent oracle for the expectimax value.  No
+    context has more policies below it than its parent, so refusing any
+    node's list past the cap refuses exactly the trees whose root passes it.
     """
-    count = _policy_count(env, EMPTY_HISTORY, 1, lifetime)
-    if count > _POLICY_ENUM_CAP:
-        raise CapacityError(f"{count} policies exceed the enumeration cap")
 
     def values(h: History, t: int) -> List[Fraction]:
         if t > lifetime:
@@ -299,6 +271,10 @@ def all_policy_values(
                 probs.append(p)
                 rewards.append(discounted_reward(horizon, t, x.reward))
                 branches.append(values(append_cycle(h, y, x), t + 1))
+            if len(out) + math.prod(map(len, branches)) > _POLICY_ENUM_CAP:
+                raise CapacityError(
+                    f"policies exceed the enumeration cap of {_POLICY_ENUM_CAP}"
+                )
             for combo in itertools.product(*branches):
                 v = sum(
                     (p * (r + c) for p, r, c in zip(probs, rewards, combo)),
@@ -308,15 +284,6 @@ def all_policy_values(
         return out
 
     return values(EMPTY_HISTORY, 1)
-
-
-def brute_force_opt(
-    env: ChronologicalModel,
-    lifetime: int,
-    horizon: Optional[HorizonPolicy] = None,
-) -> Fraction:
-    """Exhaustive max over all deterministic policies."""
-    return max(all_policy_values(env, lifetime, horizon))
 
 
 def enumerate_policy_maps(
@@ -440,13 +407,3 @@ def disagreement_detail(
             q = ValueQuery(mu, prefix, k, n)
             weighted += value_opt(q) - value_given_action(q, y_xi)
     return Fraction(count, n), weighted / n
-
-
-def disagreement_rate(
-    mu: ChronologicalModel,
-    pool: Sequence[Program],
-    n: int,
-    seed: int,
-    budget: RunBudget,
-) -> Fraction:
-    return disagreement_detail(mu, pool, n, seed, budget)[0]

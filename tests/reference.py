@@ -40,7 +40,11 @@ rewards and divide once (``planner._plan``, ``planner.sample_percept``,
 ``planner.functional_value``).
 ``scaled_sample_percept`` is the draw on the row scaled to ints for every
 row, for the library's draw that takes a row of one percept directly
-(``planner.sample_percept``)."""
+(``planner.sample_percept``).
+``policy_count`` is the number of deterministic percept-context policies,
+counted by a walk of its own before any value is built, for the brute-force
+enumeration that refuses as its lists grow past the cap
+(``evaluate.all_policy_values``)."""
 
 from __future__ import annotations
 
@@ -384,6 +388,22 @@ def dominance_walk(
         )
 
     return walk(EMPTY_HISTORY)
+
+
+def policy_count(env, lifetime, h=EMPTY_HISTORY, t=1):
+    """How many deterministic policies act from cycle t of h to the
+    lifetime: a sum over actions of the product over the possible percepts
+    of the count below each."""
+    if t > lifetime:
+        return 1
+    return sum(
+        math.prod(
+            policy_count(env, lifetime, append_cycle(h, y, x), t + 1)
+            for x, p in env.cond_map(h, y).items()
+            if p > 0
+        )
+        for y in env.alphabet.actions()
+    )
 
 
 def fraction_plan(q, h, t, state, actions=None, memo=None):

@@ -335,13 +335,17 @@ def test_criterion_10_excess_loss_bound():
     """0 <= L_mixture - L_informed <= 2 ln2 l + 2 sqrt(L ln2 l), n=10."""
     a = _alphabet(2, 2)
     budget = RunBudget(32)
-    pool = enumerate_programs(8)
+    # the 9-bit pool holds the shortest programs that emit a nonzero symbol
+    pool = enumerate_programs(9)
     loss = LossMatrix.error_loss(a)
     members = proper_members(pool, budget, a, 10)
-    assert members
+    assert len(members) == 32
+    excess = {}
     for q in members:
         report = check_loss_bound(q, pool, loss, 10, budget, a)
         assert report.holds, (q.to_hex(), report)
+        excess[q.to_hex()] = report.lhs
+    assert excess["9:188"] == 1  # the mixture errs once where 9:188 emits
     _report(10, "excess loss bound holds for every pool member")
 
 

@@ -68,6 +68,8 @@ def test_alphabet_percept_rejects_what_lies_outside_the_alphabet():
             a.percept(Fraction(1, 2), o)
     with pytest.raises(ValueError):
         a.reward_index(Percept(Fraction(1, 3), 0))
+    with pytest.raises(ValueError, match="not in the alphabet"):
+        a.scaled_reward(Percept(Fraction(1, 3), 0))
 
 
 def test_alphabet_rejects_unsorted_rewards():
@@ -150,6 +152,11 @@ def test_horizon_end_proportional():
 def test_horizon_end_rejects_out_of_range_cycle():
     with pytest.raises(ValueError):
         horizon_end(FixedHorizon(5), 7, 6)
+
+
+def test_horizon_end_rejects_what_is_not_a_horizon_policy():
+    with pytest.raises(TypeError, match="unknown horizon policy"):
+        horizon_end(5, 1, 6)
 
 
 @pytest.mark.parametrize("policy", [MovingHorizon(3), ProportionalHorizon(Fraction(1, 2))])

@@ -292,6 +292,17 @@ def test_a_relation_mixtures_components_share_its_alphabet():
     assert [m.alphabet is mix.alphabet for _, _, m in mix.components] == [True, True]
 
 
+def test_a_relation_mixture_refuses_relations_of_different_alphabets():
+    one_z = RelationSpec(
+        num_z=1,
+        num_actions=2,
+        relation=frozenset({(0, 0)}),
+        presentation=(((0, 0), F(1, 2)), ((0, QUESTION), F(1, 2))),
+    )
+    with pytest.raises(ValueError, match="share an alphabet"):
+        make_relation_mixture([(even_odd_relation(), F(1, 2)), (one_z, F(1, 2))])
+
+
 def test_relation_rejects_wrong_examples():
     with pytest.raises(ValueError):
         RelationSpec(
@@ -364,6 +375,31 @@ def test_product_episodes_forget_the_past():
     h = append_cycle(EMPTY_HISTORY, 0, Percept(R1, 0))
     # second episode uses the second env regardless of the first cycle
     assert model.cond_map(h, 1) == {Percept(R1, 0): F(1)}
+
+
+@pytest.mark.parametrize(
+    "episodes, length, message",
+    [
+        ([], 1, "at least one episode"),
+        ([make_heavenhell(0)], 0, "at least one episode"),
+        ([make_heavenhell(0), make_onlyone(3, 0)], 1, "share an alphabet"),
+    ],
+)
+def test_product_episodes_refuse_a_malformed_product(episodes, length, message):
+    with pytest.raises(ValueError, match=message):
+        ProductEpisodeModel(episodes, length)
+
+
+def test_product_episodes_end_at_the_last_episode():
+    model = ProductEpisodeModel([make_heavenhell(0), make_heavenhell(1)], 1)
+    h = append_cycle(append_cycle(EMPTY_HISTORY, 0, Percept(R1, 0)), 1, Percept(R1, 0))
+    with pytest.raises(ValueError, match="past the last episode"):
+        model.cond_map(h, 0)
+
+
+def test_lazy_needs_a_lifetime_of_two():
+    with pytest.raises(ValueError, match="m >= 2"):
+        make_lazy(1)
 
 
 def test_heavenhell_is_absorbing():

@@ -1,22 +1,25 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from unimix import evaluate
 from unimix.core import EMPTY_HISTORY, Alphabet, FixedHorizon, Percept
 from unimix.domains import make_heavenhell, make_onlyone
 from unimix.evaluate import (
     BoundReport,
     CapacityError,
     LossMatrix,
+    _sqrt_upper,
     all_policy_values,
     bound_reports_csv,
-    brute_force_opt,
     check_loss_bound,
     check_sp_error_bound,
     disagreement_detail,
-    disagreement_rate,
     enumerate_policy_maps,
     expected_loss,
     intel_geq,
@@ -28,7 +31,9 @@ from unimix.evaluate import (
 )
 from unimix.models import ProgramEnv, TabularModel, random_tabular
 from unimix.planner import planning_policy
-from unimix.vm import decode, enumerate_programs
+from unimix.vm import Program, decode, enumerate_programs, replay_env
+
+import reference
 
 F = Fraction
 
@@ -69,6 +74,35 @@ def test_informed_predictor_minimizes_over_all_128_schemes(binary_alphabet):
             tuple(binary_alphabet.symbol_of(x) for x in h.percepts())
         ]
         assert best <= expected_loss(scheme, env, loss, 3)
+
+
+@pytest.mark.parametrize("action, proper", [(0, 120), (1, 122)])
+def test_proper_members_are_the_programs_whose_replay_never_times_out(
+    binary_alphabet, budget, action, proper
+):
+    pool = enumerate_programs(11)
+    members = proper_members(pool, budget, binary_alphabet, 5, pi=lambda h: action)
+    assert members == [
+        q for q in pool if replay_env(q, (action,) * 5, budget, binary_alphabet)[1]
+    ]
+    assert len(members) == proper  # of 129
+
+
+@given(st.fractions(min_value=0, max_value=50, max_denominator=60))
+def test_sqrt_upper_is_the_least_bound_over_the_denominator(x):
+    root = _sqrt_upper(x)
+    assert root * root >= x
+    assert (root - Fraction(1, x.denominator)) ** 2 < x or root * root == x
+
+
+@given(st.fractions(min_value=0, max_value=50, max_denominator=60))
+def test_sqrt_upper_of_a_square_is_its_root(x):
+    assert _sqrt_upper(x * x) == x
+
+
+def test_sqrt_upper_refuses_a_negative_number():
+    with pytest.raises(ValueError, match="negative"):
+        _sqrt_upper(Fraction(-1, 4))
 
 
 def test_uniform_coin_costs_half_an_error_per_cycle(binary_alphabet):
@@ -127,6 +161,29 @@ class TestLossBound:
                 excess[q.to_hex()] = report.lhs
         assert excess == ERRING[l_max]
 
+    # With ln 2 taken as 1/100, a = 2 ln2 l(mu) = 9/50 for 9:188, below its
+    # excess at n=10, so the squared comparison (lhs - a)^2 <= 4b decides,
+    # b = L_mu ln2 l(mu).  The informed predictor never errs: under the 0/1
+    # loss L_mu = 0 and sqrt(b) = 0 exactly, so rhs = a; a loss of 1/2 for a
+    # right guess gives L_mu = 5 and b = 9/20, and one wrong guess of the
+    # mixture costs 1/2 more than a right one.
+    @pytest.mark.parametrize(
+        "right, lhs, rhs, holds",
+        [(F(0), F(1), F(9, 50), False), (F(1, 2), F(1, 2), F(79, 50), True)],
+    )
+    def test_the_squared_comparison_decides_and_the_rhs_agrees(
+        self, binary_alphabet, budget, right, lhs, rhs, holds
+    ):
+        symbols = range(binary_alphabet.num_percepts)
+        loss = LossMatrix(
+            binary_alphabet,
+            {(s, l): right if s == l else F(1) for s in symbols for l in symbols},
+        )
+        mu = Program.from_hex("9:188")
+        with mock.patch.object(evaluate, "LN2_UPPER", F(1, 100)):
+            report = check_loss_bound(mu, enumerate_programs(9), loss, 10, budget, binary_alphabet)
+        assert (report.lhs, report.rhs, report.holds) == (lhs, rhs, holds)
+
 
 class TestSpErrorBound:
     def test_singleton_pool_never_errs(self, binary_alphabet, budget, pool6):
@@ -154,6 +211,18 @@ class TestSpErrorBound:
                 errors[q.to_hex()] = report.lhs
         assert errors == ERRING[l_max]
 
+    def test_mu_outside_the_pool_is_rejected(self, binary_alphabet, budget, pool6):
+        with pytest.raises(ValueError, match="pool"):
+            check_sp_error_bound(Program.from_hex("9:188"), pool6, 5, budget, binary_alphabet)
+
+    @pytest.mark.parametrize("l_max", sorted(ERRING))
+    def test_the_errors_are_the_excess_0_1_loss(self, binary_alphabet, budget, l_max):
+        loss = LossMatrix.error_loss(binary_alphabet)
+        pool = enumerate_programs(l_max)
+        for q in proper_members(pool, budget, binary_alphabet, 5):
+            sp = check_sp_error_bound(q, pool, 5, budget, binary_alphabet)
+            assert sp.lhs == check_loss_bound(q, pool, loss, 5, budget, binary_alphabet).lhs
+
 
 class TestPolicyEnumeration:
     def test_counts_follow_the_branching_recurrence(self, binary_alphabet):
@@ -164,13 +233,46 @@ class TestPolicyEnumeration:
         assert len(all_policy_values(env, 2)) == 8
         assert len(all_policy_values(env, 3)) == 128
 
-    def test_brute_force_opt_on_heavenhell(self):
-        assert brute_force_opt(make_heavenhell(1), 4) == 4
+    def test_the_best_policy_on_heavenhell(self):
+        assert max(all_policy_values(make_heavenhell(1), 4)) == 4
 
     def test_enumeration_refuses_oversized_instances(self, binary_alphabet):
         env = random_tabular(binary_alphabet, 2, random.Random(0))
         with pytest.raises(CapacityError):
             all_policy_values(env, 5)
+
+    def test_a_wide_world_is_refused_before_its_policies_are_counted(self):
+        # 4 actions x 4 percepts at lifetime 6: a walk that counts every
+        # policy before enumerating any takes about 30 s on a 2-vCPU box,
+        # where refusing as the lists grow takes under 0.1 s
+        alphabet = Alphabet(4, 1, (0, F(1, 3), F(2, 3), 1))
+        env = random_tabular(alphabet, 1, random.Random(0))
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            all_policy_values(env, 6)
+        assert time.perf_counter() - start < 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        actions=st.integers(1, 3),
+        observations=st.integers(1, 2),
+        depth=st.integers(0, 2),
+        lifetime=st.integers(1, 3),
+        cap=st.integers(1, 400),
+        seed=st.integers(0, 2**16),
+    )
+    def test_refuses_exactly_when_the_policy_count_passes_the_cap(
+        self, actions, observations, depth, lifetime, cap, seed
+    ):
+        alphabet = Alphabet(actions, observations, (F(0), F(1)))
+        env = random_tabular(alphabet, depth, random.Random(seed))
+        count = reference.policy_count(env, lifetime)
+        with mock.patch.object(evaluate, "_POLICY_ENUM_CAP", cap):
+            if count > cap:
+                with pytest.raises(CapacityError):
+                    all_policy_values(env, lifetime)
+            else:
+                assert len(all_policy_values(env, lifetime)) == count
 
     def test_policy_maps_cover_every_assignment(self, binary_alphabet):
         contexts, assignments = enumerate_policy_maps(binary_alphabet, 2)
@@ -228,7 +330,7 @@ class TestDisagreement:
     def test_zero_when_the_mixture_is_the_truth(self, binary_alphabet, budget, pool6):
         q = pool6[0]
         mu = ProgramEnv(q, budget, binary_alphabet)
-        assert disagreement_rate(mu, [q], 4, seed=0, budget=budget) == 0
+        assert disagreement_detail(mu, [q], 4, seed=0, budget=budget)[0] == 0
 
     def test_uninformative_pool_disagrees_with_the_informed_agent(
         self, binary_alphabet, budget, pool8

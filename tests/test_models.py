@@ -420,9 +420,17 @@ def test_tabular_text_format_round_trips(binary_alphabet):
     assert m2.rows == m.rows
 
 
-def test_tabular_rejects_bad_rows(binary_alphabet):
-    with pytest.raises(ValueError):
-        TabularModel(binary_alphabet, 1, {"y:0": (Fraction(1, 2), Fraction(1, 3))})
+@pytest.mark.parametrize(
+    "depth, rows, message",
+    [
+        (1, {"y:0": (Fraction(1, 2), Fraction(1, 3))}, "probability vector"),
+        (1, {"y:0": (Fraction(1),)}, "has 1 entries, need 2"),
+        (-1, {}, "depth >= 0"),
+    ],
+)
+def test_tabular_rejects_bad_rows(binary_alphabet, depth, rows, message):
+    with pytest.raises(ValueError, match=message):
+        TabularModel(binary_alphabet, depth, rows)
 
 
 def test_a_program_state_is_the_frozen_machine_after_the_actions(binary_alphabet, pool8):

@@ -664,6 +664,11 @@ class TestEpisodeCutoff:
         with pytest.raises(ValueError):
             episode_cutoff((0, 3, 6), 7, 10)
 
+    @pytest.mark.parametrize("boundaries", [(), (1, 3), (0, 3, 3), (0, 4, 2)])
+    def test_rejects_boundaries_that_are_not_increasing_from_0(self, boundaries):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            episode_cutoff(boundaries, 1, 10)
+
     def test_cutoff_planning_matches_full_horizon_on_product_envs(self, binary_alphabet):
         eps = [
             random_tabular(binary_alphabet, 2, random.Random(s)) for s in (1, 2)

@@ -10,7 +10,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "unimix"
 ALLOWED = {
     "core.contexts": "the one enumerator of (history, action) contexts up to a depth",
     "domains.game_value": "minimax over a game tree, the oracle the planner is checked against",
-    "evaluate._policy_count": "counts the policies first, to refuse an oversized enumeration",
     "evaluate.all_policy_values.values": "every deterministic policy's value, by brute force",
     "models.build_class_mixture.signature": "a machine state's behaviour, memoized per depth",
     "models.expected_sum.walk": (

@@ -68,6 +68,16 @@ def test_decode_truncated_code_fails():
         decode((1, 0))  # not even an opcode
 
 
+def test_decode_refuses_bits_that_are_not_binary():
+    with pytest.raises(DecodeError, match="non-binary"):
+        decode((0, 2, 0))
+
+
+def test_enumeration_refuses_a_length_below_one():
+    with pytest.raises(ValueError, match="l_max >= 1"):
+        enumerate_programs(0)
+
+
 def test_enumeration_empty_below_shortest_code():
     assert enumerate_programs(2) == []
 
