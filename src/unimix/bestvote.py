@@ -267,7 +267,9 @@ def validate_claim(
     horizon: Optional[HorizonPolicy] = None,
 ) -> bool:
     """True iff the claim never overrates the candidate: w <= its exact value,
-    walked only for a claim in (0, U] (``claim_verdict``)."""
+    walked only for a claim in (0, U] (``claim_verdict``).  The walk is
+    ``_walked_verdict``'s, as in the round: a program that emits at most one
+    output a cycle walks the all-zero policy, any other candidate its own."""
     _check_not_past(c, h)
     k = len(h) + 1
     node = env_node(envs, h, budget, alphabet)
@@ -276,7 +278,20 @@ def validate_claim(
     )
     if verdict is not None:
         return verdict
-    return _walked_verdict(c, claim.w, node, k, m_k, h, budget, alphabet, horizon)
+    return _walked_verdict(c, claim.w, node, k, m_k, h, budget, alphabet, horizon, [])
+
+
+class _ActionZero:
+    """The policy that plays action 0 on every cycle, as a stepper."""
+
+    def __call__(self, h: History) -> Action:
+        return 0
+
+    def fork(self) -> "_ActionZero":
+        return self
+
+
+_ACTION_ZERO = _ActionZero()
 
 
 def _walked_verdict(
@@ -289,12 +304,24 @@ def _walked_verdict(
     budget: RunBudget,
     alphabet,
     horizon: Optional[HorizonPolicy],
+    zero: list,
 ) -> bool:
     """The verdict on a claim of w that ``claim_verdict`` leaves to a walk:
     w at most the candidate's value, False where that is undefined.  The
-    two are compared on ints, crossed over their denominators."""
+    two are compared on ints, crossed over their denominators.
+
+    A program candidate whose code emits at most one output a cycle
+    (``vm.emits_once``) plays action 0 on every cycle, so its value is the
+    all-zero policy's: walked once per round and kept in ``zero`` for the
+    round's other such claims.  Any other candidate walks its own policy
+    (``candidate_value``)."""
     try:
-        v = candidate_value(c, node, k, m_k, h, budget, alphabet, horizon)
+        if c.oracle is None and vm.emits_once(c.program._ops):
+            if not zero:
+                zero.append(functional_value(node, 0, _ACTION_ZERO, k, m_k, h, horizon))
+            v = zero[0]
+        else:
+            v = candidate_value(c, node, k, m_k, h, budget, alphabet, horizon)
     except UndefinedConditionalError:
         return False
     return w.numerator * v.denominator <= v.numerator * w.denominator
@@ -375,9 +402,13 @@ def best_vote_cycle(
 
     The node, the previous percept's inputs and U are found once for the
     round, and ``claim_verdict`` judges every claim against that U; only a
-    claim in (0, U] is walked, by ``candidate_value``.  A program
-    candidate's claim stays ints, judged against the floor of U: an int
-    is above U exactly when it is above U's floor.
+    claim in (0, U] is walked, by ``_walked_verdict``.  Every candidate
+    whose code emits at most one output a cycle plays action 0 throughout,
+    so the round walks the all-zero policy once, at its first such claim,
+    and judges each such claim against that value; an oracle or any other
+    program walks its own policy.  A program candidate's claim stays ints,
+    judged against the floor of U: an int is above U exactly when it is
+    above U's floor.
     """
     if not candidates:
         raise ValueError("no candidates")
@@ -390,6 +421,7 @@ def best_vote_cycle(
     num_actions = alphabet.num_actions
     rows = []
     best, best_w = None, 0
+    zero: list = []  # the all-zero policy's value, once a claim has walked it
     for i, c in enumerate(candidates):
         if c.oracle is None:
             _check_at(c, h)
@@ -400,7 +432,7 @@ def best_vote_cycle(
             u = bound
         valid = claim_verdict(w, survived, u)
         if valid is None:
-            valid = _walked_verdict(c, w, node, k, m_k, h, budget, alphabet, horizon)
+            valid = _walked_verdict(c, w, node, k, m_k, h, budget, alphabet, horizon, zero)
         if valid and w > 0 and (
             w > best_w or (w == best_w and c.sort_key < candidates[best].sort_key)
         ):

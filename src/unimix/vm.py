@@ -102,9 +102,8 @@ class Program(Value):
         if self._hex is None:
             # length prefix keeps trailing zero bits unambiguous
             n = len(self.code)
-            value = int(bytes(self.code).translate(_DIGITS), 2) if n else 0
-            width = max(1, (n + 3) // 4)
-            set_field(self, "_hex", f"{n}:{value:0{width}x}")
+            value = int(bytes(self.code).translate(_DIGITS) or b"0", 2)
+            set_field(self, "_hex", "%d:%0*x" % (n, (n + 3) // 4 or 1, value))
         return self._hex
 
     @classmethod
@@ -360,6 +359,16 @@ def env_code(ops: tuple) -> tuple:
         if op == OP_JZ:
             break
     return ops
+
+
+def emits_once(ops: tuple) -> bool:
+    """Whether code ``ops`` emits at most one output a cycle, from every
+    state and on every input: it has fewer than two ``OUT`` and no ``JZ 0``.
+    That is the only jump back past an instruction (``JZ 1`` stays on
+    itself), so pc runs no ``OUT`` twice in a cycle.  A best-vote candidate
+    of such code never emits its action, the second output, so it plays
+    action 0 on every cycle."""
+    return ops.count((OP_OUT, 0)) < 2 and (OP_JZ, 0) not in ops
 
 
 def replay_env(

@@ -36,7 +36,7 @@ from unimix.core import (
     discounted_reward,
     horizon_end,
 )
-from unimix.domains import make_heavenhell
+from unimix.domains import make_heavenhell, make_onlyone
 from unimix.models import TabularModel, UndefinedConditionalError, build_mixture, posterior
 from unimix.planner import (
     env_node, functional_value, policy_value_functional, run_interaction,
@@ -59,6 +59,7 @@ F = Fraction
 END = (0, 0, 0)
 OUT = (0, 0, 1)
 IN = (0, 1, 0)
+INC = (1, 1, 0)
 LDC = lambda c: (1, 0, 0) + tuple((c >> i) & 1 for i in (1, 0))
 JZ = lambda d: (1, 0, 1) + tuple((d >> i) & 1 for i in (1, 0))
 
@@ -467,9 +468,55 @@ def test_a_best_vote_run_walks_only_claims_inside_the_value_bounds(config_seed, 
         f"seed={config_seed}\ni={config_seed % 2}\n"
     )
     run_scenario(cfg)
-    # 129 claims a cycle, nearly all 0; walking every one took 258 walks
-    assert 0 < len(walks) <= 8
-    assert len(walks) == {0: 7, 1: 6}[config_seed]
+    # 129 claims a cycle, nearly all 0; walking every one took 258 walks.
+    # Every walked claim comes from a program that plays action 0 throughout,
+    # so a round walks once: each claim walking its own policy took 7 and 6.
+    assert len(walks) == 2
+    assert all(args[2] is bestvote._ACTION_ZERO for args in walks)
+
+
+@pytest.mark.parametrize(
+    "horizon, i, count",
+    [("", 0, 61), ("", 1, 32), ("horizon=moving:4\n", 0, 53), ("horizon=moving:4\n", 1, 24)],
+)
+def test_a_long_best_vote_run_walks_the_all_zero_policy_once_a_round(
+    horizon, i, count, monkeypatch
+):
+    # Heaven-hell at l=12 over 16 cycles: one all-zero walk in each of the
+    # 16 rounds, and the rest walked by programs that may emit two outputs.
+    # Each claim walking its own policy took 416, 229, 390 and 203.
+    walks = []
+
+    def counting(*args, **kwargs):
+        walks.append(args[2] is bestvote._ACTION_ZERO)
+        return functional_value(*args, **kwargs)
+
+    monkeypatch.setattr(bestvote, "functional_value", counting)
+    run_scenario(parse_config(
+        f"scenario=heavenhell\nagent=best-vote\nl=12\nlifetime=16\n{horizon}i={i}\n"
+    ))
+    assert len(walks) == count
+    assert sum(walks) == 16
+
+
+def test_a_round_that_walks_no_claim_reads_no_code(binary_alphabet, budget, pool6, monkeypatch):
+    calls = []
+    emits_once = vm.emits_once
+
+    def counting(ops):
+        calls.append(ops)
+        return emits_once(ops)
+
+    monkeypatch.setattr(bestvote.vm, "emits_once", counting)
+    candidates = [ExtendedCandidate.from_program(p) for p in (SILENT, BRAGGART, SPINNER)]
+    # claims 0, 1 > U = 0 at a lifetime of 0, 0: every claim decided by the bounds
+    best_vote_cycle(candidates, EMPTY_HISTORY, pool6, budget, binary_alphabet, 0)
+    assert calls == []
+    # at a lifetime of 1, U = 1 and the braggart's claim of 1 is walked
+    best_vote_cycle(
+        [c.fresh() for c in candidates], EMPTY_HISTORY, pool6, budget, binary_alphabet, 1
+    )
+    assert calls == [BRAGGART._ops]
 
 
 @pytest.mark.parametrize("config_seed", [0, 1])
@@ -496,14 +543,15 @@ def test_a_best_vote_run_makes_a_pinned_number_of_vm_cycles(config_seed, monkeyp
         f"seed={config_seed}\ni={config_seed % 2}\n"
     )
     run_scenario(cfg)
-    assert len(calls) == 304
+    assert len(calls) == 298
     # Candidates' cycles (claims and the walks' steps), the build's rows, and
     # environment cycles the build left to be run on demand.  Signing each
-    # program, not each environment code, once made 320: 264, 49 and 7.
-    assert Counter(callers) == {"_program_claim": 264, "signature": 34, "weights": 6}
+    # program, not each environment code, once made 320: 264, 49 and 7; each
+    # walked claim stepping its own candidate made 304: 264, 34 and 6.
+    assert Counter(callers) == {"_program_claim": 258, "signature": 34, "weights": 6}
 
 
-@pytest.mark.parametrize("y_star, cycles", [(0, 2750), (1, 2325)])
+@pytest.mark.parametrize("y_star, cycles", [(0, 1883), (1, 1809)])
 def test_a_many_action_best_vote_run_makes_a_pinned_number_of_vm_cycles(
     y_star, cycles, monkeypatch
 ):
@@ -511,7 +559,8 @@ def test_a_many_action_best_vote_run_makes_a_pinned_number_of_vm_cycles(
     # build signs no program that reads the action.  On a tree of one
     # component per program the run made 3,593 (y_star=0) and 3,312
     # (y_star=1), and with each reader its own class and each program
-    # signed on its own, 2,938 and 2,525.
+    # signed on its own, 2,938 and 2,525; with each walked claim stepping
+    # its own candidate, 2,750 and 2,325.
     calls = []
     run_machine = vm.run_machine
 
@@ -680,3 +729,62 @@ def test_the_best_vote_policy_runs_as_the_reference_loop(case):
     assert policy.tops == leaders
     if old is not None:
         assert run_best_vote(pool, budget, world, lifetime, horizon, seed) == old
+
+
+# --- The all-zero walk shared by the candidates that emit one output ---------
+
+# Candidates that emit two outputs and play a nonzero action: a pool of up to
+# 9 bits holds none (OUT OUT END plays its accumulator, which stays 0), so a
+# rule that flagged one would go unseen without them.
+TWO_OUTPUTS = [decode(bits(op, OUT, OUT, END)) for op in (LDC(1), IN, INC)]
+WORLDS = [make_heavenhell(0), make_heavenhell(1)] + [
+    make_onlyone(n, y) for n in (1, 2, 3) for y in range(n)
+]
+
+
+@st.composite
+def shared_walk_cases(draw):
+    """A world, a pool of up to 9 bits with the two-output programs as both
+    candidates and environments, a budget small enough that programs time
+    out, a fixed or moving horizon, and a seed."""
+    world = draw(st.sampled_from(WORLDS))
+    pool = enumerate_programs(draw(st.integers(6, 9))) + TWO_OUTPUTS
+    budget = RunBudget(draw(st.integers(1, 8)))
+    lifetime = draw(st.integers(1, 3))
+    horizon = draw(st.sampled_from((None, MovingHorizon(1), MovingHorizon(2))))
+    seed = draw(st.integers(0, 2**16))
+    return world, pool, budget, lifetime, horizon, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_walk_cases())
+def test_every_flagged_candidate_is_worth_the_shared_all_zero_walk(case):
+    world, pool, budget, lifetime, horizon, seed = case
+    a = world.alphabet
+    hpol = horizon if horizon is not None else FixedHorizon(lifetime)
+    candidates = [ExtendedCandidate.from_program(p) for p in pool]
+
+    def policy(h):
+        k = len(h) + 1
+        m_k = horizon_end(hpol, k, lifetime)
+        node = env_node(pool, h, budget, a)
+        y, rows = best_vote_cycle(candidates, h, node, budget, a, m_k, horizon)
+        try:
+            zero = functional_value(node, 0, bestvote._ACTION_ZERO, k, m_k, h, horizon)
+        except UndefinedConditionalError:
+            zero = None
+        for c, row in zip(candidates, rows):
+            claim = c.last_claim
+            assert validate_claim(c, claim, h, node, budget, a, m_k, horizon) == row.valid
+            if not vm.emits_once(c.program._ops):
+                continue
+            assert row.action == 0
+            # the candidate's own stepper, replayed from scratch
+            if zero is None:
+                with pytest.raises(UndefinedConditionalError):
+                    candidate_value(c.fresh(), node, k, m_k, h, budget, a, horizon)
+            else:
+                assert candidate_value(c.fresh(), node, k, m_k, h, budget, a, horizon) == zero
+        return y
+
+    run_interaction(policy, world, lifetime, seed)

@@ -77,10 +77,11 @@ def test_artifacts_match_the_pinned_digests(workload, lifetime, config_seed, tmp
 
 # Run paths off the benchmark's workloads, pinned the same way: the mixture
 # on moving, proportional and geometric horizons, best vote on many-action
-# and horizon-bound worlds, and both on the workloads' worlds at the largest
-# step budget (where a program stuck in a loop would spin longest) and at
-# t=3 (which a two-step loop's period does not divide), each at config
-# seeds 0 and 1.
+# and horizon-bound worlds and over a life of 16 cycles (where a round walks
+# the most claims), and both on the workloads' worlds at the largest step
+# budget (where a program stuck in a loop would spin longest) and at t=3
+# (which a two-step loop's period does not divide), each at config seeds 0
+# and 1.
 PATH_CONFIGS = {
     "mixture-heavenhell-moving1": "scenario=heavenhell\nagent=mixture\nl=12\nlifetime=16\nhorizon=moving:1\ni=0\n",
     "mixture-heavenhell-moving6": "scenario=heavenhell\nagent=mixture\nl=12\nlifetime=16\nhorizon=moving:6\ni=1\n",
@@ -92,6 +93,8 @@ PATH_CONFIGS = {
     "bestvote-onlyone256": "scenario=onlyone\nagent=best-vote\nl=12\nlifetime=4\nn=256\n",
     "bestvote-lazy": "scenario=lazy\nagent=best-vote\nl=12\nlifetime=8\n",
     "bestvote-heavenhell-moving2": "scenario=heavenhell\nagent=best-vote\nl=12\nlifetime=8\nhorizon=moving:2\ni=1\n",
+    "bestvote-heavenhell-life16": "scenario=heavenhell\nagent=best-vote\nl=12\nlifetime=16\ni=0\n",
+    "bestvote-heavenhell-life16-moving4": "scenario=heavenhell\nagent=best-vote\nl=12\nlifetime=16\nhorizon=moving:4\ni=1\n",
     "bestvote-heavenhell-t4096": "scenario=heavenhell\nagent=best-vote\nl=11\nlifetime=2\nt=4096\ni=0\n",
     "bestvote-heavenhell-t3": "scenario=heavenhell\nagent=best-vote\nl=11\nlifetime=2\nt=3\ni=1\n",
     "mixture-heavenhell-t4096": "scenario=heavenhell\nagent=mixture\nl=12\nlifetime=3\nt=4096\ni=0\n",
@@ -110,6 +113,30 @@ PATH_PINS = {
             "trace.csv": "9b34a36777fde9882cb376a6a15ff5bee33168963c0b284c69f938a087a93e5b",
             "results.txt": "3e249ab3d96eecf327489a3a790621ff7552364ed124458993900e7b12326e2e",
             "selection.csv": "b00c9e3351cd6ec7b738ff8307372692ddd16888dbae76fce11e20977587c5e2",
+        },
+    },
+    "bestvote-heavenhell-life16": {
+        0: {
+            "trace.csv": "3e3b424459265abd8ed96f0925f5f9833f85a95e26f6f04d403d2339c4e57792",
+            "results.txt": "9c90574ba2550be1e12b50ae7a40787c0374cf25a5fc7ada827b028457670685",
+            "selection.csv": "d8a834d92c7be683e8c2ba063ef9ee789c9a1ae39601eb9922259416f333a1e9",
+        },
+        1: {
+            "trace.csv": "3e3b424459265abd8ed96f0925f5f9833f85a95e26f6f04d403d2339c4e57792",
+            "results.txt": "9c90574ba2550be1e12b50ae7a40787c0374cf25a5fc7ada827b028457670685",
+            "selection.csv": "d8a834d92c7be683e8c2ba063ef9ee789c9a1ae39601eb9922259416f333a1e9",
+        },
+    },
+    "bestvote-heavenhell-life16-moving4": {
+        0: {
+            "trace.csv": "3312238bcfe8b34db797c27d0ff68b19120024f36e7d8bbc98e3d1d76be77fd8",
+            "results.txt": "678f8650513075dbc83b4ce3f51648490e09e2464959a00f6e24d32225496069",
+            "selection.csv": "fb4fd6812875bbf0b96c777c394448273a73b998a2b278f1a2176b844a75e663",
+        },
+        1: {
+            "trace.csv": "3312238bcfe8b34db797c27d0ff68b19120024f36e7d8bbc98e3d1d76be77fd8",
+            "results.txt": "678f8650513075dbc83b4ce3f51648490e09e2464959a00f6e24d32225496069",
+            "selection.csv": "fb4fd6812875bbf0b96c777c394448273a73b998a2b278f1a2176b844a75e663",
         },
     },
     "bestvote-heavenhell-t3": {

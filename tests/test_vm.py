@@ -17,6 +17,7 @@ from unimix.vm import (
     RunBudget,
     consistent_envs,
     decode,
+    emits_once,
     enumerate_programs,
     env_code,
     kraft_sum,
@@ -429,3 +430,36 @@ def test_an_environment_cycle_runs_the_same_on_the_environment_code(
 def test_the_environment_code_ends_at_the_first_output_no_jump_can_skip(program, kept):
     q = decode(program)
     assert env_code(q._ops) == q._ops[:kept]
+
+
+ONCE12 = [q for q in POOL12 if emits_once(q._ops)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((1, 3, 64)),
+    SMALL,
+    SMALL,
+    st.one_of(st.just(0), SMALL),
+    st.dictionaries(st.integers(-3, 3), SMALL, max_size=4),
+    st.integers(-3, 3),
+)
+def test_code_the_rule_flags_emits_at_most_one_output_a_cycle(
+    limit, primary_in, secondary_in, acc, tape, head
+):
+    # Every flagged program of up to 12 bits, asked for two outputs.
+    state = (acc, tuple(sorted(tape.items())), head)
+    for q in ONCE12:
+        outputs = run_machine(q._ops, state, primary_in, secondary_in, limit, 2)[0]
+        assert len(outputs) <= 1, q.disassemble()
+
+
+def test_the_rule_flags_most_short_programs_but_not_two_outputs():
+    assert 0 < len(ONCE12) < len(POOL12)
+    for program in (bits(OUT, OUT, END), bits(OUT, JZ(0), END)):
+        q = decode(program)
+        assert not emits_once(q._ops)
+        assert run_machine(q._ops, FRESH, 0, 0, 64, 2)[0] == [0, 0]
+    # a JZ 1 only stays on itself, and a JZ 2 or 3 jumps on
+    for program in (bits(OUT, JZ(1), END), bits(JZ(2), OUT, JZ(3), END), bits(IN, END)):
+        assert emits_once(decode(program)._ops)
